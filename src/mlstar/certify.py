@@ -25,9 +25,9 @@ from .defaults import (
     SERIES_TOL,
 )
 from .errors import DomainError
-from .mittag_leffler import MLParams, _log_deriv_values
-from .operators import EvalPoint, OperatorSpec, _ray_sweep
-from .orders import convex_delta, log_deriv_bound, psi, starlike_delta
+from .mittag_leffler import MLParams, _log_deriv_deviation
+from .operators import EvalPoint, OperatorSpec, _convex_deviation, _ray_sweep
+from .orders import convex_delta, log_deriv_bound, ml_starlike_hypothesis, starlike_delta
 
 __all__ = [
     "GridSpec",
@@ -37,7 +37,7 @@ __all__ = [
     "certify_convex",
     "certify_ml_starlike",
     "check_log_deriv_bound",
-    "empirical_order",
+    "sample_grid",
     "QUANTITY_STARLIKE_OPERATOR",
     "QUANTITY_CONVEX_OPERATOR",
     "QUANTITY_STARLIKE_ML",
@@ -166,36 +166,55 @@ class Certificate:
         }
 
 
-def _scan(grid: GridSpec, circle_fn, largest: bool = False):
-    """Extremize circle_fn over the grid in deterministic order.
+# Every certified quantity Q has one circle evaluator, circle(r, z) ->
+# (Q - 1, [(angle_index, reason), ...]), complex, for the points z on the
+# circle of radius r. Q is 1 for the identity function, and the bound
+# certificate needs |Q - 1| itself, so the evaluators return the deviation
+# and never subtract 1 from a computed Q. Certificates project it, and the
+# CLI's dump prints 1 + deviation.
 
-    circle_fn(r, z_array) returns (values, list of (angle_index, reason)).
+
+def _order_value(deviation: np.ndarray) -> np.ndarray:
+    """Re Q, the quantity of the order certificates."""
+    return 1.0 + deviation.real
+
+
+def sample_grid(grid: GridSpec, circle_fn) -> list:
+    """Evaluate circle_fn on each circle of the grid, radius-major.
+
+    Returns one (radius, angles, deviation, failures) per circle, where
+    failures maps an angle index to its reason; points the evaluator did
+    not flag but whose value is not finite count as failed too.
+    """
+    angles = grid.circle_angles()
+    phase = np.exp(1j * angles)
+    circles = []
+    for r in grid.radii:
+        deviation, fails = circle_fn(r, r * phase)
+        failures = {int(idx): reason for idx, reason in fails}
+        for idx in np.flatnonzero(~np.isfinite(deviation)):
+            failures.setdefault(int(idx), "nonfinite value")
+        circles.append((r, angles, deviation, failures))
+    return circles
+
+
+def _scan(grid: GridSpec, circle_fn, project, largest: bool = False):
+    """Extremize project(deviation) over the grid in deterministic order.
+
     Ties break toward the smallest radius, then the smallest angle index.
     Returns (extremum, argmin EvalPoint, failures, total_points).
     """
     sign = -1.0 if largest else 1.0
-    angles = grid.circle_angles()
-    phase = np.exp(1j * angles)
     best = math.inf
     best_point = None
     failures = []
-    for r in grid.radii:
-        values, fails = circle_fn(r, r * phase)
-        masked = sign * np.asarray(values, dtype=float)
-        flagged = set()
-        for idx, reason in fails:
+    for r, angles, deviation, fails in sample_grid(grid, circle_fn):
+        masked = sign * project(deviation)
+        for idx, reason in fails.items():
             masked[idx] = math.inf
-            flagged.add(int(idx))
             failures.append(
                 FailedPoint(EvalPoint.from_polar(r, float(angles[idx])), reason)
             )
-        for idx in np.flatnonzero(~np.isfinite(masked)):  # unflagged nan/inf
-            if int(idx) not in flagged:
-                failures.append(
-                    FailedPoint(EvalPoint.from_polar(r, float(angles[idx])),
-                                "nonfinite value")
-                )
-            masked[idx] = math.inf
         k = int(np.argmin(masked))  # first occurrence, i.e. smallest angle
         if masked[k] < best:
             best = float(masked[k])
@@ -222,7 +241,7 @@ def _operator_circle(spec, quad_tol, series_tol):
         )
         tiny = np.abs(g) < DENOM_GUARD
         with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.real(p_end / np.where(tiny, 1.0, g))
+            deviation = (p_end - g) / np.where(tiny, 1.0, g)
         fails = []
         for idx in range(len(z)):
             if denom_bad[idx]:
@@ -233,7 +252,7 @@ def _operator_circle(spec, quad_tol, series_tol):
                 fails.append((idx, "quadrature did not converge"))
             elif tiny[idx]:
                 fails.append((idx, "operator integral vanished"))
-        return values, fails
+        return deviation, fails
 
     return circle
 
@@ -256,7 +275,7 @@ def certify_starlike(
     report = starlike_delta(spec)
     target = report.delta if predicted is None else float(predicted)
     observed, point, failures, total = _scan(
-        grid, _operator_circle(spec, quad_tol, series_tol)
+        grid, _operator_circle(spec, quad_tol, series_tol), _order_value
     )
     margin = observed - target
     verdict = _verdict(margin, eval_tolerance, report.hypothesis_ok, len(failures), total)
@@ -268,17 +287,9 @@ def certify_starlike(
 
 
 def _convex_circle(factors, series_tol):
-    weight = sum(1.0 / f.lam for f in factors)
-
     def circle(r, z):
-        total = np.full(z.shape, 1.0 - weight)
-        bad_any = np.zeros(z.shape, dtype=bool)
-        for f in factors:
-            vals, bad = _log_deriv_values(f.params, z, series_tol)
-            total = total + np.real(vals) / f.lam
-            bad_any |= bad
-        fails = [(idx, "factor vanished") for idx in np.flatnonzero(bad_any)]
-        return total, fails
+        deviation, bad = _convex_deviation(factors, z, series_tol)
+        return deviation, [(idx, "factor vanished") for idx in np.flatnonzero(bad)]
 
     return circle
 
@@ -296,7 +307,9 @@ def certify_convex(
     grid = grid or GridSpec()
     report = convex_delta(factors)
     target = report.delta if predicted is None else float(predicted)
-    observed, point, failures, total = _scan(grid, _convex_circle(factors, series_tol))
+    observed, point, failures, total = _scan(
+        grid, _convex_circle(factors, series_tol), _order_value
+    )
     margin = observed - target
     verdict = _verdict(margin, eval_tolerance, report.hypothesis_ok, len(failures), total)
     return Certificate(
@@ -307,15 +320,10 @@ def certify_convex(
     )
 
 
-def _ml_circle(params, series_tol, absolute_deviation=False):
+def _ml_circle(params, series_tol):
     def circle(r, z):
-        vals, bad = _log_deriv_values(params, z, series_tol)
-        if absolute_deviation:
-            values = np.abs(vals - 1.0)
-        else:
-            values = np.real(vals)
-        fails = [(idx, "normalized value vanished") for idx in np.flatnonzero(bad)]
-        return values, fails
+        deviation, bad = _log_deriv_deviation(params, z, series_tol)
+        return deviation, [(idx, "normalized value vanished") for idx in np.flatnonzero(bad)]
 
     return circle
 
@@ -333,9 +341,11 @@ def certify_ml_starlike(
     if not 0.0 <= eta < 1.0:
         raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
     grid = grid or GridSpec()
-    hypothesis_ok = params.alpha >= 1.0 and params.beta >= psi(eta)
+    hypothesis_ok = ml_starlike_hypothesis(params, eta)
     target = eta if predicted is None else float(predicted)
-    observed, point, failures, total = _scan(grid, _ml_circle(params, series_tol))
+    observed, point, failures, total = _scan(
+        grid, _ml_circle(params, series_tol), _order_value
+    )
     margin = observed - target
     verdict = _verdict(margin, eval_tolerance, hypothesis_ok, len(failures), total)
     return Certificate(
@@ -364,7 +374,7 @@ def check_log_deriv_bound(
     bound = log_deriv_bound(params)  # raises DomainError for beta at/below golden
     target = bound if predicted is None else float(predicted)
     observed, point, failures, total = _scan(
-        grid, _ml_circle(params, series_tol, absolute_deviation=True), largest=True
+        grid, _ml_circle(params, series_tol), np.abs, largest=True
     )
     margin = target - observed
     verdict = _verdict(margin, eval_tolerance, True, len(failures), total)
@@ -374,18 +384,3 @@ def check_log_deriv_bound(
         len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]),
         None, series_tol,
     )
-
-
-def empirical_order(evaluator, grid: GridSpec = None) -> float:
-    """Minimum of Re(evaluator(z)) over the grid, with no prediction attached.
-
-    Diagnostic companion to the certificates, useful when hypotheses fail.
-    Evaluation errors propagate.
-    """
-    grid = grid or GridSpec()
-
-    def circle(r, z):
-        return np.array([complex(evaluator(complex(p))).real for p in z]), []
-
-    observed, _, _, _ = _scan(grid, circle)
-    return observed

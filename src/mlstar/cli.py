@@ -13,14 +13,16 @@ Exit codes: 0 success (certify: all pass, or hypothesis warnings without
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import json
+import math
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
-from .certify import GridSpec, VERDICT_FAIL, VERDICT_HYPOTHESIS
+from .certify import GridSpec, VERDICT_FAIL, VERDICT_HYPOTHESIS, sample_grid
 from .defaults import QUAD_TOL_VALUE, SERIES_TOL
 from .errors import DomainError, JobFileError, MLStarError
 from .jobs import (
@@ -29,15 +31,15 @@ from .jobs import (
     KIND_LOG_DERIV_BOUND,
     KIND_ML_STARLIKE,
     KIND_STARLIKE,
-    canonical_json,
     job_digest,
-    job_to_dict,
     load_job,
+    operator_to_dict,
     predicted_orders,
+    quantity_circle,
     run_job,
 )
 from .mittag_leffler import MLParams, log_deriv, ml_norm, ml_raw
-from .operators import convex_log_deriv, f_value, star_log_deriv
+from .operators import f_value
 
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
@@ -61,6 +63,8 @@ def cli(ctx, tol, grid_angles, r_max, strict, fmt):
     """Evaluate normalized Mittag-Leffler functions, build their integral
     operators, and certify predicted orders of starlikeness and convexity
     by dense sampling of the unit disk."""
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise click.BadParameter(f"must be finite and > 0, got {tol!r}", param_hint="--tol")
     ctx.obj = {
         "tol": tol,
         "grid_angles": grid_angles,
@@ -77,7 +81,11 @@ def _load(path) -> Job:
         raise click.UsageError(str(exc))
 
 
-def _apply_grid_overrides(job: Job, options) -> Job:
+def _apply_overrides(job: Job, options) -> Job:
+    """The job with the global --tol, --grid-angles and --r-max applied."""
+    tol = options.get("tol")
+    if tol is not None:
+        job = dataclasses.replace(job, quad_tol=tol, series_tol=tol)
     angles = options.get("grid_angles")
     r_max = options.get("r_max")
     if angles is None and r_max is None:
@@ -93,8 +101,7 @@ def _apply_grid_overrides(job: Job, options) -> Job:
         grid = GridSpec(**kwargs)
     except DomainError as exc:
         raise click.UsageError(str(exc))
-    return Job(job.operators, grid, job.margin_tol, job.quad_tol,
-               job.series_tol, job.outputs)
+    return dataclasses.replace(job, grid=grid)
 
 
 def _parse_z(values):
@@ -104,8 +111,8 @@ def _parse_z(values):
             z = complex(raw)
         except ValueError:
             raise click.UsageError(f"cannot parse {raw!r} as a complex number")
-        if abs(z) > 1.0:
-            raise click.UsageError(f"|z| must be <= 1, got {raw!r}")
+        if not (cmath.isfinite(z) and abs(z) <= 1.0):
+            raise click.UsageError(f"|z| must be finite and <= 1, got {raw!r}")
         points.append(z)
     if not points:
         raise click.UsageError("at least one --z value is required")
@@ -254,10 +261,7 @@ def cmd_certify(ctx, job_path, output):
     --strict, when any hypothesis is violated).
     """
     options = ctx.obj
-    job = _apply_grid_overrides(_load(job_path), options)
-    if options.get("tol") is not None:
-        job = Job(job.operators, job.grid, job.margin_tol,
-                  options["tol"], options["tol"], job.outputs)
+    job = _apply_overrides(_load(job_path), options)
     if not job.operators:
         raise click.UsageError("job lists no operators; nothing to certify")
 
@@ -308,31 +312,25 @@ def cmd_dump(ctx, job_path, op_name, output):
     Rows are emitted radius-major in grid order as radius,angle,re,im; the
     header carries a digest of the sampled spec so dumps are traceable.
     """
-    options = ctx.obj
-    job = _apply_grid_overrides(_load(job_path), options)
+    job = _apply_overrides(_load(job_path), ctx.obj)
     matches = [op for op in job.operators if op.name == op_name]
     if not matches:
         raise click.UsageError(f"job has no operator named {op_name!r}")
     op = matches[0]
 
-    quad_tol = options.get("tol") or job.quad_tol
-    series_tol = job.series_tol
-    evaluator = _quantity_evaluator(op, quad_tol, series_tol)
-
-    digest_doc = {"operator": _operator_echo(op), "grid": job.grid.to_dict()}
+    circle = quantity_circle(op, job.quad_tol, job.series_tol)
+    digest_doc = {"operator": operator_to_dict(op), "grid": job.grid.to_dict()}
     lines = [f"# spec={op.name} quantity={_quantity_name(op)} digest={job_digest(digest_doc)}",
              "radius,angle,re,im"]
     failed = False
-    angles = job.grid.circle_angles()
-    for r in job.grid.radii:
-        for k, theta in enumerate(angles):
-            z = r * np.exp(1j * theta)
-            try:
-                value = evaluator(complex(z))
-                lines.append(f"{r!r},{float(theta)!r},{value.real!r},{value.imag!r}")
-            except MLStarError as exc:
-                lines.append(f"{r!r},{float(theta)!r},error,error")
+    for r, angles, deviation, failures in sample_grid(job.grid, circle):
+        values = (1.0 + deviation).tolist()
+        for k, theta in enumerate(angles.tolist()):
+            if k in failures:
+                lines.append(f"{r!r},{theta!r},error,error")
                 failed = True
+            else:
+                lines.append(f"{r!r},{theta!r},{values[k].real!r},{values[k].imag!r}")
     text = "\n".join(lines) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -343,23 +341,6 @@ def cmd_dump(ctx, job_path, op_name, output):
         sys.exit(_EXIT_EVAL)
 
 
-def _operator_echo(op):
-    entry = {"name": op.name, "kind": op.kind}
-    if op.kind in (KIND_STARLIKE, KIND_CONVEX):
-        entry["factors"] = [
-            {"alpha": f.params.alpha, "beta": f.params.beta, "lambda": f.lam, "eta": f.eta}
-            for f in op.factors
-        ]
-        if op.kind == KIND_STARLIKE:
-            entry["zeta"] = op.zeta
-    else:
-        entry["alpha"] = op.alpha
-        entry["beta"] = op.beta
-        if op.eta is not None:
-            entry["eta"] = op.eta
-    return entry
-
-
 def _quantity_name(op):
     return {
         KIND_STARLIKE: "star-log-deriv",
@@ -367,16 +348,6 @@ def _quantity_name(op):
         KIND_ML_STARLIKE: "ml-log-deriv",
         KIND_LOG_DERIV_BOUND: "ml-log-deriv",
     }[op.kind]
-
-
-def _quantity_evaluator(op, quad_tol, series_tol):
-    if op.kind == KIND_STARLIKE:
-        spec = op.operator_spec()
-        return lambda z: star_log_deriv(spec, z, quad_tol, series_tol)
-    if op.kind == KIND_CONVEX:
-        return lambda z: convex_log_deriv(op.factors, z, series_tol)
-    params = op.ml_params()
-    return lambda z: log_deriv(params, z, series_tol)
 
 
 def main():

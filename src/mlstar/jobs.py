@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,12 +24,15 @@ from .certify import (
     certify_ml_starlike,
     certify_starlike,
     check_log_deriv_bound,
+    _convex_circle,
+    _ml_circle,
+    _operator_circle,
 )
 from .defaults import EVAL_TOLERANCE, QUAD_TOL_CERTIFY, SERIES_TOL
 from .errors import DomainError, JobFileError
 from .mittag_leffler import MLParams
 from .operators import FactorSpec, OperatorSpec
-from .orders import convex_delta, log_deriv_bound, psi, starlike_delta
+from .orders import convex_delta, log_deriv_bound, ml_starlike_hypothesis, starlike_delta
 
 __all__ = ["Job", "JobOperator", "ReportDocument", "load_job", "job_to_dict", "run_job"]
 
@@ -83,7 +87,12 @@ def _require(condition, message):
 def _number(raw, key, context):
     _require(isinstance(raw, (int, float)) and not isinstance(raw, bool),
              f"{context}: key '{key}' must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer literal beyond the double range
+        value = math.inf
+    _require(math.isfinite(value), f"{context}: key '{key}' must be finite")
+    return value
 
 
 def _check_keys(mapping, allowed, context):
@@ -205,9 +214,12 @@ def parse_job(document: dict) -> Job:
 
 
 def load_job(path) -> Job:
+    def reject_constant(name):
+        raise JobFileError(f"job file {path!r} holds the non-finite number {name}")
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, parse_constant=reject_constant)
     except OSError as exc:
         raise JobFileError(f"cannot read job file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -226,23 +238,25 @@ def _factor_dict(factor: FactorSpec) -> dict:
     return out
 
 
+def operator_to_dict(op: JobOperator) -> dict:
+    """Canonical round-trippable form of one job operator."""
+    entry = {"name": op.name, "kind": op.kind}
+    if op.kind in (KIND_STARLIKE, KIND_CONVEX):
+        entry["factors"] = [_factor_dict(f) for f in op.factors]
+        if op.kind == KIND_STARLIKE:
+            entry["zeta"] = op.zeta
+    else:
+        entry["alpha"] = op.alpha
+        entry["beta"] = op.beta
+        if op.kind == KIND_ML_STARLIKE:
+            entry["eta"] = op.eta
+    if op.predicted is not None:
+        entry["predicted"] = op.predicted
+    return entry
+
+
 def job_to_dict(job: Job) -> dict:
     """Canonical round-trippable form of a job."""
-    operators = []
-    for op in job.operators:
-        entry = {"name": op.name, "kind": op.kind}
-        if op.kind in (KIND_STARLIKE, KIND_CONVEX):
-            entry["factors"] = [_factor_dict(f) for f in op.factors]
-            if op.kind == KIND_STARLIKE:
-                entry["zeta"] = op.zeta
-        else:
-            entry["alpha"] = op.alpha
-            entry["beta"] = op.beta
-            if op.kind == KIND_ML_STARLIKE:
-                entry["eta"] = op.eta
-        if op.predicted is not None:
-            entry["predicted"] = op.predicted
-        operators.append(entry)
     return {
         "schema": SCHEMA_VERSION,
         "grid": job.grid.to_dict(),
@@ -252,7 +266,7 @@ def job_to_dict(job: Job) -> dict:
             "series": job.series_tol,
         },
         "outputs": list(job.outputs),
-        "operators": operators,
+        "operators": [operator_to_dict(op) for op in job.operators],
     }
 
 
@@ -274,6 +288,15 @@ def run_certificate(op: JobOperator, job: Job) -> Certificate:
     if op.kind == KIND_ML_STARLIKE:
         return certify_ml_starlike(op.ml_params(), op.eta, **common)
     return check_log_deriv_bound(op.ml_params(), **common)
+
+
+def quantity_circle(op: JobOperator, quad_tol: float, series_tol: float):
+    """The circle evaluator of the quantity op's certificate samples."""
+    if op.kind == KIND_STARLIKE:
+        return _operator_circle(op.operator_spec(), quad_tol, series_tol)
+    if op.kind == KIND_CONVEX:
+        return _convex_circle(op.factors, series_tol)
+    return _ml_circle(op.ml_params(), series_tol)
 
 
 @dataclass
@@ -336,7 +359,7 @@ def predicted_orders(job: Job):
             rep = convex_delta(op.factors)
             rows.append((op.name, op.kind, rep.delta, rep.hypothesis_ok))
         elif op.kind == KIND_ML_STARLIKE:
-            ok = op.alpha >= 1.0 and op.beta >= psi(op.eta)
+            ok = ml_starlike_hypothesis(op.ml_params(), op.eta)
             rows.append((op.name, op.kind, op.eta, ok))
         else:
             rows.append((op.name, op.kind, log_deriv_bound(op.ml_params()), True))

@@ -10,6 +10,7 @@ beta in {1, 2, 3, 4}, which serve as independent oracles.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .defaults import DENOM_GUARD, NEAR_ORIGIN, SERIES_TERM_CAP, SERIES_TOL
 from .errors import DomainError, NearZeroDenominatorError, SeriesTruncationError
-from .numerics import _recip_gamma, gamma_real
+from .numerics import gamma_ratio
 
 __all__ = [
     "MLParams",
@@ -35,19 +36,19 @@ __all__ = [
 class MLParams:
     """One (alpha, beta) pair for a normalized Mittag-Leffler factor.
 
-    alpha >= 1 and beta > 0; these are the hypotheses under which every
-    order result in this package applies, and they also make all series
-    coefficients positive.
+    alpha >= 1 and beta > 0, both finite; these are the hypotheses under
+    which every order result in this package applies, and they also make
+    all series coefficients positive.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not self.alpha >= 1.0:
-            raise DomainError(f"alpha must be >= 1, got {self.alpha!r}")
-        if not self.beta > 0.0:
-            raise DomainError(f"beta must be > 0, got {self.beta!r}")
+        if not 1.0 <= self.alpha < math.inf:
+            raise DomainError(f"alpha must be finite and >= 1, got {self.alpha!r}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"beta must be finite and > 0, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,117 @@ def _check_disk(z: complex) -> complex:
     return z
 
 
+# --- the series engine ------------------------------------------------------
+#
+# Every function of this module sums the one series
+#
+#     u(z) = Gamma(beta) E(z) = sum_{n>=1} c_n z^(n-1),
+#     c_n = Gamma(beta) / Gamma(alpha (n-1) + beta),
+#
+# whose product z u(z) is the normalized function, from one cached table
+# of c_n per (alpha, beta, tol). Each evaluation cuts the table for the
+# largest |z| it is given and runs Horner on whole ndarrays; the scalar
+# functions are 1-element calls.
+
+
+@lru_cache(maxsize=256)
+def _coefficients(alpha: float, beta: float, tol: float) -> tuple:
+    """The table (c_1, c_2, ...) of normalized coefficients, c_1 = 1.
+
+    It stops one coefficient past the cut for the unit circle, so the cut
+    for every radius <= 1 lies inside it, or after SERIES_TERM_CAP terms.
+    """
+    coeffs = [1.0]
+    for n in range(1, SERIES_TERM_CAP + 1):
+        coeffs.append(gamma_ratio(beta, alpha * n))
+        if _tail(coeffs, n, 1.0) <= tol:
+            break
+    return tuple(coeffs)
+
+
+def _tail(coeffs, n: int, radius: float) -> float:
+    """Bound on sum_{k>n} k c_k r^(k-1), the derivative terms a cut after c_n drops.
+
+    The ratio of consecutive derivative terms decreases with k (digamma is
+    increasing), so once it is at most 1/2 the dropped terms are dominated
+    by a geometric series; before that the bound is inf. The derivative
+    terms dominate the value terms, so the bound covers both.
+    """
+    c_n, c_next = coeffs[n - 1], coeffs[n]
+    ratio = radius * ((n + 1) / n) * (c_next / c_n) if c_n > 0.0 else 0.0
+    if ratio > 0.5:
+        return math.inf
+    return n * c_n * radius ** (n - 1) * ratio / (1.0 - ratio)
+
+
+def _cut(params: MLParams, z: np.ndarray, tol: float, term_cap: int = SERIES_TERM_CAP):
+    """(c_1, ..., c_N) for the points z and the tail bound of that cut.
+
+    N is the first count whose tail bound at max|z| is below tol; the tail
+    is inf when no count up to term_cap gets there.
+    """
+    if not tol > 0.0:
+        raise DomainError(f"tol must be > 0, got {tol!r}")
+    radius = min(float(np.max(np.abs(z))), 1.0) if z.size else 0.0
+    coeffs = _coefficients(params.alpha, params.beta, tol)
+    for n in range(1, min(term_cap, len(coeffs) - 1) + 1):
+        tail = _tail(coeffs, n, radius)
+        if tail <= tol:
+            return coeffs[:n], tail
+    return coeffs[:term_cap], math.inf
+
+
+def _checked_cut(params: MLParams, z: np.ndarray, tol: float) -> tuple:
+    coeffs, tail = _cut(params, z, tol)
+    if tail == math.inf:
+        raise SeriesTruncationError(
+            f"series tolerance {tol:g} unreachable within {SERIES_TERM_CAP} terms"
+        )
+    return coeffs
+
+
+def _horner(coeffs, z: np.ndarray) -> np.ndarray:
+    acc = np.full(z.shape, coeffs[-1], dtype=complex)
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def _ml_ratio_values(params: MLParams, z, tol: float = SERIES_TOL) -> np.ndarray:
+    """u(z) = Gamma(beta) E(z) on an ndarray: 1 at the origin.
+
+    Evaluating the ratio of the normalized value to z keeps it exact down
+    to arbitrarily small |z|, where the normalized value itself underflows.
+    """
+    z = np.asarray(z, dtype=complex)
+    return _horner(_checked_cut(params, z, tol), z)
+
+
+def _log_deriv_deviation(params: MLParams, z, tol: float = SERIES_TOL):
+    """z E'/E - 1 on an ndarray; returns (deviation, bad) with zero hits flagged.
+
+    The deviation is sum (n-1) c_n z^(n-1) / sum c_n z^(n-1): no 1 is ever
+    subtracted, so it keeps its relative accuracy however small it is, and
+    the origin needs no special casing.
+    """
+    z = np.asarray(z, dtype=complex)
+    coeffs = _checked_cut(params, z, tol)
+    u = _horner(coeffs, z)
+    w = _horner(tuple(k * c for k, c in enumerate(coeffs)), z)
+    bad = np.abs(u) < DENOM_GUARD
+    return w / np.where(bad, 1.0, u), bad
+
+
+def _point_result(value, coeffs, tail: float, tol: float, term_cap: int) -> SeriesResult:
+    result = SeriesResult(complex(value), len(coeffs), float(tail))
+    if tail == math.inf:
+        raise SeriesTruncationError(
+            f"series tolerance {tol:g} unreachable within {term_cap} terms",
+            partial=result,
+        )
+    return result
+
+
 def ml_raw(
     params: MLParams,
     z: complex,
@@ -74,32 +186,17 @@ def ml_raw(
 ) -> SeriesResult:
     """Sum the series z^n / Gamma(alpha*n + beta) for |z| <= 1.
 
-    Summation stops once the term-ratio bound certifies the remaining tail
-    below tol: the ratio of consecutive coefficients is monotone decreasing
-    (digamma is increasing), so after the first index where it drops to 1/2
-    the tail is dominated by a geometric series.
+    This is u(z) / Gamma(beta); past beta = 171.6 the factor 1/Gamma(beta)
+    is below the double range and the value is 0.
     """
-    z = _check_disk(z)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
-    az = abs(z)
-    total = 0j
-    zpow = 1.0 + 0j
-    a_cur = _recip_gamma(params.beta)
-    for n in range(term_cap):
-        term = a_cur * zpow
-        total += term
-        a_next = _recip_gamma(params.alpha * (n + 1) + params.beta)
-        ratio = az * a_next / a_cur if a_cur > 0.0 else 0.0
-        if ratio <= 0.5:
-            tail = abs(term) * ratio / (1.0 - ratio)
-            if tail <= tol:
-                return SeriesResult(total, n + 1, tail)
-        zpow *= z
-        a_cur = a_next
-    raise SeriesTruncationError(
-        f"series tolerance {tol:g} unreachable within {term_cap} terms",
-        partial=SeriesResult(total, term_cap, np.inf),
+    z = np.array([_check_disk(z)])
+    try:
+        gamma_beta = math.gamma(params.beta)
+    except OverflowError:
+        gamma_beta = math.inf
+    coeffs, tail = _cut(params, z, tol * gamma_beta, term_cap)
+    return _point_result(
+        _horner(coeffs, z)[0] / gamma_beta, coeffs, tail / gamma_beta, tol, term_cap
     )
 
 
@@ -114,16 +211,9 @@ def ml_norm(
     Equals z + sum_{n>=2} [Gamma(beta)/Gamma(alpha*(n-1)+beta)] z^n, so the
     value at 0 is 0 and the derivative there is 1.
     """
-    z = _check_disk(z)
-    if z == 0:
-        return SeriesResult(0j, 1, 0.0)
-    scale = gamma_real(params.beta) * abs(z)
-    raw = ml_raw(params, z, tol / scale, term_cap)
-    return SeriesResult(
-        gamma_real(params.beta) * z * raw.value,
-        raw.terms_used,
-        scale * raw.tail_bound,
-    )
+    z = np.array([_check_disk(z)])
+    coeffs, tail = _cut(params, z, tol, term_cap)
+    return _point_result(z[0] * _horner(coeffs, z)[0], coeffs, abs(z[0]) * tail, tol, term_cap)
 
 
 def ml_norm_deriv(
@@ -133,29 +223,10 @@ def ml_norm_deriv(
     term_cap: int = SERIES_TERM_CAP,
 ) -> SeriesResult:
     """Derivative of the normalization: 1 + sum_{n>=2} n c_n z^(n-1)."""
-    z = _check_disk(z)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
-    gb = gamma_real(params.beta)
-    az = abs(z)
-    total = 1.0 + 0j
-    zpow = 1.0 + 0j
-    c_cur = gb * _recip_gamma(params.alpha + params.beta)
-    for n in range(2, term_cap + 2):
-        zpow *= z
-        term = n * c_cur * zpow
-        total += term
-        c_next = gb * _recip_gamma(params.alpha * n + params.beta)
-        ratio = az * ((n + 1) / n) * (c_next / c_cur) if c_cur > 0.0 else 0.0
-        if ratio <= 0.5:
-            tail = abs(term) * ratio / (1.0 - ratio)
-            if tail <= tol:
-                return SeriesResult(total, n, tail)
-        c_cur = c_next
-    raise SeriesTruncationError(
-        f"series tolerance {tol:g} unreachable within {term_cap} terms",
-        partial=SeriesResult(total, term_cap, np.inf),
-    )
+    z = np.array([_check_disk(z)])
+    coeffs, tail = _cut(params, z, tol, term_cap)
+    weighted = tuple(n * c for n, c in enumerate(coeffs, start=1))
+    return _point_result(_horner(weighted, z)[0], coeffs, tail, tol, term_cap)
 
 
 def log_deriv(
@@ -165,17 +236,12 @@ def log_deriv(
 ) -> complex:
     """z * E'(z) / E(z) for the normalized function, 1 by continuity at 0."""
     z = _check_disk(z)
-    if abs(z) < NEAR_ORIGIN:
-        # first-order series of z E'/E avoids the 0/0 at the origin
-        c2 = gamma_real(params.beta) * _recip_gamma(params.alpha + params.beta)
-        return 1.0 + c2 * z
-    denom = ml_norm(params, z, tol)
-    if abs(denom.value) < DENOM_GUARD:
+    deviation, bad = _log_deriv_deviation(params, np.array([z]), tol)
+    if bad[0]:
         raise NearZeroDenominatorError(
             f"normalized value vanished at z = {z!r}", z=z
         )
-    numer = ml_norm_deriv(params, z, tol)
-    return z * numer.value / denom.value
+    return 1.0 + complex(deviation[0])
 
 
 # closed forms at alpha = 2 (hyperbolic family), keyed by (alpha, beta)
@@ -195,10 +261,8 @@ def closed_form(kind, z: complex) -> complex:
     z = complex(z)
     if abs(z) < NEAR_ORIGIN:
         # z * (1 + c2 z + c3 z^2) is exact to double precision this close in
-        alpha, beta = kind
-        c2 = gamma_real(beta) * _recip_gamma(alpha + beta)
-        c3 = gamma_real(beta) * _recip_gamma(2 * alpha + beta)
-        return z * (1.0 + c2 * z + c3 * z * z)
+        c = _coefficients(*kind, SERIES_TOL)
+        return z * (1.0 + c[1] * z + c[2] * z * z)
     w = cmath.sqrt(z)
     if kind == (2, 1):
         return z * cmath.cosh(w)
@@ -207,74 +271,3 @@ def closed_form(kind, z: complex) -> complex:
     if kind == (2, 3):
         return 2.0 * (cmath.cosh(w) - 1.0)
     return 6.0 * (cmath.sinh(w) - w) / w
-
-
-# --- array evaluation -----------------------------------------------------
-#
-# Certification sweeps evaluate the same parameters at tens of thousands of
-# points; these helpers share one truncated coefficient vector per
-# (params, radius, tol) and run Horner on whole ndarrays.
-
-
-@lru_cache(maxsize=256)
-def _norm_coefficients(alpha: float, beta: float, radius: float, tol: float) -> tuple:
-    """Coefficients (c_1, ..., c_N) of E(z)/z, truncated so that the dropped
-    tails of both the value and the derivative stay below tol for |z| <= radius."""
-    gb = gamma_real(beta)
-    coeffs = [1.0]
-    c_cur = gb * _recip_gamma(alpha + beta)
-    for n in range(2, SERIES_TERM_CAP + 2):
-        coeffs.append(c_cur)
-        c_next = gb * _recip_gamma(alpha * n + beta)
-        # derivative terms n*c_n*r^(n-1) dominate the value terms on the disk
-        ratio = radius * ((n + 1) / n) * (c_next / c_cur) if c_cur > 0.0 else 0.0
-        if ratio <= 0.5:
-            tail = n * c_cur * radius ** (n - 1) * ratio / (1.0 - ratio)
-            if tail <= tol:
-                return tuple(coeffs)
-        c_cur = c_next
-    raise SeriesTruncationError(
-        f"series tolerance {tol:g} unreachable within {SERIES_TERM_CAP} terms"
-    )
-
-
-def _horner(coeffs: tuple, z: np.ndarray) -> np.ndarray:
-    acc = np.full(z.shape, coeffs[-1], dtype=complex)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
-
-
-def _ml_norm_values(params: MLParams, z: np.ndarray, tol: float = SERIES_TOL) -> np.ndarray:
-    """Normalized values on an ndarray with |z| <= 1."""
-    return np.asarray(z, dtype=complex) * _ml_ratio_values(params, z, tol)
-
-
-def _ml_ratio_values(params: MLParams, z: np.ndarray, tol: float = SERIES_TOL) -> np.ndarray:
-    """E(z)/z on an ndarray: the power series itself, 1 at the origin.
-
-    Evaluating the ratio directly keeps it exact down to arbitrarily small
-    |z|, where the normalized value itself underflows toward 0.
-    """
-    z = np.asarray(z, dtype=complex)
-    radius = float(np.max(np.abs(z))) if z.size else 0.0
-    coeffs = _norm_coefficients(params.alpha, params.beta, min(radius, 1.0), tol)
-    return _horner(coeffs, z)
-
-
-def _log_deriv_values(params: MLParams, z: np.ndarray, tol: float = SERIES_TOL):
-    """z E'/E on an ndarray; returns (values, bad) with zero hits flagged.
-
-    Written as the ratio of two power series in which the leading z cancels,
-    so the origin needs no special casing.
-    """
-    z = np.asarray(z, dtype=complex)
-    radius = float(np.max(np.abs(z))) if z.size else 0.0
-    coeffs = _norm_coefficients(params.alpha, params.beta, min(radius, 1.0), tol)
-    weighted = tuple(n * c for n, c in enumerate(coeffs, start=1))
-    denom = _horner(coeffs, z)
-    numer = _horner(weighted, z)
-    bad = np.abs(z * denom) < DENOM_GUARD
-    bad &= np.abs(z) >= NEAR_ORIGIN  # the origin itself is a removable point
-    safe = np.where(bad, 1.0, denom)
-    return numer / safe, bad

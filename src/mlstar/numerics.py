@@ -1,6 +1,6 @@
 """Foundation numerics.
 
-Real-argument Gamma via a Lanczos kernel, principal-branch complex powers,
+Gamma quotients free of overflow, principal-branch complex powers,
 phase-tracked powers for branch continuation along paths, and adaptive
 composite Gauss-Legendre quadrature on [0, 1].
 """
@@ -19,71 +19,49 @@ from .errors import DomainError, PathResolutionError, QuadratureConvergenceError
 __all__ = [
     "BranchTracker",
     "QuadratureResult",
-    "gamma_real",
+    "gamma_ratio",
     "principal_power",
     "tracked_power",
     "integrate_gl",
 ]
 
-# Lanczos approximation, g = 7 with 9 coefficients.
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-# Above this, t**(z + 0.5) in the kernel would overflow; larger arguments are
-# reduced with the recurrence Gamma(x) = (x-1) * Gamma(x-1), which also keeps
-# the relative error comfortably inside the 1e-13 contract.
-_KERNEL_LIMIT = 141.0
+# From here on the Stirling correction below is accurate to 4e-17.
+_STIRLING_MIN = 30.0
+# math.gamma overflows just above 171.62.
+_GAMMA_DIRECT_MAX = 171.0
 
 
-def _lanczos_kernel(x: float) -> float:
-    # valid for 0.5 <= x <= _KERNEL_LIMIT
-    z = x - 1.0
-    s = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        s += _LANCZOS_COEF[i] / (z + i)
-    t = z + 7.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * s
+def _stirling_correction(y: float) -> float:
+    """lgamma(y) - [(y - 1/2) log y - y + log(2 pi)/2] for y >= _STIRLING_MIN."""
+    inv = 1.0 / y
+    inv2 = inv * inv
+    return inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0)))
 
 
-def gamma_real(x: float) -> float:
-    """Gamma(x) for real x > 0, relative error below 1e-13.
+def gamma_ratio(x: float, h: float) -> float:
+    """Gamma(x) / Gamma(x + h) for x > 0 and h >= 0, without overflow.
 
-    Values beyond the double range (x > 171.62...) come out as inf.
+    For x >= 30 the logarithm of the ratio is the difference of two
+    Stirling series, written so that the large parts of lgamma(x) and
+    lgamma(x + h) never meet:
+
+        -(x - 1/2) log1p(h/x) - h log(x + h) + h + S(x) - S(x + h).
+
+    Its error stays near that of h log(x + h) alone, where a quotient of
+    math.gamma values would also inherit the rounding of x + h, amplified
+    by the digamma function (7e-14 at x + h = 170). Smaller x take the
+    quotient, or past the overflow of math.gamma the plain lgamma
+    difference: there the ratio is below Gamma(30)/Gamma(171) = 1e-276.
     """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"gamma_real needs x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the kernel argument at or above 0.5
-        return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
-    if x <= _KERNEL_LIMIT:
-        return _lanczos_kernel(x)
-    y = x
-    factors = []
-    while y > _KERNEL_LIMIT:
-        y -= 1.0
-        factors.append(y)
-    value = _lanczos_kernel(y)
-    for f in reversed(factors):  # ascending, so intermediates never exceed the result
-        value *= f
-    return value
-
-
-def _recip_gamma(x: float) -> float:
-    """1 / Gamma(x) for x > 0; underflows cleanly to 0.0 for huge x."""
-    value = gamma_real(x)
-    if math.isinf(value):
-        return 0.0
-    return 1.0 / value
+    if x >= _STIRLING_MIN:
+        y = x + h
+        return math.exp(
+            -(x - 0.5) * math.log1p(h / x) - h * math.log(y) + h
+            + _stirling_correction(x) - _stirling_correction(y)
+        )
+    if x + h < _GAMMA_DIRECT_MAX:
+        return math.gamma(x) / math.gamma(x + h)
+    return math.exp(math.lgamma(x) - math.lgamma(x + h))
 
 
 def _principal_arg(w: complex) -> float:

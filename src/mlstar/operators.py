@@ -49,12 +49,11 @@ from .errors import (
     PathResolutionError,
     QuadratureConvergenceError,
 )
-from .mittag_leffler import MLParams, _ml_ratio_values, log_deriv, ml_raw
+from .mittag_leffler import MLParams, _log_deriv_deviation, _ml_ratio_values
 from .numerics import (
     QuadratureResult,
     _panel_nodes,
     _unwrap_along,
-    gamma_real,
     principal_power,
     tracked_power,
 )
@@ -81,8 +80,8 @@ class FactorSpec:
     eta: float = 0.0
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise DomainError(f"lambda must be > 0, got {self.lam!r}")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"lambda must be finite and > 0, got {self.lam!r}")
         if not 0.0 <= self.eta < 1.0:
             raise DomainError(f"eta must lie in [0, 1), got {self.eta!r}")
 
@@ -102,8 +101,8 @@ class OperatorSpec:
             if not isinstance(f, FactorSpec):
                 raise DomainError(f"not a FactorSpec: {f!r}")
         object.__setattr__(self, "factors", factors)
-        if not self.zeta > 0.0:
-            raise DomainError(f"zeta must be > 0, got {self.zeta!r}")
+        if not 0.0 < self.zeta < math.inf:
+            raise DomainError(f"zeta must be finite and > 0, got {self.zeta!r}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,8 @@ def product_term(spec: OperatorSpec, t: complex, trackers) -> complex:
         raise DomainError("product_term is defined for t != 0 (limit 1 at 0)")
     out = 1.0 + 0j
     for factor, tracker in zip(spec.factors, trackers, strict=True):
-        # E(t)/t is Gamma(beta) times the raw series, exact down to tiny |t|
-        ratio = gamma_real(factor.params.beta) * ml_raw(factor.params, t).value
+        # the normalized E(t)/t, exact down to tiny |t|
+        ratio = complex(_ml_ratio_values(factor.params, np.array([t]))[0])
         if abs(ratio) < DENOM_GUARD:
             raise NearZeroDenominatorError(
                 f"factor {factor.params} vanished at t = {t!r}", z=t
@@ -364,6 +363,22 @@ def f_conv_value(
     return zc * g
 
 
+def _convex_deviation(factors, z, tol: float = SERIES_TOL):
+    """(1 + z F''/F') - 1 on an ndarray; returns (deviation, bad).
+
+    The deviation is sum_j (z E_j'/E_j - 1) / lambda_j, so the constant
+    1 - sum_j 1/lambda_j of the closed form never has to be added back.
+    """
+    z = np.asarray(z, dtype=complex)
+    deviation = np.zeros(z.shape, dtype=complex)
+    bad = np.zeros(z.shape, dtype=bool)
+    for factor in factors:
+        factor_deviation, factor_bad = _log_deriv_deviation(factor.params, z, tol)
+        deviation = deviation + factor_deviation / factor.lam
+        bad |= factor_bad
+    return deviation, bad
+
+
 def convex_log_deriv(
     factors,
     z,
@@ -380,8 +395,7 @@ def convex_log_deriv(
     zc = complex(z.z) if isinstance(z, EvalPoint) else complex(z)
     if not abs(zc) < 1.0:
         raise DomainError(f"|z| must be < 1, got {abs(zc)!r}")
-    weight = sum(1.0 / f.lam for f in factors)
-    acc = 0j
-    for factor in factors:
-        acc += log_deriv(factor.params, zc, tol) / factor.lam
-    return acc + 1.0 - weight
+    deviation, bad = _convex_deviation(factors, np.array([zc]), tol)
+    if bad[0]:
+        raise NearZeroDenominatorError(f"a factor vanished at z = {zc!r}", z=zc)
+    return 1.0 + complex(deviation[0])

@@ -14,6 +14,7 @@ __all__ = [
     "psi",
     "phi",
     "log_deriv_bound",
+    "ml_starlike_hypothesis",
     "starlike_delta",
     "convex_delta",
     "StarlikeOrderReport",
@@ -49,6 +50,12 @@ def phi(beta: float) -> float:
             f"beta must exceed (1 + sqrt 5)/2 = {GOLDEN_RATIO:.10f}, got {beta!r}"
         )
     return (2.0 * beta + 1.0) / (beta * beta - beta - 1.0)
+
+
+def ml_starlike_hypothesis(params: MLParams, eta: float) -> bool:
+    """Whether the normalized function meets the hypotheses of starlikeness
+    of order eta: alpha >= 1 and beta >= psi(eta)."""
+    return params.alpha >= 1.0 and params.beta >= psi(eta)
 
 
 def log_deriv_bound(params: MLParams) -> float:
@@ -89,7 +96,7 @@ def starlike_delta(spec: OperatorSpec) -> StarlikeOrderReport:
     b = 2.0 * hyp_sum - 2.0 * zeta + 1.0
     delta = (-b + math.sqrt(b * b + 8.0 * zeta)) / (4.0 * zeta)
     hypothesis_ok = hyp_sum <= zeta and all(
-        f.params.alpha >= 1.0 and f.params.beta >= psi(f.eta) for f in spec.factors
+        ml_starlike_hypothesis(f.params, f.eta) for f in spec.factors
     )
     return StarlikeOrderReport(delta, hyp_sum, zeta, hypothesis_ok)
 

@@ -13,7 +13,6 @@ from mlstar import (
     certify_ml_starlike,
     certify_starlike,
     check_log_deriv_bound,
-    empirical_order,
     log_deriv,
 )
 from mlstar import mittag_leffler
@@ -188,24 +187,27 @@ class TestDeviationBound:
 
 
 class TestEmpiricalOrder:
+    """The prediction-free grid minimum: the plain-loop oracle over the
+    scalar path against the certificate's vectorized scan."""
+
     def test_constant_stub(self):
-        grid = GridSpec(radii=(0.5,), angles=8)
-        assert empirical_order(lambda z: 1.0, grid) == pytest.approx(1.0)
+        assert brute_min_re(lambda z: 1.0, (0.5,), 8) == pytest.approx(1.0)
 
     def test_exponential_case(self, small_grid):
         params = MLParams(1, 1)
-        value = empirical_order(lambda z: log_deriv(params, z), small_grid)
+        value = brute_min_re(lambda z: log_deriv(params, z), small_grid.radii, small_grid.angles)
         assert value == pytest.approx(1.0 - small_grid.r_max, abs=1e-12)
+        cert = certify_ml_starlike(params, 0.0, small_grid)
+        assert cert.observed == pytest.approx(value, abs=1e-15)
 
     def test_more_radii_can_only_lower_the_minimum(self):
         params = MLParams(2, 4)
-        one = empirical_order(
-            lambda z: log_deriv(params, z), GridSpec(radii=(0.5,), angles=32)
+        one = certify_ml_starlike(params, 0.0, GridSpec(radii=(0.5,), angles=32))
+        two = certify_ml_starlike(params, 0.0, GridSpec(radii=(0.5, 0.9), angles=32))
+        assert two.observed <= one.observed
+        assert one.observed == pytest.approx(
+            brute_min_re(lambda z: log_deriv(params, z), (0.5,), 32), abs=1e-15
         )
-        two = empirical_order(
-            lambda z: log_deriv(params, z), GridSpec(radii=(0.5, 0.9), angles=32)
-        )
-        assert two <= one
 
 
 class TestGridInvariants:
@@ -246,7 +248,7 @@ class TestGridInvariants:
 
 class TestFailurePolicy:
     def _inject(self, monkeypatch, bad_indices):
-        original = mittag_leffler._log_deriv_values
+        original = mittag_leffler._log_deriv_deviation
 
         def patched(params, z, tol=1e-14):
             values, bad = original(params, z, tol)
@@ -257,10 +259,10 @@ class TestFailurePolicy:
                     flat[idx] = True
             return values, bad
 
-        monkeypatch.setattr(mittag_leffler, "_log_deriv_values", patched)
+        monkeypatch.setattr(mittag_leffler, "_log_deriv_deviation", patched)
         import mlstar.certify as certify_module
 
-        monkeypatch.setattr(certify_module, "_log_deriv_values", patched)
+        monkeypatch.setattr(certify_module, "_log_deriv_deviation", patched)
 
     def test_isolated_failures_are_recorded_not_fatal(self, monkeypatch):
         self._inject(monkeypatch, [3])

@@ -1,4 +1,7 @@
 import json
+import math
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -7,6 +10,9 @@ from mlstar import FactorSpec, MLParams, OperatorSpec, certify_starlike, certify
 from mlstar.certify import GridSpec
 from mlstar.cli import cli
 from mlstar.jobs import job_to_dict, load_job, parse_job
+
+
+CORPUS_PATH = str(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
 
 
 def star24_spec():
@@ -64,6 +70,21 @@ class TestEval:
     def test_point_outside_disk_is_usage_error(self, runner):
         result = runner.invoke(cli, ["eval", "--alpha", "1", "--beta", "1", "--z", "2.0"])
         assert result.exit_code == 2
+
+    def test_non_finite_input_is_usage_error(self, runner):
+        for args in (["--z", "nan"], ["--z", "inf+0.1j"], ["--z", "0.5", "--beta", "inf"]):
+            argv = ["eval", "--alpha", "2", "--beta", "3", *args]
+            assert runner.invoke(cli, argv).exit_code == 2, args
+        result = runner.invoke(
+            cli, ["--tol", "nan", "eval", "--alpha", "2", "--beta", "3", "--z", "0.5"]
+        )
+        assert result.exit_code == 2
+
+    def test_beta_past_gamma_overflow(self, runner):
+        result = runner.invoke(cli, ["eval", "--alpha", "2", "--beta", "200", "--z", "0.5"])
+        assert result.exit_code == 0, result.output
+        # 0.5 * (1 + 0.5/(200*201) + ...)
+        assert "0.500006218981" in result.output
 
     def test_operator_value(self, runner, tmp_path):
         path = write_job(tmp_path, CORPUS)
@@ -196,6 +217,38 @@ class TestCertify:
         result = runner.invoke(cli, ["certify", path])
         assert result.exit_code == 2
 
+    def test_beta_past_gamma_overflow(self, runner, tmp_path):
+        job = {
+            "schema": 1,
+            "grid": {"radii": [0.9, 0.999], "angles": 90},
+            "operators": [
+                {"name": "ml-2-200", "kind": "ml-starlike", "alpha": 2, "beta": 200, "eta": 0},
+                {"name": "bound-192", "kind": "log-deriv-bound", "alpha": 1.92, "beta": 167.93},
+            ],
+        }
+        path = write_job(tmp_path, job)
+        result = runner.invoke(cli, ["--format", "json", "certify", path])
+        assert result.exit_code == 0, result.output
+        ml, bound = json.loads(result.output)["certificates"]
+        # mpmath at 40 digits: 1 + z E'/E - 1 at z = -0.999, |z E'/E - 1| at z = 0.999
+        assert ml["observed"] == pytest.approx(0.99997514984700025, rel=1e-14)
+        assert bound["observed"] == pytest.approx(5.3096214052587017e-5, rel=1e-11)
+
+    def test_non_finite_job_numbers_rejected(self, runner, tmp_path):
+        # refused while parsing, before any evaluation could produce a nan
+        star = '{"name": "s", "kind": "starlike", "zeta": %s, ' \
+               '"factors": [{"alpha": 2, "beta": 4, "lambda": 1}]}'
+        for zeta in ("Infinity", "NaN", "-Infinity", "1e999", "1" + "0" * 400):
+            path = tmp_path / "job.json"
+            path.write_text('{"schema": 1, "operators": [%s]}' % (star % zeta))
+            started = time.perf_counter()
+            result = runner.invoke(cli, ["certify", str(path)])
+            assert result.exit_code == 2, (zeta, result.output)
+            assert time.perf_counter() - started < 1.0
+        predicted = dict(CORPUS, operators=[dict(CORPUS["operators"][2], predicted=math.inf)])
+        result = runner.invoke(cli, ["certify", write_job(tmp_path, predicted)])
+        assert result.exit_code == 2
+
     def test_report_written_to_file(self, runner, tmp_path):
         path = write_job(tmp_path, CORPUS)
         out = tmp_path / "report.json"
@@ -226,6 +279,26 @@ class TestDump:
         first = runner.invoke(cli, args).output
         second = runner.invoke(cli, args).output
         assert first == second
+
+    @pytest.mark.parametrize("flags", [["--grid-angles", "180"],
+                                       ["--grid-angles", "64", "--tol", "1e-6"]])
+    def test_dump_samples_the_certificate_evaluator(self, runner, flags):
+        # the dumped rows are the values the certificate scanned, bit for bit
+        report = runner.invoke(cli, [*flags, "--format", "json", "certify", CORPUS_PATH])
+        assert report.exit_code == 0
+        observed = {c["name"]: c["observed"] for c in json.loads(report.output)["certificates"]}
+
+        def dumped(name):
+            result = runner.invoke(cli, [*flags, "dump", "--job", CORPUS_PATH, "--operator", name])
+            assert result.exit_code == 0
+            rows = [line.split(",") for line in result.output.splitlines()[2:]]
+            assert len(rows) == 6 * int(flags[1])
+            return [complex(float(re), float(im)) for _, _, re, im in rows]
+
+        for name in ("star-24", "convex-24-threshold", "ml-24"):
+            assert min(v.real for v in dumped(name)) == observed[name]
+        worst = max(abs(v - 1.0) for v in dumped("bound-110"))
+        assert abs(worst - observed["bound-110"]) <= 1e-15
 
     def test_unknown_operator(self, runner, tmp_path):
         path = write_job(tmp_path, CORPUS)

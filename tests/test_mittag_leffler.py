@@ -18,7 +18,7 @@ from mlstar import (
     ml_raw,
 )
 from mlstar import mittag_leffler
-from mlstar.mittag_leffler import SeriesResult, _log_deriv_values, _ml_norm_values
+from mlstar.mittag_leffler import SeriesResult, _log_deriv_deviation, _ml_ratio_values
 
 from conftest import random_disk_points
 from oracles import CLOSED, direct_series_norm, direct_series_raw, e24_log_deriv
@@ -39,6 +39,12 @@ class TestParams:
             MLParams(1.0, 0.0)
         with pytest.raises(DomainError):
             MLParams(1.0, -2.0)
+
+    def test_non_finite_rejected(self):
+        # an infinite beta would make the coefficient table loop without end
+        for alpha, beta in ((2.0, math.inf), (math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan)):
+            with pytest.raises(DomainError):
+                MLParams(alpha, beta)
 
 
 class TestRawSeries:
@@ -178,10 +184,10 @@ class TestLogDeriv:
     def test_zero_denominator_guard(self, monkeypatch):
         params = MLParams(2, 4)
 
-        def tiny(*args, **kwargs):
-            return SeriesResult(1e-13 + 0j, 3, 0.0)
+        def tiny_series(coeffs, z):
+            return np.full(z.shape, 1e-13 + 0j)
 
-        monkeypatch.setattr(mittag_leffler, "ml_norm", tiny)
+        monkeypatch.setattr(mittag_leffler, "_horner", tiny_series)
         with pytest.raises(NearZeroDenominatorError) as err:
             log_deriv(params, 0.5)
         assert err.value.z == 0.5
@@ -225,7 +231,7 @@ class TestArrayHelpers:
     def test_array_matches_scalar(self, rng):
         params = MLParams(1.7, 2.3)
         z = random_disk_points(rng, 64).reshape(8, 8)
-        values = _ml_norm_values(params, z)
+        values = z * _ml_ratio_values(params, z)
         for idx in np.ndindex(z.shape):
             scalar = ml_norm(params, complex(z[idx])).value
             assert abs(values[idx] - scalar) <= 1e-13
@@ -233,8 +239,8 @@ class TestArrayHelpers:
     def test_log_deriv_array_matches_scalar(self, rng):
         params = MLParams(2, 4)
         z = random_disk_points(rng, 50, r_min=1e-3)
-        values, bad = _log_deriv_values(params, z)
+        deviation, bad = _log_deriv_deviation(params, z)
         assert not bad.any()
         for k in range(z.size):
             scalar = log_deriv(params, complex(z[k]))
-            assert abs(values[k] - scalar) <= 1e-12
+            assert abs(1.0 + deviation[k] - scalar) <= 1e-12

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,42 +9,57 @@ from hypothesis import given, strategies as st
 from mlstar import (
     BranchTracker,
     DomainError,
+    MLParams,
     PathResolutionError,
     QuadratureConvergenceError,
-    gamma_real,
     integrate_gl,
     principal_power,
     tracked_power,
 )
+from mlstar.numerics import gamma_ratio
 
 
 class TestGamma:
+    """gamma_ratio, the Gamma quotient behind every series coefficient."""
+
     def test_known_values(self):
-        assert gamma_real(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma_real(6.0) == pytest.approx(120.0, rel=1e-13)
-        assert gamma_real(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+        assert gamma_ratio(1.0, 5.0) == pytest.approx(1.0 / 120.0, rel=1e-14)
+        assert gamma_ratio(0.5, 0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert gamma_ratio(3.7, 0.0) == 1.0
+        for x in (40.0, 200.0, 1e6):
+            assert gamma_ratio(x, 1.0) == pytest.approx(1.0 / x, rel=1e-14)
 
     def test_matches_reference_over_full_range(self, rng):
-        xs = rng.uniform(1e-3, 171.5, size=4000)
-        for x in xs:
-            try:
-                truth = math.gamma(x)
-            except OverflowError:
+        # the arguments of mpmath's reference are exact, as the series needs
+        mpmath.mp.dps = 40
+        worst = 0.0
+        for _ in range(2000):
+            x = 10.0 ** rng.uniform(-1.0, 6.0)
+            h = rng.uniform(0.0, 60.0)
+            truth = mpmath.exp(mpmath.loggamma(x) - mpmath.loggamma(mpmath.mpf(x) + h))
+            if truth < 1e-20:  # too small to matter in any series sum
                 continue
-            assert abs(gamma_real(x) - truth) <= 1e-13 * truth
+            worst = max(worst, float(abs(gamma_ratio(x, h) - truth) / truth))
+        assert worst <= 3e-14
 
     def test_recurrence_property(self, rng):
-        for x in rng.uniform(0.5, 50.0, size=1000):
-            lhs = abs(gamma_real(x + 1.0) - x * gamma_real(x))
-            assert lhs <= 1e-12 * gamma_real(x + 1.0)
+        for x in rng.uniform(0.5, 500.0, size=1000):
+            h = rng.uniform(0.0, 20.0)
+            lhs = gamma_ratio(x, h + 1.0) * (x + h)
+            assert lhs == pytest.approx(gamma_ratio(x, h), rel=1e-13)
 
     def test_domain_errors(self):
-        for bad in (0.0, -1.0, -0.5, math.nan):
+        # Gamma is only ever evaluated at parameters MLParams has admitted
+        for bad in (0.0, -1.0, -0.5, math.nan, math.inf):
             with pytest.raises(DomainError):
-                gamma_real(bad)
+                MLParams(1.0, bad)
 
     def test_past_double_range_is_inf(self):
-        assert math.isinf(gamma_real(500.0))
+        # Gamma(500) is past the double range, but the ratio is not
+        with pytest.raises(OverflowError):
+            math.gamma(500.0)
+        assert gamma_ratio(500.0, 2.0) == pytest.approx(1.0 / (500.0 * 501.0), rel=1e-14)
+        assert gamma_ratio(0.5, 500.0) == 0.0  # below the double range
 
 
 class TestPrincipalPower:

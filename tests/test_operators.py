@@ -48,6 +48,15 @@ class TestSpecs:
         with pytest.raises(DomainError):
             FactorSpec(MLParams(1, 1), 1.0, eta=1.0)
 
+    def test_non_finite_rejected(self):
+        params = MLParams(1, 1)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                FactorSpec(params, lam)
+        for zeta in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                OperatorSpec((FactorSpec(params, 1.0),), zeta)
+
     def test_eval_point(self):
         point = EvalPoint.from_polar(0.5, math.pi)
         assert point.z == pytest.approx(-0.5, abs=1e-15)

@@ -1,0 +1,68 @@
+"""The series engine against mpmath at 40 digits, across the Gamma overflow.
+
+The reference sums the normalized series with exact arguments
+alpha*(n-1) + beta, so it checks the coefficient table, its cut and the
+Horner sums together, from beta = 0.2 up to beta = 1e6.
+"""
+
+import cmath
+
+import mpmath
+import pytest
+
+from mlstar import MLParams, log_deriv, mittag_leffler, ml_norm, ml_norm_deriv
+
+ALPHAS = (1.0, 1.92, 2.7, 5.0)
+BETAS = (0.2, 1.0, 4.0, 167.93, 171.7, 175.0, 200.0, 1e3, 1e6)
+# Angles stay off the negative axis: at z = -0.999 the derivative of the
+# alpha = beta = 1 function, (1 + z) e^z, is 4e-4, and no sum of terms near
+# 1 can carry it to 1e-13 relative.
+POINTS = tuple(
+    r * cmath.exp(1j * theta)
+    for r in (0.3, 0.999)
+    for theta in (0.0, 0.9, 2.0, 2.8)
+)
+
+
+def reference(alpha, beta, z):
+    """(u, sum (n-1) c_n z^(n-1)) with c_n = Gamma(beta)/Gamma(alpha(n-1)+beta)."""
+    with mpmath.workdps(40):
+        a, b, zm = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpc(z)
+        log_gb = mpmath.loggamma(b)
+        u = w = mpmath.mpc(0)
+        for n in range(1, 400):
+            term = mpmath.exp(log_gb - mpmath.loggamma(a * (n - 1) + b)) * zm ** (n - 1)
+            u += term
+            w += (n - 1) * term
+            if n > 2 and abs(term) * n < mpmath.mpf(10) ** -45:
+                break
+        return u, w
+
+
+def rel_err(mine, truth):
+    return float(abs(mpmath.mpc(mine) - truth) / abs(truth))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("beta", BETAS)
+def test_values_match_mpmath(alpha, beta):
+    params = MLParams(alpha, beta)
+    for z in POINTS:
+        u, w = reference(alpha, beta, z)
+        assert rel_err(ml_norm(params, z).value, z * u) <= 1e-13
+        assert rel_err(ml_norm_deriv(params, z).value, u + w) <= 1e-13
+        assert rel_err(log_deriv(params, z), 1 + w / u) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("beta", BETAS)
+def test_deviation_matches_mpmath(alpha, beta):
+    # |z E'/E - 1|, the quantity of the log-deriv-bound certificate
+    params = MLParams(alpha, beta)
+    z = [complex(p) for p in POINTS]
+    deviation, bad = mittag_leffler._log_deriv_deviation(params, z)
+    assert not bad.any()
+    for k, point in enumerate(POINTS):
+        u, w = reference(alpha, beta, point)
+        truth = float(abs(w / u))
+        assert abs(abs(complex(deviation[k])) - truth) <= 1e-12 * truth + 1e-14
