@@ -9,17 +9,9 @@ from .errors import (
     JobFileError,
     MLStarError,
     NearZeroDenominatorError,
-    PathResolutionError,
-    QuadratureConvergenceError,
     SeriesTruncationError,
 )
-from .numerics import (
-    BranchTracker,
-    QuadratureResult,
-    integrate_gl,
-    principal_power,
-    tracked_power,
-)
+from .numerics import principal_power
 from .mittag_leffler import (
     CLOSED_FORM_KINDS,
     MLParams,
@@ -38,7 +30,6 @@ from .operators import (
     f_conv_value,
     f_value,
     f_zeta_power,
-    product_term,
     star_log_deriv,
 )
 from .orders import (
@@ -63,7 +54,6 @@ from .certify import (
 
 __all__ = [
     "__version__",
-    "BranchTracker",
     "Certificate",
     "CLOSED_FORM_KINDS",
     "ConvexOrderReport",
@@ -79,9 +69,6 @@ __all__ = [
     "MLStarError",
     "NearZeroDenominatorError",
     "OperatorSpec",
-    "PathResolutionError",
-    "QuadratureConvergenceError",
-    "QuadratureResult",
     "SeriesResult",
     "SeriesTruncationError",
     "StarlikeOrderReport",
@@ -95,7 +82,6 @@ __all__ = [
     "f_conv_value",
     "f_value",
     "f_zeta_power",
-    "integrate_gl",
     "log_deriv_bound",
     "log_deriv",
     "ml_norm",
@@ -103,9 +89,7 @@ __all__ = [
     "ml_raw",
     "phi",
     "principal_power",
-    "product_term",
     "psi",
     "starlike_delta",
     "star_log_deriv",
-    "tracked_power",
 ]

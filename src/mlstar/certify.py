@@ -15,18 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import (
-    DENOM_GUARD,
-    EVAL_TOLERANCE,
-    FAILURE_FRACTION,
-    GRID_ANGLES,
-    QUAD_TOL_CERTIFY,
-    R_MAX,
-    SERIES_TOL,
-)
-from .errors import DomainError
+from .defaults import EVAL_TOLERANCE, FAILURE_FRACTION, GRID_ANGLES, R_MAX, SERIES_TOL
+from .errors import DomainError, SeriesTruncationError
 from .mittag_leffler import MLParams, _log_deriv_deviation
-from .operators import EvalPoint, OperatorSpec, _convex_deviation, _ray_sweep
+from .operators import (
+    EvalPoint,
+    OperatorSpec,
+    _convex_deviation,
+    _star_coefficients,
+    _star_deviation,
+)
 from .orders import convex_delta, log_deriv_bound, ml_starlike_hypothesis, starlike_delta
 
 __all__ = [
@@ -129,7 +127,6 @@ class Certificate:
     hypothesis_ok: bool
     failed_count: int = 0
     failed_sample: tuple = ()
-    quad_tol: float = None  # None when no quadrature is involved
     series_tol: float = SERIES_TOL
     semantics: str = "sampled-min certificate"
 
@@ -160,7 +157,6 @@ class Certificate:
                     for f in self.failed_sample
                 ],
             },
-            "quad_tol": self.quad_tol,
             "series_tol": self.series_tol,
             "semantics": self.semantics,
         }
@@ -234,25 +230,16 @@ def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool,
     return VERDICT_PASS if margin >= -eval_tolerance else VERDICT_FAIL
 
 
-def _operator_circle(spec, quad_tol, series_tol):
+def _operator_circle(spec, series_tol):
+    h = _star_coefficients(spec, series_tol)  # built once for every circle
+
     def circle(r, z):
-        p_end, g, err, _, denom_bad, phase_bad = _ray_sweep(
-            spec.factors, z, spec.zeta, quad_tol, series_tol
-        )
-        tiny = np.abs(g) < DENOM_GUARD
-        with np.errstate(invalid="ignore", divide="ignore"):
-            deviation = (p_end - g) / np.where(tiny, 1.0, g)
-        fails = []
-        for idx in range(len(z)):
-            if denom_bad[idx]:
-                fails.append((idx, "factor vanished or overflowed"))
-            elif phase_bad[idx]:
-                fails.append((idx, "branch phase jump"))
-            elif err[idx] > quad_tol:
-                fails.append((idx, "quadrature did not converge"))
-            elif tiny[idx]:
-                fails.append((idx, "operator integral vanished"))
-        return deviation, fails
+        try:
+            deviation, bad = _star_deviation(h, z, series_tol)
+        except SeriesTruncationError as exc:
+            failed = np.full(z.shape, np.nan, dtype=complex)
+            return failed, [(idx, str(exc)) for idx in range(z.size)]
+        return deviation, [(idx, "operator integral vanished") for idx in np.flatnonzero(bad)]
 
     return circle
 
@@ -262,7 +249,6 @@ def certify_starlike(
     grid: GridSpec = None,
     *,
     eval_tolerance: float = EVAL_TOLERANCE,
-    quad_tol: float = QUAD_TOL_CERTIFY,
     series_tol: float = SERIES_TOL,
     predicted: float = None,
 ) -> Certificate:
@@ -275,14 +261,14 @@ def certify_starlike(
     report = starlike_delta(spec)
     target = report.delta if predicted is None else float(predicted)
     observed, point, failures, total = _scan(
-        grid, _operator_circle(spec, quad_tol, series_tol), _order_value
+        grid, _operator_circle(spec, series_tol), _order_value
     )
     margin = observed - target
     verdict = _verdict(margin, eval_tolerance, report.hypothesis_ok, len(failures), total)
     return Certificate(
         QUANTITY_STARLIKE_OPERATOR, target, observed, point, margin, grid,
         eval_tolerance, verdict, report.hypothesis_ok,
-        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), quad_tol, series_tol,
+        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), series_tol,
     )
 
 
@@ -315,8 +301,7 @@ def certify_convex(
     return Certificate(
         QUANTITY_CONVEX_OPERATOR, target, observed, point, margin, grid,
         eval_tolerance, verdict, report.hypothesis_ok,
-        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]),
-        None, series_tol,
+        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), series_tol,
     )
 
 
@@ -351,8 +336,7 @@ def certify_ml_starlike(
     return Certificate(
         QUANTITY_STARLIKE_ML, target, observed, point, margin, grid,
         eval_tolerance, verdict, hypothesis_ok,
-        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]),
-        None, series_tol,
+        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), series_tol,
     )
 
 
@@ -381,6 +365,5 @@ def check_log_deriv_bound(
     return Certificate(
         QUANTITY_LOG_DERIV_BOUND, target, observed, point, margin, grid,
         eval_tolerance, verdict, True,
-        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]),
-        None, series_tol,
+        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), series_tol,
     )

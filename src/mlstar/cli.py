@@ -23,7 +23,7 @@ import click
 
 from . import __version__
 from .certify import GridSpec, VERDICT_FAIL, VERDICT_HYPOTHESIS, sample_grid
-from .defaults import QUAD_TOL_VALUE, SERIES_TOL
+from .defaults import SERIES_TOL
 from .errors import DomainError, JobFileError, MLStarError
 from .jobs import (
     Job,
@@ -39,7 +39,7 @@ from .jobs import (
     run_job,
 )
 from .mittag_leffler import MLParams, log_deriv, ml_norm, ml_raw
-from .operators import f_value
+from .operators import f_conv_value, f_value
 
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
@@ -49,7 +49,8 @@ _EXIT_EVAL = 3
 @click.group()
 @click.version_option(version=__version__, prog_name="mlstar")
 @click.option("--tol", type=float, default=None,
-              help="Numerical tolerance for series and quadrature evaluation.")
+              help="Series truncation tolerance (default 1e-14); it also cuts the "
+                   "operators' series.")
 @click.option("--grid-angles", type=int, default=None,
               help="Override the number of sampled angles per circle.")
 @click.option("--r-max", type=float, default=None,
@@ -85,7 +86,7 @@ def _apply_overrides(job: Job, options) -> Job:
     """The job with the global --tol, --grid-angles and --r-max applied."""
     tol = options.get("tol")
     if tol is not None:
-        job = dataclasses.replace(job, quad_tol=tol, series_tol=tol)
+        job = dataclasses.replace(job, series_tol=tol)
     angles = options.get("grid_angles")
     r_max = options.get("r_max")
     if angles is None and r_max is None:
@@ -155,7 +156,7 @@ def cmd_eval(ctx, alpha, beta, raw, quantity, job_path, op_name, z_values):
         if not matches:
             raise click.UsageError(f"job has no operator named {op_name!r}")
         op = matches[0]
-        rows, failed = _eval_operator_rows(op, points, options.get("tol") or QUAD_TOL_VALUE)
+        rows, failed = _eval_operator_rows(op, points, tol)
     else:
         if alpha is None or beta is None:
             raise click.UsageError("function evaluation needs --alpha and --beta")
@@ -198,7 +199,6 @@ def _eval_operator_rows(op, points, tol):
             if op.kind == KIND_STARLIKE:
                 value = f_value(op.operator_spec(), z, tol)
             elif op.kind == KIND_CONVEX:
-                from .operators import f_conv_value
                 value = f_conv_value(op.factors, z, tol)
             else:
                 raise click.UsageError(
@@ -318,7 +318,7 @@ def cmd_dump(ctx, job_path, op_name, output):
         raise click.UsageError(f"job has no operator named {op_name!r}")
     op = matches[0]
 
-    circle = quantity_circle(op, job.quad_tol, job.series_tol)
+    circle = quantity_circle(op, job.series_tol)
     digest_doc = {"operator": operator_to_dict(op), "grid": job.grid.to_dict()}
     lines = [f"# spec={op.name} quantity={_quantity_name(op)} digest={job_digest(digest_doc)}",
              "radius,angle,re,im"]

@@ -7,11 +7,6 @@ reports can echo the effective settings and stay self-describing.
 SERIES_TOL = 1e-14        # truncation tolerance for Mittag-Leffler series
 SERIES_TERM_CAP = 200     # maximum series terms before giving up
 
-QUAD_TOL_VALUE = 1e-11    # quadrature tolerance for operator values
-QUAD_TOL_CERTIFY = 1e-9   # quadrature tolerance inside certification sweeps
-PANEL_CAP = 4096          # maximum Gauss-Legendre panels
-GL_NODES = 16             # Gauss-Legendre nodes per panel
-
 EVAL_TOLERANCE = 1e-6     # certificate margin tolerance
 GRID_RADII = (0.25, 0.5, 0.75, 0.9, 0.99, 0.999)
 GRID_ANGLES = 720
@@ -19,6 +14,4 @@ R_MAX = 0.999
 
 DENOM_GUARD = 1e-12       # |E(z)| below this counts as hitting a zero
 NEAR_ORIGIN = 1e-8        # |z| below this switches to series limits
-RAY_STEPS = 16            # initial ray steps when tracking the outer root
-RAY_STEP_CAP = 64         # maximum ray steps before giving up
 FAILURE_FRACTION = 1e-3   # tolerated fraction of failed grid points

@@ -17,22 +17,6 @@ class SeriesTruncationError(MLStarError):
         self.partial = partial
 
 
-class PathResolutionError(MLStarError):
-    """Consecutive path points moved the phase by at least a half turn.
-
-    Branch continuation is ambiguous at that step; the caller must refine
-    the path.
-    """
-
-
-class QuadratureConvergenceError(MLStarError):
-    """Panel refinement hit the cap before reaching the target tolerance."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class NearZeroDenominatorError(MLStarError):
     """A normalized Mittag-Leffler value fell below the zero guard."""
 

@@ -28,7 +28,7 @@ from .certify import (
     _ml_circle,
     _operator_circle,
 )
-from .defaults import EVAL_TOLERANCE, QUAD_TOL_CERTIFY, SERIES_TOL
+from .defaults import EVAL_TOLERANCE, SERIES_TOL
 from .errors import DomainError, JobFileError
 from .mittag_leffler import MLParams
 from .operators import FactorSpec, OperatorSpec
@@ -74,7 +74,6 @@ class Job:
     operators: tuple
     grid: GridSpec
     margin_tol: float = EVAL_TOLERANCE
-    quad_tol: float = QUAD_TOL_CERTIFY
     series_tol: float = SERIES_TOL
     outputs: tuple = ("text",)
 
@@ -142,10 +141,13 @@ def _parse_operator(raw, index):
         if kind == KIND_STARLIKE:
             _require("zeta" in raw, f"{context}: starlike operators need 'zeta'")
             zeta = _number(raw["zeta"], "zeta", context)
-            try:
+        try:
+            if kind == KIND_STARLIKE:
                 OperatorSpec(factors, zeta)
-            except DomainError as exc:
-                raise JobFileError(f"{context}: {exc}") from exc
+            else:
+                convex_delta(factors)  # needs every beta above the golden ratio
+        except DomainError as exc:
+            raise JobFileError(f"{context}: {exc}") from exc
         return JobOperator(name, kind, factors=factors, zeta=zeta, predicted=predicted)
 
     _check_keys(raw, _OP_KEYS_COMMON | {"alpha", "beta", "eta"}, context)
@@ -153,7 +155,9 @@ def _parse_operator(raw, index):
     alpha = _number(raw["alpha"], "alpha", context)
     beta = _number(raw["beta"], "beta", context)
     try:
-        MLParams(alpha, beta)
+        params = MLParams(alpha, beta)
+        if kind == KIND_LOG_DERIV_BOUND:
+            log_deriv_bound(params)  # needs beta above the golden ratio
     except DomainError as exc:
         raise JobFileError(f"{context}: {exc}") from exc
     eta = None
@@ -194,9 +198,12 @@ def parse_job(document: dict) -> Job:
     tol_raw = document.get("tolerance", {})
     _check_keys(tol_raw, _TOL_KEYS, "job.tolerance")
     margin_tol = _number(tol_raw.get("margin", EVAL_TOLERANCE), "margin", "job.tolerance")
-    quad_tol = _number(tol_raw.get("quadrature", QUAD_TOL_CERTIFY), "quadrature", "job.tolerance")
     series_tol = _number(tol_raw.get("series", SERIES_TOL), "series", "job.tolerance")
-    for key, value in (("margin", margin_tol), ("quadrature", quad_tol), ("series", series_tol)):
+    checked = [("margin", margin_tol), ("series", series_tol)]
+    if "quadrature" in tol_raw:  # still accepted, so that older jobs run, but unused
+        checked.append(("quadrature", _number(tol_raw["quadrature"], "quadrature",
+                                              "job.tolerance")))
+    for key, value in checked:
         _require(value > 0.0, f"job.tolerance: '{key}' must be positive")
 
     outputs = document.get("outputs", ["text"])
@@ -210,7 +217,7 @@ def parse_job(document: dict) -> Job:
     names = [op.name for op in operators]
     _require(len(names) == len(set(names)), "job: operator names must be unique")
 
-    return Job(operators, grid, margin_tol, quad_tol, series_tol, tuple(outputs))
+    return Job(operators, grid, margin_tol, series_tol, tuple(outputs))
 
 
 def load_job(path) -> Job:
@@ -262,7 +269,6 @@ def job_to_dict(job: Job) -> dict:
         "grid": job.grid.to_dict(),
         "tolerance": {
             "margin": job.margin_tol,
-            "quadrature": job.quad_tol,
             "series": job.series_tol,
         },
         "outputs": list(job.outputs),
@@ -282,7 +288,7 @@ def run_certificate(op: JobOperator, job: Job) -> Certificate:
     common = dict(grid=job.grid, eval_tolerance=job.margin_tol,
                   series_tol=job.series_tol, predicted=op.predicted)
     if op.kind == KIND_STARLIKE:
-        return certify_starlike(op.operator_spec(), quad_tol=job.quad_tol, **common)
+        return certify_starlike(op.operator_spec(), **common)
     if op.kind == KIND_CONVEX:
         return certify_convex(op.factors, **common)
     if op.kind == KIND_ML_STARLIKE:
@@ -290,10 +296,10 @@ def run_certificate(op: JobOperator, job: Job) -> Certificate:
     return check_log_deriv_bound(op.ml_params(), **common)
 
 
-def quantity_circle(op: JobOperator, quad_tol: float, series_tol: float):
+def quantity_circle(op: JobOperator, series_tol: float):
     """The circle evaluator of the quantity op's certificate samples."""
     if op.kind == KIND_STARLIKE:
-        return _operator_circle(op.operator_spec(), quad_tol, series_tol)
+        return _operator_circle(op.operator_spec(), series_tol)
     if op.kind == KIND_CONVEX:
         return _convex_circle(op.factors, series_tol)
     return _ml_circle(op.ml_params(), series_tol)

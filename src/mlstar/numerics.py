@@ -1,28 +1,25 @@
 """Foundation numerics.
 
-Gamma quotients free of overflow, principal-branch complex powers,
-phase-tracked powers for branch continuation along paths, and adaptive
-composite Gauss-Legendre quadrature on [0, 1].
+Gamma quotients free of overflow, principal-branch complex powers, and
+two operations on power series: the logarithmic derivative and the power.
+The coefficients they produce carry the branch continued from the
+origin, so nothing is ever tracked along a path.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import GL_NODES, PANEL_CAP
-from .errors import DomainError, PathResolutionError, QuadratureConvergenceError
+from .errors import DomainError
 
 __all__ = [
-    "BranchTracker",
-    "QuadratureResult",
     "gamma_ratio",
     "principal_power",
-    "tracked_power",
-    "integrate_gl",
+    "series_log_derivative",
+    "series_power",
 ]
 
 # From here on the Stirling correction below is accurate to 4e-17.
@@ -79,122 +76,46 @@ def principal_power(w: complex, e: float) -> complex:
     return cmath.exp(e * complex(math.log(abs(w)), _principal_arg(w)))
 
 
-@dataclass
-class BranchTracker:
-    """Phase state for one factor along one path.
+def series_log_derivative(a, length: int) -> np.ndarray:
+    """The first ``length`` Taylor coefficients of t A'(t)/A(t), given those of A.
 
-    Single-path, single-caller state; never share a tracker between
-    concurrent evaluations.
+    A(0) = a[0] must be 1; coefficients past the end of ``a`` count as 0.
+    From A * (t A'/A) = t A', the coefficients are d_0 = 0 and
+
+        d_n = n a_n - sum_{k=1..n-1} a_k d_{n-k}.
+
+    Each zero of A contributes a pole, so the coefficients grow like
+    |t_0|^-n for the zero t_0 nearest the origin.
     """
+    a = np.asarray(a, dtype=float)[:length]
+    d = np.zeros(length)
+    d[1 : len(a)] = np.arange(1, len(a)) * a[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(2, length):
+            m = min(n - 1, len(a) - 1)
+            d[n] -= np.dot(a[1 : m + 1], d[n - m : n][::-1])
+    return d
 
-    previous_log_imag: float = 0.0
-    initialized: bool = False
 
+def series_power(a, p: float, length: int) -> np.ndarray:
+    """The first ``length`` Taylor coefficients of A(t)^p, given those of A.
 
-# Steps of at least (almost) a half turn are ambiguous: the true phase may
-# have moved either way around the circle.
-_JUMP_LIMIT = math.pi * (1.0 - 1e-9)
+    A(0) = a[0] must be 1; coefficients past the end of ``a`` count as 0.
+    J.C.P. Miller's recurrence (Henrici, Applied and Computational Complex
+    Analysis I, section 1.6; Knuth, TAOCP vol. 2, section 4.7)
 
+        b_0 = 1,  b_n = (1/n) sum_{k=1..n} ((p + 1) k - n) a_k b_{n-k}
 
-def tracked_power(w: complex, e: float, tracker: BranchTracker) -> complex:
-    """w**e with the log phase continued from the tracker's previous point.
-
-    The first call seeds the tracker with the principal phase; later calls
-    pick the phase congruent to the principal one that is nearest the
-    tracked value. A step of a half turn or more raises
-    PathResolutionError and the caller must refine its path.
+    follows from A (A^p)' = p A' A^p, so the result is the branch of A^p
+    that is 1 at the origin, continued across any disk where A has no zero.
+    Coefficients that overflow come out inf or nan.
     """
-    w = complex(w)
-    if w == 0:
-        raise DomainError("tracked_power: w = 0 has no logarithm")
-    theta = _principal_arg(w)
-    if tracker.initialized:
-        step = math.remainder(theta - tracker.previous_log_imag, 2.0 * math.pi)
-        if abs(step) >= _JUMP_LIMIT:
-            raise PathResolutionError(
-                f"phase stepped by {step:+.6f} rad at w={w!r}; refine the path"
-            )
-        theta = tracker.previous_log_imag + step
-    tracker.previous_log_imag = theta
-    tracker.initialized = True
-    return cmath.exp(e * complex(math.log(abs(w)), theta))
-
-
-def _unwrap_along(phases: np.ndarray):
-    """Continue principal phases along the last axis, seeded at 0.
-
-    Paths are assumed to start next to the origin of whatever quantity is
-    being tracked, where the phase is 0. Returns (unwrapped, bad) where
-    ``bad`` flags rows containing an ambiguous (>= half turn) step.
-    """
-    steps = np.empty_like(phases)
-    steps[..., 0] = phases[..., 0]
-    steps[..., 1:] = np.diff(phases, axis=-1)
-    steps = np.mod(steps + np.pi, 2.0 * np.pi) - np.pi
-    bad = np.any(np.abs(steps) >= _JUMP_LIMIT, axis=-1)
-    return np.cumsum(steps, axis=-1), bad
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Integral value with the last refinement's error estimate."""
-
-    value: complex
-    error_estimate: float
-    panels_used: int
-
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
-
-
-def _panel_nodes(n_panels: int):
-    """Composite Gauss-Legendre nodes and weights on (0, 1), ascending."""
-    half = 0.5 / n_panels
-    offsets = np.arange(n_panels) / n_panels
-    x = (offsets[:, None] + (_GL_X + 1.0)[None, :] * half).reshape(-1)
-    w = np.broadcast_to(_GL_W * half, (n_panels, GL_NODES)).reshape(-1).copy()
-    return x, w
-
-
-def _integrate_batches(batch_eval, target_tol: float, panel_cap: int):
-    """Dyadic panel ladder shared by the scalar and array front ends.
-
-    ``batch_eval(x)`` receives all nodes of one refinement pass in ascending
-    order and returns their values. The error estimate is the magnitude of
-    the difference between consecutive passes.
-    """
-    previous = None
-    error = math.inf
-    n_panels = 1
-    while n_panels <= panel_cap:
-        x, w = _panel_nodes(n_panels)
-        current = complex(np.sum(np.asarray(batch_eval(x)) * w))
-        if previous is not None:
-            error = abs(current - previous)
-            if error <= target_tol:
-                return current, error, n_panels
-        previous = current
-        n_panels *= 2
-    raise QuadratureConvergenceError(
-        f"no convergence to {target_tol:g} within {panel_cap} panels "
-        f"(best error estimate {error:g})",
-        best=QuadratureResult(previous, error, panel_cap),
-    )
-
-
-def integrate_gl(f, target_tol: float, panel_cap: int = PANEL_CAP) -> QuadratureResult:
-    """Integrate a complex-valued f over [0, 1] to the requested tolerance.
-
-    16-node Gauss-Legendre panels are refined dyadically until the estimate
-    |result(n panels) - result(2n panels)| drops to target_tol. Nodes are
-    visited in ascending order within each pass, so integrands that track
-    state along the path see a monotone sweep.
-    """
-    if not target_tol > 0.0:
-        raise DomainError(f"integrate_gl needs target_tol > 0, got {target_tol!r}")
-
-    def batch(x):
-        return np.array([complex(f(float(xi))) for xi in x])
-
-    value, error, panels = _integrate_batches(batch, target_tol, panel_cap)
-    return QuadratureResult(value, error, panels)
+    a = np.asarray(a, dtype=float)[:length]
+    b = np.zeros(length)
+    b[0] = 1.0
+    k = np.arange(1, len(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, length):
+            m = min(n, len(a) - 1)
+            b[n] = np.dot(((p + 1.0) * k[:m] - n) * a[1 : m + 1], b[n - m : n][::-1]) / n
+    return b

@@ -5,25 +5,37 @@ The central object is
     F(z) = { zeta * Integral_0^z t^(zeta-1) * Prod_j (E_j(t)/t)^(1/lambda_j) dt }^(1/zeta)
 
 with every many-valued piece on the branch continued from the origin, where
-the bracketed product equals 1. Integration runs along the radial segment
-t = z*s with a graded substitution s = w^q:
+the bracketed product P equals 1. Every quantity is a power series built
+from the logarithmic derivative of P,
 
-    F(z)^zeta = z^zeta * q*zeta * Integral_0^1 w^(q*zeta - 1) P(z*w^q) dw,
+    Q(t) = t P'(t)/P(t) = sum_j (t E_j'/E_j - 1) / lambda_j = sum_{n>=1} q_n t^n,
 
-where P is the factor product. The exponent q is an integer making q*zeta
-an integer whenever possible (the integrand is then analytic at w = 0, and
-Gauss-Legendre panels converge spectrally); otherwise it is large enough
-that the endpoint exponent q*zeta - 1 stays at 4 or above.
+whose coefficients come from each factor's cached coefficient table
+(numerics.series_log_derivative). With
 
-The quantity z F'(z)/F(z) is computed from the exact identity
+    G(z) = zeta * Integral_0^1 s^(zeta-1) P(z s) ds = (F(z)/z)^zeta,
 
-    z F'(z)/F(z) = z^zeta * Prod_j (E_j(z)/z)^(1/lambda_j) / F(z)^zeta,
+z G' + zeta G = zeta P gives the series H = G/P = sum h_n z^n by
+h_0 = 1, (n + zeta) h_n = -sum_{k=1..n} q_k h_{n-k}. Then
 
-so no numerical differentiation is ever involved; the z^zeta factors cancel
-and only the ratio P(z) / Integral(P along the ray) remains. Likewise
-1 + z F''/F' for the zeta-free convex variant is the closed form
+    z F'/F    = P/G = 1/H = sum v_n z^n, the v_n by J.C.P. Miller's
+                power recurrence (numerics.series_power) at the power -1,
+    F(z)      = z exp(sum_{n>=1} v_n z^n / n), as log(F/z) integrates
+                (zF'/F - 1)/t,
+    F(z)^zeta = z^zeta (F(z)/z)^zeta, and the zeta-free operator
+                Integral_0^z P(t) dt is F at zeta = 1,
 
-    sum_j (1/lambda_j) * (z E_j'/E_j) + 1 - sum_j (1/lambda_j).
+while 1 + z F''/F' of the zeta-free operator is 1 + Q(z), summed pointwise
+from the factors' closed forms. Neither P nor G is ever summed as a
+series: at z = -1 the sum of P = e^(25 z) cancels terms near e^25 down to
+e^-25, where Q = 25 z, H and 1/H stay of moderate size. Power series carry
+the branch that is 1 at the origin, so no path is ever tracked, and no
+numerical differentiation or quadrature is involved.
+
+A sum on the circle |z| = r keeps the terms that _operator_cut selects.
+Where a factor's zero lies within reach of the circle, Q has a pole there
+and the coefficients stop decaying. Then, or when the coefficients
+overflow, no cut exists and the evaluation raises SeriesTruncationError.
 """
 
 from __future__ import annotations
@@ -34,35 +46,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import (
-    DENOM_GUARD,
-    PANEL_CAP,
-    QUAD_TOL_VALUE,
-    RAY_STEP_CAP,
-    RAY_STEPS,
-    SERIES_TOL,
-)
+from .defaults import DENOM_GUARD, SERIES_TERM_CAP, SERIES_TOL
 from .errors import (
     DegenerateOperatorError,
     DomainError,
     NearZeroDenominatorError,
-    PathResolutionError,
-    QuadratureConvergenceError,
+    SeriesTruncationError,
 )
-from .mittag_leffler import MLParams, _log_deriv_deviation, _ml_ratio_values
-from .numerics import (
-    QuadratureResult,
-    _panel_nodes,
-    _unwrap_along,
-    principal_power,
-    tracked_power,
-)
+from .mittag_leffler import MLParams, _coefficients, _horner, _log_deriv_deviation
+from .numerics import principal_power, series_log_derivative, series_power
 
 __all__ = [
     "FactorSpec",
     "OperatorSpec",
     "EvalPoint",
-    "product_term",
     "f_zeta_power",
     "f_value",
     "star_log_deriv",
@@ -137,230 +134,143 @@ def _as_point(z) -> complex:
     return z
 
 
-def product_term(spec: OperatorSpec, t: complex, trackers) -> complex:
-    """Prod_j (E_j(t)/t)^(1/lambda_j) at one path point.
+# --- the coefficient engine ---------------------------------------------------
 
-    ``trackers`` holds one BranchTracker per factor, owned by the caller's
-    walk from the origin; branch errors and zero hits propagate.
+
+def _log_derivative_coefficients(factors, tol: float) -> np.ndarray:
+    """(q_0, ..., q_{L-1}) of Q = t P'/P, L = SERIES_TERM_CAP; q_0 = 0.
+
+    Each factor's table is mittag_leffler's cached one, exact to tol on the
+    unit circle; coefficients past it count as 0.
     """
-    t = complex(t)
-    if t == 0:
-        raise DomainError("product_term is defined for t != 0 (limit 1 at 0)")
-    out = 1.0 + 0j
-    for factor, tracker in zip(spec.factors, trackers, strict=True):
-        # the normalized E(t)/t, exact down to tiny |t|
-        ratio = complex(_ml_ratio_values(factor.params, np.array([t]))[0])
-        if abs(ratio) < DENOM_GUARD:
-            raise NearZeroDenominatorError(
-                f"factor {factor.params} vanished at t = {t!r}", z=t
-            )
-        out *= tracked_power(ratio, 1.0 / factor.lam, tracker)
-    return out
-
-
-# --- vectorized ray engine --------------------------------------------------
-
-
-def _product_logs(factors, t: np.ndarray, series_tol: float):
-    """sum_j (1/lambda_j) * log(E_j(t)/t) with phases continued along rows.
-
-    Rows of ``t`` are paths whose moduli ascend from the origin; the phase
-    of every factor is unwrapped from its limit 0 there. The zero guard is
-    on the ratio E(t)/t (which is 1 at the origin), so arbitrarily small
-    path points stay valid. Returns (logs, denom_bad, phase_bad) where the
-    masks flag whole rows.
-    """
-    logs = np.zeros(t.shape, dtype=complex)
-    denom_bad = np.zeros(t.shape[:-1], dtype=bool)
-    phase_bad = np.zeros(t.shape[:-1], dtype=bool)
+    q = np.zeros(SERIES_TERM_CAP)
     for factor in factors:
-        u = _ml_ratio_values(factor.params, t, series_tol)
-        bad = np.abs(u) < DENOM_GUARD
-        denom_bad |= np.any(bad, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u = np.where(bad, 1.0, u)
-            phases, jump_bad = _unwrap_along(np.angle(u))
-            logs = logs + (np.log(np.abs(u)) + 1j * phases) / factor.lam
-        phase_bad |= jump_bad
-    return logs, denom_bad, phase_bad
+        table = _coefficients(factor.params.alpha, factor.params.beta, tol)
+        q += series_log_derivative(table, SERIES_TERM_CAP) / factor.lam
+    return q
 
 
-def _substitution_power(zeta: float) -> float:
-    """Exponent q of the graded substitution s = w**q for one zeta.
+def _quotient_coefficients(q, zeta: float) -> np.ndarray:
+    """(h_0, ..., h_{L-1}) of H = G/P: h_0 = 1, (n + zeta) h_n = -sum q_k h_{n-k}."""
+    h = np.zeros(len(q))
+    h[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, len(q)):
+            h[n] = -np.dot(q[1 : n + 1], h[:n][::-1]) / (n + zeta)
+    return h
 
-    A small integer q with q*zeta an integer makes the weighted integrand
-    analytic at w = 0; failing that, q*zeta - 1 >= 4 keeps it smooth enough
-    for the dyadic panel ladder. q stays small so the w^(q*zeta - 1) weight
-    never concentrates all nodes at the far endpoint. Very large zeta keeps
-    q = 1/zeta, whose integrand is nearly constant instead of layered.
+
+def _star_coefficients(spec: OperatorSpec, tol: float) -> np.ndarray:
+    """H's table for the rooted operator: z F'/F = 1/H."""
+    return _quotient_coefficients(_log_derivative_coefficients(spec.factors, tol), spec.zeta)
+
+
+# A cut leaves at least this many table terms after it, so that the terms
+# it drops are measured, not extrapolated.
+_MEASURED_TAIL = 8
+
+
+def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
+    """(N, tail): how many terms of coeffs to sum on the circle |z| = radius.
+
+    As for the Mittag-Leffler series, tol bounds the dropped terms
+    absolutely: every table is 1 at the origin (H) or 0 (log(F/z), whose
+    absolute error is F's relative one). With t_n = |c_n| r^n,
+    N is the smallest count that leaves at least _MEASURED_TAIL table
+    terms after it and whose dropped table terms sum to at most tol, and
+    tail is that sum. Terms past the table are taken to keep decaying as
+    its last ones do; a fall to tol within SERIES_TERM_CAP terms makes
+    that decay geometric in practice.
+
+    When no count qualifies, N is None and tail is the sum at the last
+    admissible count: the terms stopped decaying because a zero of a
+    factor lies within reach of the circle, or they overflowed.
     """
-    if zeta > 32.0:
-        return 1.0 / zeta
-    for q in range(1, 5):
-        if abs(q * zeta - round(q * zeta)) < 1e-12:
-            return float(q)
-    return float(math.ceil(5.0 / zeta))
+    if not tol > 0.0:
+        raise DomainError(f"tol must be > 0, got {tol!r}")
+    terms = np.abs(coeffs) * radius ** np.arange(len(coeffs))
+    if not np.isfinite(np.sum(terms)):
+        return None, math.inf
+    dropped = np.cumsum(terms[::-1])[::-1][1 : len(terms) - _MEASURED_TAIL + 1]
+    fits = np.flatnonzero(dropped <= tol)
+    if not fits.size:
+        return None, float(dropped[-1])
+    return int(fits[0]) + 1, float(dropped[fits[0]])
 
 
-def _ray_sweep(
-    factors,
-    z_rows,
-    zeta: float,
-    quad_tol: float,
-    series_tol: float = SERIES_TOL,
-    panel_cap: int = PANEL_CAP,
-):
-    """Evaluate P(z) and G(z) = zeta * Integral_0^1 s^(zeta-1) P(z*s) ds per row.
+def _checked_cut(coeffs, radius: float, tol: float) -> int:
+    n, tail = _operator_cut(coeffs, radius, tol)
+    if n is None:
+        raise SeriesTruncationError(
+            f"operator series at |z| = {radius:g} keeps a tail of {tail:.3g} "
+            f"after {len(coeffs) - _MEASURED_TAIL} terms"
+        )
+    return n
 
-    P is the factor product continued from the origin; the endpoint z is
-    appended to each pass so that P(z) and the integral share one branch
-    walk. Returns (p_end, g, err, panels, denom_bad, phase_bad); rows whose
-    err exceeds quad_tol did not converge within the panel cap.
+
+def _star_deviation(h, z, tol: float):
+    """zF'/F - 1 = -(H - 1)/H on an ndarray; returns (deviation, bad) with vanished H flagged.
+
+    H - 1 is summed directly, never as a difference from 1. Raises
+    SeriesTruncationError when H's series has no cut at max |z|.
     """
-    z = np.asarray(z_rows, dtype=complex).reshape(-1)
-    q = _substitution_power(zeta)
-    scale = q * zeta
-    previous = None
-    err = np.full(z.shape, np.inf)
-    n_panels = 1
-    while n_panels <= panel_cap:
-        x, w = _panel_nodes(n_panels)
-        s = np.concatenate([x**q, [1.0]])
-        t = z[:, None] * s[None, :]
-        logs, denom_bad, phase_bad = _product_logs(factors, t, series_tol)
-        with np.errstate(over="ignore", invalid="ignore"):
-            p_vals = np.exp(logs)
-            finite = np.isfinite(p_vals).all(axis=-1)
-            denom_bad |= ~finite
-            weight = scale * x ** (scale - 1.0)
-            g = (p_vals[:, :-1] * weight[None, :]) @ w
-            p_end = p_vals[:, -1]
-        if previous is not None:
-            err = np.abs(g - previous)
-            good = ~(denom_bad | phase_bad)
-            worst = float(np.max(np.where(good, err, 0.0))) if good.any() else 0.0
-            if worst <= quad_tol:
-                return p_end, g, err, n_panels, denom_bad, phase_bad
-        previous = g
-        n_panels *= 2
-    return p_end, g, err, panel_cap, denom_bad, phase_bad
+    z = np.asarray(z, dtype=complex)
+    n = _checked_cut(h, float(np.max(np.abs(z))), tol)
+    excess = _horner(np.concatenate(([0.0], h[1:n])), z)
+    quotient = 1.0 + excess
+    bad = np.abs(quotient) < DENOM_GUARD
+    return -excess / np.where(bad, 1.0, quotient), bad
 
 
-def _sweep_single(factors, z: complex, zeta: float, quad_tol: float, series_tol: float):
-    """One-point sweep that converts row flags into exceptions."""
-    p_end, g, err, panels, denom_bad, phase_bad = _ray_sweep(
-        factors, [z], zeta, quad_tol, series_tol
-    )
-    if denom_bad[0]:
-        raise NearZeroDenominatorError(
-            f"a factor vanished or overflowed along the ray to {z!r}", z=z
-        )
-    if phase_bad[0]:
-        raise PathResolutionError(
-            f"a factor phase jumped by a half turn along the ray to {z!r}"
-        )
-    if err[0] > quad_tol:
-        raise QuadratureConvergenceError(
-            f"operator quadrature stalled at error {float(err[0]):g} for z = {z!r}",
-            best=QuadratureResult(complex(g[0]), float(err[0]), panels),
-        )
-    return complex(p_end[0]), complex(g[0])
+def _root_ratio(spec: OperatorSpec, z: complex, tol: float, e: float) -> complex:
+    """(F(z)/z)^e = exp(e sum_{n>=1} v_n z^n / n), continued from 1 at the origin.
+
+    log(F/z) = Integral_0^z (zF'/F - 1) dt/t, and zF'/F = 1/H has the
+    coefficients v_n that Miller's recurrence gives for the power -1.
+    """
+    v = series_power(_star_coefficients(spec, tol), -1.0, SERIES_TERM_CAP)
+    v[0] = 0.0
+    coeffs = v / np.maximum(np.arange(len(v)), 1)
+    n = _checked_cut(coeffs, abs(z), tol)
+    log_ratio = complex(_horner(coeffs[:n], np.array([z]))[0])
+    try:
+        return cmath.exp(e * log_ratio)
+    except OverflowError:
+        raise DegenerateOperatorError(f"(F(z)/z)^{e:g} overflows at z = {z!r}") from None
 
 
-def f_zeta_power(
-    spec: OperatorSpec,
-    z,
-    tol: float = QUAD_TOL_VALUE,
-    series_tol: float = SERIES_TOL,
-) -> complex:
-    """The brace contents: zeta * Integral_0^z t^(zeta-1) P(t) dt.
+def f_zeta_power(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
+    """The brace contents: zeta * Integral_0^z t^(zeta-1) P(t) dt = z^zeta (F(z)/z)^zeta.
 
-    Computed as z^zeta (principal) times the regularized ray integral G(z).
+    z^zeta is the principal power.
     """
     zc = _as_point(z)
-    _, g = _sweep_single(spec.factors, zc, spec.zeta, tol, series_tol)
-    return principal_power(zc, spec.zeta) * g
+    return principal_power(zc, spec.zeta) * _root_ratio(spec, zc, tol, spec.zeta)
 
 
-def star_log_deriv(
-    spec: OperatorSpec,
-    z,
-    tol: float = QUAD_TOL_VALUE,
-    series_tol: float = SERIES_TOL,
-) -> complex:
-    """z F'(z)/F(z) via the product/integral identity, equal to P(z)/G(z)."""
+def star_log_deriv(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
+    """z F'(z)/F(z) = P(z)/G(z) = 1/H(z)."""
     zc = _as_point(z)
-    p_end, g = _sweep_single(spec.factors, zc, spec.zeta, tol, series_tol)
-    if abs(g) < DENOM_GUARD:
+    deviation, bad = _star_deviation(_star_coefficients(spec, tol), np.array([zc]), tol)
+    if bad[0]:
         raise DegenerateOperatorError(
             f"operator integral vanished at z = {zc!r}; zF'/F is undefined"
         )
-    return p_end / g
+    return 1.0 + complex(deviation[0])
 
 
-def f_value(
-    spec: OperatorSpec,
-    z,
-    tol: float = QUAD_TOL_VALUE,
-    series_tol: float = SERIES_TOL,
-) -> complex:
-    """F(z) itself, with the outer 1/zeta root continued from the origin.
+def f_value(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
+    """F(z) itself, z (F(z)/z), with the root continued from the origin.
 
-    F factors exactly as z * G(z)^(1/zeta) with G(0) = 1, so the root's
-    branch is fixed by tracking arg G outward along the ray on a ladder of
-    intermediate radii (refined up to the step cap on a phase jump).
+    The series of log(F/z) has no cut past a zero of G or of a factor.
     """
     zc = _as_point(z)
-    steps = RAY_STEPS
-    while True:
-        ladder = zc * np.geomspace(1e-3, 1.0, steps)
-        p_end, g, err, panels, denom_bad, phase_bad = _ray_sweep(
-            spec.factors, ladder, spec.zeta, tol, series_tol
-        )
-        if denom_bad.any():
-            raise NearZeroDenominatorError(
-                f"a factor vanished or overflowed along the ray to {zc!r}", z=zc
-            )
-        if phase_bad.any():
-            raise PathResolutionError(
-                f"a factor phase jumped by a half turn along the ray to {zc!r}"
-            )
-        if float(np.max(err)) > tol:
-            raise QuadratureConvergenceError(
-                f"operator quadrature stalled for z = {zc!r}",
-                best=QuadratureResult(complex(g[-1]), float(np.max(err)), panels),
-            )
-        if np.min(np.abs(g)) < DENOM_GUARD:
-            raise DegenerateOperatorError(
-                f"operator integral vanished along the ray to {zc!r}"
-            )
-        theta, jump = _unwrap_along(np.angle(g)[None, :])
-        if not jump[0]:
-            break
-        if steps >= RAY_STEP_CAP:
-            raise PathResolutionError(
-                f"arg of the ray integral jumped by a half turn even with "
-                f"{steps} ray steps toward {zc!r}"
-            )
-        steps *= 2
-    g_end = complex(g[-1])
-    theta_end = float(theta[0, -1])
-    return zc * cmath.exp((math.log(abs(g_end)) + 1j * theta_end) / spec.zeta)
+    return zc * _root_ratio(spec, zc, tol, 1.0)
 
 
-def f_conv_value(
-    factors,
-    z,
-    tol: float = QUAD_TOL_VALUE,
-    series_tol: float = SERIES_TOL,
-) -> complex:
-    """The zeta-free operator Integral_0^z P(t) dt, i.e. z * G(z) at zeta = 1."""
-    factors = tuple(factors)
-    if not factors:
-        raise DomainError("an operator needs at least one factor")
-    zc = _as_point(z)
-    _, g = _sweep_single(factors, zc, 1.0, tol, series_tol)
-    return zc * g
+def f_conv_value(factors, z, tol: float = SERIES_TOL) -> complex:
+    """The zeta-free operator Integral_0^z P(t) dt: F^zeta at zeta = 1."""
+    return f_zeta_power(OperatorSpec(tuple(factors), 1.0), z, tol)
 
 
 def _convex_deviation(factors, z, tol: float = SERIES_TOL):

@@ -3,6 +3,7 @@ import pytest
 
 from mlstar import operators
 from mlstar.certify import GridSpec
+from mlstar.defaults import SERIES_TERM_CAP
 
 
 @pytest.fixture
@@ -19,16 +20,10 @@ def small_grid():
 def identity_product(monkeypatch):
     """Force the factor product to 1 exactly, so F(z) = z for every zeta."""
 
-    def logs(factors, t, series_tol):
-        t = np.asarray(t)
-        rows = t.shape[:-1]
-        return (
-            np.zeros(t.shape, dtype=complex),
-            np.zeros(rows, dtype=bool),
-            np.zeros(rows, dtype=bool),
-        )
+    def constant(factors, tol):
+        return np.zeros(SERIES_TERM_CAP)  # t P'/P = 0
 
-    monkeypatch.setattr(operators, "_product_logs", logs)
+    monkeypatch.setattr(operators, "_log_derivative_coefficients", constant)
 
 
 def random_disk_points(rng, count, r_max=0.999, r_min=0.0):

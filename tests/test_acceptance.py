@@ -14,7 +14,6 @@ from click.testing import CliRunner
 
 from mlstar import (
     CLOSED_FORM_KINDS,
-    BranchTracker,
     FactorSpec,
     MLParams,
     OperatorSpec,
@@ -23,18 +22,20 @@ from mlstar import (
     certify_starlike,
     check_log_deriv_bound,
     closed_form,
-    integrate_gl,
     ml_norm,
     ml_norm_deriv,
     phi,
     psi,
+    star_log_deriv,
     starlike_delta,
-    tracked_power,
 )
 from mlstar.certify import GridSpec, VERDICT_PASS
 from mlstar.cli import cli
+from mlstar.mittag_leffler import _coefficients
+from mlstar.numerics import series_power
 
 from conftest import random_disk_points
+from oracles import exp_star_quantity
 
 
 def _report(number, label, detail):
@@ -209,25 +210,17 @@ def test_criterion_8_property_suites(rng):
     fine = certify_starlike(spec, GridSpec(radii=(0.999,), angles=720))
     assert abs(full_cert.observed - fine.observed) < 1e-4
 
-    # branch-tracking additivity along a winding path
-    t1, t2, t3 = BranchTracker(), BranchTracker(), BranchTracker()
-    for k in range(60):
-        w = 1.2 * np.exp(1j * (0.09 * k))
-        lhs = tracked_power(w, 0.6, t1) * tracked_power(w, -0.2, t2)
-        rhs = tracked_power(w, 0.4, t3)
-        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+    # series-power additivity on coefficient tables: A^a A^b = A^(a+b)
+    table = _coefficients(2.0, 3.0, 1e-14)
+    lhs = np.convolve(series_power(table, 0.6, 60), series_power(table, -0.2, 60))[:60]
+    assert np.max(np.abs(lhs - series_power(table, 0.4, 60))) <= 1e-15
 
-    # quadrature polynomial exactness at the rule's algebraic degree
-    coeffs = rng.uniform(-1.0, 1.0, size=32)
-    truth = sum(c / (k + 1) for k, c in enumerate(coeffs))
-
-    def poly(w):
-        acc = 0.0
-        for ck in reversed(coeffs):
-            acc = acc * w + ck
-        return acc
-
-    assert abs(integrate_gl(poly, 1e-13).value - truth) <= 1e-14
+    # oracle agreement: one (1, 1) factor gives F = e^z - 1
+    spec = OperatorSpec((FactorSpec(MLParams(1, 1), 1.0),), 1.0)
+    for z in random_disk_points(rng, 50, r_min=0.1):
+        z = complex(z)
+        assert abs(star_log_deriv(spec, z) - exp_star_quantity(z)) <= 1e-12
 
     _report(8, "property suites", "phi/psi monotone, FD order >= 1.9, "
-                                  "boundary+refinement, additivity, exactness")
+                                  "boundary+refinement, series-power additivity, "
+                                  "oracle agreement")

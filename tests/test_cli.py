@@ -249,6 +249,36 @@ class TestCertify:
         result = runner.invoke(cli, ["certify", write_job(tmp_path, predicted)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["certify", "orders"])
+    @pytest.mark.parametrize("bad", [
+        {"name": "bound-golden", "kind": "log-deriv-bound", "alpha": 1, "beta": 1.5},
+        {"name": "convex-golden", "kind": "convex",
+         "factors": [{"alpha": 2, "beta": 4, "lambda": 5},
+                     {"alpha": 2, "beta": 1.6, "lambda": 5}]},
+    ], ids=["log-deriv-bound", "convex"])
+    def test_beta_at_or_below_golden_ratio_rejected(self, runner, tmp_path, command, bad):
+        # the bound coefficient (2b + 1)/(b^2 - b - 1) needs beta above (1 + sqrt 5)/2
+        job = {"schema": 1, "grid": {"radii": [0.9], "angles": 16},
+               "operators": [CORPUS["operators"][2], bad]}
+        result = runner.invoke(cli, [command, write_job(tmp_path, job)])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert "operators[1]: beta must exceed (1 + sqrt 5)/2" in result.output
+
+    def test_quadrature_tolerance_is_accepted_and_ignored(self, runner, tmp_path):
+        def certificates(tolerance):
+            job = dict(CORPUS, tolerance=tolerance)
+            result = runner.invoke(cli, ["--format", "json", "certify",
+                                         write_job(tmp_path, job)])
+            assert result.exit_code == 0, result.output
+            doc = json.loads(result.output)
+            assert "quadrature" not in doc["job"]["tolerance"]
+            return doc["certificates"]
+
+        assert certificates({"quadrature": 1e-9}) == certificates({})
+        job = dict(CORPUS, tolerance={"quadrature": 0})
+        assert runner.invoke(cli, ["certify", write_job(tmp_path, job)]).exit_code == 2
+
     def test_report_written_to_file(self, runner, tmp_path):
         path = write_job(tmp_path, CORPUS)
         out = tmp_path / "report.json"

@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mlstar import (
-    BranchTracker,
-    DomainError,
-    MLParams,
-    PathResolutionError,
-    QuadratureConvergenceError,
-    integrate_gl,
-    principal_power,
-    tracked_power,
-)
-from mlstar.numerics import gamma_ratio
+from mlstar import DomainError, MLParams, principal_power
+from mlstar.mittag_leffler import _coefficients
+from mlstar.numerics import gamma_ratio, series_power
+from mlstar.operators import _operator_cut
+
+from oracles import fixed_panel_integral
 
 
 class TestGamma:
@@ -104,77 +99,82 @@ class TestPrincipalPower:
 
 
 class TestTrackedPower:
-    def test_seeds_at_principal_phase(self):
-        tracker = BranchTracker()
-        assert tracked_power(1.0 + 0j, 1.0, tracker) == pytest.approx(1.0)
-        assert tracker.initialized
-        assert tracker.previous_log_imag == pytest.approx(0.0)
+    """Powers on the branch continued from the origin.
 
-    def test_smooth_path(self):
-        tracker = BranchTracker()
-        tracked_power(cmath.exp(0.1j), 1.0, tracker)
-        out = tracked_power(cmath.exp(0.2j), 1.0, tracker)
-        assert out == pytest.approx(cmath.exp(0.2j), abs=1e-15)
-        assert tracker.previous_log_imag == pytest.approx(0.2)
+    series_power computes them from Taylor coefficients by Miller's
+    recurrence, which replaced tracking the phase along a path.
+    """
+
+    LENGTH = 60
+
+    def values(self, coeffs, z):
+        return np.polynomial.polynomial.polyval(z, coeffs)
+
+    def test_seeds_at_principal_phase(self):
+        # the branch that is 1 at the origin, whatever the exponent
+        table = _coefficients(2.0, 3.0, 1e-14)
+        for p in (0.37, 1.0, -0.4, 25.0):
+            assert series_power(table, p, self.LENGTH)[0] == 1.0
+        assert np.max(np.abs(series_power(table, 1.0, len(table)) - table)) <= 1e-16
+
+    def test_smooth_path(self, rng):
+        # near the origin the continued branch is the principal one
+        table = [1.0, 0.5, 0.25, -0.1]
+        power = series_power(table, 0.7, self.LENGTH)
+        for r, theta in zip(rng.uniform(0.0, 0.5, 50), rng.uniform(-np.pi, np.pi, 50)):
+            z = r * cmath.exp(1j * theta)
+            expected = principal_power(self.values(table, z), 0.7)
+            assert abs(self.values(power, z) - expected) <= 1e-13 * abs(expected)
 
     def test_winding_leaves_the_principal_sheet(self):
-        # walk 3/4 of a turn past the cut: tracked phase reaches 3*pi/2
-        tracker = BranchTracker()
-        steps = 100
-        for k in range(steps + 1):
-            theta = 1.5 * math.pi * k / steps
-            out = tracked_power(cmath.exp(1j * theta), 0.5, tracker)
-        assert tracker.previous_log_imag == pytest.approx(1.5 * math.pi)
-        assert out == pytest.approx(cmath.exp(0.75j * math.pi), abs=1e-12)
+        # A = e^(4t) winds arg A past pi on |t| = 0.999; A^(1/2) = e^(2t) follows it
+        table = [4.0**n / math.factorial(n) for n in range(self.LENGTH)]
+        power = series_power(table, 0.5, self.LENGTH)
+        z = 0.999j
+        assert abs(self.values(power, z) - cmath.exp(2.0 * z)) <= 1e-13
         # the pointwise principal value lands on the other sheet
-        principal = principal_power(cmath.exp(1.5j * math.pi), 0.5)
-        assert abs(out - principal) > 1.0
+        principal = principal_power(cmath.exp(4.0 * z), 0.5)
+        assert abs(self.values(power, z) - principal) > 1.0
 
     def test_half_turn_step_is_ambiguous(self):
-        tracker = BranchTracker()
-        tracked_power(1.0 + 0j, 1.0, tracker)
-        with pytest.raises(PathResolutionError):
-            tracked_power(-1.0 + 0j, 1.0, tracker)
+        # A = 1 + 2t vanishes at -1/2: past it no branch of A^(1/2) continues
+        # the series, whose terms stop decaying, so it has no cut there
+        power = series_power([1.0, 2.0], 0.5, 200)
+        n, tail = _operator_cut(power, 0.3, 1e-14)
+        assert n is not None and tail <= 1e-14
+        assert _operator_cut(power, 0.9, 1e-14)[0] is None
+        assert abs(self.values(power[:n], 0.3) - math.sqrt(1.6)) <= 1e-14
 
     def test_exponent_additivity_along_path(self, rng):
-        t1, t2, t3 = BranchTracker(), BranchTracker(), BranchTracker()
-        a, b = 0.7, -0.4
-        theta = 0.0
-        for _ in range(50):
-            theta += rng.uniform(0.0, 0.4)
-            w = rng.uniform(0.5, 2.0) * cmath.exp(1j * theta)
-            lhs = tracked_power(w, a, t1) * tracked_power(w, b, t2)
-            rhs = tracked_power(w, a + b, t3)
-            assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
-
-    def test_zero_base_rejected(self):
-        with pytest.raises(DomainError):
-            tracked_power(0j, 0.5, BranchTracker())
+        # A^a * A^b = A^(a+b) on the coefficient tables themselves
+        table = _coefficients(1.5, 2.5, 1e-14)
+        for a, b in rng.uniform(-2.0, 2.0, size=(20, 2)):
+            lhs = np.convolve(series_power(table, a, self.LENGTH),
+                              series_power(table, b, self.LENGTH))[: self.LENGTH]
+            rhs = series_power(table, a + b, self.LENGTH)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
 class TestIntegrateGL:
+    """Composite Gauss-Legendre integration, now only the fixed-panel oracle
+    that the operator series are checked against."""
+
     def test_constant(self):
-        result = integrate_gl(lambda w: 1.0, 1e-3)
-        assert result.value == pytest.approx(1.0, abs=1e-15)
-        assert result.error_estimate == pytest.approx(0.0, abs=1e-15)
-        assert result.panels_used == 2
+        value = fixed_panel_integral(lambda w: 1.0, 0.0, 1.0, panels=1)
+        assert value == pytest.approx(1.0, abs=1e-15)
 
     def test_linear(self):
-        result = integrate_gl(lambda w: w, 1e-10)
-        assert result.value == pytest.approx(0.5, abs=1e-15)
+        value = fixed_panel_integral(lambda w: w, 0.0, 1.0, panels=2)
+        assert value == pytest.approx(0.5, abs=1e-15)
 
     def test_exponential_against_fixed_panel_reference(self):
-        from oracles import fixed_panel_integral
-
-        result = integrate_gl(cmath.exp, 1e-13)
-        reference = fixed_panel_integral(cmath.exp, 0.0, 1.0, panels=10 * result.panels_used)
-        assert abs(result.value - reference) <= 1e-13
-        assert result.value.real == pytest.approx(math.e - 1.0, abs=1e-13)
+        value = fixed_panel_integral(cmath.exp, 0.0, 1.0, panels=4)
+        assert abs(value - (math.e - 1.0)) <= 1e-14
 
     def test_polynomial_exactness(self, rng):
-        # 16-node Gauss-Legendre is exact through degree 31 on a single panel
+        # 24-node Gauss-Legendre is exact through degree 47 on a single panel
         for _ in range(20):
-            coeffs = rng.uniform(-1.0, 1.0, size=32)
+            coeffs = rng.uniform(-1.0, 1.0, size=48)
             truth = sum(c / (k + 1) for k, c in enumerate(coeffs))
 
             def poly(w, c=coeffs):
@@ -183,44 +183,9 @@ class TestIntegrateGL:
                     acc = acc * w + ck
                 return acc
 
-            result = integrate_gl(poly, 1e-13)
-            assert abs(result.value - truth) <= 1e-14
+            assert abs(fixed_panel_integral(poly, 0.0, 1.0, panels=1) - truth) <= 1e-14
 
     def test_complex_values(self):
-        result = integrate_gl(lambda w: cmath.exp(1j * w), 1e-12)
+        value = fixed_panel_integral(lambda w: cmath.exp(1j * w), 0.0, 1.0, panels=2)
         truth = (cmath.exp(1j) - 1.0) / 1j
-        assert abs(result.value - truth) <= 1e-12
-
-    def test_cap_failure_carries_best_estimate(self):
-        # kink at an irrational point defeats panel alignment
-        kink = 1.0 / math.pi
-
-        def rough(w):
-            return math.sqrt(abs(w - kink))
-
-        with pytest.raises(QuadratureConvergenceError) as err:
-            integrate_gl(rough, 1e-30, panel_cap=64)
-        best = err.value.best
-        assert best is not None
-        assert best.panels_used == 64
-        truth = (2.0 / 3.0) * (kink**1.5 + (1.0 - kink) ** 1.5)
-        assert abs(best.value - truth) <= 1e-3
-
-    def test_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            integrate_gl(lambda w: 1.0, 0.0)
-
-    def test_nodes_visited_ascending(self):
-        seen = []
-
-        def probe(w):
-            seen.append(w)
-            return w * w
-
-        integrate_gl(probe, 1e-12)
-        # ascending within each refinement pass (passes restart at the origin)
-        restarts = [i for i in range(1, len(seen)) if seen[i] < seen[i - 1]]
-        assert len(restarts) <= math.ceil(math.log2(len(seen) / 16))
-        for i in range(1, len(seen)):
-            if i not in restarts:
-                assert seen[i] > seen[i - 1]
+        assert abs(value - truth) <= 1e-14

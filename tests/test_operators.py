@@ -1,27 +1,35 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from mlstar import (
-    BranchTracker,
     DomainError,
     EvalPoint,
     FactorSpec,
     MLParams,
-    NearZeroDenominatorError,
     OperatorSpec,
+    SeriesTruncationError,
+    certify_starlike,
     convex_log_deriv,
     f_conv_value,
     f_value,
     f_zeta_power,
-    product_term,
     star_log_deriv,
 )
+from mlstar.certify import GridSpec, VERDICT_FAIL
+from mlstar.operators import _log_derivative_coefficients
 
 from conftest import random_disk_points
-from oracles import e24, exp_star_quantity, fixed_panel_integral, integrated_series
+from oracles import (
+    direct_series_raw,
+    e24,
+    exp_star_quantity,
+    fixed_panel_integral,
+    integrated_series,
+)
 
 # frozen from oracles: z e^z / (e^z - 1) at z = 0.5
 EXP_STAR_AT_05 = 1.270747041268399
@@ -67,34 +75,41 @@ class TestSpecs:
 
 
 class TestProductTerm:
-    def test_exponential_factor(self):
-        spec = single(1, 1)
-        trackers = [BranchTracker()]
-        value = product_term(spec, 0.5, trackers)
-        assert value == pytest.approx(math.exp(0.5), rel=1e-13)
+    """P(t) = Prod_j (E_j(t)/t)^(1/lambda_j) through the coefficients of t P'/P."""
+
+    def test_exponential_factor(self, rng):
+        # (E_{1,1}(t)/t)^(1/lambda) = e^(t/lambda): t P'/P = t/lambda
+        for lam in (1.0, 0.4, 3.0):
+            q = _log_derivative_coefficients((FactorSpec(MLParams(1, 1), lam),), 1e-14)
+            assert q[1] == pytest.approx(1.0 / lam, rel=1e-15)
+            assert np.max(np.abs(q[2:])) <= 1e-15
+            # and Integral_0^z e^(t/lambda) dt = lambda (e^(z/lambda) - 1)
+            factors = (FactorSpec(MLParams(1, 1), lam),)
+            for z in random_disk_points(rng, 10, r_min=0.1):
+                z = complex(z)
+                expected = lam * (cmath.exp(z / lam) - 1.0)
+                assert abs(f_conv_value(factors, z) - expected) <= 1e-14 * abs(expected)
 
     def test_limit_toward_origin(self):
         spec = single(2, 4)
-        value = product_term(spec, 1e-7, [BranchTracker()])
-        assert value == pytest.approx(1.0, abs=1e-6)
-        # the ratio stays exact even where the normalized value underflows
-        value = product_term(spec, 1e-12, [BranchTracker()])
-        assert value == pytest.approx(1.0, abs=1e-11)
+        assert _log_derivative_coefficients(spec.factors, 1e-14)[0] == 0.0  # P(0) = 1
+        assert star_log_deriv(spec, 1e-7) == pytest.approx(1.0, abs=1e-6)
+        # F(z)/z stays exact where F itself underflows
+        assert f_value(spec, 1e-300) / 1e-300 == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            product_term(single(1, 1), 0.0, [BranchTracker()])
+        for fn in (star_log_deriv, f_value, f_zeta_power):
+            with pytest.raises(DomainError):
+                fn(single(1, 1), 0.0)
 
-    def test_exponent_additivity(self, rng):
+    def test_exponent_additivity(self):
         # two identical factors at doubled lambda act like one factor
         params = MLParams(2, 3)
-        one = OperatorSpec((FactorSpec(params, 1.0),), 1.0)
-        two = OperatorSpec((FactorSpec(params, 2.0), FactorSpec(params, 2.0)), 1.0)
-        for z in random_disk_points(rng, 20, r_min=1e-3):
-            z = complex(z)
-            lhs = product_term(one, z, [BranchTracker()])
-            rhs = product_term(two, z, [BranchTracker(), BranchTracker()])
-            assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+        one = _log_derivative_coefficients((FactorSpec(params, 1.0),), 1e-14)
+        two = _log_derivative_coefficients(
+            (FactorSpec(params, 2.0), FactorSpec(params, 2.0)), 1e-14
+        )
+        assert np.max(np.abs(one - two)) <= 1e-16
 
 
 class TestZetaPower:
@@ -137,20 +152,6 @@ class TestZetaPower:
             )
             assert abs(mine - oracle) <= 1e-11
 
-    def test_graded_substitution_converges_quickly(self):
-        # the endpoint exponent must never degrade the panel ladder, and the
-        # near-origin nodes it creates must not trip the zero guard
-        from mlstar.operators import _ray_sweep
-
-        factors = (FactorSpec(MLParams(2, 4), 1.0),)
-        for zeta in (0.37, 0.5, 1.0, 1.5, 1.7, 2.0, 3.0, math.pi):
-            _, _, err, panels, denom_bad, phase_bad = _ray_sweep(
-                factors, [0.9 + 0.3j], zeta, 1e-11
-            )
-            assert panels <= 8
-            assert float(err[0]) <= 1e-11
-            assert not denom_bad[0] and not phase_bad[0]
-
 
 class TestFValue:
     def test_identity_product_is_identity(self, identity_product, rng):
@@ -187,6 +188,18 @@ class TestFValue:
                 assert abs(coarse - fine) <= 1e-9 + 1e-10
 
 
+    def test_small_zeta_against_mpmath(self):
+        # at zeta = 0.001, F = z G^1000 is moderate while P^(1/zeta) and
+        # (G/P)^(1/zeta) reach e^(+-900); G = Integral_0^1 e^(z w^1000) dw
+        mpmath.mp.dps = 30
+        spec = single(1, 1, zeta=0.001)
+        for z in (0.9, -0.9, 0.5 + 0.7j):
+            g = mpmath.quad(lambda w: mpmath.exp(mpmath.mpc(z) * w**1000),
+                            [0, 0.99, 0.995, 0.999, 1])
+            expected = complex(z * g**1000)
+            assert abs(f_value(spec, z) - expected) <= 1e-13 * abs(expected)
+
+
 class TestStarLogDeriv:
     def test_identity_product_gives_one(self, identity_product):
         spec = single(1, 1, zeta=2.0)
@@ -219,9 +232,9 @@ class TestStarLogDeriv:
         assert worst <= 50.0  # |error| = O(h^2) with a modest constant
 
     def test_overflowing_weight_reported(self):
-        # 1/lambda = 1e7 overflows the product along the ray
+        # 1/lambda = 1e7 overflows the coefficients of the product
         spec = single(1, 1, lam=1e-7)
-        with pytest.raises(NearZeroDenominatorError):
+        with pytest.raises(SeriesTruncationError):
             star_log_deriv(spec, 0.9)
 
 
@@ -260,3 +273,102 @@ class TestConvexSide:
             convex_log_deriv((), 0.5)
         with pytest.raises(DomainError):
             f_conv_value((), 0.5)
+
+
+def _oracle_product(factors, t):
+    """P(t) from plain series sums and principal powers."""
+    out = 1.0 + 0j
+    for f in factors:
+        beta = f.params.beta
+        ratio = math.gamma(beta) * direct_series_raw(f.params.alpha, beta, t, terms=60)
+        out *= cmath.exp(cmath.log(ratio) / f.lam)
+    return out
+
+
+class TestCoefficientEngine:
+    """The operator series against independent evaluations."""
+
+    def test_three_factors_against_fixed_panel_quadrature(self):
+        # every E_j(t)/t stays near 1 on the disk, so principal powers are
+        # the branch continued from the origin
+        factors = (
+            FactorSpec(MLParams(1.5, 5.0), 2.0),
+            FactorSpec(MLParams(2.0, 6.5), 3.0),
+            FactorSpec(MLParams(2.5, 4.0), 1.5),
+        )
+        zeta = 0.37
+        spec = OperatorSpec(factors, zeta)
+        # s = w^(1/zeta) turns G = zeta Integral_0^1 s^(zeta-1) P(z s) ds into
+        # Integral_0^1 P(z w^(1/zeta)) dw; panels grade toward the w^2.7 endpoint
+        edges = [0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]
+        for theta in (0.3, 2.0, math.pi, -1.1):
+            z = 0.999 * cmath.exp(1j * theta)
+            g = sum(
+                fixed_panel_integral(lambda w: _oracle_product(factors, z * w ** (1 / zeta)),
+                                     a, b, panels=4)
+                for a, b in zip(edges, edges[1:])
+            )
+            conv = z * fixed_panel_integral(lambda s: _oracle_product(factors, z * s),
+                                            0.0, 1.0, panels=4)
+            assert abs(star_log_deriv(spec, z) - _oracle_product(factors, z) / g) <= 1e-12
+            assert abs(f_zeta_power(spec, z) - cmath.exp(zeta * cmath.log(z)) * g) <= 1e-12
+            assert abs(f_value(spec, z) - z * cmath.exp(cmath.log(g) / zeta)) <= 1e-12
+            assert abs(f_conv_value(factors, z) - conv) <= 1e-12
+
+    def test_large_zeta_against_mpmath(self):
+        # zeta = 40 with integer powers 25 and 15: P's coefficients are exact
+        # Cauchy powers of the factor tables at 40 digits
+        mpmath.mp.dps = 40
+        terms = 120
+
+        def table(alpha, beta):
+            return [mpmath.gamma(beta) / mpmath.gamma(alpha * k + beta) for k in range(terms)]
+
+        def times(x, y):
+            return [mpmath.fsum(x[i] * y[k - i] for i in range(k + 1)) for k in range(terms)]
+
+        def power(x, e):
+            out = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (terms - 1)
+            while e:
+                if e & 1:
+                    out = times(out, x)
+                x, e = times(x, x), e >> 1
+            return out
+
+        p = times(power(table(1, mpmath.mpf("3.6")), 25), power(table(2, 5), 15))
+        z, zeta = mpmath.mpf("-0.999"), 40
+        expected = mpmath.fsum(c * z**n for n, c in enumerate(p)) / mpmath.fsum(
+            c * zeta / (n + zeta) * z**n for n, c in enumerate(p)
+        )
+        spec = OperatorSpec(
+            (FactorSpec(MLParams(1, 3.6), 1 / 25), FactorSpec(MLParams(2, 5), 1 / 15)), 40.0
+        )
+        assert abs(star_log_deriv(spec, -0.999) - float(expected)) <= 1e-9
+
+    def test_growing_product_without_cancellation(self):
+        # P = e^(25 t): summed as a series, P(-0.999) = e^-25 would cancel
+        # terms near e^25; G = 25 Integral_0^1 s^24 e^(25 z s) ds
+        mpmath.mp.dps = 30
+        spec = single(1, 1, lam=1 / 25, zeta=25.0)
+        z = mpmath.mpf("-0.999")
+        g = 25 * mpmath.quad(lambda s: s**24 * mpmath.exp(25 * z * s), [0, 1])
+        assert abs(star_log_deriv(spec, -0.999) - float(mpmath.exp(25 * z) / g)) <= 1e-12
+        assert abs(f_zeta_power(spec, -0.999) / complex(z ** mpmath.mpf(25) * g) - 1) <= 1e-12
+
+    def test_zero_in_disk_fails_past_it(self):
+        # E_{1,0.2} vanishes at -0.2448; (E/t)^(1/2) branches there, so its
+        # series converges on the circles inside and on none outside
+        spec = single(1, 0.2, lam=2.0)
+        grid = GridSpec(radii=(0.1, 0.15, 0.25, 0.5, 0.999), angles=32)
+        cert = certify_starlike(spec, grid)
+        assert cert.failed_count == 3 * 32
+        assert cert.verdict == VERDICT_FAIL
+        assert cert.argmin.radius < 0.2448
+        for failed in cert.failed_sample:
+            assert failed.point.radius > 0.2448
+            assert "tail" in failed.reason
+        for z in (0.25, -0.3, 0.9j):
+            for fn in (star_log_deriv, f_value, f_zeta_power):
+                with pytest.raises(SeriesTruncationError):
+                    fn(spec, z)
+        assert math.isfinite(star_log_deriv(spec, -0.15).real)
