@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,11 +171,6 @@ class Certificate:
 # CLI's dump prints 1 + deviation.
 
 
-def _order_value(deviation: np.ndarray) -> np.ndarray:
-    """Re Q, the quantity of the order certificates."""
-    return 1.0 + deviation.real
-
-
 def sample_grid(grid: GridSpec, circle_fn) -> list:
     """Evaluate circle_fn on each circle of the grid, radius-major.
 
@@ -194,8 +190,8 @@ def sample_grid(grid: GridSpec, circle_fn) -> list:
     return circles
 
 
-def _scan(grid: GridSpec, circle_fn, project, largest: bool = False):
-    """Extremize project(deviation) over the grid in deterministic order.
+def _scan(grid: GridSpec, circle_fn, largest: bool):
+    """Minimize Re Q, or maximize |Q - 1| if largest, over the grid in deterministic order.
 
     Ties break toward the smallest radius, then the smallest angle index.
     Returns (extremum, argmin EvalPoint, failures, total_points).
@@ -205,7 +201,7 @@ def _scan(grid: GridSpec, circle_fn, project, largest: bool = False):
     best_point = None
     failures = []
     for r, angles, deviation, fails in sample_grid(grid, circle_fn):
-        masked = sign * project(deviation)
+        masked = -np.abs(deviation) if largest else 1.0 + deviation.real
         for idx, reason in fails.items():
             masked[idx] = math.inf
             failures.append(
@@ -230,18 +226,65 @@ def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool,
     return VERDICT_PASS if margin >= -eval_tolerance else VERDICT_FAIL
 
 
-def _operator_circle(spec, series_tol):
-    h = _star_coefficients(spec, series_tol)  # built once for every circle
+def _circle(evaluate, subject, series_tol: float, reason: str):
+    """The circle evaluator over evaluate(subject, z, tol) -> (deviation, bad).
 
+    Points flagged bad fail with ``reason``. A SeriesTruncationError, which
+    means the series has no cut on that circle, fails all of its points
+    with the error's message, so one bad circle never aborts a certificate.
+    """
     def circle(r, z):
         try:
-            deviation, bad = _star_deviation(h, z, series_tol)
+            deviation, bad = evaluate(subject, z, series_tol)
         except SeriesTruncationError as exc:
             failed = np.full(z.shape, np.nan, dtype=complex)
             return failed, [(idx, str(exc)) for idx in range(z.size)]
-        return deviation, [(idx, "operator integral vanished") for idx in np.flatnonzero(bad)]
+        return deviation, [(idx, reason) for idx in np.flatnonzero(bad)]
 
     return circle
+
+
+class _Claim(NamedTuple):
+    """One certificate's prediction and sampled quantity, named ``sampled`` in dumps.
+
+    ``circle(series_tol)`` builds the circle evaluator, so predicting evaluates
+    no series. ``largest`` marks the bound, which certifies a maximum.
+    """
+
+    quantity: str
+    predicted: float
+    hypothesis_ok: bool
+    sampled: str
+    circle: object
+    largest: bool = False
+
+
+def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: float,
+             predicted: float) -> Certificate:
+    """Scan the claim's quantity over the grid and judge it against the prediction.
+
+    The margin is the distance into the safe side: observed - target for an
+    order, target - observed for the bound.
+    """
+    grid = grid or GridSpec()
+    target = claim.predicted if predicted is None else float(predicted)
+    observed, point, failures, total = _scan(grid, claim.circle(series_tol), claim.largest)
+    margin = target - observed if claim.largest else observed - target
+    verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, len(failures), total)
+    return Certificate(
+        claim.quantity, target, observed, point, margin, grid,
+        eval_tolerance, verdict, claim.hypothesis_ok,
+        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), series_tol,
+    )
+
+
+def _starlike_claim(spec: OperatorSpec) -> _Claim:
+    report = starlike_delta(spec)
+    return _Claim(
+        QUANTITY_STARLIKE_OPERATOR, report.delta, report.hypothesis_ok, "star-log-deriv",
+        lambda tol: _circle(_star_deviation, _star_coefficients(spec, tol), tol,
+                            "operator integral vanished"),  # H built once for every circle
+    )
 
 
 def certify_starlike(
@@ -257,27 +300,16 @@ def certify_starlike(
     ``predicted`` overrides the closed-form order; negative-control jobs
     use that to verify the certifier can fail.
     """
-    grid = grid or GridSpec()
-    report = starlike_delta(spec)
-    target = report.delta if predicted is None else float(predicted)
-    observed, point, failures, total = _scan(
-        grid, _operator_circle(spec, series_tol), _order_value
+    return _certify(_starlike_claim(spec), grid, eval_tolerance, series_tol, predicted)
+
+
+def _convex_claim(factors) -> _Claim:
+    factors = tuple(factors)
+    report = convex_delta(factors)
+    return _Claim(
+        QUANTITY_CONVEX_OPERATOR, report.delta, report.hypothesis_ok, "convex-log-deriv",
+        lambda tol: _circle(_convex_deviation, factors, tol, "factor vanished"),
     )
-    margin = observed - target
-    verdict = _verdict(margin, eval_tolerance, report.hypothesis_ok, len(failures), total)
-    return Certificate(
-        QUANTITY_STARLIKE_OPERATOR, target, observed, point, margin, grid,
-        eval_tolerance, verdict, report.hypothesis_ok,
-        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), series_tol,
-    )
-
-
-def _convex_circle(factors, series_tol):
-    def circle(r, z):
-        deviation, bad = _convex_deviation(factors, z, series_tol)
-        return deviation, [(idx, "factor vanished") for idx in np.flatnonzero(bad)]
-
-    return circle
 
 
 def certify_convex(
@@ -289,28 +321,16 @@ def certify_convex(
     predicted: float = None,
 ) -> Certificate:
     """Certify Re(1 + z F''/F') > delta for the zeta-free operator."""
-    factors = tuple(factors)
-    grid = grid or GridSpec()
-    report = convex_delta(factors)
-    target = report.delta if predicted is None else float(predicted)
-    observed, point, failures, total = _scan(
-        grid, _convex_circle(factors, series_tol), _order_value
+    return _certify(_convex_claim(factors), grid, eval_tolerance, series_tol, predicted)
+
+
+def _ml_starlike_claim(params: MLParams, eta: float) -> _Claim:
+    if not 0.0 <= eta < 1.0:
+        raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
+    return _Claim(
+        QUANTITY_STARLIKE_ML, eta, ml_starlike_hypothesis(params, eta), "ml-log-deriv",
+        lambda tol: _circle(_log_deriv_deviation, params, tol, "normalized value vanished"),
     )
-    margin = observed - target
-    verdict = _verdict(margin, eval_tolerance, report.hypothesis_ok, len(failures), total)
-    return Certificate(
-        QUANTITY_CONVEX_OPERATOR, target, observed, point, margin, grid,
-        eval_tolerance, verdict, report.hypothesis_ok,
-        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), series_tol,
-    )
-
-
-def _ml_circle(params, series_tol):
-    def circle(r, z):
-        deviation, bad = _log_deriv_deviation(params, z, series_tol)
-        return deviation, [(idx, "normalized value vanished") for idx in np.flatnonzero(bad)]
-
-    return circle
 
 
 def certify_ml_starlike(
@@ -323,20 +343,15 @@ def certify_ml_starlike(
     predicted: float = None,
 ) -> Certificate:
     """Certify Re(z E'/E) > eta for one normalized function."""
-    if not 0.0 <= eta < 1.0:
-        raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
-    grid = grid or GridSpec()
-    hypothesis_ok = ml_starlike_hypothesis(params, eta)
-    target = eta if predicted is None else float(predicted)
-    observed, point, failures, total = _scan(
-        grid, _ml_circle(params, series_tol), _order_value
-    )
-    margin = observed - target
-    verdict = _verdict(margin, eval_tolerance, hypothesis_ok, len(failures), total)
-    return Certificate(
-        QUANTITY_STARLIKE_ML, target, observed, point, margin, grid,
-        eval_tolerance, verdict, hypothesis_ok,
-        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), series_tol,
+    return _certify(_ml_starlike_claim(params, eta), grid, eval_tolerance, series_tol, predicted)
+
+
+def _log_deriv_bound_claim(params: MLParams) -> _Claim:
+    bound = log_deriv_bound(params)  # raises DomainError for beta at/below golden
+    return _Claim(
+        QUANTITY_LOG_DERIV_BOUND, bound, True, "ml-log-deriv",
+        lambda tol: _circle(_log_deriv_deviation, params, tol, "normalized value vanished"),
+        largest=True,
     )
 
 
@@ -354,16 +369,4 @@ def check_log_deriv_bound(
     bound; the margin is bound - max so the sign convention matches the
     other certificates.
     """
-    grid = grid or GridSpec()
-    bound = log_deriv_bound(params)  # raises DomainError for beta at/below golden
-    target = bound if predicted is None else float(predicted)
-    observed, point, failures, total = _scan(
-        grid, _ml_circle(params, series_tol), np.abs, largest=True
-    )
-    margin = target - observed
-    verdict = _verdict(margin, eval_tolerance, True, len(failures), total)
-    return Certificate(
-        QUANTITY_LOG_DERIV_BOUND, target, observed, point, margin, grid,
-        eval_tolerance, verdict, True,
-        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), series_tol,
-    )
+    return _certify(_log_deriv_bound_claim(params), grid, eval_tolerance, series_tol, predicted)

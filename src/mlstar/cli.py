@@ -28,14 +28,11 @@ from .errors import DomainError, JobFileError, MLStarError
 from .jobs import (
     Job,
     KIND_CONVEX,
-    KIND_LOG_DERIV_BOUND,
-    KIND_ML_STARLIKE,
     KIND_STARLIKE,
+    _claim,
     job_digest,
     load_job,
     operator_to_dict,
-    predicted_orders,
-    quantity_circle,
     run_job,
 )
 from .mittag_leffler import MLParams, log_deriv, ml_norm, ml_raw
@@ -80,6 +77,13 @@ def _load(path) -> Job:
         return load_job(path)
     except JobFileError as exc:
         raise click.UsageError(str(exc))
+
+
+def _operator(job: Job, name: str):
+    for op in job.operators:
+        if op.name == name:
+            return op
+    raise click.UsageError(f"job has no operator named {name!r}")
 
 
 def _apply_overrides(job: Job, options) -> Job:
@@ -151,12 +155,7 @@ def cmd_eval(ctx, alpha, beta, raw, quantity, job_path, op_name, z_values):
     if op_name is not None or job_path is not None:
         if job_path is None or op_name is None:
             raise click.UsageError("operator evaluation needs both --job and --operator")
-        job = _load(job_path)
-        matches = [op for op in job.operators if op.name == op_name]
-        if not matches:
-            raise click.UsageError(f"job has no operator named {op_name!r}")
-        op = matches[0]
-        rows, failed = _eval_operator_rows(op, points, tol)
+        rows, failed = _eval_operator_rows(_operator(_load(job_path), op_name), points, tol)
     else:
         if alpha is None or beta is None:
             raise click.UsageError("function evaluation needs --alpha and --beta")
@@ -229,7 +228,10 @@ def cmd_orders(ctx, job_path):
     remain useful as diagnostics.
     """
     job = _load(job_path)
-    rows = predicted_orders(job)
+    rows = []
+    for op in job.operators:
+        claim = _claim(op)
+        rows.append((op.name, op.kind, claim.predicted, claim.hypothesis_ok))
     if not rows:
         raise click.UsageError("job lists no operators")
     fmt = ctx.obj.get("format") or "text"
@@ -313,17 +315,13 @@ def cmd_dump(ctx, job_path, op_name, output):
     header carries a digest of the sampled spec so dumps are traceable.
     """
     job = _apply_overrides(_load(job_path), ctx.obj)
-    matches = [op for op in job.operators if op.name == op_name]
-    if not matches:
-        raise click.UsageError(f"job has no operator named {op_name!r}")
-    op = matches[0]
-
-    circle = quantity_circle(op, job.series_tol)
+    op = _operator(job, op_name)
+    claim = _claim(op)
     digest_doc = {"operator": operator_to_dict(op), "grid": job.grid.to_dict()}
-    lines = [f"# spec={op.name} quantity={_quantity_name(op)} digest={job_digest(digest_doc)}",
+    lines = [f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}",
              "radius,angle,re,im"]
     failed = False
-    for r, angles, deviation, failures in sample_grid(job.grid, circle):
+    for r, angles, deviation, failures in sample_grid(job.grid, claim.circle(job.series_tol)):
         values = (1.0 + deviation).tolist()
         for k, theta in enumerate(angles.tolist()):
             if k in failures:
@@ -339,15 +337,6 @@ def cmd_dump(ctx, job_path, op_name, output):
         click.echo(text, nl=False)
     if failed:
         sys.exit(_EXIT_EVAL)
-
-
-def _quantity_name(op):
-    return {
-        KIND_STARLIKE: "star-log-deriv",
-        KIND_CONVEX: "convex-log-deriv",
-        KIND_ML_STARLIKE: "ml-log-deriv",
-        KIND_LOG_DERIV_BOUND: "ml-log-deriv",
-    }[op.kind]
 
 
 def main():

@@ -8,7 +8,6 @@ SERIES_TOL = 1e-14        # truncation tolerance for Mittag-Leffler series
 SERIES_TERM_CAP = 200     # maximum series terms before giving up
 
 EVAL_TOLERANCE = 1e-6     # certificate margin tolerance
-GRID_RADII = (0.25, 0.5, 0.75, 0.9, 0.99, 0.999)
 GRID_ANGLES = 720
 R_MAX = 0.999
 

@@ -15,24 +15,20 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .certify import (
-    Certificate,
     GridSpec,
     VERDICT_FAIL,
     VERDICT_HYPOTHESIS,
     VERDICT_PASS,
-    certify_convex,
-    certify_ml_starlike,
-    certify_starlike,
-    check_log_deriv_bound,
-    _convex_circle,
-    _ml_circle,
-    _operator_circle,
+    _certify,
+    _convex_claim,
+    _log_deriv_bound_claim,
+    _ml_starlike_claim,
+    _starlike_claim,
 )
 from .defaults import EVAL_TOLERANCE, SERIES_TOL
 from .errors import DomainError, JobFileError
 from .mittag_leffler import MLParams
 from .operators import FactorSpec, OperatorSpec
-from .orders import convex_delta, log_deriv_bound, ml_starlike_hypothesis, starlike_delta
 
 __all__ = ["Job", "JobOperator", "ReportDocument", "load_job", "job_to_dict", "run_job"]
 
@@ -141,33 +137,24 @@ def _parse_operator(raw, index):
         if kind == KIND_STARLIKE:
             _require("zeta" in raw, f"{context}: starlike operators need 'zeta'")
             zeta = _number(raw["zeta"], "zeta", context)
-        try:
-            if kind == KIND_STARLIKE:
-                OperatorSpec(factors, zeta)
-            else:
-                convex_delta(factors)  # needs every beta above the golden ratio
-        except DomainError as exc:
-            raise JobFileError(f"{context}: {exc}") from exc
-        return JobOperator(name, kind, factors=factors, zeta=zeta, predicted=predicted)
-
-    _check_keys(raw, _OP_KEYS_COMMON | {"alpha", "beta", "eta"}, context)
-    _require("alpha" in raw and "beta" in raw, f"{context}: needs 'alpha' and 'beta'")
-    alpha = _number(raw["alpha"], "alpha", context)
-    beta = _number(raw["beta"], "beta", context)
+        op = JobOperator(name, kind, factors=factors, zeta=zeta, predicted=predicted)
+    else:
+        _check_keys(raw, _OP_KEYS_COMMON | {"alpha", "beta", "eta"}, context)
+        _require("alpha" in raw and "beta" in raw, f"{context}: needs 'alpha' and 'beta'")
+        alpha = _number(raw["alpha"], "alpha", context)
+        beta = _number(raw["beta"], "beta", context)
+        eta = None
+        if kind == KIND_ML_STARLIKE:
+            _require("eta" in raw, f"{context}: ml-starlike needs 'eta'")
+            eta = _number(raw["eta"], "eta", context)
+        else:
+            _require("eta" not in raw, f"{context}: log-deriv-bound entries take no 'eta'")
+        op = JobOperator(name, kind, alpha=alpha, beta=beta, eta=eta, predicted=predicted)
     try:
-        params = MLParams(alpha, beta)
-        if kind == KIND_LOG_DERIV_BOUND:
-            log_deriv_bound(params)  # needs beta above the golden ratio
+        _claim(op)  # checks the prediction's domain, e.g. beta above golden for convex and bound
     except DomainError as exc:
         raise JobFileError(f"{context}: {exc}") from exc
-    eta = None
-    if kind == KIND_ML_STARLIKE:
-        _require("eta" in raw, f"{context}: ml-starlike needs 'eta'")
-        eta = _number(raw["eta"], "eta", context)
-        _require(0.0 <= eta < 1.0, f"{context}: eta must lie in [0, 1)")
-    else:
-        _require("eta" not in raw, f"{context}: log-deriv-bound entries take no 'eta'")
-    return JobOperator(name, kind, alpha=alpha, beta=beta, eta=eta, predicted=predicted)
+    return op
 
 
 def parse_job(document: dict) -> Job:
@@ -284,25 +271,15 @@ def job_digest(document: dict) -> str:
     return hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()[:12]
 
 
-def run_certificate(op: JobOperator, job: Job) -> Certificate:
-    common = dict(grid=job.grid, eval_tolerance=job.margin_tol,
-                  series_tol=job.series_tol, predicted=op.predicted)
+def _claim(op: JobOperator):
+    """What op certifies: the one map from a job kind to a certificate kind."""
     if op.kind == KIND_STARLIKE:
-        return certify_starlike(op.operator_spec(), **common)
+        return _starlike_claim(op.operator_spec())
     if op.kind == KIND_CONVEX:
-        return certify_convex(op.factors, **common)
+        return _convex_claim(op.factors)
     if op.kind == KIND_ML_STARLIKE:
-        return certify_ml_starlike(op.ml_params(), op.eta, **common)
-    return check_log_deriv_bound(op.ml_params(), **common)
-
-
-def quantity_circle(op: JobOperator, series_tol: float):
-    """The circle evaluator of the quantity op's certificate samples."""
-    if op.kind == KIND_STARLIKE:
-        return _operator_circle(op.operator_spec(), series_tol)
-    if op.kind == KIND_CONVEX:
-        return _convex_circle(op.factors, series_tol)
-    return _ml_circle(op.ml_params(), series_tol)
+        return _ml_starlike_claim(op.ml_params(), op.eta)
+    return _log_deriv_bound_claim(op.ml_params())
 
 
 @dataclass
@@ -347,26 +324,10 @@ def run_job(job: Job) -> ReportDocument:
     report = ReportDocument(job)
     for op in job.operators:
         start = time.perf_counter()
-        certificate = run_certificate(op, job)
+        certificate = _certify(_claim(op), job.grid, job.margin_tol, job.series_tol,
+                               op.predicted)
         report.names.append(op.name)
         report.certificates.append(certificate)
         report.timings.append(time.perf_counter() - start)
     return report
 
-
-def predicted_orders(job: Job):
-    """(name, kind, delta, hypothesis_ok) rows for the orders command."""
-    rows = []
-    for op in job.operators:
-        if op.kind == KIND_STARLIKE:
-            rep = starlike_delta(op.operator_spec())
-            rows.append((op.name, op.kind, rep.delta, rep.hypothesis_ok))
-        elif op.kind == KIND_CONVEX:
-            rep = convex_delta(op.factors)
-            rows.append((op.name, op.kind, rep.delta, rep.hypothesis_ok))
-        elif op.kind == KIND_ML_STARLIKE:
-            ok = ml_starlike_hypothesis(op.ml_params(), op.eta)
-            rows.append((op.name, op.kind, op.eta, ok))
-        else:
-            rows.append((op.name, op.kind, log_deriv_bound(op.ml_params()), True))
-    return rows

@@ -38,7 +38,9 @@ class MLParams:
 
     alpha >= 1 and beta > 0, both finite; these are the hypotheses under
     which every order result in this package applies, and they also make
-    all series coefficients positive.
+    all series coefficients positive. Below about 5.6e-309, Gamma(beta),
+    which is about 1/beta there, overflows, and so does the coefficient
+    c_2 ~ 1/(beta Gamma(alpha)); such beta are refused too.
     """
 
     alpha: float
@@ -47,8 +49,8 @@ class MLParams:
     def __post_init__(self):
         if not 1.0 <= self.alpha < math.inf:
             raise DomainError(f"alpha must be finite and >= 1, got {self.alpha!r}")
-        if not 0.0 < self.beta < math.inf:
-            raise DomainError(f"beta must be finite and > 0, got {self.beta!r}")
+        if not (0.0 < self.beta < math.inf and math.isfinite(1.0 / self.beta)):
+            raise DomainError(f"beta must be finite and > 0 with 1/beta finite, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -110,21 +112,21 @@ def _tail(coeffs, n: int, radius: float) -> float:
     return n * c_n * radius ** (n - 1) * ratio / (1.0 - ratio)
 
 
-def _cut(params: MLParams, z: np.ndarray, tol: float, term_cap: int = SERIES_TERM_CAP):
+def _cut(params: MLParams, z: np.ndarray, tol: float):
     """(c_1, ..., c_N) for the points z and the tail bound of that cut.
 
     N is the first count whose tail bound at max|z| is below tol; the tail
-    is inf when no count up to term_cap gets there.
+    is inf when no count up to SERIES_TERM_CAP gets there.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
     radius = min(float(np.max(np.abs(z))), 1.0) if z.size else 0.0
     coeffs = _coefficients(params.alpha, params.beta, tol)
-    for n in range(1, min(term_cap, len(coeffs) - 1) + 1):
+    for n in range(1, min(SERIES_TERM_CAP, len(coeffs) - 1) + 1):
         tail = _tail(coeffs, n, radius)
         if tail <= tol:
             return coeffs[:n], tail
-    return coeffs[:term_cap], math.inf
+    return coeffs[:SERIES_TERM_CAP], math.inf
 
 
 def _checked_cut(params: MLParams, z: np.ndarray, tol: float) -> tuple:
@@ -168,11 +170,11 @@ def _log_deriv_deviation(params: MLParams, z, tol: float = SERIES_TOL):
     return w / np.where(bad, 1.0, u), bad
 
 
-def _point_result(value, coeffs, tail: float, tol: float, term_cap: int) -> SeriesResult:
+def _point_result(value, coeffs, tail: float, tol: float) -> SeriesResult:
     result = SeriesResult(complex(value), len(coeffs), float(tail))
     if tail == math.inf:
         raise SeriesTruncationError(
-            f"series tolerance {tol:g} unreachable within {term_cap} terms",
+            f"series tolerance {tol:g} unreachable within {SERIES_TERM_CAP} terms",
             partial=result,
         )
     return result
@@ -182,7 +184,6 @@ def ml_raw(
     params: MLParams,
     z: complex,
     tol: float = SERIES_TOL,
-    term_cap: int = SERIES_TERM_CAP,
 ) -> SeriesResult:
     """Sum the series z^n / Gamma(alpha*n + beta) for |z| <= 1.
 
@@ -194,17 +195,14 @@ def ml_raw(
         gamma_beta = math.gamma(params.beta)
     except OverflowError:
         gamma_beta = math.inf
-    coeffs, tail = _cut(params, z, tol * gamma_beta, term_cap)
-    return _point_result(
-        _horner(coeffs, z)[0] / gamma_beta, coeffs, tail / gamma_beta, tol, term_cap
-    )
+    coeffs, tail = _cut(params, z, tol * gamma_beta)
+    return _point_result(_horner(coeffs, z)[0] / gamma_beta, coeffs, tail / gamma_beta, tol)
 
 
 def ml_norm(
     params: MLParams,
     z: complex,
     tol: float = SERIES_TOL,
-    term_cap: int = SERIES_TERM_CAP,
 ) -> SeriesResult:
     """Gamma(beta) * z * E(z): the member of the normalized class.
 
@@ -212,21 +210,20 @@ def ml_norm(
     value at 0 is 0 and the derivative there is 1.
     """
     z = np.array([_check_disk(z)])
-    coeffs, tail = _cut(params, z, tol, term_cap)
-    return _point_result(z[0] * _horner(coeffs, z)[0], coeffs, abs(z[0]) * tail, tol, term_cap)
+    coeffs, tail = _cut(params, z, tol)
+    return _point_result(z[0] * _horner(coeffs, z)[0], coeffs, abs(z[0]) * tail, tol)
 
 
 def ml_norm_deriv(
     params: MLParams,
     z: complex,
     tol: float = SERIES_TOL,
-    term_cap: int = SERIES_TERM_CAP,
 ) -> SeriesResult:
     """Derivative of the normalization: 1 + sum_{n>=2} n c_n z^(n-1)."""
     z = np.array([_check_disk(z)])
-    coeffs, tail = _cut(params, z, tol, term_cap)
+    coeffs, tail = _cut(params, z, tol)
     weighted = tuple(n * c for n, c in enumerate(coeffs, start=1))
-    return _point_result(_horner(weighted, z)[0], coeffs, tail, tol, term_cap)
+    return _point_result(_horner(weighted, z)[0], coeffs, tail, tol)
 
 
 def log_deriv(

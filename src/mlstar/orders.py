@@ -94,7 +94,9 @@ def starlike_delta(spec: OperatorSpec) -> StarlikeOrderReport:
     zeta = spec.zeta
     hyp_sum = sum((1.0 - f.eta) / f.lam for f in spec.factors)
     b = 2.0 * hyp_sum - 2.0 * zeta + 1.0
-    delta = (-b + math.sqrt(b * b + 8.0 * zeta)) / (4.0 * zeta)
+    root = math.hypot(b, math.sqrt(8.0 * zeta))  # b^2 alone would overflow for |b| > 1e154
+    # for b > 0 the textbook form cancels when 8 zeta << b^2; its conjugate does not
+    delta = 2.0 / (b + root) if b > 0.0 else (-b + root) / (4.0 * zeta)
     hypothesis_ok = hyp_sum <= zeta and all(
         ml_starlike_hypothesis(f.params, f.eta) for f in spec.factors
     )

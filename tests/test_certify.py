@@ -9,12 +9,14 @@ from mlstar import (
     FactorSpec,
     MLParams,
     OperatorSpec,
+    SeriesTruncationError,
     certify_convex,
     certify_ml_starlike,
     certify_starlike,
     check_log_deriv_bound,
     log_deriv,
 )
+from mlstar import certify as certify_module
 from mlstar import mittag_leffler
 from mlstar.certify import (
     GridSpec,
@@ -260,8 +262,6 @@ class TestFailurePolicy:
             return values, bad
 
         monkeypatch.setattr(mittag_leffler, "_log_deriv_deviation", patched)
-        import mlstar.certify as certify_module
-
         monkeypatch.setattr(certify_module, "_log_deriv_deviation", patched)
 
     def test_isolated_failures_are_recorded_not_fatal(self, monkeypatch):
@@ -278,3 +278,26 @@ class TestFailurePolicy:
         cert = certify_ml_starlike(MLParams(2, 4), 0.0, grid)
         assert cert.failed_count == 10
         assert cert.verdict == VERDICT_FAIL
+
+    @pytest.mark.parametrize("evaluator, run", [
+        ("_star_deviation", lambda grid: certify_starlike(single(2, 4), grid)),
+        ("_convex_deviation", lambda grid: certify_convex(single(2, 4, lam=5.0).factors, grid)),
+        ("_log_deriv_deviation", lambda grid: certify_ml_starlike(MLParams(2, 4), 0.0, grid)),
+        ("_log_deriv_deviation", lambda grid: check_log_deriv_bound(MLParams(2, 4), grid)),
+    ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
+    def test_truncation_fails_its_circle_for_every_kind(self, monkeypatch, evaluator, run):
+        original = getattr(certify_module, evaluator)
+
+        def truncated(subject, z, tol):
+            if np.max(np.abs(z)) > 0.99:
+                raise SeriesTruncationError("no cut on the outer circle")
+            return original(subject, z, tol)
+
+        monkeypatch.setattr(certify_module, evaluator, truncated)
+        cert = run(GridSpec(radii=(0.5, 0.999), angles=64))
+        assert cert.failed_count == 64
+        assert cert.verdict == VERDICT_FAIL
+        assert {(f.point.radius, f.reason) for f in cert.failed_sample} == {
+            (0.999, "no cut on the outer circle")
+        }
+        assert math.isfinite(cert.observed)  # the inner circle still counts

@@ -1,12 +1,23 @@
 import json
 import math
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from mlstar import FactorSpec, MLParams, OperatorSpec, certify_starlike, certify_convex
+from mlstar import (
+    GOLDEN_RATIO,
+    FactorSpec,
+    MLParams,
+    OperatorSpec,
+    SeriesTruncationError,
+    certify_convex,
+    certify_starlike,
+)
+from mlstar import certify as certify_module
 from mlstar.certify import GridSpec
 from mlstar.cli import cli
 from mlstar.jobs import job_to_dict, load_job, parse_job
@@ -118,6 +129,14 @@ class TestOrders:
         assert "star-24" in result.output
         assert "delta=0.5" in result.output
         assert "convex-i" in result.output and "delta=0 " in result.output
+
+    def test_huge_zeta_gives_a_finite_delta(self, runner, tmp_path):
+        job = {"schema": 1, "operators": [
+            {"name": "huge", "kind": "starlike", "zeta": 1e300,
+             "factors": [{"alpha": 2, "beta": 4, "lambda": 1}]}]}
+        result = runner.invoke(cli, ["--format", "json", "orders", write_job(tmp_path, job)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)[0]["delta"] == pytest.approx(1.0, rel=1e-15)
 
     def test_infeasible_spec_warns_but_exits_zero(self, runner, tmp_path):
         job = {
@@ -234,6 +253,20 @@ class TestCertify:
         assert ml["observed"] == pytest.approx(0.99997514984700025, rel=1e-14)
         assert bound["observed"] == pytest.approx(5.3096214052587017e-5, rel=1e-11)
 
+    def test_truncated_operator_fails_beside_a_healthy_one(self, runner, tmp_path, monkeypatch):
+        def truncated(params, z, tol):
+            raise SeriesTruncationError("no cut")
+
+        monkeypatch.setattr(certify_module, "_log_deriv_deviation", truncated)
+        job = dict(CORPUS, operators=[CORPUS["operators"][0], CORPUS["operators"][2]])
+        result = runner.invoke(cli, ["--format", "json", "certify", write_job(tmp_path, job)])
+        assert result.exit_code == 1, result.output
+        star, ml = json.loads(result.output)["certificates"]
+        assert (star["name"], star["verdict"]) == ("star-24", "pass")
+        assert (ml["name"], ml["verdict"]) == ("ml-24", "fail")
+        assert ml["failed_points"]["count"] == 180
+        assert ml["failed_points"]["sample"][0]["reason"] == "no cut"
+
     def test_non_finite_job_numbers_rejected(self, runner, tmp_path):
         # refused while parsing, before any evaluation could produce a nan
         star = '{"name": "s", "kind": "starlike", "zeta": %s, ' \
@@ -334,6 +367,94 @@ class TestDump:
         path = write_job(tmp_path, CORPUS)
         result = runner.invoke(cli, ["dump", "--job", path, "--operator", "nope"])
         assert result.exit_code == 2
+
+
+def tiny_beta_argv(tmp_path, command, beta):
+    job = {"schema": 1, "grid": {"radii": [0.5, 0.999], "angles": 8},
+           "operators": [{"name": "ml", "kind": "ml-starlike", "alpha": 1, "beta": beta,
+                          "eta": 0}]}
+    path = write_job(tmp_path, job)
+    return {
+        "certify": ["certify", path],
+        "orders": ["orders", path],
+        "dump": ["dump", "--job", path, "--operator", "ml"],
+        "eval": ["eval", "--alpha", "1", "--beta", repr(beta), "--z", "0.5"],
+    }[command]
+
+
+class TestBetaDomain:
+    @pytest.mark.parametrize("command", ["certify", "orders", "dump", "eval"])
+    def test_beta_whose_gamma_overflows_is_refused(self, runner, tmp_path, command):
+        # Gamma(1e-310) ~ 1e310 and c_2 ~ 1/beta are past the double range
+        result = runner.invoke(cli, tiny_beta_argv(tmp_path, command, 1e-310))
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert "beta must be finite and > 0 with 1/beta finite" in result.output
+
+    @pytest.mark.parametrize("command", ["certify", "orders", "dump", "eval"])
+    def test_tiny_representable_beta_still_runs(self, runner, tmp_path, command):
+        result = runner.invoke(cli, tiny_beta_argv(tmp_path, command, 1e-300))
+        assert result.exit_code == 0, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+# Edge values for the fuzz test: the bottom of the double range, numbers around
+# the golden ratio (where the bound coefficient is born), the overflow of
+# math.gamma, huge and negative numbers, and a boolean where a number belongs.
+EDGE_VALUES = (0, 5e-324, 1e-310, 1e-300, 0.5, 1, 2, 4, GOLDEN_RATIO,
+               math.nextafter(GOLDEN_RATIO, 0.0), math.nextafter(GOLDEN_RATIO, 2.0),
+               171.6, 1e300, -1, -1e-300, True)
+edge = st.sampled_from(EDGE_VALUES)
+
+
+def value(typical):
+    """A key's typical value or an edge value, so that some jobs get past parsing."""
+    return st.one_of(st.just(typical), edge)
+
+
+@st.composite
+def fuzz_jobs(draw):
+    kind = draw(st.sampled_from(["starlike", "convex", "ml-starlike", "log-deriv-bound"]))
+    op = {"name": "op", "kind": kind}
+    if kind in ("starlike", "convex"):
+        factor = st.fixed_dictionaries(
+            {"alpha": value(2), "beta": value(4), "lambda": value(5)}, optional={"eta": edge})
+        op["factors"] = draw(st.lists(factor, min_size=1, max_size=2))
+        if kind == "starlike":
+            op["zeta"] = draw(value(1))
+    else:
+        op["alpha"], op["beta"] = draw(value(2)), draw(value(4))
+        if kind == "ml-starlike":
+            op["eta"] = draw(value(0))
+    if draw(st.booleans()):
+        op["predicted"] = draw(edge)
+    # a generated angle count could allocate gigabytes, so the grid stays fixed
+    job = {"schema": 1, "grid": {"radii": [0.5, 0.999], "angles": 8}, "operators": [op]}
+    tolerance = draw(st.dictionaries(st.sampled_from(["margin", "series"]), edge))
+    if tolerance:
+        job["tolerance"] = tolerance
+    return job
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(job=fuzz_jobs(), tol=st.one_of(st.none(), edge))
+def test_any_job_ends_in_a_documented_exit_code(job, tol):
+    op = job["operators"][0]
+    params = op if "alpha" in op else op["factors"][0]
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "job.json")
+        Path(path).write_text(json.dumps(job))
+        options = [] if tol is None else ["--tol", str(tol)]
+        for argv in (["certify", path], ["orders", path],
+                     ["dump", "--job", path, "--operator", "op"],
+                     ["eval", "--job", path, "--operator", "op", "--z", "0.5"],
+                     ["eval", "--alpha", str(params["alpha"]), "--beta", str(params["beta"]),
+                      "--z", "0.5"]):
+            result = runner.invoke(cli, [*options, *argv])
+            assert result.exit_code in (0, 1, 2, 3), (argv, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                argv, repr(result.exception))
 
 
 class TestJobRoundTrip:

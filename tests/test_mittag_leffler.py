@@ -73,10 +73,16 @@ class TestRawSeries:
             assert coarse.tail_bound <= 1e-6
             assert abs(coarse.value - fine.value) <= coarse.tail_bound
 
-    def test_truncation_error_carries_partial(self):
-        with pytest.raises(SeriesTruncationError) as err:
-            ml_raw(MLParams(1, 1), 0.9, tol=1e-14, term_cap=5)
+    def test_truncation_error_carries_partial(self, monkeypatch):
+        monkeypatch.setattr(mittag_leffler, "SERIES_TERM_CAP", 5)
+        mittag_leffler._coefficients.cache_clear()
+        try:
+            with pytest.raises(SeriesTruncationError) as err:
+                ml_raw(MLParams(1, 1), 0.9, tol=1e-14)
+        finally:
+            mittag_leffler._coefficients.cache_clear()  # drop the 5-term tables
         assert isinstance(err.value.partial, SeriesResult)
+        assert err.value.partial.terms_used == 5
 
     def test_outside_disk_rejected(self):
         with pytest.raises(DomainError):

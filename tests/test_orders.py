@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -134,6 +135,17 @@ class TestStarlikeDelta:
         # weight sum above zeta also trips it
         report = starlike_delta(spec_of([(2, 4, 0.25, 0.0)], 1.0))
         assert not report.hypothesis_ok
+
+    @pytest.mark.parametrize("lam, zeta", [(1.0, 1e-9), (1.0, 1e-300), (1.0, 1e200),
+                                           (1.0, 1e300), (1e-300, 1.0)])
+    def test_root_neither_cancels_nor_overflows(self, lam, zeta):
+        # the textbook root gave 0.333333361, 0, inf, inf and inf here
+        with mpmath.workdps(700):  # enough digits to resolve -b + sqrt(b^2 + 8 zeta)
+            z = mpmath.mpf(zeta)
+            b = 2 / mpmath.mpf(lam) - 2 * z + 1
+            exact = float((-b + mpmath.sqrt(b * b + 8 * z)) / (4 * z))
+        delta = starlike_delta(spec_of([(2, 4, lam, 0.0)], zeta)).delta
+        assert delta == pytest.approx(exact, rel=1e-15, abs=0.0)
 
     def test_root_property_and_range(self, rng):
         logged = []
