@@ -13,10 +13,8 @@ from .errors import (
 )
 from .numerics import principal_power
 from .mittag_leffler import (
-    CLOSED_FORM_KINDS,
     MLParams,
     SeriesResult,
-    closed_form,
     log_deriv,
     ml_norm,
     ml_norm_deriv,
@@ -55,7 +53,6 @@ from .certify import (
 __all__ = [
     "__version__",
     "Certificate",
-    "CLOSED_FORM_KINDS",
     "ConvexOrderReport",
     "DegenerateOperatorError",
     "DomainError",
@@ -76,7 +73,6 @@ __all__ = [
     "certify_ml_starlike",
     "certify_starlike",
     "check_log_deriv_bound",
-    "closed_form",
     "convex_delta",
     "convex_log_deriv",
     "f_conv_value",

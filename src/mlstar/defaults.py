@@ -12,5 +12,4 @@ GRID_ANGLES = 720
 R_MAX = 0.999
 
 DENOM_GUARD = 1e-12       # |E(z)| below this counts as hitting a zero
-NEAR_ORIGIN = 1e-8        # |z| below this switches to series limits
 FAILURE_FRACTION = 1e-3   # tolerated fraction of failed grid points

@@ -10,7 +10,8 @@ class DomainError(MLStarError, ValueError):
 
 
 class SeriesTruncationError(MLStarError):
-    """The requested series tolerance is unreachable within the term cap."""
+    """The requested series tolerance is unreachable within the term cap,
+    or the series sum overflows the double range."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

@@ -2,9 +2,8 @@
 
 Provides the raw series E(z) = sum z^n / Gamma(alpha*n + beta), its
 normalization Gamma(beta) * z * E(z) (which fixes value 0 and derivative 1
-at the origin), the derivative of the normalization, the logarithmic
-derivative z*E'/E, and the hyperbolic closed forms available at alpha = 2,
-beta in {1, 2, 3, 4}, which serve as independent oracles.
+at the origin), the derivative of the normalization, and the logarithmic
+derivative z*E'/E.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .defaults import DENOM_GUARD, NEAR_ORIGIN, SERIES_TERM_CAP, SERIES_TOL
+from .defaults import DENOM_GUARD, SERIES_TERM_CAP, SERIES_TOL
 from .errors import DomainError, NearZeroDenominatorError, SeriesTruncationError
 from .numerics import gamma_ratio
 
@@ -27,8 +26,6 @@ __all__ = [
     "ml_norm",
     "ml_norm_deriv",
     "log_deriv",
-    "closed_form",
-    "CLOSED_FORM_KINDS",
 ]
 
 
@@ -145,6 +142,15 @@ def _horner(coeffs, z: np.ndarray) -> np.ndarray:
     return acc
 
 
+# The sums overflow only for beta between about 5.6e-309 and 1e-308, where
+# the coefficients near 1/beta are close to the double range. They then come
+# out inf or nan, which the callers fail or refuse, so numpy need not warn.
+# It is entered once per evaluation, not per Horner call, because entering
+# it costs about a microsecond.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def _ml_ratio_values(params: MLParams, z, tol: float = SERIES_TOL) -> np.ndarray:
     """u(z) = Gamma(beta) E(z) on an ndarray: 1 at the origin.
 
@@ -155,6 +161,7 @@ def _ml_ratio_values(params: MLParams, z, tol: float = SERIES_TOL) -> np.ndarray
     return _horner(_checked_cut(params, z, tol), z)
 
 
+@_quiet_overflow
 def _log_deriv_deviation(params: MLParams, z, tol: float = SERIES_TOL):
     """z E'/E - 1 on an ndarray; returns (deviation, bad) with zero hits flagged.
 
@@ -177,9 +184,12 @@ def _point_result(value, coeffs, tail: float, tol: float) -> SeriesResult:
             f"series tolerance {tol:g} unreachable within {SERIES_TERM_CAP} terms",
             partial=result,
         )
+    if not cmath.isfinite(result.value):
+        raise SeriesTruncationError("series sum overflows the double range", partial=result)
     return result
 
 
+@_quiet_overflow
 def ml_raw(
     params: MLParams,
     z: complex,
@@ -199,6 +209,7 @@ def ml_raw(
     return _point_result(_horner(coeffs, z)[0] / gamma_beta, coeffs, tail / gamma_beta, tol)
 
 
+@_quiet_overflow
 def ml_norm(
     params: MLParams,
     z: complex,
@@ -214,6 +225,7 @@ def ml_norm(
     return _point_result(z[0] * _horner(coeffs, z)[0], coeffs, abs(z[0]) * tail, tol)
 
 
+@_quiet_overflow
 def ml_norm_deriv(
     params: MLParams,
     z: complex,
@@ -238,33 +250,7 @@ def log_deriv(
         raise NearZeroDenominatorError(
             f"normalized value vanished at z = {z!r}", z=z
         )
-    return 1.0 + complex(deviation[0])
-
-
-# closed forms at alpha = 2 (hyperbolic family), keyed by (alpha, beta)
-CLOSED_FORM_KINDS = ((2, 1), (2, 2), (2, 3), (2, 4))
-
-
-def closed_form(kind, z: complex) -> complex:
-    """Hyperbolic closed form of the normalized function at alpha = 2.
-
-    kind is one of (2, 1): z*cosh(sqrt z); (2, 2): sqrt(z)*sinh(sqrt z);
-    (2, 3): 2*[cosh(sqrt z) - 1]; (2, 4): 6*[sinh(sqrt z) - sqrt z]/sqrt z.
-    The removable singularity at the origin is handled by a short series.
-    """
-    kind = (int(kind[0]), int(kind[1]))
-    if kind not in CLOSED_FORM_KINDS:
-        raise DomainError(f"no closed form for kind {kind!r}")
-    z = complex(z)
-    if abs(z) < NEAR_ORIGIN:
-        # z * (1 + c2 z + c3 z^2) is exact to double precision this close in
-        c = _coefficients(*kind, SERIES_TOL)
-        return z * (1.0 + c[1] * z + c[2] * z * z)
-    w = cmath.sqrt(z)
-    if kind == (2, 1):
-        return z * cmath.cosh(w)
-    if kind == (2, 2):
-        return w * cmath.sinh(w)
-    if kind == (2, 3):
-        return 2.0 * (cmath.cosh(w) - 1.0)
-    return 6.0 * (cmath.sinh(w) - w) / w
+    value = 1.0 + complex(deviation[0])
+    if not cmath.isfinite(value):
+        raise SeriesTruncationError(f"z E'/E overflows the double range at z = {z!r}")
+    return value

@@ -1,9 +1,9 @@
 """Foundation numerics.
 
 Gamma quotients free of overflow, principal-branch complex powers, and
-two operations on power series: the logarithmic derivative and the power.
-The coefficients they produce carry the branch continued from the
-origin, so nothing is ever tracked along a path.
+one solver for power series, which gives quotients and logarithmic
+derivatives. The coefficients it produces carry the branch continued from
+the origin, so nothing is ever tracked along a path.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from .errors import DomainError
 __all__ = [
     "gamma_ratio",
     "principal_power",
-    "series_log_derivative",
-    "series_power",
+    "series_solve",
 ]
 
 # From here on the Stirling correction below is accurate to 4e-17.
@@ -76,46 +75,30 @@ def principal_power(w: complex, e: float) -> complex:
     return cmath.exp(e * complex(math.log(abs(w)), _principal_arg(w)))
 
 
-def series_log_derivative(a, length: int) -> np.ndarray:
-    """The first ``length`` Taylor coefficients of t A'(t)/A(t), given those of A.
+def series_solve(a, b, length: int, derivative: bool = False) -> np.ndarray:
+    """The first ``length`` Taylor coefficients of X with A X = B, or A X + t X' = B.
 
-    A(0) = a[0] must be 1; coefficients past the end of ``a`` count as 0.
-    From A * (t A'/A) = t A', the coefficients are d_0 = 0 and
+    a and b hold the coefficients of A and B, those past their ends count
+    as 0, and A(0) = a[0] must not vanish. The system is lower-triangular
+    Toeplitz, so it is solved term by term:
 
-        d_n = n a_n - sum_{k=1..n-1} a_k d_{n-k}.
+        x_n = (b_n - sum_{k=1..n} a_k x_{n-k}) / (a_0, or a_0 + n with t X').
 
-    Each zero of A contributes a pole, so the coefficients grow like
-    |t_0|^-n for the zero t_0 nearest the origin.
+    X is therefore the solution analytic at the origin, continued across
+    any disk where it stays analytic. A quotient B/A, a logarithmic
+    derivative (B = t A') and the operators' H (with t X') are each one
+    call. A zero t_0 of A is a pole of X, so the coefficients grow like
+    |t_0|^-n for the zero nearest the origin; those that overflow come out
+    inf or nan.
     """
     a = np.asarray(a, dtype=float)[:length]
-    d = np.zeros(length)
-    d[1 : len(a)] = np.arange(1, len(a)) * a[1:]
+    b = np.asarray(b, dtype=float)[:length]
+    rhs = np.concatenate((b, np.zeros(length - len(b)))).tolist()
+    a0, last = float(a[0]), len(a) - 1
+    x = np.zeros(length)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(2, length):
-            m = min(n - 1, len(a) - 1)
-            d[n] -= np.dot(a[1 : m + 1], d[n - m : n][::-1])
-    return d
-
-
-def series_power(a, p: float, length: int) -> np.ndarray:
-    """The first ``length`` Taylor coefficients of A(t)^p, given those of A.
-
-    A(0) = a[0] must be 1; coefficients past the end of ``a`` count as 0.
-    J.C.P. Miller's recurrence (Henrici, Applied and Computational Complex
-    Analysis I, section 1.6; Knuth, TAOCP vol. 2, section 4.7)
-
-        b_0 = 1,  b_n = (1/n) sum_{k=1..n} ((p + 1) k - n) a_k b_{n-k}
-
-    follows from A (A^p)' = p A' A^p, so the result is the branch of A^p
-    that is 1 at the origin, continued across any disk where A has no zero.
-    Coefficients that overflow come out inf or nan.
-    """
-    a = np.asarray(a, dtype=float)[:length]
-    b = np.zeros(length)
-    b[0] = 1.0
-    k = np.arange(1, len(a))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, length):
-            m = min(n, len(a) - 1)
-            b[n] = np.dot(((p + 1.0) * k[:m] - n) * a[1 : m + 1], b[n - m : n][::-1]) / n
-    return b
+        for n in range(length):
+            m = n if n < last else last
+            pivot = a0 + n if derivative else a0
+            x[n] = (rhs[n] - np.dot(a[1 : m + 1], x[n - m : n][::-1])) / pivot
+    return x

@@ -10,16 +10,14 @@ from the logarithmic derivative of P,
 
     Q(t) = t P'(t)/P(t) = sum_j (t E_j'/E_j - 1) / lambda_j = sum_{n>=1} q_n t^n,
 
-whose coefficients come from each factor's cached coefficient table
-(numerics.series_log_derivative). With
+whose coefficients come from each factor's cached coefficient table. With
 
     G(z) = zeta * Integral_0^1 s^(zeta-1) P(z s) ds = (F(z)/z)^zeta,
 
-z G' + zeta G = zeta P gives the series H = G/P = sum h_n z^n by
-h_0 = 1, (n + zeta) h_n = -sum_{k=1..n} q_k h_{n-k}. Then
+z G' + zeta G = zeta P gives the series H = G/P = sum h_n z^n as the
+solution of (zeta + Q) H + z H' = zeta. Then
 
-    z F'/F    = P/G = 1/H = sum v_n z^n, the v_n by J.C.P. Miller's
-                power recurrence (numerics.series_power) at the power -1,
+    z F'/F    = P/G = 1/H = sum v_n z^n, the solution of H V = 1,
     F(z)      = z exp(sum_{n>=1} v_n z^n / n), as log(F/z) integrates
                 (zF'/F - 1)/t,
     F(z)^zeta = z^zeta (F(z)/z)^zeta, and the zeta-free operator
@@ -30,7 +28,8 @@ from the factors' closed forms. Neither P nor G is ever summed as a
 series: at z = -1 the sum of P = e^(25 z) cancels terms near e^25 down to
 e^-25, where Q = 25 z, H and 1/H stay of moderate size. Power series carry
 the branch that is 1 at the origin, so no path is ever tracked, and no
-numerical differentiation or quadrature is involved.
+numerical differentiation or quadrature is involved. All three tables,
+Q, H and 1/H, come from the one triangular solve numerics.series_solve.
 
 A sum on the circle |z| = r keeps the terms that _operator_cut selects.
 Where a factor's zero lies within reach of the circle, Q has a pole there
@@ -54,7 +53,7 @@ from .errors import (
     SeriesTruncationError,
 )
 from .mittag_leffler import MLParams, _coefficients, _horner, _log_deriv_deviation
-from .numerics import principal_power, series_log_derivative, series_power
+from .numerics import principal_power, series_solve
 
 __all__ = [
     "FactorSpec",
@@ -140,29 +139,22 @@ def _as_point(z) -> complex:
 def _log_derivative_coefficients(factors, tol: float) -> np.ndarray:
     """(q_0, ..., q_{L-1}) of Q = t P'/P, L = SERIES_TERM_CAP; q_0 = 0.
 
-    Each factor's table is mittag_leffler's cached one, exact to tol on the
-    unit circle; coefficients past it count as 0.
+    Each factor's table A is mittag_leffler's cached one, exact to tol on
+    the unit circle, and contributes t A'/A / lambda.
     """
     q = np.zeros(SERIES_TERM_CAP)
-    for factor in factors:
-        table = _coefficients(factor.params.alpha, factor.params.beta, tol)
-        q += series_log_derivative(table, SERIES_TERM_CAP) / factor.lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        for factor in factors:
+            table = np.asarray(_coefficients(factor.params.alpha, factor.params.beta, tol))
+            q += series_solve(table, np.arange(len(table)) * table, SERIES_TERM_CAP) / factor.lam
     return q
 
 
-def _quotient_coefficients(q, zeta: float) -> np.ndarray:
-    """(h_0, ..., h_{L-1}) of H = G/P: h_0 = 1, (n + zeta) h_n = -sum q_k h_{n-k}."""
-    h = np.zeros(len(q))
-    h[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, len(q)):
-            h[n] = -np.dot(q[1 : n + 1], h[:n][::-1]) / (n + zeta)
-    return h
-
-
 def _star_coefficients(spec: OperatorSpec, tol: float) -> np.ndarray:
-    """H's table for the rooted operator: z F'/F = 1/H."""
-    return _quotient_coefficients(_log_derivative_coefficients(spec.factors, tol), spec.zeta)
+    """H's table for the rooted operator, zF'/F = 1/H: (zeta + Q) H + z H' = zeta."""
+    q = _log_derivative_coefficients(spec.factors, tol)
+    return series_solve(np.concatenate(([spec.zeta], q[1:])), [spec.zeta], len(q),
+                        derivative=True)
 
 
 # A cut leaves at least this many table terms after it, so that the terms
@@ -225,10 +217,10 @@ def _star_deviation(h, z, tol: float):
 def _root_ratio(spec: OperatorSpec, z: complex, tol: float, e: float) -> complex:
     """(F(z)/z)^e = exp(e sum_{n>=1} v_n z^n / n), continued from 1 at the origin.
 
-    log(F/z) = Integral_0^z (zF'/F - 1) dt/t, and zF'/F = 1/H has the
-    coefficients v_n that Miller's recurrence gives for the power -1.
+    log(F/z) = Integral_0^z (zF'/F - 1) dt/t, where zF'/F = 1/H has the
+    coefficients v_n of H V = 1.
     """
-    v = series_power(_star_coefficients(spec, tol), -1.0, SERIES_TERM_CAP)
+    v = series_solve(_star_coefficients(spec, tol), [1.0], SERIES_TERM_CAP)
     v[0] = 0.0
     coeffs = v / np.maximum(np.arange(len(v)), 1)
     n = _checked_cut(coeffs, abs(z), tol)

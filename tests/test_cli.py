@@ -397,6 +397,16 @@ class TestBetaDomain:
         assert result.exit_code == 0, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("flags, z", [([], "0.5"), (["--raw"], "0.5"),
+                                          (["--deriv"], "0.5"), (["--deriv"], "1e-3")])
+    def test_overflowing_sum_is_an_eval_error(self, runner, flags, z):
+        # Gamma(5.6e-309) is finite, but the coefficients near 1/beta overflow the sum
+        result = runner.invoke(cli, ["eval", *flags, "--alpha", "1", "--beta", "5.6e-309",
+                                     "--z", z])
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output and "overflows the double range" in result.output
+        assert "nan" not in result.output
+
 
 # Edge values for the fuzz test: the bottom of the double range, numbers around
 # the golden ratio (where the bound coefficient is born), the overflow of

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from mlstar import DomainError, MLParams, principal_power
 from mlstar.mittag_leffler import _coefficients
-from mlstar.numerics import gamma_ratio, series_power
+from mlstar.numerics import gamma_ratio, series_solve
 from mlstar.operators import _operator_cut
 
 from oracles import fixed_panel_integral
@@ -99,10 +99,11 @@ class TestPrincipalPower:
 
 
 class TestTrackedPower:
-    """Powers on the branch continued from the origin.
+    """Series continued from the origin, in place of tracking a phase along a path.
 
-    series_power computes them from Taylor coefficients by Miller's
-    recurrence, which replaced tracking the phase along a path.
+    series_solve gives every such series the operators use: the
+    logarithmic derivative t A'/A, the quotient 1/A, and H from
+    (zeta + Q) H + t H' = zeta.
     """
 
     LENGTH = 60
@@ -110,49 +111,75 @@ class TestTrackedPower:
     def values(self, coeffs, z):
         return np.polynomial.polynomial.polyval(z, coeffs)
 
+    def log_derivative(self, table, length=LENGTH):
+        table = np.asarray(table, dtype=float)
+        return series_solve(table, np.arange(len(table)) * table, length)
+
+    def quotient(self, q, zeta):
+        return series_solve(np.concatenate(([zeta], q[1:])), [zeta], len(q), derivative=True)
+
     def test_seeds_at_principal_phase(self):
-        # the branch that is 1 at the origin, whatever the exponent
+        # the solutions are 1 (or 0 for t A'/A) at the origin
         table = _coefficients(2.0, 3.0, 1e-14)
-        for p in (0.37, 1.0, -0.4, 25.0):
-            assert series_power(table, p, self.LENGTH)[0] == 1.0
-        assert np.max(np.abs(series_power(table, 1.0, len(table)) - table)) <= 1e-16
+        assert series_solve(table, [1.0], self.LENGTH)[0] == 1.0
+        q = self.log_derivative(table)
+        assert q[0] == 0.0
+        for zeta in (1.0, 1e-300, 0.37, 40.0):
+            assert self.quotient(q, zeta)[0] == 1.0
 
     def test_smooth_path(self, rng):
-        # near the origin the continued branch is the principal one
+        # near the origin 1/A is the pointwise reciprocal
         table = [1.0, 0.5, 0.25, -0.1]
-        power = series_power(table, 0.7, self.LENGTH)
+        inverse = series_solve(table, [1.0], self.LENGTH)
         for r, theta in zip(rng.uniform(0.0, 0.5, 50), rng.uniform(-np.pi, np.pi, 50)):
             z = r * cmath.exp(1j * theta)
-            expected = principal_power(self.values(table, z), 0.7)
-            assert abs(self.values(power, z) - expected) <= 1e-13 * abs(expected)
+            expected = 1.0 / self.values(table, z)
+            assert abs(self.values(inverse, z) - expected) <= 1e-13 * abs(expected)
 
     def test_winding_leaves_the_principal_sheet(self):
-        # A = e^(4t) winds arg A past pi on |t| = 0.999; A^(1/2) = e^(2t) follows it
+        # A = e^(4t) winds arg A past pi on |t| = 0.999; the root continued
+        # from the origin, exp((1/2) sum d_n z^n / n) = e^(2z), follows it
         table = [4.0**n / math.factorial(n) for n in range(self.LENGTH)]
-        power = series_power(table, 0.5, self.LENGTH)
+        d = self.log_derivative(table)
+        assert np.max(np.abs(d - 4.0 * (np.arange(self.LENGTH) == 1))) <= 1e-12  # t A'/A = 4t
         z = 0.999j
-        assert abs(self.values(power, z) - cmath.exp(2.0 * z)) <= 1e-13
+        root = cmath.exp(0.5 * self.values(d / np.maximum(np.arange(self.LENGTH), 1), z))
+        assert abs(root - cmath.exp(2.0 * z)) <= 1e-13
         # the pointwise principal value lands on the other sheet
-        principal = principal_power(cmath.exp(4.0 * z), 0.5)
-        assert abs(self.values(power, z) - principal) > 1.0
+        assert abs(root - principal_power(cmath.exp(4.0 * z), 0.5)) > 1.0
 
     def test_half_turn_step_is_ambiguous(self):
-        # A = 1 + 2t vanishes at -1/2: past it no branch of A^(1/2) continues
-        # the series, whose terms stop decaying, so it has no cut there
-        power = series_power([1.0, 2.0], 0.5, 200)
-        n, tail = _operator_cut(power, 0.3, 1e-14)
+        # A = 1 + 2t vanishes at -1/2: past it 1/A does not continue as a
+        # series, whose terms stop decaying, so it has no cut there
+        inverse = series_solve([1.0, 2.0], [1.0], 200)
+        n, tail = _operator_cut(inverse, 0.3, 1e-14)
         assert n is not None and tail <= 1e-14
-        assert _operator_cut(power, 0.9, 1e-14)[0] is None
-        assert abs(self.values(power[:n], 0.3) - math.sqrt(1.6)) <= 1e-14
+        assert _operator_cut(inverse, 0.9, 1e-14)[0] is None
+        assert abs(self.values(inverse[:n], 0.3) - 1.0 / 1.6) <= 1e-14
 
-    def test_exponent_additivity_along_path(self, rng):
-        # A^a * A^b = A^(a+b) on the coefficient tables themselves
-        table = _coefficients(1.5, 2.5, 1e-14)
-        for a, b in rng.uniform(-2.0, 2.0, size=(20, 2)):
-            lhs = np.convolve(series_power(table, a, self.LENGTH),
-                              series_power(table, b, self.LENGTH))[: self.LENGTH]
-            rhs = series_power(table, a + b, self.LENGTH)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-14
+    def test_exponent_additivity_along_path(self):
+        # t (AB)'/(AB) = t A'/A + t B'/B, the identity behind Q = sum_j Q_j / lambda_j
+        one, two = _coefficients(1.5, 2.5, 1e-14), _coefficients(2.0, 4.0, 1e-14)
+        lhs = self.log_derivative(np.convolve(one, two)[: self.LENGTH])
+        rhs = self.log_derivative(one) + self.log_derivative(two)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-14
+
+    def test_residual_vanishes_for_every_use(self):
+        # A X (+ t X') - B = 0 term by term for t A'/A, H and 1/H
+        length = 200
+        table = np.asarray(_coefficients(2.0, 3.0, 1e-14))
+        q = self.log_derivative(table, length)
+        h = self.quotient(q, 0.37)
+        n = np.arange(length)
+        uses = (
+            (table, q, n[: len(table)] * table, False),
+            (np.concatenate(([0.37], q[1:])), h, [0.37], True),
+            (h, series_solve(h, [1.0], length), [1.0], False),
+        )
+        for a, x, b, derivative in uses:
+            residual = np.convolve(a, x)[:length] + (n * x if derivative else 0.0)
+            residual[: len(b)] -= np.asarray(b)[:length]
+            assert np.max(np.abs(residual)) <= 1e-15 * np.max(np.abs(x))
 
 
 class TestIntegrateGL:

@@ -20,7 +20,8 @@ from mlstar import (
     star_log_deriv,
 )
 from mlstar.certify import GridSpec, VERDICT_FAIL
-from mlstar.operators import _log_derivative_coefficients
+from mlstar.numerics import series_solve
+from mlstar.operators import _log_derivative_coefficients, _star_coefficients
 
 from conftest import random_disk_points
 from oracles import (
@@ -285,6 +286,32 @@ def _oracle_product(factors, t):
     return out
 
 
+def _mp_table(alpha, beta, terms):
+    return [mpmath.gamma(beta) / mpmath.gamma(alpha * k + beta) for k in range(terms)]
+
+
+def _mp_times(x, y):
+    return [mpmath.fsum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
+
+
+def _mp_power(x, e):
+    """x^e for an integer e >= 0, by Cauchy products."""
+    out = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (len(x) - 1)
+    while e:
+        if e & 1:
+            out = _mp_times(out, x)
+        x, e = _mp_times(x, x), e >> 1
+    return out
+
+
+def _mp_divide(b, a):
+    """The series B/A, to the length of b."""
+    x = []
+    for n in range(len(b)):
+        x.append((b[n] - mpmath.fsum(a[k] * x[n - k] for k in range(1, n + 1))) / a[0])
+    return x
+
+
 class TestCoefficientEngine:
     """The operator series against independent evaluations."""
 
@@ -320,22 +347,8 @@ class TestCoefficientEngine:
         # Cauchy powers of the factor tables at 40 digits
         mpmath.mp.dps = 40
         terms = 120
-
-        def table(alpha, beta):
-            return [mpmath.gamma(beta) / mpmath.gamma(alpha * k + beta) for k in range(terms)]
-
-        def times(x, y):
-            return [mpmath.fsum(x[i] * y[k - i] for i in range(k + 1)) for k in range(terms)]
-
-        def power(x, e):
-            out = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (terms - 1)
-            while e:
-                if e & 1:
-                    out = times(out, x)
-                x, e = times(x, x), e >> 1
-            return out
-
-        p = times(power(table(1, mpmath.mpf("3.6")), 25), power(table(2, 5), 15))
+        p = _mp_times(_mp_power(_mp_table(1, mpmath.mpf("3.6"), terms), 25),
+                      _mp_power(_mp_table(2, 5, terms), 15))
         z, zeta = mpmath.mpf("-0.999"), 40
         expected = mpmath.fsum(c * z**n for n, c in enumerate(p)) / mpmath.fsum(
             c * zeta / (n + zeta) * z**n for n, c in enumerate(p)
@@ -344,6 +357,40 @@ class TestCoefficientEngine:
             (FactorSpec(MLParams(1, 3.6), 1 / 25), FactorSpec(MLParams(2, 5), 1 / 15)), 40.0
         )
         assert abs(star_log_deriv(spec, -0.999) - float(expected)) <= 1e-9
+
+    @pytest.mark.parametrize("zeta, factors", [
+        (40, ((1, "3.6", 25), (2, 5, 15))),
+        ("0.37", ((2, 4, 1), (1.5, 6, 2))),
+    ])
+    def test_tables_against_mpmath(self, zeta, factors):
+        # 1/lambda is an integer, so P is an exact Cauchy power at 40 digits;
+        # G = zeta Integral_0^1 s^(zeta-1) P(zs) ds has g_n = zeta p_n / (n + zeta)
+        mpmath.mp.dps = 40
+        terms = 40
+        zeta = mpmath.mpf(zeta)
+        p = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (terms - 1)
+        for alpha, beta, power in factors:
+            p = _mp_times(p, _mp_power(_mp_table(alpha, mpmath.mpf(beta), terms), power))
+        g = [zeta * c / (n + zeta) for n, c in enumerate(p)]
+        expected = {
+            "q": _mp_divide([n * c for n, c in enumerate(p)], p),
+            "h": _mp_divide(g, p),
+            "v": _mp_divide(p, g),
+        }
+        spec = OperatorSpec(
+            tuple(FactorSpec(MLParams(alpha, float(beta)), 1 / power)
+                  for alpha, beta, power in factors),
+            float(zeta),
+        )
+        h = _star_coefficients(spec, 1e-14)
+        mine = {
+            "q": _log_derivative_coefficients(spec.factors, 1e-14),
+            "h": h,
+            "v": series_solve(h, [1.0], len(h)),
+        }
+        for name, table in expected.items():
+            table = np.array([float(c) for c in table])
+            assert np.max(np.abs(mine[name][:terms] - table)) <= 1e-13 * np.max(np.abs(table))
 
     def test_growing_product_without_cancellation(self):
         # P = e^(25 t): summed as a series, P(-0.999) = e^-25 would cancel
