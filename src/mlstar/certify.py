@@ -6,6 +6,12 @@ parts involved are harmonic wherever the functions are nonvanishing, so
 the disk minimum lives on the outermost sampled circle; inner radii are
 kept as diagnostics. A certificate is finite-sample evidence, not a proof,
 and says so in its serialized form.
+
+The operator quantities, zF'/F and 1 + zF''/F', are each summed from one
+coefficient table sized for the outermost circle, so they have no
+denominator; a singularity within reach of a circle leaves the table
+without a cut there, and the circle fails. The Mittag-Leffler kinds sum
+z E'/E as a ratio of two series, whose denominator may vanish.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from .mittag_leffler import MLParams, _log_deriv_deviation
 from .operators import (
     EvalPoint,
     OperatorSpec,
-    _convex_deviation,
+    _log_derivative_coefficients,
+    _sized_table,
     _star_coefficients,
-    _star_deviation,
+    _table_deviation,
 )
 from .orders import convex_delta, log_deriv_bound, ml_starlike_hypothesis, starlike_delta
 
@@ -163,34 +170,41 @@ class Certificate:
         }
 
 
-# Every certified quantity Q has one circle evaluator, circle(r, z) ->
-# (Q - 1, [(angle_index, reason), ...]), complex, for the points z on the
-# circle of radius r. Q is 1 for the identity function, and the bound
-# certificate needs |Q - 1| itself, so the evaluators return the deviation
-# and never subtract 1 from a computed Q. Certificates project it, and the
-# CLI's dump prints 1 + deviation.
+# Every certified quantity Q has one evaluator, evaluate(z) -> (Q - 1, bad),
+# for the points z of one circle, where bad flags the points at which a
+# normalized Mittag-Leffler value vanished; an operator quantity has no
+# denominator and flags none. Q is 1 for the identity function, and the
+# bound certificate needs |Q - 1| itself, so the evaluators return the
+# deviation and never subtract 1 from a computed Q. Certificates project
+# it, and the CLI's dump prints 1 + deviation.
 
 
-def sample_grid(grid: GridSpec, circle_fn) -> list:
-    """Evaluate circle_fn on each circle of the grid, radius-major.
+def sample_grid(grid: GridSpec, evaluate) -> list:
+    """Evaluate the quantity on each circle of the grid, radius-major.
 
     Returns one (radius, angles, deviation, failures) per circle, where
-    failures maps an angle index to its reason; points the evaluator did
-    not flag but whose value is not finite count as failed too.
+    failures maps an angle index to its reason. A SeriesTruncationError,
+    which means the series has no cut on that circle, fails all of its
+    points with the error's message, so one bad circle never aborts a
+    certificate. Points not flagged but whose value is not finite fail too.
     """
     angles = grid.circle_angles()
     phase = np.exp(1j * angles)
     circles = []
     for r in grid.radii:
-        deviation, fails = circle_fn(r, r * phase)
-        failures = {int(idx): reason for idx, reason in fails}
+        try:
+            deviation, bad = evaluate(r * phase)
+            failures = dict.fromkeys(np.flatnonzero(bad).tolist(), "normalized value vanished")
+        except SeriesTruncationError as exc:
+            deviation = np.full(angles.shape, np.nan, dtype=complex)
+            failures = dict.fromkeys(range(angles.size), str(exc))
         for idx in np.flatnonzero(~np.isfinite(deviation)):
             failures.setdefault(int(idx), "nonfinite value")
         circles.append((r, angles, deviation, failures))
     return circles
 
 
-def _scan(grid: GridSpec, circle_fn, largest: bool):
+def _scan(grid: GridSpec, evaluate, largest: bool):
     """Minimize Re Q, or maximize |Q - 1| if largest, over the grid in deterministic order.
 
     Ties break toward the smallest radius, then the smallest angle index.
@@ -200,7 +214,7 @@ def _scan(grid: GridSpec, circle_fn, largest: bool):
     best = math.inf
     best_point = None
     failures = []
-    for r, angles, deviation, fails in sample_grid(grid, circle_fn):
+    for r, angles, deviation, fails in sample_grid(grid, evaluate):
         masked = -np.abs(deviation) if largest else 1.0 + deviation.real
         for idx, reason in fails.items():
             masked[idx] = math.inf
@@ -226,36 +240,25 @@ def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool,
     return VERDICT_PASS if margin >= -eval_tolerance else VERDICT_FAIL
 
 
-def _circle(evaluate, subject, series_tol: float, reason: str):
-    """The circle evaluator over evaluate(subject, z, tol) -> (deviation, bad).
-
-    Points flagged bad fail with ``reason``. A SeriesTruncationError, which
-    means the series has no cut on that circle, fails all of its points
-    with the error's message, so one bad circle never aborts a certificate.
-    """
-    def circle(r, z):
-        try:
-            deviation, bad = evaluate(subject, z, series_tol)
-        except SeriesTruncationError as exc:
-            failed = np.full(z.shape, np.nan, dtype=complex)
-            return failed, [(idx, str(exc)) for idx in range(z.size)]
-        return deviation, [(idx, reason) for idx in np.flatnonzero(bad)]
-
-    return circle
+def _table_evaluator(coefficients, subject, radius: float, series_tol: float):
+    """An operator quantity, summed from one table sized for the circle |z| = radius."""
+    table = _sized_table(coefficients, subject, radius, series_tol)
+    return lambda z: (_table_deviation(table, z, series_tol), False)
 
 
 class _Claim(NamedTuple):
     """One certificate's prediction and sampled quantity, named ``sampled`` in dumps.
 
-    ``circle(series_tol)`` builds the circle evaluator, so predicting evaluates
-    no series. ``largest`` marks the bound, which certifies a maximum.
+    ``evaluator(radius, series_tol)`` builds the evaluator for circles up to
+    the grid's outermost radius, so predicting evaluates no series.
+    ``largest`` marks the bound, which certifies a maximum.
     """
 
     quantity: str
     predicted: float
     hypothesis_ok: bool
     sampled: str
-    circle: object
+    evaluator: object
     largest: bool = False
 
 
@@ -266,9 +269,13 @@ def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: f
     The margin is the distance into the safe side: observed - target for an
     order, target - observed for the bound.
     """
+    if series_tol > eval_tolerance:
+        raise DomainError(f"series tolerance {series_tol!r} exceeds the margin tolerance "
+                          f"{eval_tolerance!r}")
     grid = grid or GridSpec()
     target = claim.predicted if predicted is None else float(predicted)
-    observed, point, failures, total = _scan(grid, claim.circle(series_tol), claim.largest)
+    evaluate = claim.evaluator(grid.radii[-1], series_tol)
+    observed, point, failures, total = _scan(grid, evaluate, claim.largest)
     margin = target - observed if claim.largest else observed - target
     verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, len(failures), total)
     return Certificate(
@@ -282,8 +289,7 @@ def _starlike_claim(spec: OperatorSpec) -> _Claim:
     report = starlike_delta(spec)
     return _Claim(
         QUANTITY_STARLIKE_OPERATOR, report.delta, report.hypothesis_ok, "star-log-deriv",
-        lambda tol: _circle(_star_deviation, _star_coefficients(spec, tol), tol,
-                            "operator integral vanished"),  # H built once for every circle
+        lambda radius, tol: _table_evaluator(_star_coefficients, spec, radius, tol),
     )
 
 
@@ -308,7 +314,7 @@ def _convex_claim(factors) -> _Claim:
     report = convex_delta(factors)
     return _Claim(
         QUANTITY_CONVEX_OPERATOR, report.delta, report.hypothesis_ok, "convex-log-deriv",
-        lambda tol: _circle(_convex_deviation, factors, tol, "factor vanished"),
+        lambda radius, tol: _table_evaluator(_log_derivative_coefficients, factors, radius, tol),
     )
 
 
@@ -329,7 +335,7 @@ def _ml_starlike_claim(params: MLParams, eta: float) -> _Claim:
         raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
     return _Claim(
         QUANTITY_STARLIKE_ML, eta, ml_starlike_hypothesis(params, eta), "ml-log-deriv",
-        lambda tol: _circle(_log_deriv_deviation, params, tol, "normalized value vanished"),
+        lambda radius, tol: lambda z: _log_deriv_deviation(params, z, tol),
     )
 
 
@@ -350,7 +356,7 @@ def _log_deriv_bound_claim(params: MLParams) -> _Claim:
     bound = log_deriv_bound(params)  # raises DomainError for beta at/below golden
     return _Claim(
         QUANTITY_LOG_DERIV_BOUND, bound, True, "ml-log-deriv",
-        lambda tol: _circle(_log_deriv_deviation, params, tol, "normalized value vanished"),
+        lambda radius, tol: lambda z: _log_deriv_deviation(params, z, tol),
         largest=True,
     )
 

@@ -90,6 +90,9 @@ def _apply_overrides(job: Job, options) -> Job:
     """The job with the global --tol, --grid-angles and --r-max applied."""
     tol = options.get("tol")
     if tol is not None:
+        if tol > job.margin_tol:
+            raise click.UsageError(f"--tol {tol!r} exceeds the job's margin tolerance "
+                                   f"{job.margin_tol!r}")
         job = dataclasses.replace(job, series_tol=tol)
     angles = options.get("grid_angles")
     r_max = options.get("r_max")
@@ -321,7 +324,8 @@ def cmd_dump(ctx, job_path, op_name, output):
     lines = [f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}",
              "radius,angle,re,im"]
     failed = False
-    for r, angles, deviation, failures in sample_grid(job.grid, claim.circle(job.series_tol)):
+    evaluate = claim.evaluator(job.grid.radii[-1], job.series_tol)
+    for r, angles, deviation, failures in sample_grid(job.grid, evaluate):
         values = (1.0 + deviation).tolist()
         for k, theta in enumerate(angles.tolist()):
             if k in failures:

@@ -27,7 +27,7 @@ class NearZeroDenominatorError(MLStarError):
 
 
 class DegenerateOperatorError(MLStarError):
-    """The operator integral vanished or overflowed away from the origin."""
+    """A power of the operator overflowed away from the origin."""
 
 
 class JobFileError(MLStarError, ValueError):

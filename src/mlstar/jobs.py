@@ -192,6 +192,9 @@ def parse_job(document: dict) -> Job:
                                               "job.tolerance")))
     for key, value in checked:
         _require(value > 0.0, f"job.tolerance: '{key}' must be positive")
+    _require(series_tol <= margin_tol,
+             "job.tolerance: 'series' must not exceed 'margin', or the truncation "
+             "error could hide a failed margin")
 
     outputs = document.get("outputs", ["text"])
     _require(isinstance(outputs, list) and outputs, "job: 'outputs' must be a nonempty list")

@@ -151,17 +151,6 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @_quiet_overflow
-def _ml_ratio_values(params: MLParams, z, tol: float = SERIES_TOL) -> np.ndarray:
-    """u(z) = Gamma(beta) E(z) on an ndarray: 1 at the origin.
-
-    Evaluating the ratio of the normalized value to z keeps it exact down
-    to arbitrarily small |z|, where the normalized value itself underflows.
-    """
-    z = np.asarray(z, dtype=complex)
-    return _horner(_checked_cut(params, z, tol), z)
-
-
-@_quiet_overflow
 def _log_deriv_deviation(params: MLParams, z, tol: float = SERIES_TOL):
     """z E'/E - 1 on an ndarray; returns (deviation, bad) with zero hits flagged.
 

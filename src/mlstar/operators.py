@@ -17,24 +17,27 @@ whose coefficients come from each factor's cached coefficient table. With
 z G' + zeta G = zeta P gives the series H = G/P = sum h_n z^n as the
 solution of (zeta + Q) H + z H' = zeta. Then
 
-    z F'/F    = P/G = 1/H = sum v_n z^n, the solution of H V = 1,
-    F(z)      = z exp(sum_{n>=1} v_n z^n / n), as log(F/z) integrates
-                (zF'/F - 1)/t,
-    F(z)^zeta = z^zeta (F(z)/z)^zeta, and the zeta-free operator
-                Integral_0^z P(t) dt is F at zeta = 1,
+    z F'/F     = P/G = 1/H = sum v_n z^n, the solution of H V = 1,
+    F(z)       = z exp(sum_{n>=1} v_n z^n / n), as log(F/z) integrates
+                 (zF'/F - 1)/t,
+    F(z)^zeta  = z^zeta (F(z)/z)^zeta, and the zeta-free operator
+                 Integral_0^z P(t) dt is F at zeta = 1, whose
+    1 + zF''/F' = 1 + Q(z).
 
-while 1 + z F''/F' of the zeta-free operator is 1 + Q(z), summed pointwise
-from the factors' closed forms. Neither P nor G is ever summed as a
-series: at z = -1 the sum of P = e^(25 z) cancels terms near e^25 down to
-e^-25, where Q = 25 z, H and 1/H stay of moderate size. Power series carry
-the branch that is 1 at the origin, so no path is ever tracked, and no
-numerical differentiation or quadrature is involved. All three tables,
-Q, H and 1/H, come from the one triangular solve numerics.series_solve.
+Each is summed by Horner from one table: zF'/F - 1 from v (v_0 = 0),
+log(F/z) from v_n/n, and (1 + zF''/F') - 1 from Q. Neither P nor G is
+ever summed as a series: at z = -1 the sum of P = e^(25 z) cancels terms
+near e^25 down to e^-25, where Q = 25 z, H and 1/H stay of moderate size.
+Power series carry the branch that is 1 at the origin, so no path is ever
+tracked, and no numerical differentiation or quadrature is involved.
+Q, H and 1/H all come from the one triangular solve numerics.series_solve.
 
-A sum on the circle |z| = r keeps the terms that _operator_cut selects.
-Where a factor's zero lies within reach of the circle, Q has a pole there
-and the coefficients stop decaying. Then, or when the coefficients
-overflow, no cut exists and the evaluation raises SeriesTruncationError.
+A sum on the circle |z| = r keeps the terms that _operator_cut selects,
+from a table built just long enough to have that cut. Where a factor's
+zero lies within reach of the circle, Q has a pole there, and where G has
+one, so does 1/H; the coefficients stop decaying. Then, or when the
+coefficients overflow, no cut exists and the evaluation raises
+SeriesTruncationError.
 """
 
 from __future__ import annotations
@@ -45,14 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DENOM_GUARD, SERIES_TERM_CAP, SERIES_TOL
-from .errors import (
-    DegenerateOperatorError,
-    DomainError,
-    NearZeroDenominatorError,
-    SeriesTruncationError,
-)
-from .mittag_leffler import MLParams, _coefficients, _horner, _log_deriv_deviation
+from .defaults import SERIES_TERM_CAP, SERIES_TOL
+from .errors import DegenerateOperatorError, DomainError, SeriesTruncationError
+from .mittag_leffler import MLParams, _coefficients, _horner
 from .numerics import principal_power, series_solve
 
 __all__ = [
@@ -134,49 +132,68 @@ def _as_point(z) -> complex:
 
 
 # --- the coefficient engine ---------------------------------------------------
+#
+# Each table builder takes (subject, tol, length) and returns a table that
+# vanishes at the origin. series_solve is prefix-stable, so a longer table
+# extends a shorter one exactly.
 
 
-def _log_derivative_coefficients(factors, tol: float) -> np.ndarray:
-    """(q_0, ..., q_{L-1}) of Q = t P'/P, L = SERIES_TERM_CAP; q_0 = 0.
+def _log_derivative_coefficients(factors, tol: float, length: int) -> np.ndarray:
+    """(q_0, ..., q_{length-1}) of Q = t P'/P; q_0 = 0.
 
     Each factor's table A is mittag_leffler's cached one, exact to tol on
-    the unit circle, and contributes t A'/A / lambda.
+    the unit circle, and contributes t A'/A / lambda. Q is also
+    (1 + zF''/F') - 1 of the zeta-free operator.
     """
-    q = np.zeros(SERIES_TERM_CAP)
+    q = np.zeros(length)
     with np.errstate(over="ignore", invalid="ignore"):
         for factor in factors:
             table = np.asarray(_coefficients(factor.params.alpha, factor.params.beta, tol))
-            q += series_solve(table, np.arange(len(table)) * table, SERIES_TERM_CAP) / factor.lam
+            q += series_solve(table, np.arange(len(table)) * table, length) / factor.lam
     return q
 
 
-def _star_coefficients(spec: OperatorSpec, tol: float) -> np.ndarray:
-    """H's table for the rooted operator, zF'/F = 1/H: (zeta + Q) H + z H' = zeta."""
-    q = _log_derivative_coefficients(spec.factors, tol)
-    return series_solve(np.concatenate(([spec.zeta], q[1:])), [spec.zeta], len(q),
-                        derivative=True)
+def _star_coefficients(spec: OperatorSpec, tol: float, length: int) -> np.ndarray:
+    """(v_0, ..., v_{length-1}) of zF'/F - 1 = 1/H - 1; v_0 = 0.
+
+    H = G/P solves (zeta + Q) H + z H' = zeta, and V = 1/H solves H V = 1.
+    """
+    q = _log_derivative_coefficients(spec.factors, tol, length)
+    h = series_solve(np.concatenate(([spec.zeta], q[1:])), [spec.zeta], length,
+                     derivative=True)
+    v = series_solve(h, [1.0], length)
+    v[0] = 0.0
+    return v
+
+
+def _log_ratio_coefficients(spec: OperatorSpec, tol: float, length: int) -> np.ndarray:
+    """log(F/z) = Integral_0^z (zF'/F - 1) dt/t = sum_{n>=1} v_n z^n / n."""
+    return _star_coefficients(spec, tol, length) / np.maximum(np.arange(length), 1)
 
 
 # A cut leaves at least this many table terms after it, so that the terms
 # it drops are measured, not extrapolated.
 _MEASURED_TAIL = 8
+_FIRST_LENGTH = 32  # of a table's first build, which _sized_table doubles
 
 
 def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
     """(N, tail): how many terms of coeffs to sum on the circle |z| = radius.
 
     As for the Mittag-Leffler series, tol bounds the dropped terms
-    absolutely: every table is 1 at the origin (H) or 0 (log(F/z), whose
-    absolute error is F's relative one). With t_n = |c_n| r^n,
+    absolutely: every table is 0 at the origin, where its quantity is 1
+    (zF'/F, 1 + zF''/F'), or it is log(F/z), whose absolute error is F's
+    relative one. With t_n = |c_n| r^n,
     N is the smallest count that leaves at least _MEASURED_TAIL table
     terms after it and whose dropped table terms sum to at most tol, and
     tail is that sum. Terms past the table are taken to keep decaying as
-    its last ones do; a fall to tol within SERIES_TERM_CAP terms makes
-    that decay geometric in practice.
+    its last ones do; a fall to tol within the table makes that decay
+    geometric in practice.
 
     When no count qualifies, N is None and tail is the sum at the last
-    admissible count: the terms stopped decaying because a zero of a
-    factor lies within reach of the circle, or they overflowed.
+    admissible count: the terms stopped decaying because a singularity,
+    a zero of a factor or of G, lies within reach of the circle, or they
+    overflowed.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
@@ -190,41 +207,46 @@ def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
     return int(fits[0]) + 1, float(dropped[fits[0]])
 
 
-def _checked_cut(coeffs, radius: float, tol: float) -> int:
-    n, tail = _operator_cut(coeffs, radius, tol)
+def _sized_table(coefficients, subject, radius: float, tol: float) -> np.ndarray:
+    """coefficients(subject, tol, length) at the first length with a cut at radius.
+
+    The length starts at _FIRST_LENGTH and doubles; at SERIES_TERM_CAP the
+    table is returned whether it has a cut or not, and summing it on a
+    circle without one raises.
+    """
+    length = _FIRST_LENGTH
+    while True:
+        table = coefficients(subject, tol, length)
+        if length >= SERIES_TERM_CAP or _operator_cut(table, radius, tol)[0] is not None:
+            return table
+        length = min(2 * length, SERIES_TERM_CAP)
+
+
+def _table_deviation(table, z, tol: float) -> np.ndarray:
+    """The table's sum on an ndarray z: the quantity minus 1, or log(F/z).
+
+    Raises SeriesTruncationError when the table has no cut at max |z|.
+    """
+    z = np.asarray(z, dtype=complex)
+    radius = float(np.max(np.abs(z)))
+    n, tail = _operator_cut(table, radius, tol)
     if n is None:
         raise SeriesTruncationError(
             f"operator series at |z| = {radius:g} keeps a tail of {tail:.3g} "
-            f"after {len(coeffs) - _MEASURED_TAIL} terms"
+            f"after {len(table) - _MEASURED_TAIL} terms"
         )
-    return n
+    return _horner(table[:n], z)
 
 
-def _star_deviation(h, z, tol: float):
-    """zF'/F - 1 = -(H - 1)/H on an ndarray; returns (deviation, bad) with vanished H flagged.
-
-    H - 1 is summed directly, never as a difference from 1. Raises
-    SeriesTruncationError when H's series has no cut at max |z|.
-    """
-    z = np.asarray(z, dtype=complex)
-    n = _checked_cut(h, float(np.max(np.abs(z))), tol)
-    excess = _horner(np.concatenate(([0.0], h[1:n])), z)
-    quotient = 1.0 + excess
-    bad = np.abs(quotient) < DENOM_GUARD
-    return -excess / np.where(bad, 1.0, quotient), bad
+def _table_value(coefficients, subject, z: complex, tol: float) -> complex:
+    """The table's sum at one point, from a table sized for |z|."""
+    table = _sized_table(coefficients, subject, abs(z), tol)
+    return complex(_table_deviation(table, np.array([z]), tol)[0])
 
 
 def _root_ratio(spec: OperatorSpec, z: complex, tol: float, e: float) -> complex:
-    """(F(z)/z)^e = exp(e sum_{n>=1} v_n z^n / n), continued from 1 at the origin.
-
-    log(F/z) = Integral_0^z (zF'/F - 1) dt/t, where zF'/F = 1/H has the
-    coefficients v_n of H V = 1.
-    """
-    v = series_solve(_star_coefficients(spec, tol), [1.0], SERIES_TERM_CAP)
-    v[0] = 0.0
-    coeffs = v / np.maximum(np.arange(len(v)), 1)
-    n = _checked_cut(coeffs, abs(z), tol)
-    log_ratio = complex(_horner(coeffs[:n], np.array([z]))[0])
+    """(F(z)/z)^e = exp(e log(F/z)), continued from 1 at the origin."""
+    log_ratio = _table_value(_log_ratio_coefficients, spec, z, tol)
     try:
         return cmath.exp(e * log_ratio)
     except OverflowError:
@@ -241,14 +263,13 @@ def f_zeta_power(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
 
 
 def star_log_deriv(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
-    """z F'(z)/F(z) = P(z)/G(z) = 1/H(z)."""
+    """z F'(z)/F(z) = P(z)/G(z) = 1/H(z).
+
+    Past a zero of G the table has no cut, and it raises
+    SeriesTruncationError, as f_value does.
+    """
     zc = _as_point(z)
-    deviation, bad = _star_deviation(_star_coefficients(spec, tol), np.array([zc]), tol)
-    if bad[0]:
-        raise DegenerateOperatorError(
-            f"operator integral vanished at z = {zc!r}; zF'/F is undefined"
-        )
-    return 1.0 + complex(deviation[0])
+    return 1.0 + _table_value(_star_coefficients, spec, zc, tol)
 
 
 def f_value(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
@@ -265,31 +286,12 @@ def f_conv_value(factors, z, tol: float = SERIES_TOL) -> complex:
     return f_zeta_power(OperatorSpec(tuple(factors), 1.0), z, tol)
 
 
-def _convex_deviation(factors, z, tol: float = SERIES_TOL):
-    """(1 + z F''/F') - 1 on an ndarray; returns (deviation, bad).
+def convex_log_deriv(factors, z, tol: float = SERIES_TOL) -> complex:
+    """1 + z F''/F' = 1 + Q(z) for the zeta-free operator.
 
-    The deviation is sum_j (z E_j'/E_j - 1) / lambda_j, so the constant
-    1 - sum_j 1/lambda_j of the closed form never has to be added back.
-    """
-    z = np.asarray(z, dtype=complex)
-    deviation = np.zeros(z.shape, dtype=complex)
-    bad = np.zeros(z.shape, dtype=bool)
-    for factor in factors:
-        factor_deviation, factor_bad = _log_deriv_deviation(factor.params, z, tol)
-        deviation = deviation + factor_deviation / factor.lam
-        bad |= factor_bad
-    return deviation, bad
-
-
-def convex_log_deriv(
-    factors,
-    z,
-    tol: float = SERIES_TOL,
-) -> complex:
-    """1 + z F''/F' for the zeta-free operator, as a closed form.
-
-    Equals sum_j (1/lambda_j) * (z E_j'/E_j) + 1 - sum_j 1/lambda_j; no
-    quadrature is involved.
+    Q = sum_j (z E_j'/E_j - 1) / lambda_j. Past a zero of a factor the
+    table has no cut, and it raises SeriesTruncationError, as f_conv_value
+    does.
     """
     factors = tuple(factors)
     if not factors:
@@ -297,7 +299,4 @@ def convex_log_deriv(
     zc = complex(z.z) if isinstance(z, EvalPoint) else complex(z)
     if not abs(zc) < 1.0:
         raise DomainError(f"|z| must be < 1, got {abs(zc)!r}")
-    deviation, bad = _convex_deviation(factors, np.array([zc]), tol)
-    if bad[0]:
-        raise NearZeroDenominatorError(f"a factor vanished at z = {zc!r}", z=zc)
-    return 1.0 + complex(deviation[0])
+    return 1.0 + _table_value(_log_derivative_coefficients, factors, zc, tol)

@@ -248,6 +248,19 @@ class TestGridInvariants:
         )
 
 
+class TestSeriesTolerance:
+    @pytest.mark.parametrize("run", [
+        lambda tol: certify_starlike(single(2, 4), series_tol=tol),
+        lambda tol: certify_convex(single(2, 4, lam=5.0).factors, series_tol=tol),
+        lambda tol: certify_ml_starlike(MLParams(2, 4), 0.0, series_tol=tol),
+        lambda tol: check_log_deriv_bound(MLParams(2, 4), series_tol=tol),
+    ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
+    def test_series_tolerance_above_the_margin_is_refused(self, run):
+        # the truncation error could otherwise exceed the margin the verdict allows
+        with pytest.raises(DomainError, match="exceeds the margin tolerance"):
+            run(0.05)
+
+
 class TestFailurePolicy:
     def _inject(self, monkeypatch, bad_indices):
         original = mittag_leffler._log_deriv_deviation
@@ -280,8 +293,8 @@ class TestFailurePolicy:
         assert cert.verdict == VERDICT_FAIL
 
     @pytest.mark.parametrize("evaluator, run", [
-        ("_star_deviation", lambda grid: certify_starlike(single(2, 4), grid)),
-        ("_convex_deviation", lambda grid: certify_convex(single(2, 4, lam=5.0).factors, grid)),
+        ("_table_deviation", lambda grid: certify_starlike(single(2, 4), grid)),
+        ("_table_deviation", lambda grid: certify_convex(single(2, 4, lam=5.0).factors, grid)),
         ("_log_deriv_deviation", lambda grid: certify_ml_starlike(MLParams(2, 4), 0.0, grid)),
         ("_log_deriv_deviation", lambda grid: check_log_deriv_bound(MLParams(2, 4), grid)),
     ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])

@@ -20,6 +20,7 @@ from mlstar import (
 from mlstar import certify as certify_module
 from mlstar.certify import GridSpec
 from mlstar.cli import cli
+from mlstar.errors import JobFileError
 from mlstar.jobs import job_to_dict, load_job, parse_job
 
 
@@ -208,6 +209,34 @@ class TestCertify:
         result = runner.invoke(cli, ["certify", path])
         assert result.exit_code == 1
         assert "fail" in result.output
+
+    def test_series_tolerance_above_the_margin_is_refused(self, runner, tmp_path):
+        # a loose --tol cuts the series so short that false claims pass: at 0.05
+        # star-24 keeps one term and observes exactly 1, at 0.5 all three pass
+        job = {"schema": 1, "operators": [
+            {"name": "bound-control", "kind": "log-deriv-bound", "alpha": 1, "beta": 10,
+             "predicted": 0.01},
+            {"name": "ml-control", "kind": "ml-starlike", "alpha": 2, "beta": 4, "eta": 0,
+             "predicted": 0.99},
+            {"name": "star-control", "kind": "starlike", "zeta": 1.0,
+             "factors": [{"alpha": 2, "beta": 4, "lambda": 1}], "predicted": 0.99},
+        ]}
+        path = write_job(tmp_path, job)
+        assert runner.invoke(cli, ["--grid-angles", "90", "certify", path]).exit_code == 1
+        for tol in ("0.05", "0.5"):
+            result = runner.invoke(cli, ["--tol", tol, "--grid-angles", "90", "certify", path])
+            assert result.exit_code == 2, result.output
+            assert "exceeds the job's margin tolerance" in result.output
+        # eval prints tail bounds, so it keeps any positive --tol
+        result = runner.invoke(cli, ["--tol", "0.5", "eval", "--job", path,
+                                     "--operator", "star-control", "--z", "0.25"])
+        assert result.exit_code == 0, result.output
+
+    def test_job_series_tolerance_above_the_margin_is_rejected(self):
+        with pytest.raises(JobFileError, match="'series' must not exceed 'margin'"):
+            parse_job(dict(CORPUS, tolerance={"margin": 1e-6, "series": 0.05}))
+        job = parse_job(dict(CORPUS, tolerance={"margin": 1e-6, "series": 1e-6}))
+        assert job.series_tol == job.margin_tol
 
     def test_empty_job_is_usage_error(self, runner, tmp_path):
         path = write_job(tmp_path, {"schema": 1, "operators": []})

@@ -14,7 +14,7 @@ from mlstar import (
     ml_raw,
 )
 from mlstar import mittag_leffler
-from mlstar.mittag_leffler import SeriesResult, _log_deriv_deviation, _ml_ratio_values
+from mlstar.mittag_leffler import SeriesResult, _log_deriv_deviation
 
 from conftest import random_disk_points
 from oracles import CLOSED, direct_series_norm, direct_series_raw, e24_log_deriv
@@ -221,14 +221,6 @@ class TestClosedForm:
 
 
 class TestArrayHelpers:
-    def test_array_matches_scalar(self, rng):
-        params = MLParams(1.7, 2.3)
-        z = random_disk_points(rng, 64).reshape(8, 8)
-        values = z * _ml_ratio_values(params, z)
-        for idx in np.ndindex(z.shape):
-            scalar = ml_norm(params, complex(z[idx])).value
-            assert abs(values[idx] - scalar) <= 1e-13
-
     def test_log_deriv_array_matches_scalar(self, rng):
         params = MLParams(2, 4)
         z = random_disk_points(rng, 50, r_min=1e-3)

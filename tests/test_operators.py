@@ -12,6 +12,7 @@ from mlstar import (
     MLParams,
     OperatorSpec,
     SeriesTruncationError,
+    certify_convex,
     certify_starlike,
     convex_log_deriv,
     f_conv_value,
@@ -20,8 +21,9 @@ from mlstar import (
     star_log_deriv,
 )
 from mlstar.certify import GridSpec, VERDICT_FAIL
+from mlstar.defaults import SERIES_TERM_CAP
 from mlstar.numerics import series_solve
-from mlstar.operators import _log_derivative_coefficients, _star_coefficients
+from mlstar.operators import _log_derivative_coefficients, _sized_table, _star_coefficients
 
 from conftest import random_disk_points
 from oracles import (
@@ -81,11 +83,11 @@ class TestProductTerm:
     def test_exponential_factor(self, rng):
         # (E_{1,1}(t)/t)^(1/lambda) = e^(t/lambda): t P'/P = t/lambda
         for lam in (1.0, 0.4, 3.0):
-            q = _log_derivative_coefficients((FactorSpec(MLParams(1, 1), lam),), 1e-14)
+            factors = (FactorSpec(MLParams(1, 1), lam),)
+            q = _log_derivative_coefficients(factors, 1e-14, SERIES_TERM_CAP)
             assert q[1] == pytest.approx(1.0 / lam, rel=1e-15)
             assert np.max(np.abs(q[2:])) <= 1e-15
             # and Integral_0^z e^(t/lambda) dt = lambda (e^(z/lambda) - 1)
-            factors = (FactorSpec(MLParams(1, 1), lam),)
             for z in random_disk_points(rng, 10, r_min=0.1):
                 z = complex(z)
                 expected = lam * (cmath.exp(z / lam) - 1.0)
@@ -93,7 +95,8 @@ class TestProductTerm:
 
     def test_limit_toward_origin(self):
         spec = single(2, 4)
-        assert _log_derivative_coefficients(spec.factors, 1e-14)[0] == 0.0  # P(0) = 1
+        q = _log_derivative_coefficients(spec.factors, 1e-14, SERIES_TERM_CAP)
+        assert q[0] == 0.0  # P(0) = 1
         assert star_log_deriv(spec, 1e-7) == pytest.approx(1.0, abs=1e-6)
         # F(z)/z stays exact where F itself underflows
         assert f_value(spec, 1e-300) / 1e-300 == pytest.approx(1.0, abs=1e-15)
@@ -106,9 +109,9 @@ class TestProductTerm:
     def test_exponent_additivity(self):
         # two identical factors at doubled lambda act like one factor
         params = MLParams(2, 3)
-        one = _log_derivative_coefficients((FactorSpec(params, 1.0),), 1e-14)
+        one = _log_derivative_coefficients((FactorSpec(params, 1.0),), 1e-14, SERIES_TERM_CAP)
         two = _log_derivative_coefficients(
-            (FactorSpec(params, 2.0), FactorSpec(params, 2.0)), 1e-14
+            (FactorSpec(params, 2.0), FactorSpec(params, 2.0)), 1e-14, SERIES_TERM_CAP
         )
         assert np.max(np.abs(one - two)) <= 1e-16
 
@@ -237,6 +240,22 @@ class TestStarLogDeriv:
         spec = single(1, 1, lam=1e-7)
         with pytest.raises(SeriesTruncationError):
             star_log_deriv(spec, 0.9)
+
+    def test_zero_of_g_fails_past_it(self):
+        # P = e^(25 t) at zeta = 1: G = (e^(25 z) - 1)/(25 z) vanishes at
+        # +-2 pi i/25, |z| = 0.2513, where zF'/F = 25 z e^(25 z)/(e^(25 z) - 1)
+        # has a pole, so its series converges inside and on no circle outside
+        spec = single(1, 1, lam=1 / 25)
+        z = 0.2j
+        expected = 25 * z * cmath.exp(25 * z) / (cmath.exp(25 * z) - 1)
+        assert abs(star_log_deriv(spec, z) - expected) <= 1e-12
+        for fn in (star_log_deriv, f_value):
+            with pytest.raises(SeriesTruncationError):
+                fn(spec, 0.5j)
+        cert = certify_starlike(spec, GridSpec(radii=(0.1, 0.2, 0.3, 0.5, 0.999), angles=32))
+        assert cert.failed_count == 3 * 32
+        assert cert.verdict == VERDICT_FAIL
+        assert all(failed.point.radius > 0.2513 for failed in cert.failed_sample)
 
 
 class TestConvexSide:
@@ -382,15 +401,39 @@ class TestCoefficientEngine:
                   for alpha, beta, power in factors),
             float(zeta),
         )
-        h = _star_coefficients(spec, 1e-14)
+        v = _star_coefficients(spec, 1e-14, terms)
+        assert v[0] == 0.0
+        v[0] = 1.0  # zF'/F = 1 + (zF'/F - 1)
         mine = {
-            "q": _log_derivative_coefficients(spec.factors, 1e-14),
-            "h": h,
-            "v": series_solve(h, [1.0], len(h)),
+            "q": _log_derivative_coefficients(spec.factors, 1e-14, terms),
+            "h": series_solve(v, [1.0], terms),
+            "v": v,
         }
         for name, table in expected.items():
             table = np.array([float(c) for c in table])
             assert np.max(np.abs(mine[name][:terms] - table)) <= 1e-13 * np.max(np.abs(table))
+
+    def test_convex_table_against_mpmath(self):
+        # r1-convex-34 of the series-grid benchmark: 1/lambda = 27.2 amplifies
+        # the error of a sum of pointwise ratios to 1.7e-13
+        alpha, beta, lam = 2.3850243763175847, 109.39713617197285, 0.03678589915801971
+        factors = (FactorSpec(MLParams(alpha, beta), lam),)
+        argmin = certify_convex(factors).argmin.z
+        mpmath.mp.dps = 40
+        table = _mp_table(alpha, mpmath.mpf(beta), 30)
+        for z in (argmin, 0.999, 0.999j, 0.999 * cmath.exp(2j)):
+            w = mpmath.mpc(z)
+            u = mpmath.fsum(c * w**k for k, c in enumerate(table))
+            du = mpmath.fsum(k * c * w**k for k, c in enumerate(table))
+            expected = complex(1 + du / u / mpmath.mpf(lam))
+            assert abs(convex_log_deriv(factors, z) - expected) <= 5e-14
+
+    def test_sized_table_is_a_prefix_of_the_full_solve(self):
+        spec = single(2, 4)
+        table = _sized_table(_star_coefficients, spec, 0.9, 1e-14)
+        assert len(table) < SERIES_TERM_CAP
+        full = _star_coefficients(spec, 1e-14, SERIES_TERM_CAP)
+        assert np.array_equal(table, full[: len(table)])
 
     def test_growing_product_without_cancellation(self):
         # P = e^(25 t): summed as a series, P(-0.999) = e^-25 would cancel
