@@ -7,11 +7,10 @@ the disk minimum lives on the outermost sampled circle; inner radii are
 kept as diagnostics. A certificate is finite-sample evidence, not a proof,
 and says so in its serialized form.
 
-The operator quantities, zF'/F and 1 + zF''/F', are each summed from one
-coefficient table sized for the outermost circle, so they have no
-denominator; a singularity within reach of a circle leaves the table
-without a cut there, and the circle fails. The Mittag-Leffler kinds sum
-z E'/E as a ratio of two series, whose denominator may vanish.
+Every certified quantity, zF'/F, 1 + zF''/F' and z E'/E, is summed from
+one coefficient table sized for the outermost circle, so none has a
+denominator; a singularity within reach of a circle, such as a zero of E,
+leaves the table without a cut there, and the circle fails.
 """
 
 from __future__ import annotations
@@ -24,9 +23,10 @@ import numpy as np
 
 from .defaults import EVAL_TOLERANCE, FAILURE_FRACTION, GRID_ANGLES, R_MAX, SERIES_TOL
 from .errors import DomainError, SeriesTruncationError
-from .mittag_leffler import MLParams, _log_deriv_deviation
+from .mittag_leffler import MLParams
 from .operators import (
     EvalPoint,
+    FactorSpec,
     OperatorSpec,
     _log_derivative_coefficients,
     _sized_table,
@@ -170,31 +170,28 @@ class Certificate:
         }
 
 
-# Every certified quantity Q has one evaluator, evaluate(z) -> (Q - 1, bad),
-# for the points z of one circle, where bad flags the points at which a
-# normalized Mittag-Leffler value vanished; an operator quantity has no
-# denominator and flags none. Q is 1 for the identity function, and the
-# bound certificate needs |Q - 1| itself, so the evaluators return the
-# deviation and never subtract 1 from a computed Q. Certificates project
-# it, and the CLI's dump prints 1 + deviation.
+# Every certified quantity Q has one coefficient table, whose sum is Q - 1:
+# Q is 1 for the identity function, and the bound certificate needs |Q - 1|
+# itself, so no 1 is ever subtracted from a computed Q. Certificates project
+# the deviation, and the CLI's dump prints 1 + deviation.
 
 
-def sample_grid(grid: GridSpec, evaluate) -> list:
-    """Evaluate the quantity on each circle of the grid, radius-major.
+def sample_grid(grid: GridSpec, table, series_tol: float) -> list:
+    """Sum the quantity's table on each circle of the grid, radius-major.
 
     Returns one (radius, angles, deviation, failures) per circle, where
-    failures maps an angle index to its reason. A SeriesTruncationError,
-    which means the series has no cut on that circle, fails all of its
-    points with the error's message, so one bad circle never aborts a
-    certificate. Points not flagged but whose value is not finite fail too.
+    failures maps an angle index to its reason. A point fails for two
+    reasons only: its circle has no cut (a SeriesTruncationError, which
+    fails all of its points with the error's message, so one bad circle
+    never aborts a certificate), or its value is not finite.
     """
     angles = grid.circle_angles()
     phase = np.exp(1j * angles)
     circles = []
     for r in grid.radii:
         try:
-            deviation, bad = evaluate(r * phase)
-            failures = dict.fromkeys(np.flatnonzero(bad).tolist(), "normalized value vanished")
+            deviation = _table_deviation(table, r * phase, series_tol)
+            failures = {}
         except SeriesTruncationError as exc:
             deviation = np.full(angles.shape, np.nan, dtype=complex)
             failures = dict.fromkeys(range(angles.size), str(exc))
@@ -204,7 +201,7 @@ def sample_grid(grid: GridSpec, evaluate) -> list:
     return circles
 
 
-def _scan(grid: GridSpec, evaluate, largest: bool):
+def _scan(grid: GridSpec, table, series_tol: float, largest: bool):
     """Minimize Re Q, or maximize |Q - 1| if largest, over the grid in deterministic order.
 
     Ties break toward the smallest radius, then the smallest angle index.
@@ -214,7 +211,7 @@ def _scan(grid: GridSpec, evaluate, largest: bool):
     best = math.inf
     best_point = None
     failures = []
-    for r, angles, deviation, fails in sample_grid(grid, evaluate):
+    for r, angles, deviation, fails in sample_grid(grid, table, series_tol):
         masked = -np.abs(deviation) if largest else 1.0 + deviation.real
         for idx, reason in fails.items():
             masked[idx] = math.inf
@@ -240,26 +237,25 @@ def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool,
     return VERDICT_PASS if margin >= -eval_tolerance else VERDICT_FAIL
 
 
-def _table_evaluator(coefficients, subject, radius: float, series_tol: float):
-    """An operator quantity, summed from one table sized for the circle |z| = radius."""
-    table = _sized_table(coefficients, subject, radius, series_tol)
-    return lambda z: (_table_deviation(table, z, series_tol), False)
-
-
 class _Claim(NamedTuple):
     """One certificate's prediction and sampled quantity, named ``sampled`` in dumps.
 
-    ``evaluator(radius, series_tol)`` builds the evaluator for circles up to
-    the grid's outermost radius, so predicting evaluates no series.
-    ``largest`` marks the bound, which certifies a maximum.
+    The quantity minus 1 is the table coefficients(subject, tol, length);
+    ``table(radius, series_tol)`` sizes it for circles up to radius, so
+    predicting evaluates no series. ``largest`` marks the bound, which
+    certifies a maximum.
     """
 
     quantity: str
     predicted: float
     hypothesis_ok: bool
     sampled: str
-    evaluator: object
+    coefficients: object
+    subject: object
     largest: bool = False
+
+    def table(self, radius: float, series_tol: float) -> np.ndarray:
+        return _sized_table(self.coefficients, self.subject, radius, series_tol)
 
 
 def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: float,
@@ -274,8 +270,8 @@ def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: f
                           f"{eval_tolerance!r}")
     grid = grid or GridSpec()
     target = claim.predicted if predicted is None else float(predicted)
-    evaluate = claim.evaluator(grid.radii[-1], series_tol)
-    observed, point, failures, total = _scan(grid, evaluate, claim.largest)
+    table = claim.table(grid.radii[-1], series_tol)
+    observed, point, failures, total = _scan(grid, table, series_tol, claim.largest)
     margin = target - observed if claim.largest else observed - target
     verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, len(failures), total)
     return Certificate(
@@ -289,7 +285,7 @@ def _starlike_claim(spec: OperatorSpec) -> _Claim:
     report = starlike_delta(spec)
     return _Claim(
         QUANTITY_STARLIKE_OPERATOR, report.delta, report.hypothesis_ok, "star-log-deriv",
-        lambda radius, tol: _table_evaluator(_star_coefficients, spec, radius, tol),
+        _star_coefficients, spec,
     )
 
 
@@ -314,7 +310,7 @@ def _convex_claim(factors) -> _Claim:
     report = convex_delta(factors)
     return _Claim(
         QUANTITY_CONVEX_OPERATOR, report.delta, report.hypothesis_ok, "convex-log-deriv",
-        lambda radius, tol: _table_evaluator(_log_derivative_coefficients, factors, radius, tol),
+        _log_derivative_coefficients, factors,
     )
 
 
@@ -335,7 +331,7 @@ def _ml_starlike_claim(params: MLParams, eta: float) -> _Claim:
         raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
     return _Claim(
         QUANTITY_STARLIKE_ML, eta, ml_starlike_hypothesis(params, eta), "ml-log-deriv",
-        lambda radius, tol: lambda z: _log_deriv_deviation(params, z, tol),
+        _log_derivative_coefficients, (FactorSpec(params, 1.0),),  # Q = z E'/E - 1
     )
 
 
@@ -356,8 +352,7 @@ def _log_deriv_bound_claim(params: MLParams) -> _Claim:
     bound = log_deriv_bound(params)  # raises DomainError for beta at/below golden
     return _Claim(
         QUANTITY_LOG_DERIV_BOUND, bound, True, "ml-log-deriv",
-        lambda radius, tol: lambda z: _log_deriv_deviation(params, z, tol),
-        largest=True,
+        _log_derivative_coefficients, (FactorSpec(params, 1.0),), largest=True,
     )
 
 

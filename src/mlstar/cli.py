@@ -36,10 +36,9 @@ from .jobs import (
     run_job,
 )
 from .mittag_leffler import MLParams, log_deriv, ml_norm, ml_raw
-from .operators import f_conv_value, f_value
+from .operators import OperatorSpec, _operator_value
 
 _EXIT_FAIL = 1
-_EXIT_USAGE = 2
 _EXIT_EVAL = 3
 
 
@@ -194,19 +193,21 @@ def _eval_ml_rows(params, points, raw, quantity, tol):
 
 
 def _eval_operator_rows(op, points, tol):
+    if op.kind == KIND_STARLIKE:
+        spec, power = op.operator_spec(), False  # F, as f_value sums it
+    elif op.kind == KIND_CONVEX:
+        spec, power = OperatorSpec(op.factors, 1.0), True  # as f_conv_value
+    else:
+        raise click.UsageError(
+            f"operator {op.name!r} has kind {op.kind!r}; only starlike and "
+            f"convex operators have values to evaluate")
     rows, failed = [], False
     for z in points:
         label = _fmt_complex(z)
         try:
-            if op.kind == KIND_STARLIKE:
-                value = f_value(op.operator_spec(), z, tol)
-            elif op.kind == KIND_CONVEX:
-                value = f_conv_value(op.factors, z, tol)
-            else:
-                raise click.UsageError(
-                    f"operator {op.name!r} has kind {op.kind!r}; only starlike and "
-                    f"convex operators have values to evaluate")
-            rows.append((label, _fmt_complex(value)))
+            result = _operator_value(spec, z, tol, power)
+            rows.append((label, f"{_fmt_complex(result.value)}  "
+                                f"terms={result.terms_used} tail={result.tail_bound:.3e}"))
         except MLStarError as exc:
             rows.append((label, f"error: {exc}"))
             failed = True
@@ -324,8 +325,8 @@ def cmd_dump(ctx, job_path, op_name, output):
     lines = [f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}",
              "radius,angle,re,im"]
     failed = False
-    evaluate = claim.evaluator(job.grid.radii[-1], job.series_tol)
-    for r, angles, deviation, failures in sample_grid(job.grid, evaluate):
+    table = claim.table(job.grid.radii[-1], job.series_tol)
+    for r, angles, deviation, failures in sample_grid(job.grid, table, job.series_tol):
         values = (1.0 + deviation).tolist()
         for k, theta in enumerate(angles.tolist()):
             if k in failures:

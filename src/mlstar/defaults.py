@@ -11,5 +11,5 @@ EVAL_TOLERANCE = 1e-6     # certificate margin tolerance
 GRID_ANGLES = 720
 R_MAX = 0.999
 
-DENOM_GUARD = 1e-12       # |E(z)| below this counts as hitting a zero
+DENOM_GUARD = 1e-12       # |E(z)| below this counts as hitting a zero in log_deriv
 FAILURE_FRACTION = 1e-3   # tolerated fraction of failed grid points

@@ -3,7 +3,9 @@
 Provides the raw series E(z) = sum z^n / Gamma(alpha*n + beta), its
 normalization Gamma(beta) * z * E(z) (which fixes value 0 and derivative 1
 at the origin), the derivative of the normalization, and the logarithmic
-derivative z*E'/E.
+derivative z*E'/E, each at one point. The certificates do not call these:
+they sum z*E'/E - 1 from its own coefficient table, t u'/u, which
+operators solves from the table cached here.
 """
 
 from __future__ import annotations
@@ -74,9 +76,8 @@ def _check_disk(z: complex) -> complex:
 #     c_n = Gamma(beta) / Gamma(alpha (n-1) + beta),
 #
 # whose product z u(z) is the normalized function, from one cached table
-# of c_n per (alpha, beta, tol). Each evaluation cuts the table for the
-# largest |z| it is given and runs Horner on whole ndarrays; the scalar
-# functions are 1-element calls.
+# of c_n per (alpha, beta, tol). Each evaluation cuts the table for |z| and
+# runs Horner on a 1-element ndarray.
 
 
 @lru_cache(maxsize=256)
@@ -126,15 +127,6 @@ def _cut(params: MLParams, z: np.ndarray, tol: float):
     return coeffs[:SERIES_TERM_CAP], math.inf
 
 
-def _checked_cut(params: MLParams, z: np.ndarray, tol: float) -> tuple:
-    coeffs, tail = _cut(params, z, tol)
-    if tail == math.inf:
-        raise SeriesTruncationError(
-            f"series tolerance {tol:g} unreachable within {SERIES_TERM_CAP} terms"
-        )
-    return coeffs
-
-
 def _horner(coeffs, z: np.ndarray) -> np.ndarray:
     acc = np.full(z.shape, coeffs[-1], dtype=complex)
     for c in reversed(coeffs[:-1]):
@@ -150,29 +142,14 @@ def _horner(coeffs, z: np.ndarray) -> np.ndarray:
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
-@_quiet_overflow
-def _log_deriv_deviation(params: MLParams, z, tol: float = SERIES_TOL):
-    """z E'/E - 1 on an ndarray; returns (deviation, bad) with zero hits flagged.
-
-    The deviation is sum (n-1) c_n z^(n-1) / sum c_n z^(n-1): no 1 is ever
-    subtracted, so it keeps its relative accuracy however small it is, and
-    the origin needs no special casing.
-    """
-    z = np.asarray(z, dtype=complex)
-    coeffs = _checked_cut(params, z, tol)
-    u = _horner(coeffs, z)
-    w = _horner(tuple(k * c for k, c in enumerate(coeffs)), z)
-    bad = np.abs(u) < DENOM_GUARD
-    return w / np.where(bad, 1.0, u), bad
+def _unreachable(tol: float) -> str:
+    return f"series tolerance {tol:g} unreachable within {SERIES_TERM_CAP} terms"
 
 
 def _point_result(value, coeffs, tail: float, tol: float) -> SeriesResult:
     result = SeriesResult(complex(value), len(coeffs), float(tail))
     if tail == math.inf:
-        raise SeriesTruncationError(
-            f"series tolerance {tol:g} unreachable within {SERIES_TERM_CAP} terms",
-            partial=result,
-        )
+        raise SeriesTruncationError(_unreachable(tol), partial=result)
     if not cmath.isfinite(result.value):
         raise SeriesTruncationError("series sum overflows the double range", partial=result)
     return result
@@ -227,19 +204,29 @@ def ml_norm_deriv(
     return _point_result(_horner(weighted, z)[0], coeffs, tail, tol)
 
 
+@_quiet_overflow
 def log_deriv(
     params: MLParams,
     z: complex,
     tol: float = SERIES_TOL,
 ) -> complex:
-    """z * E'(z) / E(z) for the normalized function, 1 by continuity at 0."""
+    """z * E'(z) / E(z) for the normalized function, 1 by continuity at 0.
+
+    It is 1 + sum (n-1) c_n z^(n-1) / sum c_n z^(n-1), a ratio of two sums
+    of the cut for |z|: the 1 is added last, so the origin needs no special
+    casing, and the ratio keeps its value past a zero of E. Where
+    |u(z)| < DENOM_GUARD it raises NearZeroDenominatorError.
+    """
     z = _check_disk(z)
-    deviation, bad = _log_deriv_deviation(params, np.array([z]), tol)
-    if bad[0]:
-        raise NearZeroDenominatorError(
-            f"normalized value vanished at z = {z!r}", z=z
-        )
-    value = 1.0 + complex(deviation[0])
+    point = np.array([z])
+    coeffs, tail = _cut(params, point, tol)
+    if tail == math.inf:
+        raise SeriesTruncationError(_unreachable(tol))
+    u = _horner(coeffs, point)
+    if abs(u[0]) < DENOM_GUARD:
+        raise NearZeroDenominatorError(f"normalized value vanished at z = {z!r}", z=z)
+    w = _horner(tuple(k * c for k, c in enumerate(coeffs)), point)
+    value = 1.0 + complex((w / u)[0])
     if not cmath.isfinite(value):
         raise SeriesTruncationError(f"z E'/E overflows the double range at z = {z!r}")
     return value

@@ -25,7 +25,8 @@ solution of (zeta + Q) H + z H' = zeta. Then
     1 + zF''/F' = 1 + Q(z).
 
 Each is summed by Horner from one table: zF'/F - 1 from v (v_0 = 0),
-log(F/z) from v_n/n, and (1 + zF''/F') - 1 from Q. Neither P nor G is
+log(F/z) from v_n/n, and (1 + zF''/F') - 1 from Q, which for the one
+factor E/z with lambda = 1 is also z E'/E - 1. Neither P nor G is
 ever summed as a series: at z = -1 the sum of P = e^(25 z) cancels terms
 near e^25 down to e^-25, where Q = 25 z, H and 1/H stay of moderate size.
 Power series carry the branch that is 1 at the origin, so no path is ever
@@ -50,7 +51,7 @@ import numpy as np
 
 from .defaults import SERIES_TERM_CAP, SERIES_TOL
 from .errors import DegenerateOperatorError, DomainError, SeriesTruncationError
-from .mittag_leffler import MLParams, _coefficients, _horner
+from .mittag_leffler import MLParams, SeriesResult, _coefficients, _horner
 from .numerics import principal_power, series_solve
 
 __all__ = [
@@ -143,7 +144,8 @@ def _log_derivative_coefficients(factors, tol: float, length: int) -> np.ndarray
 
     Each factor's table A is mittag_leffler's cached one, exact to tol on
     the unit circle, and contributes t A'/A / lambda. Q is also
-    (1 + zF''/F') - 1 of the zeta-free operator.
+    (1 + zF''/F') - 1 of the zeta-free operator, and for the one factor
+    E/z with lambda = 1 it is z E'/E - 1.
     """
     q = np.zeros(length)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,9 +200,10 @@ def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
     terms = np.abs(coeffs) * radius ** np.arange(len(coeffs))
-    if not np.isfinite(np.sum(terms)):
+    tails = np.cumsum(terms[::-1])[::-1]  # tails[k] = sum of terms[k:]
+    if not math.isfinite(tails[0]):
         return None, math.inf
-    dropped = np.cumsum(terms[::-1])[::-1][1 : len(terms) - _MEASURED_TAIL + 1]
+    dropped = tails[1 : len(terms) - _MEASURED_TAIL + 1]
     fits = np.flatnonzero(dropped <= tol)
     if not fits.size:
         return None, float(dropped[-1])
@@ -232,34 +235,42 @@ def _table_deviation(table, z, tol: float) -> np.ndarray:
     n, tail = _operator_cut(table, radius, tol)
     if n is None:
         raise SeriesTruncationError(
-            f"operator series at |z| = {radius:g} keeps a tail of {tail:.3g} "
+            f"series at |z| = {radius:g} keeps a tail of {tail:.3g} "
             f"after {len(table) - _MEASURED_TAIL} terms"
         )
     return _horner(table[:n], z)
 
 
-def _table_value(coefficients, subject, z: complex, tol: float) -> complex:
-    """The table's sum at one point, from a table sized for |z|."""
+def _table_value(coefficients, subject, z: complex, tol: float) -> SeriesResult:
+    """The table's sum at one point, from a table sized for |z|, with its cut."""
     table = _sized_table(coefficients, subject, abs(z), tol)
-    return complex(_table_deviation(table, np.array([z]), tol)[0])
+    value = complex(_table_deviation(table, np.array([z]), tol)[0])
+    return SeriesResult(value, *_operator_cut(table, abs(z), tol))
 
 
-def _root_ratio(spec: OperatorSpec, z: complex, tol: float, e: float) -> complex:
-    """(F(z)/z)^e = exp(e log(F/z)), continued from 1 at the origin."""
-    log_ratio = _table_value(_log_ratio_coefficients, spec, z, tol)
+def _operator_value(spec: OperatorSpec, z, tol: float, power: bool) -> SeriesResult:
+    """F(z) = z (F(z)/z), or F(z)^zeta = z^zeta (F(z)/z)^zeta if power.
+
+    (F/z)^e = exp(e log(F/z)) is continued from 1 at the origin, and z^zeta
+    is the principal power. The result carries the terms and tail of the
+    log(F/z) table's cut; the tail bounds the absolute error of log(F/z),
+    so it is the relative error of F. The series of log(F/z) has no cut
+    past a zero of G or of a factor.
+    """
+    zc = _as_point(z)
+    e = spec.zeta if power else 1.0
+    log_ratio = _table_value(_log_ratio_coefficients, spec, zc, tol)
     try:
-        return cmath.exp(e * log_ratio)
+        ratio = cmath.exp(e * log_ratio.value)
     except OverflowError:
-        raise DegenerateOperatorError(f"(F(z)/z)^{e:g} overflows at z = {z!r}") from None
+        raise DegenerateOperatorError(f"(F(z)/z)^{e:g} overflows at z = {zc!r}") from None
+    scale = principal_power(zc, e) if power else zc
+    return SeriesResult(scale * ratio, log_ratio.terms_used, log_ratio.tail_bound)
 
 
 def f_zeta_power(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
-    """The brace contents: zeta * Integral_0^z t^(zeta-1) P(t) dt = z^zeta (F(z)/z)^zeta.
-
-    z^zeta is the principal power.
-    """
-    zc = _as_point(z)
-    return principal_power(zc, spec.zeta) * _root_ratio(spec, zc, tol, spec.zeta)
+    """The brace contents: zeta * Integral_0^z t^(zeta-1) P(t) dt = z^zeta (F(z)/z)^zeta."""
+    return _operator_value(spec, z, tol, power=True).value
 
 
 def star_log_deriv(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
@@ -269,16 +280,12 @@ def star_log_deriv(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
     SeriesTruncationError, as f_value does.
     """
     zc = _as_point(z)
-    return 1.0 + _table_value(_star_coefficients, spec, zc, tol)
+    return 1.0 + _table_value(_star_coefficients, spec, zc, tol).value
 
 
 def f_value(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
-    """F(z) itself, z (F(z)/z), with the root continued from the origin.
-
-    The series of log(F/z) has no cut past a zero of G or of a factor.
-    """
-    zc = _as_point(z)
-    return zc * _root_ratio(spec, zc, tol, 1.0)
+    """F(z) itself, z (F(z)/z), with the root continued from the origin."""
+    return _operator_value(spec, z, tol, power=False).value
 
 
 def f_conv_value(factors, z, tol: float = SERIES_TOL) -> complex:
@@ -299,4 +306,4 @@ def convex_log_deriv(factors, z, tol: float = SERIES_TOL) -> complex:
     zc = complex(z.z) if isinstance(z, EvalPoint) else complex(z)
     if not abs(zc) < 1.0:
         raise DomainError(f"|z| must be < 1, got {abs(zc)!r}")
-    return 1.0 + _table_value(_log_derivative_coefficients, factors, zc, tol)
+    return 1.0 + _table_value(_log_derivative_coefficients, factors, zc, tol).value

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mlstar import operators
-from mlstar.certify import GridSpec
+from mlstar.certify import GridSpec, _ml_starlike_claim
+from mlstar.operators import _table_deviation
 
 
 @pytest.fixture
@@ -29,3 +30,11 @@ def random_disk_points(rng, count, r_max=0.999, r_min=0.0):
     radii = rng.uniform(r_min, r_max, size=count)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
     return radii * np.exp(1j * angles)
+
+
+def ml_table_deviation(params, z, tol=1e-14):
+    """z E'/E - 1 at the points z as the Mittag-Leffler certificates sum it:
+    from their table, sized for max |z|."""
+    z = np.asarray(z, dtype=complex)
+    table = _ml_starlike_claim(params, 0.0).table(float(np.max(np.abs(z))), tol)
+    return _table_deviation(table, z, tol)

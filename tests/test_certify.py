@@ -17,7 +17,6 @@ from mlstar import (
     log_deriv,
 )
 from mlstar import certify as certify_module
-from mlstar import mittag_leffler
 from mlstar.certify import (
     GridSpec,
     QUANTITY_LOG_DERIV_BOUND,
@@ -200,7 +199,9 @@ class TestEmpiricalOrder:
         value = brute_min_re(lambda z: log_deriv(params, z), small_grid.radii, small_grid.angles)
         assert value == pytest.approx(1.0 - small_grid.r_max, abs=1e-12)
         cert = certify_ml_starlike(params, 0.0, small_grid)
-        assert cert.observed == pytest.approx(value, abs=1e-15)
+        # z E'/E = 1 + z: the table sums it to 1e-15, the scalar ratio to 1e-14
+        assert cert.observed == pytest.approx(1.0 - small_grid.r_max, abs=1e-15)
+        assert cert.observed == pytest.approx(value, abs=1e-14)
 
     def test_more_radii_can_only_lower_the_minimum(self):
         params = MLParams(2, 4)
@@ -263,19 +264,14 @@ class TestSeriesTolerance:
 
 class TestFailurePolicy:
     def _inject(self, monkeypatch, bad_indices):
-        original = mittag_leffler._log_deriv_deviation
+        original = certify_module._table_deviation
 
-        def patched(params, z, tol=1e-14):
-            values, bad = original(params, z, tol)
-            bad = bad.copy()
-            flat = bad.reshape(-1)
-            for idx in bad_indices:
-                if idx < flat.size:
-                    flat[idx] = True
-            return values, bad
+        def patched(table, z, tol):
+            values = original(table, z, tol).copy()
+            values[[idx for idx in bad_indices if idx < values.size]] = np.nan
+            return values
 
-        monkeypatch.setattr(mittag_leffler, "_log_deriv_deviation", patched)
-        monkeypatch.setattr(certify_module, "_log_deriv_deviation", patched)
+        monkeypatch.setattr(certify_module, "_table_deviation", patched)
 
     def test_isolated_failures_are_recorded_not_fatal(self, monkeypatch):
         self._inject(monkeypatch, [3])
@@ -292,21 +288,33 @@ class TestFailurePolicy:
         assert cert.failed_count == 10
         assert cert.verdict == VERDICT_FAIL
 
-    @pytest.mark.parametrize("evaluator, run", [
-        ("_table_deviation", lambda grid: certify_starlike(single(2, 4), grid)),
-        ("_table_deviation", lambda grid: certify_convex(single(2, 4, lam=5.0).factors, grid)),
-        ("_log_deriv_deviation", lambda grid: certify_ml_starlike(MLParams(2, 4), 0.0, grid)),
-        ("_log_deriv_deviation", lambda grid: check_log_deriv_bound(MLParams(2, 4), grid)),
-    ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
-    def test_truncation_fails_its_circle_for_every_kind(self, monkeypatch, evaluator, run):
-        original = getattr(certify_module, evaluator)
+    def test_zero_of_e_fails_the_circles_past_it(self):
+        # E_{1,0.2} vanishes at -0.2448: z E'/E has a pole there, so its table
+        # has a cut on r = 0.2 but not on the two circles beyond the zero
+        grid = GridSpec(radii=(0.2, 0.5, 0.999), angles=64)
+        cert = certify_ml_starlike(MLParams(1, 0.2), 0.0, grid)
+        assert cert.verdict == VERDICT_FAIL
+        assert cert.failed_count == 128
+        assert all(f.point.radius > 0.2 and f.reason.startswith("series at |z| = ")
+                   for f in cert.failed_sample)
+        assert cert.argmin.radius == 0.2
+        assert cert.observed == pytest.approx(-3.6486995450896, abs=1e-12)
 
-        def truncated(subject, z, tol):
+    @pytest.mark.parametrize("run", [
+        lambda grid: certify_starlike(single(2, 4), grid),
+        lambda grid: certify_convex(single(2, 4, lam=5.0).factors, grid),
+        lambda grid: certify_ml_starlike(MLParams(2, 4), 0.0, grid),
+        lambda grid: check_log_deriv_bound(MLParams(2, 4), grid),
+    ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
+    def test_truncation_fails_its_circle_for_every_kind(self, monkeypatch, run):
+        original = certify_module._table_deviation
+
+        def truncated(table, z, tol):
             if np.max(np.abs(z)) > 0.99:
                 raise SeriesTruncationError("no cut on the outer circle")
-            return original(subject, z, tol)
+            return original(table, z, tol)
 
-        monkeypatch.setattr(certify_module, evaluator, truncated)
+        monkeypatch.setattr(certify_module, "_table_deviation", truncated)
         cert = run(GridSpec(radii=(0.5, 0.999), angles=64))
         assert cert.failed_count == 64
         assert cert.verdict == VERDICT_FAIL

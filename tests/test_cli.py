@@ -4,6 +4,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -105,6 +106,17 @@ class TestEval:
         )
         assert result.exit_code == 0
         assert "0.25156" in result.output  # z + z^2/40 + z^3/2520 + ...
+
+    @pytest.mark.parametrize("flags, row", [
+        (["--tol", "0.5"], "0.9  0.9  terms=1 tail=2.276e-02"),  # F(z) = z: a 2% tail
+        ([], "0.9  0.920542015605  terms=7 tail=1.227e-15"),
+    ], ids=["tol-0.5", "default-tol"])
+    def test_operator_rows_state_their_truncation(self, runner, flags, row):
+        # the tail bounds log(F/z), i.e. the relative error of F
+        result = runner.invoke(cli, [*flags, "eval", "--job", CORPUS_PATH,
+                                     "--operator", "star-24", "--z", "0.9"])
+        assert result.exit_code == 0, result.output
+        assert result.output == row + "\n"
 
     def test_operator_evaluation_error_exits_3(self, runner, tmp_path):
         job = {
@@ -283,10 +295,11 @@ class TestCertify:
         assert bound["observed"] == pytest.approx(5.3096214052587017e-5, rel=1e-11)
 
     def test_truncated_operator_fails_beside_a_healthy_one(self, runner, tmp_path, monkeypatch):
-        def truncated(params, z, tol):
-            raise SeriesTruncationError("no cut")
+        def overflowed(factors, tol, length):
+            return np.full(length, np.inf)  # no cut on any circle
 
-        monkeypatch.setattr(certify_module, "_log_deriv_deviation", truncated)
+        # the ml kinds take this table from certify; star-24 from operators
+        monkeypatch.setattr(certify_module, "_log_derivative_coefficients", overflowed)
         job = dict(CORPUS, operators=[CORPUS["operators"][0], CORPUS["operators"][2]])
         result = runner.invoke(cli, ["--format", "json", "certify", write_job(tmp_path, job)])
         assert result.exit_code == 1, result.output
@@ -294,7 +307,7 @@ class TestCertify:
         assert (star["name"], star["verdict"]) == ("star-24", "pass")
         assert (ml["name"], ml["verdict"]) == ("ml-24", "fail")
         assert ml["failed_points"]["count"] == 180
-        assert ml["failed_points"]["sample"][0]["reason"] == "no cut"
+        assert ml["failed_points"]["sample"][0]["reason"].startswith("series at |z| = ")
 
     def test_non_finite_job_numbers_rejected(self, runner, tmp_path):
         # refused while parsing, before any evaluation could produce a nan
@@ -422,9 +435,13 @@ class TestBetaDomain:
 
     @pytest.mark.parametrize("command", ["certify", "orders", "dump", "eval"])
     def test_tiny_representable_beta_still_runs(self, runner, tmp_path, command):
+        # E's zero near -1e-300 leaves the certified table with no cut (its
+        # coefficients overflow), so every point fails: a documented exit code
         result = runner.invoke(cli, tiny_beta_argv(tmp_path, command, 1e-300))
-        assert result.exit_code == 0, result.output
+        expected = {"certify": 1, "dump": 3}.get(command, 0)
+        assert result.exit_code == expected, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("flags, z", [([], "0.5"), (["--raw"], "0.5"),
                                           (["--deriv"], "0.5"), (["--deriv"], "1e-3")])

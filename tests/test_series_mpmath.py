@@ -10,7 +10,9 @@ import cmath
 import mpmath
 import pytest
 
-from mlstar import MLParams, log_deriv, mittag_leffler, ml_norm, ml_norm_deriv
+from mlstar import MLParams, SeriesTruncationError, log_deriv, ml_norm, ml_norm_deriv
+
+from conftest import ml_table_deviation
 
 ALPHAS = (1.0, 1.92, 2.7, 5.0)
 BETAS = (0.2, 1.0, 4.0, 167.93, 171.7, 175.0, 200.0, 1e3, 1e6)
@@ -57,11 +59,16 @@ def test_values_match_mpmath(alpha, beta):
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("beta", BETAS)
 def test_deviation_matches_mpmath(alpha, beta):
-    # |z E'/E - 1|, the quantity of the log-deriv-bound certificate
+    # |z E'/E - 1|, the quantity of the log-deriv-bound certificate, from its table
     params = MLParams(alpha, beta)
     z = [complex(p) for p in POINTS]
-    deviation, bad = mittag_leffler._log_deriv_deviation(params, z)
-    assert not bad.any()
+    if beta == 0.2 and alpha < 5.0:
+        # E has a zero inside the disk, a pole of z E'/E, so the table has no
+        # cut at r = 0.999; log_deriv keeps its ratio there (see above)
+        with pytest.raises(SeriesTruncationError):
+            ml_table_deviation(params, z)
+        return
+    deviation = ml_table_deviation(params, z)
     for k, point in enumerate(POINTS):
         u, w = reference(alpha, beta, point)
         truth = float(abs(w / u))
