@@ -10,28 +10,32 @@ and says so in its serialized form.
 Every certified quantity, zF'/F, 1 + zF''/F' and z E'/E, is summed from
 one coefficient table sized for the outermost circle, so none has a
 denominator; a singularity within reach of a circle, such as a zero of E,
-leaves the table without a cut there, and the circle fails.
+leaves the table without a cut there, and the circle fails. One real FFT
+over the M angles sums every circle of the grid at once, with a table
+longer than M folded mod M; the tables are real, so mirror points are
+exact conjugates, and the scan takes one argmin over the whole grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .defaults import EVAL_TOLERANCE, FAILURE_FRACTION, GRID_ANGLES, R_MAX, SERIES_TOL
-from .errors import DomainError, SeriesTruncationError
+from .errors import DomainError
 from .mittag_leffler import MLParams
 from .operators import (
     EvalPoint,
     FactorSpec,
     OperatorSpec,
+    _circle_sums,
     _log_derivative_coefficients,
     _sized_table,
     _star_coefficients,
-    _table_deviation,
 )
 from .orders import convex_delta, log_deriv_bound, ml_starlike_hypothesis, starlike_delta
 
@@ -176,56 +180,45 @@ class Certificate:
 # the deviation, and the CLI's dump prints 1 + deviation.
 
 
-def sample_grid(grid: GridSpec, table, series_tol: float) -> list:
-    """Sum the quantity's table on each circle of the grid, radius-major.
+def sample_grid(grid: GridSpec, table, series_tol: float) -> tuple:
+    """Sum the quantity's table on every circle of the grid at once.
 
-    Returns one (radius, angles, deviation, failures) per circle, where
-    failures maps an angle index to its reason. A point fails for two
-    reasons only: its circle has no cut (a SeriesTruncationError, which
-    fails all of its points with the error's message, so one bad circle
-    never aborts a certificate), or its value is not finite.
+    Returns (deviation, failures): deviation is a (radii, angles) complex
+    array, radius-major, and failures maps (circle, angle index) to its
+    reason, in the same order. A point fails for two reasons only: its
+    circle has no cut, which fails all of its points with the tail in the
+    reason, so one bad circle never aborts a certificate, or its value is
+    not finite.
     """
-    angles = grid.circle_angles()
-    phase = np.exp(1j * angles)
-    circles = []
-    for r in grid.radii:
-        try:
-            deviation = _table_deviation(table, r * phase, series_tol)
-            failures = {}
-        except SeriesTruncationError as exc:
-            deviation = np.full(angles.shape, np.nan, dtype=complex)
-            failures = dict.fromkeys(range(angles.size), str(exc))
-        for idx in np.flatnonzero(~np.isfinite(deviation)):
-            failures.setdefault(int(idx), "nonfinite value")
-        circles.append((r, angles, deviation, failures))
-    return circles
+    deviation, no_cut = _circle_sums(table, grid.radii, grid.angles, series_tol)
+    bad = ~np.isfinite(deviation)
+    bad[list(no_cut)] = True
+    return deviation, {divmod(i, grid.angles): no_cut.get(i // grid.angles, "nonfinite value")
+                       for i in np.flatnonzero(bad).tolist()}
 
 
 def _scan(grid: GridSpec, table, series_tol: float, largest: bool):
     """Minimize Re Q, or maximize |Q - 1| if largest, over the grid in deterministic order.
 
     Ties break toward the smallest radius, then the smallest angle index.
-    Returns (extremum, argmin EvalPoint, failures, total_points).
+    Returns (extremum, argmin EvalPoint, failed count, the first
+    _FAILED_SAMPLE_CAP failed points, total_points).
     """
-    sign = -1.0 if largest else 1.0
-    best = math.inf
-    best_point = None
-    failures = []
-    for r, angles, deviation, fails in sample_grid(grid, table, series_tol):
-        masked = -np.abs(deviation) if largest else 1.0 + deviation.real
-        for idx, reason in fails.items():
-            masked[idx] = math.inf
-            failures.append(
-                FailedPoint(EvalPoint.from_polar(r, float(angles[idx])), reason)
-            )
-        k = int(np.argmin(masked))  # first occurrence, i.e. smallest angle
-        if masked[k] < best:
-            best = float(masked[k])
-            best_point = EvalPoint.from_polar(r, float(angles[k]))
-    if best_point is None or math.isinf(best):
+    deviation, failures = sample_grid(grid, table, series_tol)
+    masked = -np.abs(deviation) if largest else 1.0 + deviation.real
+    if failures:
+        masked[tuple(np.array(list(failures)).T)] = math.inf
+    angles = grid.circle_angles()
+    sample = tuple(FailedPoint(EvalPoint.from_polar(grid.radii[row], float(angles[k])), reason)
+                   for (row, k), reason in islice(failures.items(), _FAILED_SAMPLE_CAP))
+    row, k = divmod(int(np.argmin(masked)), grid.angles)  # first of the raveled grid
+    best = float(masked[row, k])
+    if math.isinf(best):
         # nothing evaluated; the failure-fraction rule forces a fail verdict
-        return math.nan, EvalPoint.from_polar(grid.radii[0], 0.0), failures, grid.total_points()
-    return sign * best, best_point, failures, grid.total_points()
+        best, row, k = math.nan, 0, 0
+    sign = -1.0 if largest else 1.0
+    return (sign * best, EvalPoint.from_polar(grid.radii[row], float(angles[k])), len(failures),
+            sample, grid.total_points())
 
 
 def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool,
@@ -271,13 +264,12 @@ def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: f
     grid = grid or GridSpec()
     target = claim.predicted if predicted is None else float(predicted)
     table = claim.table(grid.radii[-1], series_tol)
-    observed, point, failures, total = _scan(grid, table, series_tol, claim.largest)
+    observed, point, failed, sample, total = _scan(grid, table, series_tol, claim.largest)
     margin = target - observed if claim.largest else observed - target
-    verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, len(failures), total)
+    verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, failed, total)
     return Certificate(
         claim.quantity, target, observed, point, margin, grid,
-        eval_tolerance, verdict, claim.hypothesis_ok,
-        len(failures), tuple(failures[:_FAILED_SAMPLE_CAP]), series_tol,
+        eval_tolerance, verdict, claim.hypothesis_ok, failed, sample, series_tol,
     )
 
 

@@ -35,7 +35,7 @@ from .jobs import (
     operator_to_dict,
     run_job,
 )
-from .mittag_leffler import MLParams, log_deriv, ml_norm, ml_raw
+from .mittag_leffler import MLParams, _log_deriv_value, ml_norm, ml_raw
 from .operators import OperatorSpec, _operator_value
 
 _EXIT_FAIL = 1
@@ -180,12 +180,11 @@ def _eval_ml_rows(params, points, raw, quantity, tol):
         label = _fmt_complex(z)
         try:
             if quantity == "log-deriv":
-                value = log_deriv(params, z, tol)
-                rows.append((label, f"{_fmt_complex(value)}"))
+                result = _log_deriv_value(params, z, tol)
             else:
                 result = ml_raw(params, z, tol) if raw else ml_norm(params, z, tol)
-                rows.append((label, f"{_fmt_complex(result.value)}  "
-                                    f"terms={result.terms_used} tail={result.tail_bound:.3e}"))
+            rows.append((label, f"{_fmt_complex(result.value)}  "
+                                f"terms={result.terms_used} tail={result.tail_bound:.3e}"))
         except MLStarError as exc:
             rows.append((label, f"error: {exc}"))
             failed = True
@@ -326,10 +325,11 @@ def cmd_dump(ctx, job_path, op_name, output):
              "radius,angle,re,im"]
     failed = False
     table = claim.table(job.grid.radii[-1], job.series_tol)
-    for r, angles, deviation, failures in sample_grid(job.grid, table, job.series_tol):
-        values = (1.0 + deviation).tolist()
-        for k, theta in enumerate(angles.tolist()):
-            if k in failures:
+    deviation, failures = sample_grid(job.grid, table, job.series_tol)
+    angles = job.grid.circle_angles().tolist()
+    for row, (r, values) in enumerate(zip(job.grid.radii, (1.0 + deviation).tolist())):
+        for k, theta in enumerate(angles):
+            if (row, k) in failures:
                 lines.append(f"{r!r},{theta!r},error,error")
                 failed = True
             else:

@@ -205,17 +205,11 @@ def ml_norm_deriv(
 
 
 @_quiet_overflow
-def log_deriv(
-    params: MLParams,
-    z: complex,
-    tol: float = SERIES_TOL,
-) -> complex:
-    """z * E'(z) / E(z) for the normalized function, 1 by continuity at 0.
+def _log_deriv_value(params: MLParams, z: complex, tol: float) -> SeriesResult:
+    """log_deriv's value with the cut it sums: its terms and its tail bound.
 
-    It is 1 + sum (n-1) c_n z^(n-1) / sum c_n z^(n-1), a ratio of two sums
-    of the cut for |z|: the 1 is added last, so the origin needs no special
-    casing, and the ratio keeps its value past a zero of E. Where
-    |u(z)| < DENOM_GUARD it raises NearZeroDenominatorError.
+    The tail bounds the terms dropped from each of the two sums, not the
+    error of their ratio, which grows as |u(z)| falls.
     """
     z = _check_disk(z)
     point = np.array([z])
@@ -229,4 +223,19 @@ def log_deriv(
     value = 1.0 + complex((w / u)[0])
     if not cmath.isfinite(value):
         raise SeriesTruncationError(f"z E'/E overflows the double range at z = {z!r}")
-    return value
+    return SeriesResult(value, len(coeffs), tail)
+
+
+def log_deriv(
+    params: MLParams,
+    z: complex,
+    tol: float = SERIES_TOL,
+) -> complex:
+    """z * E'(z) / E(z) for the normalized function, 1 by continuity at 0.
+
+    It is 1 + sum (n-1) c_n z^(n-1) / sum c_n z^(n-1), a ratio of two sums
+    of the cut for |z|: the 1 is added last, so the origin needs no special
+    casing, and the ratio keeps its value past a zero of E. Where
+    |u(z)| < DENOM_GUARD it raises NearZeroDenominatorError.
+    """
+    return _log_deriv_value(params, z, tol).value

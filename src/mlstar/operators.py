@@ -24,9 +24,9 @@ solution of (zeta + Q) H + z H' = zeta. Then
                  Integral_0^z P(t) dt is F at zeta = 1, whose
     1 + zF''/F' = 1 + Q(z).
 
-Each is summed by Horner from one table: zF'/F - 1 from v (v_0 = 0),
-log(F/z) from v_n/n, and (1 + zF''/F') - 1 from Q, which for the one
-factor E/z with lambda = 1 is also z E'/E - 1. Neither P nor G is
+Each is summed from one table: zF'/F - 1 from v (v_0 = 0), log(F/z)
+from v_n/n, and (1 + zF''/F') - 1 from Q, which for the one factor E/z
+with lambda = 1 is also z E'/E - 1. Neither P nor G is
 ever summed as a series: at z = -1 the sum of P = e^(25 z) cancels terms
 near e^25 down to e^-25, where Q = 25 z, H and 1/H stay of moderate size.
 Power series carry the branch that is 1 at the origin, so no path is ever
@@ -39,6 +39,12 @@ zero lies within reach of the circle, Q has a pole there, and where G has
 one, so does 1/H; the coefficients stop decaying. Then, or when the
 coefficients overflow, no cut exists and the evaluation raises
 SeriesTruncationError.
+
+A point is summed by Horner. A certificate grid is summed by one real FFT
+over its M angles (_circle_sums): the sum at r e^(2 pi i k/M) is the
+discrete Fourier transform of the cut terms c_n r^n, folded mod M when the
+cut is longer than M. The tables are real, so mirror points come out as
+exact conjugates.
 """
 
 from __future__ import annotations
@@ -179,35 +185,41 @@ _MEASURED_TAIL = 8
 _FIRST_LENGTH = 32  # of a table's first build, which _sized_table doubles
 
 
-def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
-    """(N, tail): how many terms of coeffs to sum on the circle |z| = radius.
+def _operator_cut(coeffs, radii, tol: float) -> tuple:
+    """(counts, tails): how many terms of coeffs to sum on each circle |z| = r.
 
     As for the Mittag-Leffler series, tol bounds the dropped terms
     absolutely: every table is 0 at the origin, where its quantity is 1
     (zF'/F, 1 + zF''/F'), or it is log(F/z), whose absolute error is F's
     relative one. With t_n = |c_n| r^n,
-    N is the smallest count that leaves at least _MEASURED_TAIL table
-    terms after it and whose dropped table terms sum to at most tol, and
-    tail is that sum. Terms past the table are taken to keep decaying as
-    its last ones do; a fall to tol within the table makes that decay
-    geometric in practice.
+    a circle's count N is the smallest that leaves at least _MEASURED_TAIL
+    table terms after it and whose dropped table terms sum to at most tol,
+    and its tail is that sum. Terms past the table are taken to keep
+    decaying as its last ones do; a fall to tol within the table makes that
+    decay geometric in practice.
 
-    When no count qualifies, N is None and tail is the sum at the last
+    When no count qualifies, N is 0 and the tail is the sum at the last
     admissible count: the terms stopped decaying because a singularity,
     a zero of a factor or of G, lies within reach of the circle, or they
     overflowed.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
-    terms = np.abs(coeffs) * radius ** np.arange(len(coeffs))
-    tails = np.cumsum(terms[::-1])[::-1]  # tails[k] = sum of terms[k:]
-    if not math.isfinite(tails[0]):
-        return None, math.inf
-    dropped = tails[1 : len(terms) - _MEASURED_TAIL + 1]
-    fits = np.flatnonzero(dropped <= tol)
-    if not fits.size:
-        return None, float(dropped[-1])
-    return int(fits[0]) + 1, float(dropped[fits[0]])
+    terms = np.abs(coeffs) * np.asarray(radii, dtype=float)[:, None] ** np.arange(len(coeffs))
+    tails = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # tails[:, k] = sum of terms[:, k:]
+    dropped = tails[:, 1 : len(coeffs) - _MEASURED_TAIL + 1]
+    last = dropped.shape[1] - 1
+    # a finite row of dropped never rises, so its first fit follows all misfits
+    first = np.count_nonzero(dropped > tol, axis=1)
+    finite = np.isfinite(tails[:, 0])
+    counts = np.where(finite & (first <= last), first + 1, 0)
+    tails = np.where(finite, dropped[np.arange(len(first)), np.minimum(first, last)], math.inf)
+    return counts, tails
+
+
+def _no_cut(table, radius: float, tail: float) -> str:
+    return (f"series at |z| = {radius:g} keeps a tail of {tail:.3g} "
+            f"after {len(table) - _MEASURED_TAIL} terms")
 
 
 def _sized_table(coefficients, subject, radius: float, tol: float) -> np.ndarray:
@@ -220,7 +232,7 @@ def _sized_table(coefficients, subject, radius: float, tol: float) -> np.ndarray
     length = _FIRST_LENGTH
     while True:
         table = coefficients(subject, tol, length)
-        if length >= SERIES_TERM_CAP or _operator_cut(table, radius, tol)[0] is not None:
+        if length >= SERIES_TERM_CAP or _operator_cut(table, [radius], tol)[0][0]:
             return table
         length = min(2 * length, SERIES_TERM_CAP)
 
@@ -232,12 +244,9 @@ def _table_deviation(table, z, tol: float) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     radius = float(np.max(np.abs(z)))
-    n, tail = _operator_cut(table, radius, tol)
-    if n is None:
-        raise SeriesTruncationError(
-            f"series at |z| = {radius:g} keeps a tail of {tail:.3g} "
-            f"after {len(table) - _MEASURED_TAIL} terms"
-        )
+    (n,), (tail,) = _operator_cut(table, [radius], tol)
+    if not n:
+        raise SeriesTruncationError(_no_cut(table, radius, tail))
     return _horner(table[:n], z)
 
 
@@ -245,7 +254,35 @@ def _table_value(coefficients, subject, z: complex, tol: float) -> SeriesResult:
     """The table's sum at one point, from a table sized for |z|, with its cut."""
     table = _sized_table(coefficients, subject, abs(z), tol)
     value = complex(_table_deviation(table, np.array([z]), tol)[0])
-    return SeriesResult(value, *_operator_cut(table, abs(z), tol))
+    (n,), (tail,) = _operator_cut(table, [abs(z)], tol)
+    return SeriesResult(value, int(n), float(tail))
+
+
+def _circle_sums(table, radii, m: int, tol: float) -> tuple:
+    """The table's sums at the m points r e^(2 pi i k/m) of each circle |z| = r.
+
+    Returns a (len(radii), m) complex array, row-major by circle, and
+    {row: reason} for the circles without a cut, whose rows are 0. On a
+    circle the sum is g_k = sum_n c_n r^n w^(nk) with w = e^(2 pi i/m): a
+    discrete Fourier transform of the cut terms c_n r^n, folded mod m when
+    the cut is longer than m. One real FFT sums every circle; it gives
+    S_k = conj(g_k) for k <= m/2, and g_(m-k) = S_k, so mirror points are
+    exact conjugates.
+    """
+    radii = np.asarray(radii, dtype=float)
+    counts, tails = _operator_cut(table, radii, tol)
+    width = int(counts.max())
+    n = np.arange(width)
+    terms = np.where(n < counts[:, None], table[:width] * radii[:, None] ** n, 0.0)
+    if width > m:
+        terms = np.pad(terms, ((0, 0), (0, -width % m))).reshape(len(radii), -1, m).sum(axis=1)
+    spectrum = np.fft.rfft(terms, n=m, axis=1)
+    sums = np.empty((len(radii), m), dtype=complex)
+    sums[:, : m // 2 + 1] = spectrum.conj()
+    sums[:, m // 2 + 1 :] = spectrum[:, (m + 1) // 2 - 1 : 0 : -1]
+    failures = {int(row): _no_cut(table, radii[row], tails[row])
+                for row in np.flatnonzero(counts == 0)}
+    return sums, failures
 
 
 def _operator_value(spec: OperatorSpec, z, tol: float, power: bool) -> SeriesResult:

@@ -9,7 +9,6 @@ from mlstar import (
     FactorSpec,
     MLParams,
     OperatorSpec,
-    SeriesTruncationError,
     certify_convex,
     certify_ml_starlike,
     certify_starlike,
@@ -264,14 +263,14 @@ class TestSeriesTolerance:
 
 class TestFailurePolicy:
     def _inject(self, monkeypatch, bad_indices):
-        original = certify_module._table_deviation
+        original = certify_module._circle_sums
 
-        def patched(table, z, tol):
-            values = original(table, z, tol).copy()
-            values[[idx for idx in bad_indices if idx < values.size]] = np.nan
-            return values
+        def patched(table, radii, m, tol):
+            sums, failures = original(table, radii, m, tol)
+            sums[:, [idx for idx in bad_indices if idx < m]] = np.nan
+            return sums, failures
 
-        monkeypatch.setattr(certify_module, "_table_deviation", patched)
+        monkeypatch.setattr(certify_module, "_circle_sums", patched)
 
     def test_isolated_failures_are_recorded_not_fatal(self, monkeypatch):
         self._inject(monkeypatch, [3])
@@ -307,14 +306,16 @@ class TestFailurePolicy:
         lambda grid: check_log_deriv_bound(MLParams(2, 4), grid),
     ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
     def test_truncation_fails_its_circle_for_every_kind(self, monkeypatch, run):
-        original = certify_module._table_deviation
+        original = certify_module._circle_sums
 
-        def truncated(table, z, tol):
-            if np.max(np.abs(z)) > 0.99:
-                raise SeriesTruncationError("no cut on the outer circle")
-            return original(table, z, tol)
+        def truncated(table, radii, m, tol):
+            sums, failures = original(table, radii, m, tol)
+            for row in np.flatnonzero(np.asarray(radii) > 0.99):
+                sums[row] = 0.0
+                failures[int(row)] = "no cut on the outer circle"
+            return sums, failures
 
-        monkeypatch.setattr(certify_module, "_table_deviation", truncated)
+        monkeypatch.setattr(certify_module, "_circle_sums", truncated)
         cert = run(GridSpec(radii=(0.5, 0.999), angles=64))
         assert cert.failed_count == 64
         assert cert.verdict == VERDICT_FAIL

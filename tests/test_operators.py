@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import mpmath
@@ -23,7 +24,14 @@ from mlstar import (
 from mlstar.certify import GridSpec, VERDICT_FAIL
 from mlstar.defaults import SERIES_TERM_CAP
 from mlstar.numerics import series_solve
-from mlstar.operators import _log_derivative_coefficients, _sized_table, _star_coefficients
+from mlstar.operators import (
+    _circle_sums,
+    _log_derivative_coefficients,
+    _operator_cut,
+    _sized_table,
+    _star_coefficients,
+    _table_deviation,
+)
 
 from conftest import random_disk_points
 from oracles import (
@@ -462,3 +470,59 @@ class TestCoefficientEngine:
                 with pytest.raises(SeriesTruncationError):
                     fn(spec, z)
         assert math.isfinite(star_log_deriv(spec, -0.15).real)
+
+
+class TestCircleSums:
+    """The certificates' grid sum, one real FFT, against pointwise Horner."""
+
+    TOL = 1e-14
+    PROBE = OperatorSpec((FactorSpec(MLParams(1.5, 2.0), 2.0), FactorSpec(MLParams(2.0, 3.0), 3.0)),
+                         0.37)
+    TABLES = {
+        "starlike-zeta-0.37": (_star_coefficients, PROBE),
+        "ml-1.2-1.7": (_log_derivative_coefficients, (FactorSpec(MLParams(1.2, 1.7), 1.0),)),
+    }
+
+    @staticmethod
+    @functools.lru_cache
+    def phases(m):
+        # correctly rounded e^(2 pi i k/m): np.exp of a rounded angle near 2 pi is
+        # off by about 4e-16, which moves Horner's sum as much as the FFT's error
+        return np.array([complex(mpmath.expjpi(mpmath.mpf(2 * k) / m)) for k in range(m)])
+
+    def assert_matches_horner(self, table, sums, radii):
+        counts, _ = _operator_cut(table, radii, self.TOL)
+        for row, r in enumerate(radii):
+            horner = _table_deviation(table, r * self.phases(sums.shape[1]), self.TOL)
+            scale = np.sum(np.abs(table[: counts[row]]) * r ** np.arange(counts[row]))
+            assert np.max(np.abs(sums[row] - horner)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("m", [8, 9, 720, 4096])
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_matches_horner_on_every_circle(self, m, kind):
+        table = _sized_table(*self.TABLES[kind], 0.999, self.TOL)
+        radii = (0.25, 0.9, 0.999)
+        sums, failures = _circle_sums(table, radii, m, self.TOL)
+        assert failures == {} and sums.shape == (3, m)
+        assert _operator_cut(table, radii, self.TOL)[0][-1] > 9  # m = 8 and 9 fold
+        self.assert_matches_horner(table, sums, radii)
+
+    @pytest.mark.parametrize("m", [8, 9, 720, 4096])
+    def test_mirror_points_are_exact_conjugates(self, m):
+        table = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
+        sums, _ = _circle_sums(table, (0.5, 0.999), m, self.TOL)
+        assert np.array_equal(sums[:, :0:-1], sums[:, 1:].conj())  # g[m-k] == conj(g[k])
+        assert np.all(sums[:, 0].imag == 0.0)
+
+    def test_a_middle_circle_without_a_cut_fails_alone(self):
+        # 1/(1 + 2t) has a pole at -1/2: no cut on r = 0.9, a cut on 0.3 and 0.4
+        inverse = series_solve([1.0, 2.0], [1.0], SERIES_TERM_CAP)
+        radii = (0.3, 0.9, 0.4)
+        sums, failures = _circle_sums(inverse, radii, 9, self.TOL)
+        with pytest.raises(SeriesTruncationError) as excinfo:
+            _table_deviation(inverse, [0.9], self.TOL)
+        assert failures == {1: str(excinfo.value)}
+        assert np.all(sums[1] == 0.0)
+        self.assert_matches_horner(inverse, sums[::2], radii[::2])
+        z = np.array(radii[::2])[:, None] * self.phases(9)
+        assert np.max(np.abs(sums[::2] - 1.0 / (1.0 + 2.0 * z))) <= 1e-14
