@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -180,45 +179,49 @@ class Certificate:
 # the deviation, and the CLI's dump prints 1 + deviation.
 
 
-def sample_grid(grid: GridSpec, table, series_tol: float) -> tuple:
+def sample_grid(grid: GridSpec, table, cut) -> tuple:
     """Sum the quantity's table on every circle of the grid at once.
 
-    Returns (deviation, failures): deviation is a (radii, angles) complex
-    array, radius-major, and failures maps (circle, angle index) to its
-    reason, in the same order. A point fails for two reasons only: its
-    circle has no cut, which fails all of its points with the tail in the
-    reason, so one bad circle never aborts a certificate, or its value is
-    not finite.
+    cut is the table's cut on the grid's radii, as _sized_table returns it.
+    Returns (deviation, failed, reasons): deviation is a (radii, angles)
+    complex array, radius-major, failed the boolean mask of its failed
+    points, and reasons one string per circle, why its failed points
+    failed. A point fails for two reasons only: its circle has no cut, which
+    fails all of its points with the tail in the reason, so one bad circle
+    never aborts a certificate, or its value is not finite.
     """
-    deviation, no_cut = _circle_sums(table, grid.radii, grid.angles, series_tol)
-    bad = ~np.isfinite(deviation)
-    bad[list(no_cut)] = True
-    return deviation, {divmod(i, grid.angles): no_cut.get(i // grid.angles, "nonfinite value")
-                       for i in np.flatnonzero(bad).tolist()}
+    deviation, no_cut = _circle_sums(table, grid.radii, cut, grid.angles)
+    failed = ~np.isfinite(deviation)
+    failed[list(no_cut)] = True
+    return deviation, failed, [no_cut.get(row, "nonfinite value") for row in range(len(grid.radii))]
 
 
-def _scan(grid: GridSpec, table, series_tol: float, largest: bool):
+def _scan(grid: GridSpec, table, cut, largest: bool):
     """Minimize Re Q, or maximize |Q - 1| if largest, over the grid in deterministic order.
 
     Ties break toward the smallest radius, then the smallest angle index.
     Returns (extremum, argmin EvalPoint, failed count, the first
     _FAILED_SAMPLE_CAP failed points, total_points).
     """
-    deviation, failures = sample_grid(grid, table, series_tol)
+    deviation, failed, reasons = sample_grid(grid, table, cut)
     masked = -np.abs(deviation) if largest else 1.0 + deviation.real
-    if failures:
-        masked[tuple(np.array(list(failures)).T)] = math.inf
     angles = grid.circle_angles()
-    sample = tuple(FailedPoint(EvalPoint.from_polar(grid.radii[row], float(angles[k])), reason)
-                   for (row, k), reason in islice(failures.items(), _FAILED_SAMPLE_CAP))
+    count = int(np.count_nonzero(failed))
+    sample = ()
+    if count:
+        masked[failed] = math.inf
+        sample = tuple(
+            FailedPoint(EvalPoint.from_polar(grid.radii[row], float(angles[k])), reasons[row])
+            for row, k in (divmod(i, grid.angles)
+                           for i in np.flatnonzero(failed)[:_FAILED_SAMPLE_CAP].tolist()))
     row, k = divmod(int(np.argmin(masked)), grid.angles)  # first of the raveled grid
     best = float(masked[row, k])
     if math.isinf(best):
         # nothing evaluated; the failure-fraction rule forces a fail verdict
         best, row, k = math.nan, 0, 0
     sign = -1.0 if largest else 1.0
-    return (sign * best, EvalPoint.from_polar(grid.radii[row], float(angles[k])), len(failures),
-            sample, grid.total_points())
+    return (sign * best, EvalPoint.from_polar(grid.radii[row], float(angles[k])),
+            count, sample, grid.total_points())
 
 
 def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool,
@@ -234,9 +237,9 @@ class _Claim(NamedTuple):
     """One certificate's prediction and sampled quantity, named ``sampled`` in dumps.
 
     The quantity minus 1 is the table coefficients(subject, tol, length);
-    ``table(radius, series_tol)`` sizes it for circles up to radius, so
-    predicting evaluates no series. ``largest`` marks the bound, which
-    certifies a maximum.
+    ``table(radii, series_tol)`` sizes it for the circles of radii and
+    returns it with its cut there, so predicting evaluates no series.
+    ``largest`` marks the bound, which certifies a maximum.
     """
 
     quantity: str
@@ -247,8 +250,8 @@ class _Claim(NamedTuple):
     subject: object
     largest: bool = False
 
-    def table(self, radius: float, series_tol: float) -> np.ndarray:
-        return _sized_table(self.coefficients, self.subject, radius, series_tol)
+    def table(self, radii, series_tol: float) -> tuple:
+        return _sized_table(self.coefficients, self.subject, radii, series_tol)
 
 
 def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: float,
@@ -263,8 +266,8 @@ def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: f
                           f"{eval_tolerance!r}")
     grid = grid or GridSpec()
     target = claim.predicted if predicted is None else float(predicted)
-    table = claim.table(grid.radii[-1], series_tol)
-    observed, point, failed, sample, total = _scan(grid, table, series_tol, claim.largest)
+    table, cut = claim.table(grid.radii, series_tol)
+    observed, point, failed, sample, total = _scan(grid, table, cut, claim.largest)
     margin = target - observed if claim.largest else observed - target
     verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, failed, total)
     return Certificate(

@@ -323,24 +323,19 @@ def cmd_dump(ctx, job_path, op_name, output):
     digest_doc = {"operator": operator_to_dict(op), "grid": job.grid.to_dict()}
     lines = [f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}",
              "radius,angle,re,im"]
-    failed = False
-    table = claim.table(job.grid.radii[-1], job.series_tol)
-    deviation, failures = sample_grid(job.grid, table, job.series_tol)
+    deviation, failed, _ = sample_grid(job.grid, *claim.table(job.grid.radii, job.series_tol))
     angles = job.grid.circle_angles().tolist()
-    for row, (r, values) in enumerate(zip(job.grid.radii, (1.0 + deviation).tolist())):
-        for k, theta in enumerate(angles):
-            if (row, k) in failures:
-                lines.append(f"{r!r},{theta!r},error,error")
-                failed = True
-            else:
-                lines.append(f"{r!r},{theta!r},{values[k].real!r},{values[k].imag!r}")
+    for r, values, row_failed in zip(job.grid.radii, (1.0 + deviation).tolist(), failed.tolist()):
+        for theta, value, error in zip(angles, values, row_failed):
+            body = "error,error" if error else f"{value.real!r},{value.imag!r}"
+            lines.append(f"{r!r},{theta!r},{body}")
     text = "\n".join(lines) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         click.echo(text, nl=False)
-    if failed:
+    if failed.any():
         sys.exit(_EXIT_EVAL)
 
 

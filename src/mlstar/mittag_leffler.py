@@ -206,10 +206,12 @@ def ml_norm_deriv(
 
 @_quiet_overflow
 def _log_deriv_value(params: MLParams, z: complex, tol: float) -> SeriesResult:
-    """log_deriv's value with the cut it sums: its terms and its tail bound.
+    """log_deriv's value with the cut it sums: its terms and its error bound.
 
-    The tail bounds the terms dropped from each of the two sums, not the
-    error of their ratio, which grows as |u(z)| falls.
+    The cut's tail t bounds the terms dropped from each of the two sums,
+    u = sum c_n z^(n-1) and w = sum (n-1) c_n z^(n-1). The ratio's error
+    (dw - (w/u) du)/(u + du) is then at most t (1 + |w/u|)/(|u| - t), the
+    bound returned, which is inf when |u| <= t.
     """
     z = _check_disk(z)
     point = np.array([z])
@@ -217,13 +219,15 @@ def _log_deriv_value(params: MLParams, z: complex, tol: float) -> SeriesResult:
     if tail == math.inf:
         raise SeriesTruncationError(_unreachable(tol))
     u = _horner(coeffs, point)
-    if abs(u[0]) < DENOM_GUARD:
+    size = float(abs(u[0]))
+    if size < DENOM_GUARD:
         raise NearZeroDenominatorError(f"normalized value vanished at z = {z!r}", z=z)
-    w = _horner(tuple(k * c for k, c in enumerate(coeffs)), point)
-    value = 1.0 + complex((w / u)[0])
+    ratio = complex((_horner(tuple(k * c for k, c in enumerate(coeffs)), point) / u)[0])
+    value = 1.0 + ratio
     if not cmath.isfinite(value):
         raise SeriesTruncationError(f"z E'/E overflows the double range at z = {z!r}")
-    return SeriesResult(value, len(coeffs), tail)
+    bound = tail * (1.0 + abs(ratio)) / (size - tail) if size > tail else math.inf
+    return SeriesResult(value, len(coeffs), bound)
 
 
 def log_deriv(

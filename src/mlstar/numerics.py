@@ -3,13 +3,16 @@
 Gamma quotients free of overflow, principal-branch complex powers, and
 one solver for power series, which gives quotients and logarithmic
 derivatives. The coefficients it produces carry the branch continued from
-the origin, so nothing is ever tracked along a path.
+the origin, so nothing is ever tracked along a path. It solves blocks of
+16 terms: one numpy convolution carries the earlier blocks into a block,
+and a short recurrence on Python floats solves inside it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from operator import mul
 
 import numpy as np
 
@@ -25,6 +28,8 @@ __all__ = [
 _STIRLING_MIN = 30.0
 # math.gamma overflows just above 171.62.
 _GAMMA_DIRECT_MAX = 171.0
+# series_solve's block: terms solved together on Python floats
+_BLOCK = 16
 
 
 def _stirling_correction(y: float) -> float:
@@ -84,6 +89,12 @@ def series_solve(a, b, length: int, derivative: bool = False) -> np.ndarray:
 
         x_n = (b_n - sum_{k=1..n} a_k x_{n-k}) / (a_0, or a_0 + n with t X').
 
+    The terms are solved in blocks of _BLOCK. What the earlier blocks
+    contribute to a block is one numpy convolution; inside the block the
+    recurrence runs on Python floats over at most _BLOCK - 1 neighbours.
+    A term depends only on the terms before it, so a shorter solve is
+    exactly a prefix of a longer one.
+
     X is therefore the solution analytic at the origin, continued across
     any disk where it stays analytic. A quotient B/A, a logarithmic
     derivative (B = t A') and the operators' H (with t X') are each one
@@ -93,12 +104,17 @@ def series_solve(a, b, length: int, derivative: bool = False) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)[:length]
     b = np.asarray(b, dtype=float)[:length]
-    rhs = np.concatenate((b, np.zeros(length - len(b)))).tolist()
-    a0, last = float(a[0]), len(a) - 1
-    x = np.zeros(length)
+    a = np.concatenate((a, np.zeros(length - len(a))))
+    x = np.concatenate((b, np.zeros(length - len(b))))
+    a0, near = float(a[0]), a[1:_BLOCK].tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(length):
-            m = n if n < last else last
-            pivot = a0 + n if derivative else a0
-            x[n] = (rhs[n] - np.dot(a[1 : m + 1], x[n - m : n][::-1])) / pivot
+        for start in range(0, length, _BLOCK):
+            stop = min(start + _BLOCK, length)
+            if start:
+                x[start:stop] -= np.convolve(a[:stop], x[:start])[start:stop]
+            block = []
+            for n, rhs in enumerate(x[start:stop].tolist(), start):
+                pivot = a0 + n if derivative else a0
+                block.append((rhs - sum(map(mul, near, reversed(block)))) / pivot)
+            x[start:stop] = block
     return x

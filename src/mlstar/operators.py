@@ -34,11 +34,13 @@ tracked, and no numerical differentiation or quadrature is involved.
 Q, H and 1/H all come from the one triangular solve numerics.series_solve.
 
 A sum on the circle |z| = r keeps the terms that _operator_cut selects,
-from a table built just long enough to have that cut. Where a factor's
-zero lies within reach of the circle, Q has a pole there, and where G has
-one, so does 1/H; the coefficients stop decaying. Then, or when the
-coefficients overflow, no cut exists and the evaluation raises
-SeriesTruncationError.
+from a table built just long enough to have that cut: 16 terms, doubled
+as needed. _sized_table cuts every circle of a grid in the call that
+decides the length and hands that cut on, so a table is built and cut
+once per certificate or evaluation. Where a factor's zero lies within
+reach of the circle, Q has a pole there, and where G has one, so does
+1/H; the coefficients stop decaying. Then, or when the coefficients
+overflow, no cut exists and the evaluation raises SeriesTruncationError.
 
 A point is summed by Horner. A certificate grid is summed by one real FFT
 over its M angles (_circle_sums): the sum at r e^(2 pi i k/M) is the
@@ -182,7 +184,7 @@ def _log_ratio_coefficients(spec: OperatorSpec, tol: float, length: int) -> np.n
 # A cut leaves at least this many table terms after it, so that the terms
 # it drops are measured, not extrapolated.
 _MEASURED_TAIL = 8
-_FIRST_LENGTH = 32  # of a table's first build, which _sized_table doubles
+_FIRST_LENGTH = 16  # of a table's first build, which _sized_table doubles
 
 
 def _operator_cut(coeffs, radii, tol: float) -> tuple:
@@ -210,7 +212,7 @@ def _operator_cut(coeffs, radii, tol: float) -> tuple:
     dropped = tails[:, 1 : len(coeffs) - _MEASURED_TAIL + 1]
     last = dropped.shape[1] - 1
     # a finite row of dropped never rises, so its first fit follows all misfits
-    first = np.count_nonzero(dropped > tol, axis=1)
+    first = (dropped > tol).sum(axis=1)
     finite = np.isfinite(tails[:, 0])
     counts = np.where(finite & (first <= last), first + 1, 0)
     tails = np.where(finite, dropped[np.arange(len(first)), np.minimum(first, last)], math.inf)
@@ -222,55 +224,51 @@ def _no_cut(table, radius: float, tail: float) -> str:
             f"after {len(table) - _MEASURED_TAIL} terms")
 
 
-def _sized_table(coefficients, subject, radius: float, tol: float) -> np.ndarray:
-    """coefficients(subject, tol, length) at the first length with a cut at radius.
+def _sized_table(coefficients, subject, radii, tol: float) -> tuple:
+    """(table, cut): coefficients(subject, tol, length) at the first length
+    with a cut on every circle |z| = r of radii, and its cut there.
 
-    The length starts at _FIRST_LENGTH and doubles; at SERIES_TERM_CAP the
-    table is returned whether it has a cut or not, and summing it on a
-    circle without one raises.
+    The cut is _operator_cut's (counts, tails) for all of radii, taken in
+    the call that decides the length; every caller sums from it and cuts
+    nothing again. Terms |c_n| r^n grow with r, so a cut on the outermost
+    circle is a cut on all of them. The length starts at _FIRST_LENGTH and
+    doubles; at SERIES_TERM_CAP the table is returned whether it has a cut
+    or not, and a circle without one has count 0.
     """
     length = _FIRST_LENGTH
     while True:
         table = coefficients(subject, tol, length)
-        if length >= SERIES_TERM_CAP or _operator_cut(table, [radius], tol)[0][0]:
-            return table
+        cut = _operator_cut(table, radii, tol)
+        if length >= SERIES_TERM_CAP or cut[0].all():
+            return table, cut
         length = min(2 * length, SERIES_TERM_CAP)
 
 
-def _table_deviation(table, z, tol: float) -> np.ndarray:
-    """The table's sum on an ndarray z: the quantity minus 1, or log(F/z).
-
-    Raises SeriesTruncationError when the table has no cut at max |z|.
-    """
-    z = np.asarray(z, dtype=complex)
-    radius = float(np.max(np.abs(z)))
-    (n,), (tail,) = _operator_cut(table, [radius], tol)
-    if not n:
-        raise SeriesTruncationError(_no_cut(table, radius, tail))
-    return _horner(table[:n], z)
-
-
 def _table_value(coefficients, subject, z: complex, tol: float) -> SeriesResult:
-    """The table's sum at one point, from a table sized for |z|, with its cut."""
-    table = _sized_table(coefficients, subject, abs(z), tol)
-    value = complex(_table_deviation(table, np.array([z]), tol)[0])
-    (n,), (tail,) = _operator_cut(table, [abs(z)], tol)
-    return SeriesResult(value, int(n), float(tail))
+    """The table's sum at one point, from a table sized for |z|, with its cut.
+
+    Raises SeriesTruncationError when the table has no cut at |z|.
+    """
+    table, ((n,), (tail,)) = _sized_table(coefficients, subject, [abs(z)], tol)
+    if not n:
+        raise SeriesTruncationError(_no_cut(table, abs(z), tail))
+    return SeriesResult(complex(_horner(table[:n], np.array([z]))[0]), int(n), float(tail))
 
 
-def _circle_sums(table, radii, m: int, tol: float) -> tuple:
+def _circle_sums(table, radii, cut, m: int) -> tuple:
     """The table's sums at the m points r e^(2 pi i k/m) of each circle |z| = r.
 
-    Returns a (len(radii), m) complex array, row-major by circle, and
-    {row: reason} for the circles without a cut, whose rows are 0. On a
-    circle the sum is g_k = sum_n c_n r^n w^(nk) with w = e^(2 pi i/m): a
-    discrete Fourier transform of the cut terms c_n r^n, folded mod m when
-    the cut is longer than m. One real FFT sums every circle; it gives
+    cut is the table's _operator_cut on radii. Returns a (len(radii), m)
+    complex array, row-major by circle, and {row: reason} for the circles
+    without a cut, whose rows are 0. On a circle the sum is
+    g_k = sum_n c_n r^n w^(nk) with w = e^(2 pi i/m): a discrete Fourier
+    transform of the cut terms c_n r^n, folded mod m when the cut is
+    longer than m. One real FFT sums every circle; it gives
     S_k = conj(g_k) for k <= m/2, and g_(m-k) = S_k, so mirror points are
     exact conjugates.
     """
     radii = np.asarray(radii, dtype=float)
-    counts, tails = _operator_cut(table, radii, tol)
+    counts, tails = cut
     width = int(counts.max())
     n = np.arange(width)
     terms = np.where(n < counts[:, None], table[:width] * radii[:, None] ** n, 0.0)

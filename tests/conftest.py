@@ -3,7 +3,9 @@ import pytest
 
 from mlstar import operators
 from mlstar.certify import GridSpec, _ml_starlike_claim
-from mlstar.operators import _table_deviation
+from mlstar.errors import SeriesTruncationError
+from mlstar.mittag_leffler import _horner
+from mlstar.operators import _no_cut, _operator_cut
 
 
 @pytest.fixture
@@ -32,9 +34,21 @@ def random_disk_points(rng, count, r_max=0.999, r_min=0.0):
     return radii * np.exp(1j * angles)
 
 
+def table_deviation(table, z, tol=1e-14):
+    """The table's Horner sum at the points z, cut for max |z|: the quantity
+    minus 1, or log(F/z). Raises SeriesTruncationError, as the package's
+    single-point sum does, when the table has no cut there."""
+    z = np.asarray(z, dtype=complex)
+    radius = float(np.max(np.abs(z)))
+    (n,), (tail,) = _operator_cut(table, [radius], tol)
+    if not n:
+        raise SeriesTruncationError(_no_cut(table, radius, tail))
+    return _horner(table[:n], z)
+
+
 def ml_table_deviation(params, z, tol=1e-14):
     """z E'/E - 1 at the points z as the Mittag-Leffler certificates sum it:
     from their table, sized for max |z|."""
     z = np.asarray(z, dtype=complex)
-    table = _ml_starlike_claim(params, 0.0).table(float(np.max(np.abs(z))), tol)
-    return _table_deviation(table, z, tol)
+    table, _ = _ml_starlike_claim(params, 0.0).table([float(np.max(np.abs(z)))], tol)
+    return table_deviation(table, z, tol)

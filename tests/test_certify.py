@@ -265,8 +265,8 @@ class TestFailurePolicy:
     def _inject(self, monkeypatch, bad_indices):
         original = certify_module._circle_sums
 
-        def patched(table, radii, m, tol):
-            sums, failures = original(table, radii, m, tol)
+        def patched(table, radii, cut, m):
+            sums, failures = original(table, radii, cut, m)
             sums[:, [idx for idx in bad_indices if idx < m]] = np.nan
             return sums, failures
 
@@ -308,8 +308,8 @@ class TestFailurePolicy:
     def test_truncation_fails_its_circle_for_every_kind(self, monkeypatch, run):
         original = certify_module._circle_sums
 
-        def truncated(table, radii, m, tol):
-            sums, failures = original(table, radii, m, tol)
+        def truncated(table, radii, cut, m):
+            sums, failures = original(table, radii, cut, m)
             for row in np.flatnonzero(np.asarray(radii) > 0.99):
                 sums[row] = 0.0
                 failures[int(row)] = "no cut on the outer circle"

@@ -119,11 +119,13 @@ class TestEval:
         assert result.output == row + "\n"
 
     @pytest.mark.parametrize("flags, z, row", [
-        (["--tol", "0.5"], "0.1", "0.1  1  terms=1 tail=2.500e-01"),  # z E'/E = 1 + z, cut to 1
-        (["--tol", "0.5"], "-0.9", "-0.9  -0.185136897001  terms=4 tail=1.902e-01"),
-        ([], "-0.9", "-0.9  0.1  terms=17 tail=8.941e-15"),
+        (["--tol", "0.5"], "0.1", "0.1  1  terms=1 tail=3.333e-01"),  # z E'/E = 1 + z, cut to 1
+        (["--tol", "0.5"], "-0.9", "-0.9  -0.185136897001  terms=4 tail=2.150e+00"),
+        ([], "-0.9", "-0.9  0.1  terms=17 tail=4.178e-14"),  # true error 1.93e-14
     ], ids=["tol-0.5-one-term", "tol-0.5", "default-tol"])
     def test_deriv_rows_state_their_truncation(self, runner, flags, z, row):
+        # the tail bounds the error of the ratio w/u, t (1 + |w/u|)/(|u| - t),
+        # from the tail t of the terms each of its sums drops
         result = runner.invoke(cli, [*flags, "eval", "--deriv", "--alpha", "1", "--beta", "1",
                                      "--z", z])
         assert result.exit_code == 0, result.output

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -180,6 +181,60 @@ class TestTrackedPower:
             residual = np.convolve(a, x)[:length] + (n * x if derivative else 0.0)
             residual[: len(b)] -= np.asarray(b)[:length]
             assert np.max(np.abs(residual)) <= 1e-15 * np.max(np.abs(x))
+
+
+def _mp_solve(a, b, length, derivative):
+    """series_solve's recurrence at 40 digits, from the same float inputs."""
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(float(c)) for c in a]
+        b = [mpmath.mpf(float(c)) for c in b]
+        x = []
+        for n in range(length):
+            near = mpmath.fsum(a[k] * x[n - k] for k in range(1, min(n, len(a) - 1) + 1))
+            rhs = b[n] if n < len(b) else mpmath.mpf(0)
+            x.append((rhs - near) / (a[0] + n if derivative else a[0]))
+        return np.array([float(c) for c in x])
+
+
+class TestSeriesSolve:
+    """The blocked solve against the term-by-term recurrence at 40 digits."""
+
+    @staticmethod
+    def uses():
+        # t A'/A of E_{2,3} (decaying) and of E_{1,0.2} (a zero at -0.2448, so
+        # growing like 4^n), then H from (zeta + Q) H + t H' = zeta for each
+        uses = {}
+        for name, (alpha, beta) in {"decaying": (2.0, 3.0), "growing": (1.0, 0.2)}.items():
+            table = np.asarray(_coefficients(alpha, beta, 1e-14))
+            q = series_solve(table, np.arange(len(table)) * table, 200)
+            uses[f"quotient-{name}"] = (table, np.arange(len(table)) * table, False)
+            uses[f"derivative-{name}"] = (np.concatenate(([0.37], q[1:])), [0.37], True)
+        return uses
+
+    @pytest.mark.parametrize("length", [15, 16, 17, 33, 200])
+    def test_matches_mpmath(self, length):
+        for name, (a, b, derivative) in self.uses().items():
+            expected = _mp_solve(a, b, length, derivative)
+            mine = series_solve(a, b, length, derivative=derivative)
+            assert len(mine) == length
+            assert np.max(np.abs(mine - expected)) <= 1e-13 * np.max(np.abs(expected)), name
+
+    def test_shorter_solves_are_exact_prefixes(self):
+        for a, b, derivative in self.uses().values():
+            full = series_solve(a, b, 200, derivative=derivative)
+            for length in (1, 15, 16, 17, 24, 32, 33, 64, 128):
+                assert np.array_equal(series_solve(a, b, length, derivative=derivative),
+                                      full[:length])
+
+    def test_overflow_gives_inf_and_nan_quietly(self):
+        # 1/(1 + 1e200 t): the coefficients (-1e200)^n overflow from n = 2 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inverse = series_solve([1.0, 1e200], [1.0], 64)
+            h = series_solve(np.concatenate(([1.0], inverse[1:])), [1.0], 64, derivative=True)
+        assert inverse[:2].tolist() == [1.0, -1e200]
+        assert not np.any(np.isfinite(inverse[2:]))
+        assert not np.all(np.isfinite(h))
 
 
 class TestIntegrateGL:

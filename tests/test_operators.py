@@ -30,10 +30,9 @@ from mlstar.operators import (
     _operator_cut,
     _sized_table,
     _star_coefficients,
-    _table_deviation,
 )
 
-from conftest import random_disk_points
+from conftest import random_disk_points, table_deviation
 from oracles import (
     direct_series_raw,
     e24,
@@ -438,10 +437,24 @@ class TestCoefficientEngine:
 
     def test_sized_table_is_a_prefix_of_the_full_solve(self):
         spec = single(2, 4)
-        table = _sized_table(_star_coefficients, spec, 0.9, 1e-14)
+        radii = (0.5, 0.9)
+        table, (counts, tails) = _sized_table(_star_coefficients, spec, radii, 1e-14)
         assert len(table) < SERIES_TERM_CAP
         full = _star_coefficients(spec, 1e-14, SERIES_TERM_CAP)
         assert np.array_equal(table, full[: len(table)])
+        # the cut it returns is the table's cut on every circle
+        expected = _operator_cut(table, radii, 1e-14)
+        assert np.array_equal(counts, expected[0]) and np.array_equal(tails, expected[1])
+        assert np.all(counts > 0)
+
+    def test_ml_table_cut_past_the_first_length_is_sized_at_twice_it(self):
+        # z E'/E - 1 of alpha = 1, beta = 4 needs 15 terms on r = 0.999, more than
+        # a 16-term table can cut with 8 measured terms left, so it doubles once
+        factors = (FactorSpec(MLParams(1, 4), 1.0),)
+        table, (counts, _) = _sized_table(_log_derivative_coefficients, factors, (0.999,), 1e-14)
+        assert len(table) == 32 and counts.tolist() == [15]
+        full = _log_derivative_coefficients(factors, 1e-14, SERIES_TERM_CAP)
+        assert np.array_equal(table, full[:32])
 
     def test_growing_product_without_cancellation(self):
         # P = e^(25 t): summed as a series, P(-0.999) = e^-25 would cancel
@@ -493,24 +506,24 @@ class TestCircleSums:
     def assert_matches_horner(self, table, sums, radii):
         counts, _ = _operator_cut(table, radii, self.TOL)
         for row, r in enumerate(radii):
-            horner = _table_deviation(table, r * self.phases(sums.shape[1]), self.TOL)
+            horner = table_deviation(table, r * self.phases(sums.shape[1]), self.TOL)
             scale = np.sum(np.abs(table[: counts[row]]) * r ** np.arange(counts[row]))
             assert np.max(np.abs(sums[row] - horner)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     @pytest.mark.parametrize("kind", TABLES)
     def test_matches_horner_on_every_circle(self, m, kind):
-        table = _sized_table(*self.TABLES[kind], 0.999, self.TOL)
         radii = (0.25, 0.9, 0.999)
-        sums, failures = _circle_sums(table, radii, m, self.TOL)
+        table, cut = _sized_table(*self.TABLES[kind], radii, self.TOL)
+        sums, failures = _circle_sums(table, radii, cut, m)
         assert failures == {} and sums.shape == (3, m)
-        assert _operator_cut(table, radii, self.TOL)[0][-1] > 9  # m = 8 and 9 fold
+        assert cut[0][-1] > 9  # m = 8 and 9 fold
         self.assert_matches_horner(table, sums, radii)
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     def test_mirror_points_are_exact_conjugates(self, m):
-        table = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
-        sums, _ = _circle_sums(table, (0.5, 0.999), m, self.TOL)
+        table, cut = _sized_table(_star_coefficients, self.PROBE, (0.5, 0.999), self.TOL)
+        sums, _ = _circle_sums(table, (0.5, 0.999), cut, m)
         assert np.array_equal(sums[:, :0:-1], sums[:, 1:].conj())  # g[m-k] == conj(g[k])
         assert np.all(sums[:, 0].imag == 0.0)
 
@@ -518,9 +531,9 @@ class TestCircleSums:
         # 1/(1 + 2t) has a pole at -1/2: no cut on r = 0.9, a cut on 0.3 and 0.4
         inverse = series_solve([1.0, 2.0], [1.0], SERIES_TERM_CAP)
         radii = (0.3, 0.9, 0.4)
-        sums, failures = _circle_sums(inverse, radii, 9, self.TOL)
+        sums, failures = _circle_sums(inverse, radii, _operator_cut(inverse, radii, self.TOL), 9)
         with pytest.raises(SeriesTruncationError) as excinfo:
-            _table_deviation(inverse, [0.9], self.TOL)
+            table_deviation(inverse, [0.9], self.TOL)
         assert failures == {1: str(excinfo.value)}
         assert np.all(sums[1] == 0.0)
         self.assert_matches_horner(inverse, sums[::2], radii[::2])

@@ -9,8 +9,10 @@ import cmath
 
 import mpmath
 import pytest
+from click.testing import CliRunner
 
 from mlstar import MLParams, SeriesTruncationError, log_deriv, ml_norm, ml_norm_deriv
+from mlstar.cli import cli
 
 from conftest import ml_table_deviation
 
@@ -73,3 +75,24 @@ def test_deviation_matches_mpmath(alpha, beta):
         u, w = reference(alpha, beta, point)
         truth = float(abs(w / u))
         assert abs(abs(complex(deviation[k])) - truth) <= 1e-12 * truth + 1e-14
+
+
+@pytest.mark.parametrize("alpha", (1.0, 2.5))
+@pytest.mark.parametrize("beta", (0.5, 1.0, 4.0))
+@pytest.mark.parametrize("tol", ("0.5", "1e-3", "1e-6"))
+def test_deriv_row_tail_bounds_its_error(alpha, beta, tol):
+    # an eval --deriv row prints z E'/E to 12 digits with a bound on its
+    # error; these tolerances keep the bound far above the printed rounding
+    points = (0.1, -0.9, 0.6j, 0.95 * cmath.exp(2j))
+    argv = ["--tol", tol, "eval", "--deriv", "--alpha", str(alpha), "--beta", str(beta)]
+    for z in points:
+        argv += ["--z", str(z)]
+    result = CliRunner().invoke(cli, argv)
+    assert result.exit_code == 0, result.output
+    rows = result.output.splitlines()
+    assert len(rows) == len(points)
+    for z, row in zip(points, rows):
+        _, value, _, tail = row.split()
+        u, w = reference(alpha, beta, z)
+        error = abs(complex(value) - complex(1 + w / u))
+        assert error <= float(tail.removeprefix("tail=")), row
