@@ -10,10 +10,13 @@ and says so in its serialized form.
 Every certified quantity, zF'/F, 1 + zF''/F' and z E'/E, is summed from
 one coefficient table sized for the outermost circle, so none has a
 denominator; a singularity within reach of a circle, such as a zero of E,
-leaves the table without a cut there, and the circle fails. One real FFT
-over the M angles sums every circle of the grid at once, with a table
-longer than M folded mod M; the tables are real, so mirror points are
-exact conjugates, and the scan takes one argmin over the whole grid.
+leaves the table without a cut there, and the circle fails. One matrix
+product sums the half k = 0 ... M/2 of every circle of the grid at once.
+The tables are real, so the point M - k holds the conjugate of the value
+at k: the same real part and modulus, later in the grid's order. The scan
+therefore takes one argmin over the (radii x (M/2 + 1)) half and picks
+the point a full-grid scan would; failed points are counted on the full
+grid, with each failure at k also failing its mirror M - k.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .operators import (
     FactorSpec,
     OperatorSpec,
     _circle_sums,
+    _half_circle_sums,
     _log_derivative_coefficients,
+    _mirror,
     _sized_table,
     _star_coefficients,
 )
@@ -101,7 +106,11 @@ class GridSpec:
             raise DomainError(f"need at least 8 angles, got {self.angles!r}")
 
     def circle_angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.angles) / self.angles
+        return self.circle_angle(np.arange(self.angles))
+
+    def circle_angle(self, k):
+        """The angle 2 pi k/angles of point k of every circle; k may be an index array."""
+        return 2.0 * np.pi * k / self.angles
 
     def total_points(self) -> int:
         return len(self.radii) * self.angles
@@ -188,7 +197,8 @@ def sample_grid(grid: GridSpec, table, cut) -> tuple:
     points, and reasons one string per circle, why its failed points
     failed. A point fails for two reasons only: its circle has no cut, which
     fails all of its points with the tail in the reason, so one bad circle
-    never aborts a certificate, or its value is not finite.
+    never aborts a certificate, or its value is not finite. Each circle is
+    the half that _scan scans, mirrored into the full circle.
     """
     deviation, no_cut = _circle_sums(table, grid.radii, cut, grid.angles)
     failed = ~np.isfinite(deviation)
@@ -201,26 +211,33 @@ def _scan(grid: GridSpec, table, cut, largest: bool):
 
     Ties break toward the smallest radius, then the smallest angle index.
     Returns (extremum, argmin EvalPoint, failed count, the first
-    _FAILED_SAMPLE_CAP failed points, total_points).
+    _FAILED_SAMPLE_CAP failed points, total_points). It scans each circle's
+    half, which holds the first of every pair of mirror points, and builds
+    the full failed mask only when some point failed.
     """
-    deviation, failed, reasons = sample_grid(grid, table, cut)
-    masked = -np.abs(deviation) if largest else 1.0 + deviation.real
-    angles = grid.circle_angles()
-    count = int(np.count_nonzero(failed))
+    m = grid.angles
+    half, no_cut = _half_circle_sums(table, grid.radii, cut, m)
+    masked = -np.abs(half) if largest else 1.0 + half.real
+    count = 0
     sample = ()
-    if count:
+    if no_cut or not np.isfinite(half.sum()):  # a finite sum has no nonfinite term
+        failed = ~np.isfinite(half)
+        failed[list(no_cut)] = True
         masked[failed] = math.inf
+        failed = np.concatenate((failed, _mirror(failed, m)), axis=1)
+        count = int(np.count_nonzero(failed))
+        reasons = [no_cut.get(row, "nonfinite value") for row in range(len(grid.radii))]
         sample = tuple(
-            FailedPoint(EvalPoint.from_polar(grid.radii[row], float(angles[k])), reasons[row])
-            for row, k in (divmod(i, grid.angles)
+            FailedPoint(EvalPoint.from_polar(grid.radii[row], grid.circle_angle(k)), reasons[row])
+            for row, k in (divmod(i, m)
                            for i in np.flatnonzero(failed)[:_FAILED_SAMPLE_CAP].tolist()))
-    row, k = divmod(int(np.argmin(masked)), grid.angles)  # first of the raveled grid
+    row, k = divmod(int(np.argmin(masked)), masked.shape[1])  # first of the raveled half
     best = float(masked[row, k])
     if math.isinf(best):
         # nothing evaluated; the failure-fraction rule forces a fail verdict
         best, row, k = math.nan, 0, 0
     sign = -1.0 if largest else 1.0
-    return (sign * best, EvalPoint.from_polar(grid.radii[row], float(angles[k])),
+    return (sign * best, EvalPoint.from_polar(grid.radii[row], grid.circle_angle(k)),
             count, sample, grid.total_points())
 
 

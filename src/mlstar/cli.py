@@ -183,7 +183,7 @@ def _eval_ml_rows(params, points, raw, quantity, tol):
                 result = _log_deriv_value(params, z, tol)
             else:
                 result = ml_raw(params, z, tol) if raw else ml_norm(params, z, tol)
-            rows.append((label, f"{_fmt_complex(result.value)}  "
+            rows.append((label, f"{_fmt_complex(result.value, repr)}  "
                                 f"terms={result.terms_used} tail={result.tail_bound:.3e}"))
         except MLStarError as exc:
             rows.append((label, f"error: {exc}"))
@@ -205,7 +205,7 @@ def _eval_operator_rows(op, points, tol):
         label = _fmt_complex(z)
         try:
             result = _operator_value(spec, z, tol, power)
-            rows.append((label, f"{_fmt_complex(result.value)}  "
+            rows.append((label, f"{_fmt_complex(result.value, repr)}  "
                                 f"terms={result.terms_used} tail={result.tail_bound:.3e}"))
         except MLStarError as exc:
             rows.append((label, f"error: {exc}"))
@@ -213,12 +213,17 @@ def _eval_operator_rows(op, points, tol):
     return rows, failed
 
 
-def _fmt_complex(z) -> str:
+def _fmt_complex(z, fmt=lambda x: f"{x:.12g}") -> str:
+    """z as re+imj, or re alone when z is real; fmt prints each part.
+
+    A value column passes repr, whose digits read back to the same float, so
+    that no printed value is further from the sum than its printed tail.
+    """
     z = complex(z)
     if z.imag == 0.0:
-        return f"{z.real:.12g}"
+        return fmt(z.real)
     sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.12g}{sign}{abs(z.imag):.12g}j"
+    return f"{fmt(z.real)}{sign}{fmt(abs(z.imag))}j"
 
 
 @cli.command("orders")

@@ -6,6 +6,7 @@ import pytest
 
 from mlstar import (
     DomainError,
+    EvalPoint,
     FactorSpec,
     MLParams,
     OperatorSpec,
@@ -16,6 +17,7 @@ from mlstar import (
     log_deriv,
 )
 from mlstar import certify as certify_module
+from mlstar import operators as operators_module
 from mlstar.certify import (
     GridSpec,
     QUANTITY_LOG_DERIV_BOUND,
@@ -24,7 +26,9 @@ from mlstar.certify import (
     VERDICT_HYPOTHESIS,
     VERDICT_PASS,
     default_radii,
+    sample_grid,
 )
+from mlstar.defaults import SERIES_TOL
 
 from oracles import brute_max_abs_dev, brute_min_re, e24_log_deriv, exp_star_quantity
 
@@ -263,17 +267,18 @@ class TestSeriesTolerance:
 
 class TestFailurePolicy:
     def _inject(self, monkeypatch, bad_indices):
-        original = certify_module._circle_sums
+        # the scan sees each circle's half, k <= m/2; a point k fails with its mirror m - k
+        original = certify_module._half_circle_sums
 
         def patched(table, radii, cut, m):
-            sums, failures = original(table, radii, cut, m)
-            sums[:, [idx for idx in bad_indices if idx < m]] = np.nan
-            return sums, failures
+            half, failures = original(table, radii, cut, m)
+            half[:, [idx for idx in bad_indices if idx <= m // 2]] = np.nan
+            return half, failures
 
-        monkeypatch.setattr(certify_module, "_circle_sums", patched)
+        monkeypatch.setattr(certify_module, "_half_circle_sums", patched)
 
     def test_isolated_failures_are_recorded_not_fatal(self, monkeypatch):
-        self._inject(monkeypatch, [3])
+        self._inject(monkeypatch, [0])  # its own mirror
         grid = GridSpec(radii=(0.999,), angles=2048)
         cert = certify_ml_starlike(MLParams(2, 4), 0.0, grid)
         assert cert.failed_count == 1
@@ -284,8 +289,10 @@ class TestFailurePolicy:
         self._inject(monkeypatch, list(range(10)))
         grid = GridSpec(radii=(0.999,), angles=2048)
         cert = certify_ml_starlike(MLParams(2, 4), 0.0, grid)
-        assert cert.failed_count == 10
+        assert cert.failed_count == 19  # k = 0, and k = 1 ... 9 with their mirrors
         assert cert.verdict == VERDICT_FAIL
+        assert [f.point.angle for f in cert.failed_sample] == list(
+            grid.circle_angles()[[*range(10), *range(2048 - 9, 2048 - 3)]])  # the first 16
 
     def test_zero_of_e_fails_the_circles_past_it(self):
         # E_{1,0.2} vanishes at -0.2448: z E'/E has a pole there, so its table
@@ -306,16 +313,16 @@ class TestFailurePolicy:
         lambda grid: check_log_deriv_bound(MLParams(2, 4), grid),
     ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
     def test_truncation_fails_its_circle_for_every_kind(self, monkeypatch, run):
-        original = certify_module._circle_sums
+        original = certify_module._half_circle_sums
 
         def truncated(table, radii, cut, m):
-            sums, failures = original(table, radii, cut, m)
+            half, failures = original(table, radii, cut, m)
             for row in np.flatnonzero(np.asarray(radii) > 0.99):
-                sums[row] = 0.0
+                half[row] = 0.0
                 failures[int(row)] = "no cut on the outer circle"
-            return sums, failures
+            return half, failures
 
-        monkeypatch.setattr(certify_module, "_circle_sums", truncated)
+        monkeypatch.setattr(certify_module, "_half_circle_sums", truncated)
         cert = run(GridSpec(radii=(0.5, 0.999), angles=64))
         assert cert.failed_count == 64
         assert cert.verdict == VERDICT_FAIL
@@ -323,3 +330,95 @@ class TestFailurePolicy:
             (0.999, "no cut on the outer circle")
         }
         assert math.isfinite(cert.observed)  # the inner circle still counts
+
+
+def full_grid_scan(grid, table, cut, largest):
+    """The certificate's scan, brute force over the full grid that sample_grid returns.
+
+    Returns (observed, (row, k), failed count, [(radius, angle, reason)] of
+    the first 16 failed points), ties to the first point of the raveled grid.
+    """
+    deviation, failed, reasons = sample_grid(grid, table, cut)
+    masked = -np.abs(deviation) if largest else 1.0 + deviation.real
+    masked[failed] = math.inf
+    row, k = divmod(int(np.argmin(masked)), grid.angles)
+    best = float(masked[row, k])
+    angles = grid.circle_angles()
+    sample = [(grid.radii[i], float(angles[j]), reasons[i])
+              for i, j in (divmod(int(x), grid.angles) for x in np.flatnonzero(failed)[:16])]
+    return (-best if largest else best), (row, k), int(np.count_nonzero(failed)), sample
+
+
+class TestHalfCircleScan:
+    """The scan of each circle's half picks what a scan of the full grid picks."""
+
+    PROBE = OperatorSpec((FactorSpec(MLParams(1.5, 2.0), 2.0), FactorSpec(MLParams(2.0, 3.0), 3.0)),
+                         0.37)
+    DEFAULT = default_radii()
+    CLAIMS = {  # (claim, radii); the cuts on r = 0.999 exceed 9 terms, so m = 8 and 9 fold
+        "starlike": (lambda: certify_module._starlike_claim(TestHalfCircleScan.PROBE), DEFAULT),
+        "convex": (lambda: certify_module._convex_claim(TestHalfCircleScan.PROBE.factors),
+                   DEFAULT),
+        "ml-starlike": (lambda: certify_module._ml_starlike_claim(MLParams(1.2, 1.7), 0.0),
+                        DEFAULT),
+        "log-deriv-bound": (lambda: certify_module._log_deriv_bound_claim(MLParams(1.2, 1.7)),
+                            DEFAULT),
+        # E_{1,0.2} vanishes at -0.2448: no cut on the two outer circles
+        "ml-no-cut": (lambda: certify_module._ml_starlike_claim(MLParams(1, 0.2), 0.0),
+                      (0.2, 0.5, 0.999)),
+    }
+
+    def assert_scans_agree(self, kind, m):
+        make, radii = self.CLAIMS[kind]
+        claim, grid = make(), GridSpec(radii=radii, angles=m)
+        table, cut = claim.table(grid.radii, SERIES_TOL)
+        if kind != "ml-no-cut":
+            assert cut[0][-1] > 9
+        observed, point, count, sample, total = certify_module._scan(grid, table, cut,
+                                                                     claim.largest)
+        brute_observed, (row, k), brute_count, brute_sample = full_grid_scan(
+            grid, table, cut, claim.largest)
+        assert observed == brute_observed
+        assert (point.radius, point.angle) == (grid.radii[row], grid.circle_angles()[k])
+        assert point == EvalPoint.from_polar(grid.radii[row], float(grid.circle_angles()[k]))
+        assert count == brute_count and total == grid.total_points()
+        assert [(f.point.radius, f.point.angle, f.reason) for f in sample] == brute_sample
+        return count
+
+    @pytest.mark.parametrize("m", [8, 9, 720, 4096])
+    @pytest.mark.parametrize("kind", CLAIMS)
+    def test_matches_a_full_grid_scan(self, kind, m):
+        count = self.assert_scans_agree(kind, m)
+        assert count == (2 * m if kind == "ml-no-cut" else 0)
+
+    @pytest.mark.parametrize("m", [8, 9, 720])
+    @pytest.mark.parametrize("kind", ["starlike", "log-deriv-bound", "ml-no-cut"])
+    def test_nonfinite_points_fail_with_their_mirrors(self, monkeypatch, kind, m):
+        # both paths sum the half that _half_circle_sums returns, poisoned at k = 1 and m/2
+        original = operators_module._half_circle_sums
+
+        def poisoned(table, radii, cut, m):
+            half, failures = original(table, radii, cut, m)
+            half[:, [1, m // 2]] = complex(math.nan, 0.0)
+            return half, failures
+
+        monkeypatch.setattr(operators_module, "_half_circle_sums", poisoned)
+        monkeypatch.setattr(certify_module, "_half_circle_sums", poisoned)
+        count = self.assert_scans_agree(kind, m)
+        poisoned_per_circle = 3 if m % 2 == 0 else 4  # m/2 is its own mirror when m is even
+        if kind == "ml-no-cut":  # two circles without a cut, one poisoned
+            assert count == 2 * m + poisoned_per_circle
+        else:
+            assert count == len(self.CLAIMS[kind][1]) * poisoned_per_circle
+
+    def test_every_point_failed(self, monkeypatch):
+        original = certify_module._half_circle_sums
+
+        def nowhere(table, radii, cut, m):
+            half, failures = original(table, radii, cut, m)
+            return half, {row: "no cut" for row in range(len(radii))}
+
+        monkeypatch.setattr(certify_module, "_half_circle_sums", nowhere)
+        cert = certify_ml_starlike(MLParams(2, 4), 0.0, GridSpec(radii=(0.5, 0.999), angles=9))
+        assert math.isnan(cert.observed) and cert.failed_count == 18
+        assert cert.verdict == VERDICT_FAIL and cert.argmin.angle == 0.0

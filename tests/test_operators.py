@@ -25,7 +25,10 @@ from mlstar.certify import GridSpec, VERDICT_FAIL
 from mlstar.defaults import SERIES_TERM_CAP
 from mlstar.numerics import series_solve
 from mlstar.operators import (
+    _BASES,
+    _circle_basis,
     _circle_sums,
+    _half_circle_sums,
     _log_derivative_coefficients,
     _operator_cut,
     _sized_table,
@@ -486,7 +489,8 @@ class TestCoefficientEngine:
 
 
 class TestCircleSums:
-    """The certificates' grid sum, one real FFT, against pointwise Horner."""
+    """The certificates' grid sum, each circle's half times a cached cos/sin basis, mirrored
+    into the full circle, against pointwise Horner."""
 
     TOL = 1e-14
     PROBE = OperatorSpec((FactorSpec(MLParams(1.5, 2.0), 2.0), FactorSpec(MLParams(2.0, 3.0), 3.0)),
@@ -500,7 +504,7 @@ class TestCircleSums:
     @functools.lru_cache
     def phases(m):
         # correctly rounded e^(2 pi i k/m): np.exp of a rounded angle near 2 pi is
-        # off by about 4e-16, which moves Horner's sum as much as the FFT's error
+        # off by about 4e-16, which moves Horner's sum as much as the basis product's error
         return np.array([complex(mpmath.expjpi(mpmath.mpf(2 * k) / m)) for k in range(m)])
 
     def assert_matches_horner(self, table, sums, radii):
@@ -526,6 +530,36 @@ class TestCircleSums:
         sums, _ = _circle_sums(table, (0.5, 0.999), cut, m)
         assert np.array_equal(sums[:, :0:-1], sums[:, 1:].conj())  # g[m-k] == conj(g[k])
         assert np.all(sums[:, 0].imag == 0.0)
+
+    @pytest.mark.parametrize("m", [8, 9, 720, 4096])
+    def test_the_half_is_the_first_half_of_the_circle(self, m):
+        table, cut = _sized_table(_star_coefficients, self.PROBE, (0.5, 0.999), self.TOL)
+        half, _ = _half_circle_sums(table, (0.5, 0.999), cut, m)
+        sums, _ = _circle_sums(table, (0.5, 0.999), cut, m)
+        assert half.shape == (2, m // 2 + 1) and np.array_equal(sums[:, : m // 2 + 1], half)
+
+    @pytest.mark.parametrize("rows, m", [(16, 8), (32, 9), (16, 720), (256, 4096)])
+    def test_basis_is_exact_where_the_angle_is_0_or_pi(self, rows, m):
+        basis = _circle_basis(rows, m)
+        cos, sin = basis[:, 0::2], basis[:, 1::2]
+        assert basis.shape == (rows, 2 * (m // 2 + 1)) and not basis.flags.writeable
+        assert np.all(sin[:, 0] == 0.0) and np.all(cos[:, 0] == 1.0)
+        if m % 2 == 0:  # e^(i pi n) = (-1)^n
+            assert np.all(sin[:, m // 2] == 0.0)
+            assert np.array_equal(cos[:, m // 2], (-1.0) ** np.arange(rows))
+        assert np.all(sin[0] == 0.0) and np.all(cos[0] == 1.0)
+
+    @pytest.mark.parametrize("m", [8, 9, 100])
+    def test_basis_folds_rows_past_m(self, m):
+        # n k mod m: row n of a cut longer than m is row n mod m, bit for bit
+        basis = _circle_basis(256, m)
+        assert np.array_equal(basis, basis[np.arange(256) % m])
+
+    def test_basis_cache_is_bounded(self):
+        for m in range(8, 8 + 3 * _BASES):
+            _circle_basis(16, m)
+        info = _circle_basis.cache_info()
+        assert info.maxsize == _BASES and info.currsize <= _BASES
 
     def test_a_middle_circle_without_a_cut_fails_alone(self):
         # 1/(1 + 2t) has a pole at -1/2: no cut on r = 0.9, a cut on 0.3 and 0.4

@@ -79,10 +79,11 @@ def test_deviation_matches_mpmath(alpha, beta):
 
 @pytest.mark.parametrize("alpha", (1.0, 2.5))
 @pytest.mark.parametrize("beta", (0.5, 1.0, 4.0))
-@pytest.mark.parametrize("tol", ("0.5", "1e-3", "1e-6"))
+@pytest.mark.parametrize("tol", ("0.5", "1e-3", "1e-6", "1e-9"))
 def test_deriv_row_tail_bounds_its_error(alpha, beta, tol):
-    # an eval --deriv row prints z E'/E to 12 digits with a bound on its
-    # error; these tolerances keep the bound far above the printed rounding
+    # an eval --deriv row prints z E'/E to repr precision with a bound on its
+    # error; at alpha 2.5, beta 4, z 0.1 and 1e-9 the tail is 4.8e-13, which
+    # 12 printed digits used to miss by 7x
     points = (0.1, -0.9, 0.6j, 0.95 * cmath.exp(2j))
     argv = ["--tol", tol, "eval", "--deriv", "--alpha", str(alpha), "--beta", str(beta)]
     for z in points:
