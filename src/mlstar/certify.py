@@ -27,7 +27,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .defaults import EVAL_TOLERANCE, FAILURE_FRACTION, GRID_ANGLES, R_MAX, SERIES_TOL
+from .defaults import (
+    EVAL_TOLERANCE,
+    FAILURE_FRACTION,
+    GRID_ANGLES,
+    GRID_ANGLES_MAX,
+    R_MAX,
+    SERIES_TOL,
+)
 from .errors import DomainError
 from .mittag_leffler import MLParams
 from .operators import (
@@ -102,8 +109,8 @@ class GridSpec:
         if not (0.0 < radii[0] and radii[-1] <= self.r_max):
             raise DomainError(f"radii must lie in (0, r_max], got {radii!r}")
         object.__setattr__(self, "radii", radii)
-        if not self.angles >= 8:
-            raise DomainError(f"need at least 8 angles, got {self.angles!r}")
+        if not 8 <= self.angles <= GRID_ANGLES_MAX:
+            raise DomainError(f"angles must lie in [8, {GRID_ANGLES_MAX}], got {self.angles!r}")
 
     def circle_angles(self) -> np.ndarray:
         return self.circle_angle(np.arange(self.angles))

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's argparse.
 
 Commands:
     eval     evaluate normalized Mittag-Leffler functions or an operator
@@ -6,20 +6,23 @@ Commands:
     certify  run a job's certificates and emit a report
     dump     sample one certified quantity over a grid as CSV
 
-Exit codes: 0 success (certify: all pass, or hypothesis warnings without
---strict), 1 any failed certificate, 2 bad usage or unparseable job,
-3 evaluation errors.
+Global flags (--tol, --grid-angles, --r-max, --strict, --format) go before
+the command. main() always ends in SystemExit with the exit code: 0 success
+(certify: all pass, or hypothesis warnings without --strict), 1 any failed
+certificate, 2 bad usage, an invalid job file or an output path that cannot
+be written, 3 evaluation errors (eval or dump points that failed).
 """
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import dataclasses
+import inspect
 import json
 import math
 import sys
-
-import click
+from functools import partial
 
 from . import __version__
 from .certify import GridSpec, VERDICT_FAIL, VERDICT_HYPOTHESIS, sample_grid
@@ -42,72 +45,31 @@ _EXIT_FAIL = 1
 _EXIT_EVAL = 3
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="mlstar")
-@click.option("--tol", type=float, default=None,
-              help="Series truncation tolerance (default 1e-14); it also cuts the "
-                   "operators' series.")
-@click.option("--grid-angles", type=int, default=None,
-              help="Override the number of sampled angles per circle.")
-@click.option("--r-max", type=float, default=None,
-              help="Override the outermost sampled radius (< 1).")
-@click.option("--strict", is_flag=True,
-              help="Treat hypothesis violations as failures (exit 1).")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default=None,
-              help="Report format; defaults to the job's 'outputs' entry or text.")
-@click.pass_context
-def cli(ctx, tol, grid_angles, r_max, strict, fmt):
-    """Evaluate normalized Mittag-Leffler functions, build their integral
-    operators, and certify predicted orders of starlikeness and convexity
-    by dense sampling of the unit disk."""
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise click.BadParameter(f"must be finite and > 0, got {tol!r}", param_hint="--tol")
-    ctx.obj = {
-        "tol": tol,
-        "grid_angles": grid_angles,
-        "r_max": r_max,
-        "strict": strict,
-        "format": fmt,
-    }
-
-
-def _load(path) -> Job:
-    try:
-        return load_job(path)
-    except JobFileError as exc:
-        raise click.UsageError(str(exc))
+class UsageError(Exception):
+    """Bad usage: main reports it with the usage line and exits 2."""
 
 
 def _operator(job: Job, name: str):
     for op in job.operators:
         if op.name == name:
             return op
-    raise click.UsageError(f"job has no operator named {name!r}")
+    raise UsageError(f"job has no operator named {name!r}")
 
 
-def _apply_overrides(job: Job, options) -> Job:
+def _apply_overrides(job: Job, args) -> Job:
     """The job with the global --tol, --grid-angles and --r-max applied."""
-    tol = options.get("tol")
-    if tol is not None:
-        if tol > job.margin_tol:
-            raise click.UsageError(f"--tol {tol!r} exceeds the job's margin tolerance "
-                                   f"{job.margin_tol!r}")
-        job = dataclasses.replace(job, series_tol=tol)
-    angles = options.get("grid_angles")
-    r_max = options.get("r_max")
-    if angles is None and r_max is None:
+    if args.tol is not None:
+        if args.tol > job.margin_tol:
+            raise UsageError(f"--tol {args.tol!r} exceeds the job's margin tolerance "
+                             f"{job.margin_tol!r}")
+        job = dataclasses.replace(job, series_tol=args.tol)
+    if args.grid_angles is None and args.r_max is None:
         return job
-    try:
-        kwargs = {}
-        if r_max is not None:
-            kwargs["r_max"] = r_max
-        else:
-            kwargs["r_max"] = job.grid.r_max
-            kwargs["radii"] = job.grid.radii
-        kwargs["angles"] = angles if angles is not None else job.grid.angles
-        grid = GridSpec(**kwargs)
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
+    angles = args.grid_angles if args.grid_angles is not None else job.grid.angles
+    if args.r_max is not None:
+        grid = GridSpec(r_max=args.r_max, angles=angles)
+    else:
+        grid = GridSpec(radii=job.grid.radii, r_max=job.grid.r_max, angles=angles)
     return dataclasses.replace(job, grid=grid)
 
 
@@ -117,29 +79,23 @@ def _parse_z(values):
         try:
             z = complex(raw)
         except ValueError:
-            raise click.UsageError(f"cannot parse {raw!r} as a complex number")
+            raise UsageError(f"cannot parse {raw!r} as a complex number")
         if not (cmath.isfinite(z) and abs(z) <= 1.0):
-            raise click.UsageError(f"|z| must be finite and <= 1, got {raw!r}")
+            raise UsageError(f"|z| must be finite and <= 1, got {raw!r}")
         points.append(z)
-    if not points:
-        raise click.UsageError("at least one --z value is required")
     return points
 
 
-@cli.command("eval")
-@click.option("--alpha", type=float, default=None, help="Series parameter alpha (>= 1).")
-@click.option("--beta", type=float, default=None, help="Series parameter beta (> 0).")
-@click.option("--raw", is_flag=True, help="Evaluate the raw series instead of the normalization.")
-@click.option("--deriv", "quantity", flag_value="log-deriv",
-              help="Evaluate z E'/E instead of the value.")
-@click.option("--job", "job_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Job file providing an operator to evaluate.")
-@click.option("--operator", "op_name", default=None,
-              help="Name of the job operator to evaluate (implies --job).")
-@click.option("--z", "z_values", multiple=True, required=True,
-              help="Evaluation point; may repeat. Accepts complex literals like 0.3+0.4j.")
-@click.pass_context
-def cmd_eval(ctx, alpha, beta, raw, quantity, job_path, op_name, z_values):
+def _write(text: str, path: str) -> None:
+    """Write text to path; a path that cannot be written is bad usage."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}")
+
+
+def cmd_eval(args) -> int:
     """Evaluate function or operator values at a list of points.
 
     Examples:
@@ -150,67 +106,41 @@ def cmd_eval(ctx, alpha, beta, raw, quantity, job_path, op_name, z_values):
 
         mlstar eval --job corpus.json --operator star-24 --z 0.25 --z 0.5j
     """
-    options = ctx.obj
-    tol = options.get("tol") or SERIES_TOL
-    points = _parse_z(z_values)
+    tol = args.tol or SERIES_TOL
+    points = _parse_z(args.z)
 
-    if op_name is not None or job_path is not None:
-        if job_path is None or op_name is None:
-            raise click.UsageError("operator evaluation needs both --job and --operator")
-        rows, failed = _eval_operator_rows(_operator(_load(job_path), op_name), points, tol)
+    if args.operator is not None or args.job is not None:
+        if args.job is None or args.operator is None:
+            raise UsageError("operator evaluation needs both --job and --operator")
+        op = _operator(load_job(args.job), args.operator)
+        if op.kind == KIND_STARLIKE:
+            spec, power = op.operator_spec(), False  # F, as f_value sums it
+        elif op.kind == KIND_CONVEX:
+            spec, power = OperatorSpec(op.factors, 1.0), True  # as f_conv_value
+        else:
+            raise UsageError(f"operator {op.name!r} has kind {op.kind!r}; only starlike "
+                             f"and convex operators have values to evaluate")
+        evaluate = partial(_operator_value, spec, tol=tol, power=power)
     else:
-        if alpha is None or beta is None:
-            raise click.UsageError("function evaluation needs --alpha and --beta")
-        try:
-            params = MLParams(alpha, beta)
-        except DomainError as exc:
-            raise click.UsageError(str(exc))
-        rows, failed = _eval_ml_rows(params, points, raw, quantity, tol)
+        if args.alpha is None or args.beta is None:
+            raise UsageError("function evaluation needs --alpha and --beta")
+        params = MLParams(args.alpha, args.beta)
+        value = _log_deriv_value if args.deriv else ml_raw if args.raw else ml_norm
+        evaluate = partial(value, params, tol=tol)
 
-    width = max(len(r[0]) for r in rows)
+    rows, failed = [], False
+    for z in points:
+        try:
+            result = evaluate(z)
+            body = (f"{_fmt_complex(result.value, repr)}  "
+                    f"terms={result.terms_used} tail={result.tail_bound:.3e}")
+        except MLStarError as exc:
+            body, failed = f"error: {exc}", True
+        rows.append((_fmt_complex(z), body))
+    width = max(len(label) for label, _ in rows)
     for label, body in rows:
-        click.echo(f"{label:<{width}}  {body}")
-    if failed:
-        sys.exit(_EXIT_EVAL)
-
-
-def _eval_ml_rows(params, points, raw, quantity, tol):
-    rows, failed = [], False
-    for z in points:
-        label = _fmt_complex(z)
-        try:
-            if quantity == "log-deriv":
-                result = _log_deriv_value(params, z, tol)
-            else:
-                result = ml_raw(params, z, tol) if raw else ml_norm(params, z, tol)
-            rows.append((label, f"{_fmt_complex(result.value, repr)}  "
-                                f"terms={result.terms_used} tail={result.tail_bound:.3e}"))
-        except MLStarError as exc:
-            rows.append((label, f"error: {exc}"))
-            failed = True
-    return rows, failed
-
-
-def _eval_operator_rows(op, points, tol):
-    if op.kind == KIND_STARLIKE:
-        spec, power = op.operator_spec(), False  # F, as f_value sums it
-    elif op.kind == KIND_CONVEX:
-        spec, power = OperatorSpec(op.factors, 1.0), True  # as f_conv_value
-    else:
-        raise click.UsageError(
-            f"operator {op.name!r} has kind {op.kind!r}; only starlike and "
-            f"convex operators have values to evaluate")
-    rows, failed = [], False
-    for z in points:
-        label = _fmt_complex(z)
-        try:
-            result = _operator_value(spec, z, tol, power)
-            rows.append((label, f"{_fmt_complex(result.value, repr)}  "
-                                f"terms={result.terms_used} tail={result.tail_bound:.3e}"))
-        except MLStarError as exc:
-            rows.append((label, f"error: {exc}"))
-            failed = True
-    return rows, failed
+        print(f"{label:<{width}}  {body}")
+    return _EXIT_EVAL if failed else 0
 
 
 def _fmt_complex(z, fmt=lambda x: f"{x:.12g}") -> str:
@@ -226,104 +156,88 @@ def _fmt_complex(z, fmt=lambda x: f"{x:.12g}") -> str:
     return f"{fmt(z.real)}{sign}{fmt(abs(z.imag))}j"
 
 
-@cli.command("orders")
-@click.argument("job_path", type=click.Path(exists=True, dir_okay=False))
-@click.pass_context
-def cmd_orders(ctx, job_path):
+def cmd_orders(args) -> int:
     """Print each operator's predicted order and hypothesis flag.
 
     Hypothesis violations produce a warning but still exit 0; the numbers
     remain useful as diagnostics.
     """
-    job = _load(job_path)
+    job = load_job(args.job_path)
     rows = []
     for op in job.operators:
         claim = _claim(op)
         rows.append((op.name, op.kind, claim.predicted, claim.hypothesis_ok))
     if not rows:
-        raise click.UsageError("job lists no operators")
-    fmt = ctx.obj.get("format") or "text"
-    if fmt == "json":
+        raise UsageError("job lists no operators")
+    if args.format == "json":
         doc = [
             {"name": name, "kind": kind, "delta": delta, "hypothesis_ok": ok}
             for name, kind, delta, ok in rows
         ]
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         name_w = max(len(r[0]) for r in rows)
         for name, kind, delta, ok in rows:
             flag = "ok" if ok else "HYPOTHESIS-VIOLATED"
-            click.echo(f"{name:<{name_w}}  {kind:<12} delta={delta:.12g}  {flag}")
+            print(f"{name:<{name_w}}  {kind:<12} delta={delta:.12g}  {flag}")
     if any(not ok for _, _, _, ok in rows):
-        click.echo("warning: some operators violate the theorem hypotheses; "
-                   "their predicted orders are not guaranteed", err=True)
+        print("warning: some operators violate the theorem hypotheses; "
+              "their predicted orders are not guaranteed", file=sys.stderr)
+    return 0
 
 
-@cli.command("certify")
-@click.argument("job_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
-              help="Also write the JSON report to this path.")
-@click.pass_context
-def cmd_certify(ctx, job_path, output):
+def cmd_certify(args) -> int:
     """Run every certificate in a job and report the verdicts.
 
     Exit 0 when all certificates pass, 1 when any fails (or, with
     --strict, when any hypothesis is violated).
     """
-    options = ctx.obj
-    job = _apply_overrides(_load(job_path), options)
+    job = _apply_overrides(load_job(args.job_path), args)
     if not job.operators:
-        raise click.UsageError("job lists no operators; nothing to certify")
+        raise UsageError("job lists no operators; nothing to certify")
 
     report = run_job(job)
-    fmt = options.get("format") or (job.outputs[0] if job.outputs else "text")
-    doc = report.to_dict()
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    fmt = args.format or (job.outputs[0] if job.outputs else "text")
+    if args.output or fmt == "json":
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        if args.output:
+            _write(text, args.output)
     if fmt == "json":
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        sys.stdout.write(text)
     else:
         _print_text_report(report)
 
     verdict = report.summary_verdict
     if verdict == VERDICT_FAIL:
-        sys.exit(_EXIT_FAIL)
+        return _EXIT_FAIL
     if verdict == VERDICT_HYPOTHESIS:
-        click.echo("warning: hypothesis violations; predictions not guaranteed", err=True)
-        if options.get("strict"):
-            sys.exit(_EXIT_FAIL)
+        print("warning: hypothesis violations; predictions not guaranteed", file=sys.stderr)
+        if args.strict:
+            return _EXIT_FAIL
+    return 0
 
 
 def _print_text_report(report):
     name_w = max(len(n) for n in report.names)
     for name, cert, seconds in zip(report.names, report.certificates, report.timings):
-        click.echo(
+        print(
             f"{name:<{name_w}}  {cert.quantity:<17} predicted={cert.predicted:+.9f} "
             f"observed={cert.observed:+.9f} margin={cert.margin:+.3e} "
             f"[{cert.verdict}] ({seconds:.2f}s)"
         )
         if cert.failed_count:
-            click.echo(f"{'':<{name_w}}  {cert.failed_count} grid points failed to evaluate")
-    click.echo(f"summary: {report.summary_verdict}")
+            print(f"{'':<{name_w}}  {cert.failed_count} grid points failed to evaluate")
+    print(f"summary: {report.summary_verdict}")
 
 
-@cli.command("dump")
-@click.option("--job", "job_path", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="Job file providing the operator.")
-@click.option("--operator", "op_name", required=True, help="Operator name within the job.")
-@click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
-              help="Write CSV here instead of stdout.")
-@click.pass_context
-def cmd_dump(ctx, job_path, op_name, output):
+def cmd_dump(args) -> int:
     """Sample the operator's certified quantity over the grid as CSV.
 
     Rows are emitted radius-major in grid order as radius,angle,re,im; the
     header carries a digest of the sampled spec so dumps are traceable.
     """
-    job = _apply_overrides(_load(job_path), ctx.obj)
-    op = _operator(job, op_name)
+    job = _apply_overrides(load_job(args.job), args)
+    op = _operator(job, args.operator)
     claim = _claim(op)
     digest_doc = {"operator": operator_to_dict(op), "grid": job.grid.to_dict()}
     lines = [f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}",
@@ -335,17 +249,80 @@ def cmd_dump(ctx, job_path, op_name, output):
             body = "error,error" if error else f"{value.real!r},{value.imag!r}"
             lines.append(f"{r!r},{theta!r},{body}")
     text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    if args.output:
+        _write(text, args.output)
     else:
-        click.echo(text, nl=False)
-    if failed.any():
-        sys.exit(_EXIT_EVAL)
+        sys.stdout.write(text)
+    return _EXIT_EVAL if failed.any() else 0
 
 
-def main():
-    cli(prog_name="mlstar")
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {tol!r}")
+    return tol
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mlstar", allow_abbrev=False,
+        description="Evaluate normalized Mittag-Leffler functions, build their integral "
+                    "operators, and certify predicted orders of starlikeness and convexity "
+                    "by dense sampling of the unit disk.")
+    parser.add_argument("--version", action="version", version=f"mlstar, version {__version__}")
+    parser.add_argument("--tol", type=_tolerance,
+                        help="Series truncation tolerance (default 1e-14); it also cuts the "
+                             "operators' series.")
+    parser.add_argument("--grid-angles", type=int,
+                        help="Override the number of sampled angles per circle.")
+    parser.add_argument("--r-max", type=float,
+                        help="Override the outermost sampled radius (< 1).")
+    parser.add_argument("--strict", action="store_true",
+                        help="Treat hypothesis violations as failures (exit 1).")
+    parser.add_argument("--format", choices=["text", "json"],
+                        help="Report format; defaults to the job's 'outputs' entry or text.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        doc = inspect.cleandoc(run.__doc__)
+        sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc,
+                                  allow_abbrev=False,
+                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command("eval", cmd_eval)
+    sub.add_argument("--alpha", type=float, help="Series parameter alpha (>= 1).")
+    sub.add_argument("--beta", type=float, help="Series parameter beta (> 0).")
+    sub.add_argument("--raw", action="store_true",
+                     help="Evaluate the raw series instead of the normalization.")
+    sub.add_argument("--deriv", action="store_true", help="Evaluate z E'/E instead of the value.")
+    sub.add_argument("--job", help="Job file providing an operator to evaluate.")
+    sub.add_argument("--operator",
+                     help="Name of the job operator to evaluate (implies --job).")
+    sub.add_argument("--z", action="append", required=True,
+                     help="Evaluation point; may repeat. Accepts complex literals like "
+                          "0.3+0.4j.")
+    command("orders", cmd_orders).add_argument("job_path")
+    sub = command("certify", cmd_certify)
+    sub.add_argument("job_path")
+    sub.add_argument("-o", "--output", help="Also write the JSON report to this path.")
+    sub = command("dump", cmd_dump)
+    sub.add_argument("--job", required=True, help="Job file providing the operator.")
+    sub.add_argument("--operator", required=True, help="Operator name within the job.")
+    sub.add_argument("-o", "--output", help="Write CSV here instead of stdout.")
+    return parser
+
+
+def main(argv=None):
+    """Run the CLI on argv (default sys.argv[1:]); always ends in SystemExit."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        code = args.run(args)
+    except (UsageError, DomainError, JobFileError) as exc:
+        parser.error(str(exc))
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -323,7 +323,12 @@ class ReportDocument:
 
 
 def run_job(job: Job) -> ReportDocument:
-    """Certify every operator in the job; per-operator errors become failures."""
+    """Certify every operator in the job, in order.
+
+    Grid points that fail to evaluate are recorded in their certificate by
+    the scan, which fails the certificate past FAILURE_FRACTION; any other
+    error propagates.
+    """
     report = ReportDocument(job)
     for op in job.operators:
         start = time.perf_counter()

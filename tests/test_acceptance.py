@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from mlstar import (
     FactorSpec,
@@ -28,10 +27,10 @@ from mlstar import (
     starlike_delta,
 )
 from mlstar.certify import GridSpec, VERDICT_PASS
-from mlstar.cli import cli
 from mlstar.mittag_leffler import _coefficients
 from mlstar.numerics import series_solve
 
+from cli_runner import invoke
 from conftest import random_disk_points
 from oracles import CLOSED, exp_star_quantity
 
@@ -158,7 +157,7 @@ def test_criterion_7_negative_control(tmp_path):
     }
     path = tmp_path / "control.json"
     path.write_text(json.dumps(control))
-    result = CliRunner().invoke(cli, ["certify", str(path)])
+    result = invoke(["certify", str(path)])
     assert result.exit_code == 1
     assert "fail" in result.output
     _report(7, "negative control", "inflated predictions fail with exit code 1")

@@ -1,12 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from mlstar import (
@@ -20,9 +22,12 @@ from mlstar import (
 )
 from mlstar import certify as certify_module
 from mlstar.certify import GridSpec
-from mlstar.cli import cli
+from mlstar.cli import main
+from mlstar.defaults import GRID_ANGLES_MAX
 from mlstar.errors import JobFileError
 from mlstar.jobs import job_to_dict, load_job, parse_job
+
+from cli_runner import invoke
 
 
 CORPUS_PATH = str(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
@@ -30,11 +35,6 @@ CORPUS_PATH = str(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json
 
 def star24_spec():
     return OperatorSpec((FactorSpec(MLParams(2, 4), 1.0),), 1.0)
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write_job(tmp_path, document, name="job.json"):
@@ -58,53 +58,47 @@ CORPUS = {
 
 
 class TestEval:
-    def test_normalized_value(self, runner):
-        result = runner.invoke(cli, ["eval", "--alpha", "2", "--beta", "3", "--z", "0.49"])
+    def test_normalized_value(self):
+        result = invoke(["eval", "--alpha", "2", "--beta", "3", "--z", "0.49"])
         assert result.exit_code == 0
         assert "0.5103380112618857" in result.output
 
-    def test_zero_maps_to_zero(self, runner):
-        result = runner.invoke(cli, ["eval", "--alpha", "2", "--beta", "3", "--z", "0"])
+    def test_zero_maps_to_zero(self):
+        result = invoke(["eval", "--alpha", "2", "--beta", "3", "--z", "0"])
         assert result.exit_code == 0
         assert result.output.split()[1] == "0.0"
 
-    def test_raw_series(self, runner):
-        result = runner.invoke(cli, ["eval", "--raw", "--alpha", "1", "--beta", "1", "--z", "0.5"])
+    def test_raw_series(self):
+        result = invoke(["eval", "--raw", "--alpha", "1", "--beta", "1", "--z", "0.5"])
         assert result.exit_code == 0
         assert "1.6487212707" in result.output
 
-    def test_complex_point_and_log_deriv(self, runner):
-        result = runner.invoke(
-            cli, ["eval", "--deriv", "--alpha", "1", "--beta", "1", "--z", "0.3+0.4j"]
-        )
+    def test_complex_point_and_log_deriv(self):
+        result = invoke(["eval", "--deriv", "--alpha", "1", "--beta", "1", "--z", "0.3+0.4j"])
         assert result.exit_code == 0
         _, value, _, tail = result.output.split()  # z E'/E = 1 + z
         assert abs(complex(value) - (1.3 + 0.4j)) <= float(tail.removeprefix("tail="))
 
-    def test_point_outside_disk_is_usage_error(self, runner):
-        result = runner.invoke(cli, ["eval", "--alpha", "1", "--beta", "1", "--z", "2.0"])
+    def test_point_outside_disk_is_usage_error(self):
+        result = invoke(["eval", "--alpha", "1", "--beta", "1", "--z", "2.0"])
         assert result.exit_code == 2
 
-    def test_non_finite_input_is_usage_error(self, runner):
+    def test_non_finite_input_is_usage_error(self):
         for args in (["--z", "nan"], ["--z", "inf+0.1j"], ["--z", "0.5", "--beta", "inf"]):
             argv = ["eval", "--alpha", "2", "--beta", "3", *args]
-            assert runner.invoke(cli, argv).exit_code == 2, args
-        result = runner.invoke(
-            cli, ["--tol", "nan", "eval", "--alpha", "2", "--beta", "3", "--z", "0.5"]
-        )
+            assert invoke(argv).exit_code == 2, args
+        result = invoke(["--tol", "nan", "eval", "--alpha", "2", "--beta", "3", "--z", "0.5"])
         assert result.exit_code == 2
 
-    def test_beta_past_gamma_overflow(self, runner):
-        result = runner.invoke(cli, ["eval", "--alpha", "2", "--beta", "200", "--z", "0.5"])
+    def test_beta_past_gamma_overflow(self):
+        result = invoke(["eval", "--alpha", "2", "--beta", "200", "--z", "0.5"])
         assert result.exit_code == 0, result.output
         # 0.5 * (1 + 0.5/(200*201) + ...)
         assert "0.500006218981" in result.output
 
-    def test_operator_value(self, runner, tmp_path):
+    def test_operator_value(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
-        result = runner.invoke(
-            cli, ["eval", "--job", path, "--operator", "star-24", "--z", "0.25"]
-        )
+        result = invoke(["eval", "--job", path, "--operator", "star-24", "--z", "0.25"])
         assert result.exit_code == 0
         assert "0.25156" in result.output  # z + z^2/40 + z^3/2520 + ...
 
@@ -112,10 +106,10 @@ class TestEval:
         (["--tol", "0.5"], "0.9  0.9  terms=1 tail=2.276e-02"),  # F(z) = z: a 2% tail
         ([], "0.9  0.9205420156051405  terms=7 tail=1.227e-15"),
     ], ids=["tol-0.5", "default-tol"])
-    def test_operator_rows_state_their_truncation(self, runner, flags, row):
+    def test_operator_rows_state_their_truncation(self, flags, row):
         # the tail bounds log(F/z), i.e. the relative error of F
-        result = runner.invoke(cli, [*flags, "eval", "--job", CORPUS_PATH,
-                                     "--operator", "star-24", "--z", "0.9"])
+        result = invoke([*flags, "eval", "--job", CORPUS_PATH, "--operator", "star-24",
+                         "--z", "0.9"])
         assert result.exit_code == 0, result.output
         assert result.output == row + "\n"
 
@@ -124,15 +118,14 @@ class TestEval:
         (["--tol", "0.5"], "-0.9", "-0.9  -0.18513689700130365  terms=4 tail=2.150e+00"),
         ([], "-0.9", "-0.9  0.1000000000000193  terms=17 tail=4.178e-14"),  # true error 1.93e-14
     ], ids=["tol-0.5-one-term", "tol-0.5", "default-tol"])
-    def test_deriv_rows_state_their_truncation(self, runner, flags, z, row):
+    def test_deriv_rows_state_their_truncation(self, flags, z, row):
         # the tail bounds the error of the ratio w/u, t (1 + |w/u|)/(|u| - t),
         # from the tail t of the terms each of its sums drops
-        result = runner.invoke(cli, [*flags, "eval", "--deriv", "--alpha", "1", "--beta", "1",
-                                     "--z", z])
+        result = invoke([*flags, "eval", "--deriv", "--alpha", "1", "--beta", "1", "--z", z])
         assert result.exit_code == 0, result.output
         assert result.output == row + "\n"
 
-    def test_operator_evaluation_error_exits_3(self, runner, tmp_path):
+    def test_operator_evaluation_error_exits_3(self, tmp_path):
         job = {
             "schema": 1,
             "operators": [
@@ -141,31 +134,29 @@ class TestEval:
             ],
         }
         path = write_job(tmp_path, job)
-        result = runner.invoke(
-            cli, ["eval", "--job", path, "--operator", "wild", "--z", "0.9"]
-        )
+        result = invoke(["eval", "--job", path, "--operator", "wild", "--z", "0.9"])
         assert result.exit_code == 3
         assert "error" in result.output
 
 
 class TestOrders:
-    def test_corpus_orders(self, runner, tmp_path):
+    def test_corpus_orders(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
-        result = runner.invoke(cli, ["orders", path])
+        result = invoke(["orders", path])
         assert result.exit_code == 0
         assert "star-24" in result.output
         assert "delta=0.5" in result.output
         assert "convex-i" in result.output and "delta=0 " in result.output
 
-    def test_huge_zeta_gives_a_finite_delta(self, runner, tmp_path):
+    def test_huge_zeta_gives_a_finite_delta(self, tmp_path):
         job = {"schema": 1, "operators": [
             {"name": "huge", "kind": "starlike", "zeta": 1e300,
              "factors": [{"alpha": 2, "beta": 4, "lambda": 1}]}]}
-        result = runner.invoke(cli, ["--format", "json", "orders", write_job(tmp_path, job)])
+        result = invoke(["--format", "json", "orders", write_job(tmp_path, job)])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)[0]["delta"] == pytest.approx(1.0, rel=1e-15)
 
-    def test_infeasible_spec_warns_but_exits_zero(self, runner, tmp_path):
+    def test_infeasible_spec_warns_but_exits_zero(self, tmp_path):
         job = {
             "schema": 1,
             "operators": [
@@ -174,21 +165,21 @@ class TestOrders:
             ],
         }
         path = write_job(tmp_path, job)
-        result = runner.invoke(cli, ["orders", path])
+        result = invoke(["orders", path])
         assert result.exit_code == 0
         assert "HYPOTHESIS-VIOLATED" in result.output
 
 
 class TestCertify:
-    def test_corpus_passes(self, runner, tmp_path):
+    def test_corpus_passes(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
-        result = runner.invoke(cli, ["certify", path])
+        result = invoke(["certify", path])
         assert result.exit_code == 0, result.output
         assert "summary: pass" in result.output
 
-    def test_json_report_schema(self, runner, tmp_path):
+    def test_json_report_schema(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
-        result = runner.invoke(cli, ["--format", "json", "certify", path])
+        result = invoke(["--format", "json", "certify", path])
         assert result.exit_code == 0
         # strict JSON: reject NaN/Infinity literals outright
         doc = json.loads(
@@ -202,17 +193,17 @@ class TestCertify:
         for cert in doc["certificates"]:
             assert cert["semantics"] == "sampled-min certificate"
 
-    def test_reports_stable_across_runs(self, runner, tmp_path):
+    def test_reports_stable_across_runs(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
         docs = []
         for _ in range(2):
-            result = runner.invoke(cli, ["--format", "json", "certify", path])
+            result = invoke(["--format", "json", "certify", path])
             doc = json.loads(result.output)
             doc.pop("timings")
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
 
-    def test_negative_control_fails(self, runner, tmp_path):
+    def test_negative_control_fails(self, tmp_path):
         # inflate predictions 0.2 above the corpus's own observed values
         grid = GridSpec(radii=(0.9, 0.999), angles=90)
         observed_star = certify_starlike(star24_spec(), grid).observed
@@ -232,11 +223,11 @@ class TestCertify:
             ],
         }
         path = write_job(tmp_path, control)
-        result = runner.invoke(cli, ["certify", path])
+        result = invoke(["certify", path])
         assert result.exit_code == 1
         assert "fail" in result.output
 
-    def test_series_tolerance_above_the_margin_is_refused(self, runner, tmp_path):
+    def test_series_tolerance_above_the_margin_is_refused(self, tmp_path):
         # a loose --tol cuts the series so short that false claims pass: at 0.05
         # star-24 keeps one term and observes exactly 1, at 0.5 all three pass
         job = {"schema": 1, "operators": [
@@ -248,14 +239,14 @@ class TestCertify:
              "factors": [{"alpha": 2, "beta": 4, "lambda": 1}], "predicted": 0.99},
         ]}
         path = write_job(tmp_path, job)
-        assert runner.invoke(cli, ["--grid-angles", "90", "certify", path]).exit_code == 1
+        assert invoke(["--grid-angles", "90", "certify", path]).exit_code == 1
         for tol in ("0.05", "0.5"):
-            result = runner.invoke(cli, ["--tol", tol, "--grid-angles", "90", "certify", path])
+            result = invoke(["--tol", tol, "--grid-angles", "90", "certify", path])
             assert result.exit_code == 2, result.output
             assert "exceeds the job's margin tolerance" in result.output
         # eval prints tail bounds, so it keeps any positive --tol
-        result = runner.invoke(cli, ["--tol", "0.5", "eval", "--job", path,
-                                     "--operator", "star-control", "--z", "0.25"])
+        result = invoke(["--tol", "0.5", "eval", "--job", path,
+                         "--operator", "star-control", "--z", "0.25"])
         assert result.exit_code == 0, result.output
 
     def test_job_series_tolerance_above_the_margin_is_rejected(self):
@@ -264,12 +255,12 @@ class TestCertify:
         job = parse_job(dict(CORPUS, tolerance={"margin": 1e-6, "series": 1e-6}))
         assert job.series_tol == job.margin_tol
 
-    def test_empty_job_is_usage_error(self, runner, tmp_path):
+    def test_empty_job_is_usage_error(self, tmp_path):
         path = write_job(tmp_path, {"schema": 1, "operators": []})
-        result = runner.invoke(cli, ["certify", path])
+        result = invoke(["certify", path])
         assert result.exit_code == 2
 
-    def test_strict_promotes_hypothesis_violations(self, runner, tmp_path):
+    def test_strict_promotes_hypothesis_violations(self, tmp_path):
         job = {
             "schema": 1,
             "grid": {"radii": [0.9], "angles": 16},
@@ -278,20 +269,20 @@ class TestCertify:
             ],
         }
         path = write_job(tmp_path, job)
-        relaxed = runner.invoke(cli, ["certify", path])
+        relaxed = invoke(["certify", path])
         assert relaxed.exit_code == 0
         assert "warning" in relaxed.output or "hypothesis" in relaxed.output
-        strict = runner.invoke(cli, ["--strict", "certify", path])
+        strict = invoke(["--strict", "certify", path])
         assert strict.exit_code == 1
 
-    def test_unknown_key_rejected(self, runner, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path):
         bad = dict(CORPUS)
         bad["surprise"] = True
         path = write_job(tmp_path, bad)
-        result = runner.invoke(cli, ["certify", path])
+        result = invoke(["certify", path])
         assert result.exit_code == 2
 
-    def test_beta_past_gamma_overflow(self, runner, tmp_path):
+    def test_beta_past_gamma_overflow(self, tmp_path):
         job = {
             "schema": 1,
             "grid": {"radii": [0.9, 0.999], "angles": 90},
@@ -301,21 +292,21 @@ class TestCertify:
             ],
         }
         path = write_job(tmp_path, job)
-        result = runner.invoke(cli, ["--format", "json", "certify", path])
+        result = invoke(["--format", "json", "certify", path])
         assert result.exit_code == 0, result.output
         ml, bound = json.loads(result.output)["certificates"]
         # mpmath at 40 digits: 1 + z E'/E - 1 at z = -0.999, |z E'/E - 1| at z = 0.999
         assert ml["observed"] == pytest.approx(0.99997514984700025, rel=1e-14)
         assert bound["observed"] == pytest.approx(5.3096214052587017e-5, rel=1e-11)
 
-    def test_truncated_operator_fails_beside_a_healthy_one(self, runner, tmp_path, monkeypatch):
+    def test_truncated_operator_fails_beside_a_healthy_one(self, tmp_path, monkeypatch):
         def overflowed(factors, tol, length):
             return np.full(length, np.inf)  # no cut on any circle
 
         # the ml kinds take this table from certify; star-24 from operators
         monkeypatch.setattr(certify_module, "_log_derivative_coefficients", overflowed)
         job = dict(CORPUS, operators=[CORPUS["operators"][0], CORPUS["operators"][2]])
-        result = runner.invoke(cli, ["--format", "json", "certify", write_job(tmp_path, job)])
+        result = invoke(["--format", "json", "certify", write_job(tmp_path, job)])
         assert result.exit_code == 1, result.output
         star, ml = json.loads(result.output)["certificates"]
         assert (star["name"], star["verdict"]) == ("star-24", "pass")
@@ -323,7 +314,7 @@ class TestCertify:
         assert ml["failed_points"]["count"] == 180
         assert ml["failed_points"]["sample"][0]["reason"].startswith("series at |z| = ")
 
-    def test_non_finite_job_numbers_rejected(self, runner, tmp_path):
+    def test_non_finite_job_numbers_rejected(self, tmp_path):
         # refused while parsing, before any evaluation could produce a nan
         star = '{"name": "s", "kind": "starlike", "zeta": %s, ' \
                '"factors": [{"alpha": 2, "beta": 4, "lambda": 1}]}'
@@ -331,11 +322,11 @@ class TestCertify:
             path = tmp_path / "job.json"
             path.write_text('{"schema": 1, "operators": [%s]}' % (star % zeta))
             started = time.perf_counter()
-            result = runner.invoke(cli, ["certify", str(path)])
+            result = invoke(["certify", str(path)])
             assert result.exit_code == 2, (zeta, result.output)
             assert time.perf_counter() - started < 1.0
         predicted = dict(CORPUS, operators=[dict(CORPUS["operators"][2], predicted=math.inf)])
-        result = runner.invoke(cli, ["certify", write_job(tmp_path, predicted)])
+        result = invoke(["certify", write_job(tmp_path, predicted)])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("command", ["certify", "orders"])
@@ -345,20 +336,19 @@ class TestCertify:
          "factors": [{"alpha": 2, "beta": 4, "lambda": 5},
                      {"alpha": 2, "beta": 1.6, "lambda": 5}]},
     ], ids=["log-deriv-bound", "convex"])
-    def test_beta_at_or_below_golden_ratio_rejected(self, runner, tmp_path, command, bad):
+    def test_beta_at_or_below_golden_ratio_rejected(self, tmp_path, command, bad):
         # the bound coefficient (2b + 1)/(b^2 - b - 1) needs beta above (1 + sqrt 5)/2
         job = {"schema": 1, "grid": {"radii": [0.9], "angles": 16},
                "operators": [CORPUS["operators"][2], bad]}
-        result = runner.invoke(cli, [command, write_job(tmp_path, job)])
+        result = invoke([command, write_job(tmp_path, job)])
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
         assert "operators[1]: beta must exceed (1 + sqrt 5)/2" in result.output
 
-    def test_quadrature_tolerance_is_accepted_and_ignored(self, runner, tmp_path):
+    def test_quadrature_tolerance_is_accepted_and_ignored(self, tmp_path):
         def certificates(tolerance):
             job = dict(CORPUS, tolerance=tolerance)
-            result = runner.invoke(cli, ["--format", "json", "certify",
-                                         write_job(tmp_path, job)])
+            result = invoke(["--format", "json", "certify", write_job(tmp_path, job)])
             assert result.exit_code == 0, result.output
             doc = json.loads(result.output)
             assert "quadrature" not in doc["job"]["tolerance"]
@@ -366,24 +356,30 @@ class TestCertify:
 
         assert certificates({"quadrature": 1e-9}) == certificates({})
         job = dict(CORPUS, tolerance={"quadrature": 0})
-        assert runner.invoke(cli, ["certify", write_job(tmp_path, job)]).exit_code == 2
+        assert invoke(["certify", write_job(tmp_path, job)]).exit_code == 2
 
-    def test_report_written_to_file(self, runner, tmp_path):
+    def test_report_written_to_file(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
         out = tmp_path / "report.json"
-        result = runner.invoke(cli, ["certify", path, "--output", str(out)])
+        result = invoke(["certify", path, "--output", str(out)])
         assert result.exit_code == 0
         doc = json.loads(out.read_text())
         assert doc["summary"]["verdict"] == "pass"
 
+    @pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+    def test_unwritable_report_path_is_usage_error(self, tmp_path, target):
+        out = tmp_path / "missing" / "report.json" if target == "missing-dir" else tmp_path
+        result = invoke(["--grid-angles", "8", "certify", CORPUS_PATH, "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"mlstar: error: cannot write {str(out)!r}" in result.output
+
 
 class TestDump:
-    def test_row_count_and_header(self, runner, tmp_path):
+    def test_row_count_and_header(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
-        result = runner.invoke(
-            cli, ["--grid-angles", "8", "--r-max", "0.5", "dump",
-                  "--job", path, "--operator", "ml-24"]
-        )
+        result = invoke(["--grid-angles", "8", "--r-max", "0.5", "dump",
+                         "--job", path, "--operator", "ml-24"])
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         assert lines[0].startswith("# spec=ml-24")
@@ -392,23 +388,23 @@ class TestDump:
         # radii (0.25, 0.5) at 8 angles each
         assert len(lines) == 2 + 16
 
-    def test_dump_deterministic(self, runner, tmp_path):
+    def test_dump_deterministic(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
         args = ["--grid-angles", "8", "dump", "--job", path, "--operator", "bound-22"]
-        first = runner.invoke(cli, args).output
-        second = runner.invoke(cli, args).output
+        first = invoke(args).output
+        second = invoke(args).output
         assert first == second
 
     @pytest.mark.parametrize("flags", [["--grid-angles", "180"],
                                        ["--grid-angles", "64", "--tol", "1e-6"]])
-    def test_dump_samples_the_certificate_evaluator(self, runner, flags):
+    def test_dump_samples_the_certificate_evaluator(self, flags):
         # the dumped rows are the values the certificate scanned, bit for bit
-        report = runner.invoke(cli, [*flags, "--format", "json", "certify", CORPUS_PATH])
+        report = invoke([*flags, "--format", "json", "certify", CORPUS_PATH])
         assert report.exit_code == 0
         observed = {c["name"]: c["observed"] for c in json.loads(report.output)["certificates"]}
 
         def dumped(name):
-            result = runner.invoke(cli, [*flags, "dump", "--job", CORPUS_PATH, "--operator", name])
+            result = invoke([*flags, "dump", "--job", CORPUS_PATH, "--operator", name])
             assert result.exit_code == 0
             rows = [line.split(",") for line in result.output.splitlines()[2:]]
             assert len(rows) == 6 * int(flags[1])
@@ -419,10 +415,109 @@ class TestDump:
         worst = max(abs(v - 1.0) for v in dumped("bound-110"))
         assert abs(worst - observed["bound-110"]) <= 1e-15
 
-    def test_unknown_operator(self, runner, tmp_path):
+    def test_unknown_operator(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
-        result = runner.invoke(cli, ["dump", "--job", path, "--operator", "nope"])
+        result = invoke(["dump", "--job", path, "--operator", "nope"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+    def test_unwritable_csv_path_is_usage_error(self, tmp_path, target):
+        out = tmp_path / "missing" / "samples.csv" if target == "missing-dir" else tmp_path
+        result = invoke(["--grid-angles", "8", "dump", "--job", CORPUS_PATH,
+                         "--operator", "star-24", "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"mlstar: error: cannot write {str(out)!r}" in result.output
+
+
+def one_op_job(tmp_path, angles):
+    job = {"schema": 1, "grid": {"radii": [0.5], "angles": angles},
+           "operators": [CORPUS["operators"][2]]}
+    return write_job(tmp_path, job)
+
+
+class TestGridAngles:
+    # the angle count sizes every allocation of a certificate or a dump
+    def test_the_cap_is_accepted(self, tmp_path):
+        assert GridSpec(angles=GRID_ANGLES_MAX).angles == GRID_ANGLES_MAX
+        result = invoke(["certify", one_op_job(tmp_path, GRID_ANGLES_MAX)])
+        assert result.exit_code == 0, result.output
+        result = invoke(["--grid-angles", str(GRID_ANGLES_MAX), "certify",
+                         one_op_job(tmp_path, 8)])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("angles", [GRID_ANGLES_MAX + 1, 10**9])
+    @pytest.mark.parametrize("path", ["job", "flag"])
+    def test_past_the_cap_is_usage_error(self, tmp_path, angles, path):
+        if path == "job":
+            options, job = [], one_op_job(tmp_path, angles)
+        else:
+            options, job = ["--grid-angles", str(angles)], one_op_job(tmp_path, 8)
+        for argv in (["certify", job], ["dump", "--job", job, "--operator", "ml-24"]):
+            result = invoke([*options, *argv])
+            assert result.exit_code == 2, (argv, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert f"angles must lie in [8, {GRID_ANGLES_MAX}], got {angles}" in result.output
+
+
+class TestMain:
+    """main(argv) itself: it ends in SystemExit carrying the exit code."""
+
+    def exit_code(self, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        return exited.value.code
+
+    def test_exit_codes(self, tmp_path):
+        assert self.exit_code(["--grid-angles", "16", "certify", CORPUS_PATH]) == 0
+        inflated = dict(CORPUS["operators"][2], predicted=0.99)
+        failing = write_job(tmp_path, dict(CORPUS, operators=[inflated]), "failing.json")
+        assert self.exit_code(["--grid-angles", "16", "certify", failing]) == 1
+        assert self.exit_code(["eval", "--alpha", "1", "--beta", "1", "--z", "2"]) == 2
+        assert self.exit_code(tiny_beta_argv(tmp_path, "dump", 1e-300)) == 3
+
+    def test_no_arguments_is_usage_error(self, capsys):
+        assert self.exit_code([]) == 2
+        assert "mlstar: error:" in capsys.readouterr().err
+
+    def test_version(self, capsys):
+        assert self.exit_code(["--version"]) == 0
+        assert capsys.readouterr().out == "mlstar, version 0.1.0\n"
+
+    @pytest.mark.parametrize("command, flags", [
+        ([], ["--version", "--tol", "--grid-angles", "--r-max", "--strict", "--format"]),
+        (["eval"], ["--alpha", "--beta", "--raw", "--deriv", "--job", "--operator", "--z"]),
+        (["orders"], ["job_path"]),
+        (["certify"], ["job_path", "-o", "--output"]),
+        (["dump"], ["--job", "--operator", "-o", "--output"]),
+    ], ids=["mlstar", "eval", "orders", "certify", "dump"])
+    def test_help_names_every_flag(self, capsys, command, flags):
+        assert self.exit_code([*command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--help" in text
+        for flag in flags:
+            assert flag in text, flag
+
+    @pytest.mark.parametrize("argv", [
+        ["--grid-ang", "90", "certify", CORPUS_PATH],
+        ["--str", "certify", CORPUS_PATH],
+        ["certify", CORPUS_PATH, "--out", "report.json"],
+        ["eval", "--alp", "1", "--beta", "1", "--z", "0.5"],
+    ], ids=["grid-ang", "str", "out", "alp"])
+    def test_abbreviations_are_refused(self, capsys, argv):
+        assert self.exit_code(argv) == 2
+        assert "mlstar" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_only_numpy_beside_the_stdlib():
+    # the runtime dependency set: a fresh interpreter, so no test's imports count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys; before = set(sys.modules); import mlstar.cli; "
+             "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "['mlstar', 'numpy']\n"
 
 
 def tiny_beta_argv(tmp_path, command, beta):
@@ -440,18 +535,18 @@ def tiny_beta_argv(tmp_path, command, beta):
 
 class TestBetaDomain:
     @pytest.mark.parametrize("command", ["certify", "orders", "dump", "eval"])
-    def test_beta_whose_gamma_overflows_is_refused(self, runner, tmp_path, command):
+    def test_beta_whose_gamma_overflows_is_refused(self, tmp_path, command):
         # Gamma(1e-310) ~ 1e310 and c_2 ~ 1/beta are past the double range
-        result = runner.invoke(cli, tiny_beta_argv(tmp_path, command, 1e-310))
+        result = invoke(tiny_beta_argv(tmp_path, command, 1e-310))
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
         assert "beta must be finite and > 0 with 1/beta finite" in result.output
 
     @pytest.mark.parametrize("command", ["certify", "orders", "dump", "eval"])
-    def test_tiny_representable_beta_still_runs(self, runner, tmp_path, command):
+    def test_tiny_representable_beta_still_runs(self, tmp_path, command):
         # E's zero near -1e-300 leaves the certified table with no cut (its
         # coefficients overflow), so every point fails: a documented exit code
-        result = runner.invoke(cli, tiny_beta_argv(tmp_path, command, 1e-300))
+        result = invoke(tiny_beta_argv(tmp_path, command, 1e-300))
         expected = {"certify": 1, "dump": 3}.get(command, 0)
         assert result.exit_code == expected, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -459,10 +554,9 @@ class TestBetaDomain:
 
     @pytest.mark.parametrize("flags, z", [([], "0.5"), (["--raw"], "0.5"),
                                           (["--deriv"], "0.5"), (["--deriv"], "1e-3")])
-    def test_overflowing_sum_is_an_eval_error(self, runner, flags, z):
+    def test_overflowing_sum_is_an_eval_error(self, flags, z):
         # Gamma(5.6e-309) is finite, but the coefficients near 1/beta overflow the sum
-        result = runner.invoke(cli, ["eval", *flags, "--alpha", "1", "--beta", "5.6e-309",
-                                     "--z", z])
+        result = invoke(["eval", *flags, "--alpha", "1", "--beta", "5.6e-309", "--z", z])
         assert result.exit_code == 3, result.output
         assert "error:" in result.output and "overflows the double range" in result.output
         assert "nan" not in result.output
@@ -498,8 +592,8 @@ def fuzz_jobs(draw):
             op["eta"] = draw(value(0))
     if draw(st.booleans()):
         op["predicted"] = draw(edge)
-    # a generated angle count could allocate gigabytes, so the grid stays fixed
-    job = {"schema": 1, "grid": {"radii": [0.5, 0.999], "angles": 8}, "operators": [op]}
+    angles = draw(st.sampled_from([8, 9, 720, GRID_ANGLES_MAX + 1, 10**9]))
+    job = {"schema": 1, "grid": {"radii": [0.5, 0.999], "angles": angles}, "operators": [op]}
     tolerance = draw(st.dictionaries(st.sampled_from(["margin", "series"]), edge))
     if tolerance:
         job["tolerance"] = tolerance
@@ -511,7 +605,6 @@ def fuzz_jobs(draw):
 def test_any_job_ends_in_a_documented_exit_code(job, tol):
     op = job["operators"][0]
     params = op if "alpha" in op else op["factors"][0]
-    runner = CliRunner()
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "job.json")
         Path(path).write_text(json.dumps(job))
@@ -521,7 +614,7 @@ def test_any_job_ends_in_a_documented_exit_code(job, tol):
                      ["eval", "--job", path, "--operator", "op", "--z", "0.5"],
                      ["eval", "--alpha", str(params["alpha"]), "--beta", str(params["beta"]),
                       "--z", "0.5"]):
-            result = runner.invoke(cli, [*options, *argv])
+            result = invoke([*options, *argv])
             assert result.exit_code in (0, 1, 2, 3), (argv, result.output)
             assert result.exception is None or isinstance(result.exception, SystemExit), (
                 argv, repr(result.exception))

@@ -9,11 +9,10 @@ import cmath
 
 import mpmath
 import pytest
-from click.testing import CliRunner
 
 from mlstar import MLParams, SeriesTruncationError, log_deriv, ml_norm, ml_norm_deriv
-from mlstar.cli import cli
 
+from cli_runner import invoke
 from conftest import ml_table_deviation
 
 ALPHAS = (1.0, 1.92, 2.7, 5.0)
@@ -88,7 +87,7 @@ def test_deriv_row_tail_bounds_its_error(alpha, beta, tol):
     argv = ["--tol", tol, "eval", "--deriv", "--alpha", str(alpha), "--beta", str(beta)]
     for z in points:
         argv += ["--z", str(z)]
-    result = CliRunner().invoke(cli, argv)
+    result = invoke(argv)
     assert result.exit_code == 0, result.output
     rows = result.output.splitlines()
     assert len(rows) == len(points)
