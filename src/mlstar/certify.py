@@ -11,7 +11,9 @@ Every certified quantity, zF'/F, 1 + zF''/F' and z E'/E, is summed from
 one coefficient table sized for the outermost circle, so none has a
 denominator; a singularity within reach of a circle, such as a zero of E,
 leaves the table without a cut there, and the circle fails. One matrix
-product sums the half k = 0 ... M/2 of every circle of the grid at once.
+product sums the half k = 0 ... M/2 of every circle of the grid at once:
+the sum at r e^(2 pi i k/M) is sum_n c_n r^n e^(2 pi i nk/M), against a
+cached cos/sin basis of 2 pi (nk mod M)/M, which folds a cut longer than M.
 The tables are real, so the point M - k holds the conjugate of the value
 at k: the same real part and modulus, later in the grid's order. The scan
 therefore takes one argmin over the (radii x (M/2 + 1)) half and picks
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -41,10 +44,8 @@ from .operators import (
     EvalPoint,
     FactorSpec,
     OperatorSpec,
-    _circle_sums,
-    _half_circle_sums,
     _log_derivative_coefficients,
-    _mirror,
+    _no_cut,
     _sized_table,
     _star_coefficients,
 )
@@ -109,8 +110,11 @@ class GridSpec:
         if not (0.0 < radii[0] and radii[-1] <= self.r_max):
             raise DomainError(f"radii must lie in (0, r_max], got {radii!r}")
         object.__setattr__(self, "radii", radii)
+        if isinstance(self.angles, bool) or not isinstance(self.angles, (int, np.integer)):
+            raise DomainError(f"angles must be an integer, got {self.angles!r}")
         if not 8 <= self.angles <= GRID_ANGLES_MAX:
             raise DomainError(f"angles must lie in [8, {GRID_ANGLES_MAX}], got {self.angles!r}")
+        object.__setattr__(self, "angles", int(self.angles))
 
     def circle_angles(self) -> np.ndarray:
         return self.circle_angle(np.arange(self.angles))
@@ -124,6 +128,73 @@ class GridSpec:
 
     def to_dict(self) -> dict:
         return {"radii": list(self.radii), "r_max": self.r_max, "angles": self.angles}
+
+
+# Bases kept by _circle_basis; one holds rows x (M + 2) doubles: at 4096
+# angles 0.5 MB for 16 rows, and 8.4 MB for the 256 that the longest cut
+# under SERIES_TERM_CAP needs.
+_BASES = 4
+
+
+@lru_cache(maxsize=_BASES)
+def _circle_basis(rows: int, m: int) -> np.ndarray:
+    """cos and sin of 2 pi n k/m, interleaved, for n < rows and k = 0 ... m/2.
+
+    Row n holds (cos, sin) pairs, so a row vector of terms times the basis
+    reads as the complex sums at the angles 2 pi k/m. Each angle is taken
+    from n k mod m and reduced to (-pi, pi] first, and sin is exactly 0
+    where 2 n k = 0 mod m, at k = 0 and k = m/2.
+    """
+    j = np.arange(rows)[:, None] * np.arange(m // 2 + 1) % m
+    angle = 2.0 * np.pi * np.where(2 * j > m, j - m, j) / m
+    basis = np.empty((rows, m // 2 + 1, 2))
+    basis[..., 0] = np.cos(angle)
+    basis[..., 1] = np.where(2 * j % m == 0, 0.0, np.sin(angle))
+    basis = basis.reshape(rows, -1)
+    basis.flags.writeable = False
+    return basis
+
+
+def _half_circle_sums(table, radii, cut, m: int) -> tuple:
+    """The table's sums at r e^(2 pi i k/m), k = 0 ... m/2, on each circle |z| = r.
+
+    cut is the table's _operator_cut on radii. Returns a (len(radii),
+    m//2 + 1) complex array, row-major by circle, and {row: reason} for the
+    circles without a cut, whose rows are 0. The terms c_n r^n of the cut
+    times _circle_basis give every circle's half at once; the basis has a
+    power of two rows, at least 16, so that few cut widths share one.
+    """
+    radii = np.asarray(radii, dtype=float)
+    counts, tails = cut
+    width = int(counts.max())
+    n = np.arange(width)
+    terms = np.where(n < counts[:, None], table[:width] * radii[:, None] ** n, 0.0)
+    rows = max(16, 1 << (width - 1).bit_length())
+    half = (terms @ _circle_basis(rows, m)[:width]).view(complex)
+    failures = {int(row): _no_cut(table, radii[row], tails[row])
+                for row in np.flatnonzero(counts == 0)}
+    return half, failures
+
+
+def _mirror(half, m: int) -> np.ndarray:
+    """Full circles k = 0 ... m - 1 from their halves: the point m - k is the conjugate of k."""
+    return np.concatenate((half, half[:, (m + 1) // 2 - 1 : 0 : -1].conj()), axis=1)
+
+
+def _half_grid(grid: GridSpec, table, cut) -> tuple:
+    """(half, failed, reasons): _half_circle_sums on the grid, for the cut on its radii.
+
+    failed is the mask of the half's failed points, or None when none
+    failed, and reasons holds one string per circle. A point fails only
+    where its circle has no cut, which fails the circle with the tail in
+    the reason, or where its value is not finite.
+    """
+    half, no_cut = _half_circle_sums(table, grid.radii, cut, grid.angles)
+    failed = None
+    if no_cut or not np.isfinite(half.sum()):  # a finite sum has no nonfinite term
+        failed = ~np.isfinite(half)
+        failed[list(no_cut)] = True
+    return half, failed, [no_cut.get(row, "nonfinite value") for row in range(len(grid.radii))]
 
 
 @dataclass(frozen=True)
@@ -201,16 +272,14 @@ def sample_grid(grid: GridSpec, table, cut) -> tuple:
     cut is the table's cut on the grid's radii, as _sized_table returns it.
     Returns (deviation, failed, reasons): deviation is a (radii, angles)
     complex array, radius-major, failed the boolean mask of its failed
-    points, and reasons one string per circle, why its failed points
-    failed. A point fails for two reasons only: its circle has no cut, which
-    fails all of its points with the tail in the reason, so one bad circle
-    never aborts a certificate, or its value is not finite. Each circle is
-    the half that _scan scans, mirrored into the full circle.
+    points, and reasons one string per circle: _half_grid's, for the half
+    that _scan scans, with the sums and the mask mirrored into full circles.
     """
-    deviation, no_cut = _circle_sums(table, grid.radii, cut, grid.angles)
-    failed = ~np.isfinite(deviation)
-    failed[list(no_cut)] = True
-    return deviation, failed, [no_cut.get(row, "nonfinite value") for row in range(len(grid.radii))]
+    half, failed, reasons = _half_grid(grid, table, cut)
+    deviation = _mirror(half, grid.angles)
+    if failed is None:
+        return deviation, np.zeros(deviation.shape, bool), reasons
+    return deviation, _mirror(failed, grid.angles), reasons
 
 
 def _scan(grid: GridSpec, table, cut, largest: bool):
@@ -223,17 +292,13 @@ def _scan(grid: GridSpec, table, cut, largest: bool):
     the full failed mask only when some point failed.
     """
     m = grid.angles
-    half, no_cut = _half_circle_sums(table, grid.radii, cut, m)
+    half, failed, reasons = _half_grid(grid, table, cut)
     masked = -np.abs(half) if largest else 1.0 + half.real
-    count = 0
-    sample = ()
-    if no_cut or not np.isfinite(half.sum()):  # a finite sum has no nonfinite term
-        failed = ~np.isfinite(half)
-        failed[list(no_cut)] = True
+    count, sample = 0, ()
+    if failed is not None:
         masked[failed] = math.inf
-        failed = np.concatenate((failed, _mirror(failed, m)), axis=1)
+        failed = _mirror(failed, m)
         count = int(np.count_nonzero(failed))
-        reasons = [no_cut.get(row, "nonfinite value") for row in range(len(grid.radii))]
         sample = tuple(
             FailedPoint(EvalPoint.from_polar(grid.radii[row], grid.circle_angle(k)), reasons[row])
             for row, k in (divmod(i, m)

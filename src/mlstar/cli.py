@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import inspect
 import json
@@ -86,11 +87,13 @@ def _parse_z(values):
     return points
 
 
-def _write(text: str, path: str) -> None:
-    """Write text to path; a path that cannot be written is bad usage."""
+def _open(path):
+    """path opened for writing before any work, so that a bad path is bad usage at once;
+    without a path, a context that yields None."""
+    if not path:
+        return contextlib.nullcontext()
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc}")
 
@@ -195,13 +198,13 @@ def cmd_certify(args) -> int:
     job = _apply_overrides(load_job(args.job_path), args)
     if not job.operators:
         raise UsageError("job lists no operators; nothing to certify")
-
-    report = run_job(job)
     fmt = args.format or (job.outputs[0] if job.outputs else "text")
-    if args.output or fmt == "json":
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        if args.output:
-            _write(text, args.output)
+    with _open(args.output) as output:
+        report = run_job(job)
+        if output or fmt == "json":
+            text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+            if output:
+                output.write(text)
     if fmt == "json":
         sys.stdout.write(text)
     else:
@@ -242,17 +245,15 @@ def cmd_dump(args) -> int:
     digest_doc = {"operator": operator_to_dict(op), "grid": job.grid.to_dict()}
     lines = [f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}",
              "radius,angle,re,im"]
-    deviation, failed, _ = sample_grid(job.grid, *claim.table(job.grid.radii, job.series_tol))
-    angles = job.grid.circle_angles().tolist()
-    for r, values, row_failed in zip(job.grid.radii, (1.0 + deviation).tolist(), failed.tolist()):
-        for theta, value, error in zip(angles, values, row_failed):
-            body = "error,error" if error else f"{value.real!r},{value.imag!r}"
-            lines.append(f"{r!r},{theta!r},{body}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        _write(text, args.output)
-    else:
-        sys.stdout.write(text)
+    with _open(args.output) as output:
+        deviation, failed, _ = sample_grid(job.grid, *claim.table(job.grid.radii, job.series_tol))
+        angles = job.grid.circle_angles().tolist()
+        for r, values, row_failed in zip(job.grid.radii, (1.0 + deviation).tolist(),
+                                         failed.tolist()):
+            for theta, value, error in zip(angles, values, row_failed):
+                body = "error,error" if error else f"{value.real!r},{value.imag!r}"
+                lines.append(f"{r!r},{theta!r},{body}")
+        (output or sys.stdout).write("\n".join(lines) + "\n")
     return _EXIT_EVAL if failed.any() else 0
 
 

@@ -170,11 +170,8 @@ def parse_job(document: dict) -> Job:
         radii = grid_raw["radii"]
         _require(isinstance(radii, list) and radii, "job.grid: 'radii' must be a nonempty list")
         grid_kwargs["radii"] = tuple(_number(r, "radii", "job.grid") for r in radii)
-    if "angles" in grid_raw:
-        angles = grid_raw["angles"]
-        _require(isinstance(angles, int) and not isinstance(angles, bool),
-                 "job.grid: 'angles' must be an integer")
-        grid_kwargs["angles"] = angles
+    if "angles" in grid_raw:  # GridSpec refuses a non-integer
+        grid_kwargs["angles"] = grid_raw["angles"]
     if "r_max" in grid_raw:
         grid_kwargs["r_max"] = _number(grid_raw["r_max"], "r_max", "job.grid")
     try:
@@ -219,7 +216,9 @@ def load_job(path) -> Job:
             document = json.load(handle, parse_constant=reject_constant)
     except OSError as exc:
         raise JobFileError(f"cannot read job file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except JobFileError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, huge integers
         raise JobFileError(f"job file {path!r} is not valid JSON: {exc}") from exc
     return parse_job(document)
 

@@ -41,14 +41,7 @@ once per certificate or evaluation. Where a factor's zero lies within
 reach of the circle, Q has a pole there, and where G has one, so does
 1/H; the coefficients stop decaying. Then, or when the coefficients
 overflow, no cut exists and the evaluation raises SeriesTruncationError.
-
-A point is summed by Horner. A certificate grid of M angles is summed
-on the half of each circle, k = 0 ... M/2, as one matrix product
-(_half_circle_sums): the sum at r e^(2 pi i k/M) is sum_n c_n r^n
-e^(2 pi i nk/M), and _circle_basis caches cos and sin of 2 pi (nk mod M)/M,
-which folds a cut longer than M for free. The tables are real, so the
-sum at M - k is the conjugate of the sum at k; _circle_sums mirrors the
-half into the full circle, exact conjugates by construction.
+A point is summed by Horner; certify sums the circles of a certificate.
 """
 
 from __future__ import annotations
@@ -56,7 +49,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -256,68 +248,6 @@ def _table_value(coefficients, subject, z: complex, tol: float) -> SeriesResult:
     if not n:
         raise SeriesTruncationError(_no_cut(table, abs(z), tail))
     return SeriesResult(complex(_horner(table[:n], np.array([z]))[0]), int(n), float(tail))
-
-
-# Bases kept by _circle_basis; one holds rows x (M + 2) doubles: at 4096
-# angles 0.5 MB for 16 rows, and 8.4 MB for the 256 that the longest cut
-# under SERIES_TERM_CAP needs.
-_BASES = 4
-
-
-@lru_cache(maxsize=_BASES)
-def _circle_basis(rows: int, m: int) -> np.ndarray:
-    """cos and sin of 2 pi n k/m, interleaved, for n < rows and k = 0 ... m/2.
-
-    Row n holds (cos, sin) pairs, so a row vector of terms times the basis
-    reads as the complex sums at the angles 2 pi k/m. Each angle is taken
-    from n k mod m and reduced to (-pi, pi] first, and sin is exactly 0
-    where 2 n k = 0 mod m, at k = 0 and k = m/2.
-    """
-    j = np.arange(rows)[:, None] * np.arange(m // 2 + 1) % m
-    angle = 2.0 * np.pi * np.where(2 * j > m, j - m, j) / m
-    basis = np.empty((rows, m // 2 + 1, 2))
-    basis[..., 0] = np.cos(angle)
-    basis[..., 1] = np.where(2 * j % m == 0, 0.0, np.sin(angle))
-    basis = basis.reshape(rows, -1)
-    basis.flags.writeable = False
-    return basis
-
-
-def _half_circle_sums(table, radii, cut, m: int) -> tuple:
-    """The table's sums at r e^(2 pi i k/m), k = 0 ... m/2, on each circle |z| = r.
-
-    cut is the table's _operator_cut on radii. Returns a (len(radii),
-    m//2 + 1) complex array, row-major by circle, and {row: reason} for the
-    circles without a cut, whose rows are 0. The terms c_n r^n of the cut
-    times _circle_basis give every circle's half at once; the basis has a
-    power of two rows, at least 16, so that few cut widths share one.
-    """
-    radii = np.asarray(radii, dtype=float)
-    counts, tails = cut
-    width = int(counts.max())
-    n = np.arange(width)
-    terms = np.where(n < counts[:, None], table[:width] * radii[:, None] ** n, 0.0)
-    rows = max(16, 1 << (width - 1).bit_length())
-    half = (terms @ _circle_basis(rows, m)[:width]).view(complex)
-    failures = {int(row): _no_cut(table, radii[row], tails[row])
-                for row in np.flatnonzero(counts == 0)}
-    return half, failures
-
-
-def _mirror(half, m: int) -> np.ndarray:
-    """The columns k = m/2 + 1 ... m - 1 of a circle, read from their mirrors m - k."""
-    return half[:, (m + 1) // 2 - 1 : 0 : -1]
-
-
-def _circle_sums(table, radii, cut, m: int) -> tuple:
-    """The table's sums at all m points r e^(2 pi i k/m) of each circle |z| = r.
-
-    As _half_circle_sums, with each half mirrored into its full circle:
-    the table is real, so the sum at m - k is the conjugate of the sum at
-    k, and mirror points are exact conjugates.
-    """
-    half, failures = _half_circle_sums(table, radii, cut, m)
-    return np.concatenate((half, _mirror(half, m).conj()), axis=1), failures
 
 
 def _operator_value(spec: OperatorSpec, z, tol: float, power: bool) -> SeriesResult:

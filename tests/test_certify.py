@@ -17,7 +17,6 @@ from mlstar import (
     log_deriv,
 )
 from mlstar import certify as certify_module
-from mlstar import operators as operators_module
 from mlstar.certify import (
     GridSpec,
     QUANTITY_LOG_DERIV_BOUND,
@@ -58,6 +57,11 @@ class TestGridSpec:
             GridSpec(angles=4)
         with pytest.raises(DomainError):
             GridSpec(r_max=1.0)
+        for angles in (720.0, 9.5, True, "720"):
+            with pytest.raises(DomainError, match="angles must be an integer"):
+                GridSpec(angles=angles)
+        grid = GridSpec(angles=np.int64(720))
+        assert type(grid.angles) is int and json.dumps(grid.to_dict())
 
 
 class TestStarlikeCertificates:
@@ -395,14 +399,13 @@ class TestHalfCircleScan:
     @pytest.mark.parametrize("kind", ["starlike", "log-deriv-bound", "ml-no-cut"])
     def test_nonfinite_points_fail_with_their_mirrors(self, monkeypatch, kind, m):
         # both paths sum the half that _half_circle_sums returns, poisoned at k = 1 and m/2
-        original = operators_module._half_circle_sums
+        original = certify_module._half_circle_sums
 
         def poisoned(table, radii, cut, m):
             half, failures = original(table, radii, cut, m)
             half[:, [1, m // 2]] = complex(math.nan, 0.0)
             return half, failures
 
-        monkeypatch.setattr(operators_module, "_half_circle_sums", poisoned)
         monkeypatch.setattr(certify_module, "_half_circle_sums", poisoned)
         count = self.assert_scans_agree(kind, m)
         poisoned_per_circle = 3 if m % 2 == 0 else 4  # m/2 is its own mirror when m is even

@@ -21,6 +21,7 @@ from mlstar import (
     certify_starlike,
 )
 from mlstar import certify as certify_module
+from mlstar import cli as cli_module
 from mlstar.certify import GridSpec
 from mlstar.cli import main
 from mlstar.defaults import GRID_ANGLES_MAX
@@ -318,7 +319,7 @@ class TestCertify:
         # refused while parsing, before any evaluation could produce a nan
         star = '{"name": "s", "kind": "starlike", "zeta": %s, ' \
                '"factors": [{"alpha": 2, "beta": 4, "lambda": 1}]}'
-        for zeta in ("Infinity", "NaN", "-Infinity", "1e999", "1" + "0" * 400):
+        for zeta in ("Infinity", "NaN", "-Infinity", "1e999", "1" + "0" * 400, "1" + "0" * 5000):
             path = tmp_path / "job.json"
             path.write_text('{"schema": 1, "operators": [%s]}' % (star % zeta))
             started = time.perf_counter()
@@ -328,6 +329,20 @@ class TestCertify:
         predicted = dict(CORPUS, operators=[dict(CORPUS["operators"][2], predicted=math.inf)])
         result = invoke(["certify", write_job(tmp_path, predicted)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("content", [b'{"schema": 1, "operators": [\xff]}',
+                                         b"[" * 100000], ids=["not-utf-8", "nested-deep"])
+    def test_undecodable_job_file_is_usage_error(self, tmp_path, content):
+        path = tmp_path / "job.json"
+        path.write_bytes(content)
+        for argv in (["orders", str(path)], ["certify", str(path)],
+                     ["dump", "--job", str(path), "--operator", "ml-24"],
+                     ["eval", "--job", str(path), "--operator", "star-24", "--z", "0.5"]):
+            result = invoke(argv)
+            assert result.exit_code == 2, (argv, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "mlstar: error: job file" in result.output
+            assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("command", ["certify", "orders"])
     @pytest.mark.parametrize("bad", [
@@ -373,6 +388,27 @@ class TestCertify:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"mlstar: error: cannot write {str(out)!r}" in result.output
+
+    def test_unwritable_report_path_is_refused_before_the_run(self, tmp_path, monkeypatch):
+        def no_run(job):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli_module, "run_job", no_run)
+        out = tmp_path / "missing" / "r.json"
+        result = invoke(["certify", CORPUS_PATH, "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"mlstar: error: cannot write {str(out)!r}" in result.output
+
+    @pytest.mark.parametrize("command", ["certify", "dump"])
+    def test_invalid_job_leaves_the_output_untouched(self, tmp_path, command):
+        out = tmp_path / "r.json"
+        out.write_text("earlier report\n")
+        path = write_job(tmp_path, dict(CORPUS, surprise=True))
+        argv = (["certify", path] if command == "certify"
+                else ["dump", "--job", path, "--operator", "ml-24"])
+        result = invoke([*argv, "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert out.read_text() == "earlier report\n"
 
 
 class TestDump:

@@ -21,14 +21,18 @@ from mlstar import (
     f_zeta_power,
     star_log_deriv,
 )
-from mlstar.certify import GridSpec, VERDICT_FAIL
+from mlstar.certify import (
+    GridSpec,
+    VERDICT_FAIL,
+    _BASES,
+    _circle_basis,
+    _half_circle_sums,
+    _mirror,
+    sample_grid,
+)
 from mlstar.defaults import SERIES_TERM_CAP
 from mlstar.numerics import series_solve
 from mlstar.operators import (
-    _BASES,
-    _circle_basis,
-    _circle_sums,
-    _half_circle_sums,
     _log_derivative_coefficients,
     _operator_cut,
     _sized_table,
@@ -519,15 +523,15 @@ class TestCircleSums:
     def test_matches_horner_on_every_circle(self, m, kind):
         radii = (0.25, 0.9, 0.999)
         table, cut = _sized_table(*self.TABLES[kind], radii, self.TOL)
-        sums, failures = _circle_sums(table, radii, cut, m)
-        assert failures == {} and sums.shape == (3, m)
+        sums, failed, _ = sample_grid(GridSpec(radii=radii, angles=m), table, cut)
+        assert not failed.any() and sums.shape == (3, m)
         assert cut[0][-1] > 9  # m = 8 and 9 fold
         self.assert_matches_horner(table, sums, radii)
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     def test_mirror_points_are_exact_conjugates(self, m):
         table, cut = _sized_table(_star_coefficients, self.PROBE, (0.5, 0.999), self.TOL)
-        sums, _ = _circle_sums(table, (0.5, 0.999), cut, m)
+        sums, _, _ = sample_grid(GridSpec(radii=(0.5, 0.999), angles=m), table, cut)
         assert np.array_equal(sums[:, :0:-1], sums[:, 1:].conj())  # g[m-k] == conj(g[k])
         assert np.all(sums[:, 0].imag == 0.0)
 
@@ -535,7 +539,7 @@ class TestCircleSums:
     def test_the_half_is_the_first_half_of_the_circle(self, m):
         table, cut = _sized_table(_star_coefficients, self.PROBE, (0.5, 0.999), self.TOL)
         half, _ = _half_circle_sums(table, (0.5, 0.999), cut, m)
-        sums, _ = _circle_sums(table, (0.5, 0.999), cut, m)
+        sums, _, _ = sample_grid(GridSpec(radii=(0.5, 0.999), angles=m), table, cut)
         assert half.shape == (2, m // 2 + 1) and np.array_equal(sums[:, : m // 2 + 1], half)
 
     @pytest.mark.parametrize("rows, m", [(16, 8), (32, 9), (16, 720), (256, 4096)])
@@ -565,7 +569,9 @@ class TestCircleSums:
         # 1/(1 + 2t) has a pole at -1/2: no cut on r = 0.9, a cut on 0.3 and 0.4
         inverse = series_solve([1.0, 2.0], [1.0], SERIES_TERM_CAP)
         radii = (0.3, 0.9, 0.4)
-        sums, failures = _circle_sums(inverse, radii, _operator_cut(inverse, radii, self.TOL), 9)
+        cut = _operator_cut(inverse, radii, self.TOL)
+        half, failures = _half_circle_sums(inverse, radii, cut, 9)  # radii need not ascend
+        sums = _mirror(half, 9)
         with pytest.raises(SeriesTruncationError) as excinfo:
             table_deviation(inverse, [0.9], self.TOL)
         assert failures == {1: str(excinfo.value)}
