@@ -8,10 +8,12 @@ kept as diagnostics. A certificate is finite-sample evidence, not a proof,
 and says so in its serialized form.
 
 Every certified quantity, zF'/F, 1 + zF''/F' and z E'/E, is summed from
-one coefficient table sized for the outermost circle, so none has a
-denominator; a singularity within reach of a circle, such as a zero of E,
-leaves the table without a cut there, and the circle fails. One matrix
-product sums the half k = 0 ... M/2 of every circle of the grid at once:
+one coefficient table, so none has a denominator. The table is cut once,
+on the outermost circle, and every circle sums those terms: |c_n| r^n
+grows with r, so on an inner circle the extra terms add up to at most the
+series tolerance. A singularity within reach of the outermost circle,
+such as a zero of E, leaves the table without a cut, and every point
+fails. One matrix product sums the half k = 0 ... M/2 of every circle:
 the sum at r e^(2 pi i k/M) is sum_n c_n r^n e^(2 pi i nk/M), against a
 cached cos/sin basis of 2 pi (nk mod M)/M, which folds a cut longer than M.
 The tables are real, so the point M - k holds the conjugate of the value
@@ -83,33 +85,45 @@ def default_radii(r_max: float = R_MAX) -> tuple:
     return tuple(base + [r_max])
 
 
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Polar sampling plan: ascending radii plus a uniform angle count.
 
-    The open disk cannot be sampled at radius 1, so r_max < 1 stands in for
-    the boundary; it is recorded in every certificate.
+    The open disk cannot be sampled at radius 1, so r_max < 1, the outermost
+    radius, stands in for the boundary; it is recorded in every certificate.
+    r_max alone (default R_MAX) picks default_radii, radii alone set r_max;
+    given both, they must agree.
     """
 
     radii: tuple = None
-    r_max: float = R_MAX
+    r_max: float = None
     angles: int = GRID_ANGLES
 
     def __post_init__(self):
-        if not 0.0 < self.r_max < 1.0:
-            raise DomainError(f"r_max must lie in (0, 1), got {self.r_max!r}")
-        radii = self.radii
-        if radii is None:
-            radii = default_radii(self.r_max)
-        radii = tuple(float(r) for r in radii)
+        r_max = None if self.r_max is None else _real(self.r_max, "r_max")
+        if r_max is not None and not 0.0 < r_max < 1.0:
+            raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
+        if self.radii is None:
+            radii = default_radii(R_MAX if r_max is None else r_max)
+        else:
+            radii = tuple(_real(r, "a radius") for r in self.radii)
         if not radii:
             raise DomainError("grid needs at least one radius")
         for a, b in zip(radii, radii[1:]):
             if not a < b:
                 raise DomainError(f"radii must ascend strictly, got {radii!r}")
-        if not (0.0 < radii[0] and radii[-1] <= self.r_max):
-            raise DomainError(f"radii must lie in (0, r_max], got {radii!r}")
+        if not (0.0 < radii[0] and radii[-1] < 1.0):
+            raise DomainError(f"radii must lie in (0, 1), got {radii!r}")
+        if r_max is not None and r_max != radii[-1]:
+            raise DomainError(f"r_max {r_max!r} is not the outermost radius {radii[-1]!r}")
         object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "r_max", radii[-1])
         if isinstance(self.angles, bool) or not isinstance(self.angles, (int, np.integer)):
             raise DomainError(f"angles must be an integer, got {self.angles!r}")
         if not 8 <= self.angles <= GRID_ANGLES_MAX:
@@ -155,25 +169,16 @@ def _circle_basis(rows: int, m: int) -> np.ndarray:
     return basis
 
 
-def _half_circle_sums(table, radii, cut, m: int) -> tuple:
-    """The table's sums at r e^(2 pi i k/m), k = 0 ... m/2, on each circle |z| = r.
+def _half_circle_sums(grid: GridSpec, table, count: int) -> np.ndarray:
+    """The sums of table[:count] at r e^(2 pi i k/M), k = 0 ... M/2, on each circle of the grid.
 
-    cut is the table's _operator_cut on radii. Returns a (len(radii),
-    m//2 + 1) complex array, row-major by circle, and {row: reason} for the
-    circles without a cut, whose rows are 0. The terms c_n r^n of the cut
-    times _circle_basis give every circle's half at once; the basis has a
-    power of two rows, at least 16, so that few cut widths share one.
+    Returns a (radii x (M/2 + 1)) complex array, row-major by circle. The
+    terms c_n r^n times _circle_basis give every circle's half at once; the
+    basis has a power of two rows, at least 16, so that few cuts share one.
     """
-    radii = np.asarray(radii, dtype=float)
-    counts, tails = cut
-    width = int(counts.max())
-    n = np.arange(width)
-    terms = np.where(n < counts[:, None], table[:width] * radii[:, None] ** n, 0.0)
-    rows = max(16, 1 << (width - 1).bit_length())
-    half = (terms @ _circle_basis(rows, m)[:width]).view(complex)
-    failures = {int(row): _no_cut(table, radii[row], tails[row])
-                for row in np.flatnonzero(counts == 0)}
-    return half, failures
+    terms = table[:count] * np.asarray(grid.radii)[:, None] ** np.arange(count)
+    rows = max(16, 1 << (count - 1).bit_length())
+    return (terms @ _circle_basis(rows, grid.angles)[:count]).view(complex)
 
 
 def _mirror(half, m: int) -> np.ndarray:
@@ -182,19 +187,21 @@ def _mirror(half, m: int) -> np.ndarray:
 
 
 def _half_grid(grid: GridSpec, table, cut) -> tuple:
-    """(half, failed, reasons): _half_circle_sums on the grid, for the cut on its radii.
+    """(half, failed, reason): _half_circle_sums on the grid, for the table's cut on r_max.
 
     failed is the mask of the half's failed points, or None when none
-    failed, and reasons holds one string per circle. A point fails only
-    where its circle has no cut, which fails the circle with the tail in
-    the reason, or where its value is not finite.
+    failed, and reason says why they failed. A table without a cut fails
+    every point, with the tail in the reason, and is not summed; otherwise
+    a point fails only where its value is not finite.
     """
-    half, no_cut = _half_circle_sums(table, grid.radii, cut, grid.angles)
-    failed = None
-    if no_cut or not np.isfinite(half.sum()):  # a finite sum has no nonfinite term
-        failed = ~np.isfinite(half)
-        failed[list(no_cut)] = True
-    return half, failed, [no_cut.get(row, "nonfinite value") for row in range(len(grid.radii))]
+    count, tail = cut
+    if not count:
+        half = np.zeros((len(grid.radii), grid.angles // 2 + 1), complex)
+        return half, np.ones(half.shape, bool), _no_cut(table, grid.r_max, tail)
+    half = _half_circle_sums(grid, table, count)
+    if np.isfinite(half.sum()):  # a finite sum has no nonfinite term
+        return half, None, None
+    return half, ~np.isfinite(half), "nonfinite value"
 
 
 @dataclass(frozen=True)
@@ -269,17 +276,15 @@ class Certificate:
 def sample_grid(grid: GridSpec, table, cut) -> tuple:
     """Sum the quantity's table on every circle of the grid at once.
 
-    cut is the table's cut on the grid's radii, as _sized_table returns it.
-    Returns (deviation, failed, reasons): deviation is a (radii, angles)
-    complex array, radius-major, failed the boolean mask of its failed
-    points, and reasons one string per circle: _half_grid's, for the half
-    that _scan scans, with the sums and the mask mirrored into full circles.
+    cut is the table's cut on r_max, as _sized_table returns it. Returns
+    (deviation, failed, reason): deviation is a (radii, angles) complex
+    array, radius-major, failed the boolean mask of its failed points, and
+    reason why they failed: _half_grid's, for the half that _scan scans,
+    with the sums and the mask mirrored into full circles.
     """
-    half, failed, reasons = _half_grid(grid, table, cut)
-    deviation = _mirror(half, grid.angles)
-    if failed is None:
-        return deviation, np.zeros(deviation.shape, bool), reasons
-    return deviation, _mirror(failed, grid.angles), reasons
+    half, failed, reason = _half_grid(grid, table, cut)
+    failed = np.zeros(half.shape, bool) if failed is None else failed
+    return _mirror(half, grid.angles), _mirror(failed, grid.angles), reason
 
 
 def _scan(grid: GridSpec, table, cut, largest: bool):
@@ -292,7 +297,7 @@ def _scan(grid: GridSpec, table, cut, largest: bool):
     the full failed mask only when some point failed.
     """
     m = grid.angles
-    half, failed, reasons = _half_grid(grid, table, cut)
+    half, failed, reason = _half_grid(grid, table, cut)
     masked = -np.abs(half) if largest else 1.0 + half.real
     count, sample = 0, ()
     if failed is not None:
@@ -300,7 +305,7 @@ def _scan(grid: GridSpec, table, cut, largest: bool):
         failed = _mirror(failed, m)
         count = int(np.count_nonzero(failed))
         sample = tuple(
-            FailedPoint(EvalPoint.from_polar(grid.radii[row], grid.circle_angle(k)), reasons[row])
+            FailedPoint(EvalPoint.from_polar(grid.radii[row], grid.circle_angle(k)), reason)
             for row, k in (divmod(i, m)
                            for i in np.flatnonzero(failed)[:_FAILED_SAMPLE_CAP].tolist()))
     row, k = divmod(int(np.argmin(masked)), masked.shape[1])  # first of the raveled half
@@ -326,8 +331,8 @@ class _Claim(NamedTuple):
     """One certificate's prediction and sampled quantity, named ``sampled`` in dumps.
 
     The quantity minus 1 is the table coefficients(subject, tol, length);
-    ``table(radii, series_tol)`` sizes it for the circles of radii and
-    returns it with its cut there, so predicting evaluates no series.
+    ``table(radius, series_tol)`` sizes it for a grid's r_max and returns
+    it with its cut there, so predicting evaluates no series.
     ``largest`` marks the bound, which certifies a maximum.
     """
 
@@ -339,8 +344,8 @@ class _Claim(NamedTuple):
     subject: object
     largest: bool = False
 
-    def table(self, radii, series_tol: float) -> tuple:
-        return _sized_table(self.coefficients, self.subject, radii, series_tol)
+    def table(self, radius: float, series_tol: float) -> tuple:
+        return _sized_table(self.coefficients, self.subject, radius, series_tol)
 
 
 def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: float,
@@ -355,7 +360,7 @@ def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: f
                           f"{eval_tolerance!r}")
     grid = grid or GridSpec()
     target = claim.predicted if predicted is None else float(predicted)
-    table, cut = claim.table(grid.radii, series_tol)
+    table, cut = claim.table(grid.r_max, series_tol)
     observed, point, failed, sample, total = _scan(grid, table, cut, claim.largest)
     margin = target - observed if claim.largest else observed - target
     verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, failed, total)

@@ -70,7 +70,7 @@ def _apply_overrides(job: Job, args) -> Job:
     if args.r_max is not None:
         grid = GridSpec(r_max=args.r_max, angles=angles)
     else:
-        grid = GridSpec(radii=job.grid.radii, r_max=job.grid.r_max, angles=angles)
+        grid = GridSpec(radii=job.grid.radii, angles=angles)
     return dataclasses.replace(job, grid=grid)
 
 
@@ -246,7 +246,7 @@ def cmd_dump(args) -> int:
     lines = [f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}",
              "radius,angle,re,im"]
     with _open(args.output) as output:
-        deviation, failed, _ = sample_grid(job.grid, *claim.table(job.grid.radii, job.series_tol))
+        deviation, failed, _ = sample_grid(job.grid, *claim.table(job.grid.r_max, job.series_tol))
         angles = job.grid.circle_angles().tolist()
         for r, values, row_failed in zip(job.grid.radii, (1.0 + deviation).tolist(),
                                          failed.tolist()):

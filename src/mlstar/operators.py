@@ -33,15 +33,14 @@ Power series carry the branch that is 1 at the origin, so no path is ever
 tracked, and no numerical differentiation or quadrature is involved.
 Q, H and 1/H all come from the one triangular solve numerics.series_solve.
 
-A sum on the circle |z| = r keeps the terms that _operator_cut selects,
-from a table built just long enough to have that cut: 16 terms, doubled
-as needed. _sized_table cuts every circle of a grid in the call that
-decides the length and hands that cut on, so a table is built and cut
-once per certificate or evaluation. Where a factor's zero lies within
-reach of the circle, Q has a pole there, and where G has one, so does
-1/H; the coefficients stop decaying. Then, or when the coefficients
-overflow, no cut exists and the evaluation raises SeriesTruncationError.
-A point is summed by Horner; certify sums the circles of a certificate.
+A table is cut once, on one circle |z| = r, a point's or a grid's
+outermost, which also cuts every smaller circle: _sized_table builds it
+16 terms long, doubled until _operator_cut finds a cut, and hands that
+cut on. Where a factor's zero lies within reach of the circle, Q has a
+pole there, and where G has one, so does 1/H; the coefficients stop
+decaying. Then, or when the coefficients overflow, no cut exists and the
+evaluation raises SeriesTruncationError. A point is summed by Horner;
+certify sums the circles of a certificate.
 """
 
 from __future__ import annotations
@@ -130,8 +129,8 @@ def _as_point(z) -> complex:
     if isinstance(z, EvalPoint):
         return complex(z.z)
     z = complex(z)
-    if not 0.0 < abs(z) < 1.0:
-        raise DomainError(f"evaluation point must satisfy 0 < |z| < 1, got {z!r}")
+    if not abs(z) < 1.0:
+        raise DomainError(f"evaluation point must satisfy |z| < 1, got {z!r}")
     return z
 
 
@@ -182,18 +181,17 @@ _MEASURED_TAIL = 8
 _FIRST_LENGTH = 16  # of a table's first build, which _sized_table doubles
 
 
-def _operator_cut(coeffs, radii, tol: float) -> tuple:
-    """(counts, tails): how many terms of coeffs to sum on each circle |z| = r.
+def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
+    """(count, tail): how many terms of coeffs to sum on the circle |z| = radius.
 
     As for the Mittag-Leffler series, tol bounds the dropped terms
     absolutely: every table is 0 at the origin, where its quantity is 1
     (zF'/F, 1 + zF''/F'), or it is log(F/z), whose absolute error is F's
-    relative one. With t_n = |c_n| r^n,
-    a circle's count N is the smallest that leaves at least _MEASURED_TAIL
-    table terms after it and whose dropped table terms sum to at most tol,
-    and its tail is that sum. Terms past the table are taken to keep
-    decaying as its last ones do; a fall to tol within the table makes that
-    decay geometric in practice.
+    relative one. With t_n = |c_n| radius^n, the count N is the smallest
+    that leaves at least _MEASURED_TAIL table terms after it and whose
+    dropped table terms sum to at most tol, and the tail is that sum.
+    Terms past the table are taken to keep decaying as its last ones do;
+    a fall to tol within the table makes that decay geometric in practice.
 
     When no count qualifies, N is 0 and the tail is the sum at the last
     admissible count: the terms stopped decaying because a singularity,
@@ -202,16 +200,16 @@ def _operator_cut(coeffs, radii, tol: float) -> tuple:
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
-    terms = np.abs(coeffs) * np.asarray(radii, dtype=float)[:, None] ** np.arange(len(coeffs))
-    tails = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # tails[:, k] = sum of terms[:, k:]
-    dropped = tails[:, 1 : len(coeffs) - _MEASURED_TAIL + 1]
-    last = dropped.shape[1] - 1
-    # a finite row of dropped never rises, so its first fit follows all misfits
-    first = (dropped > tol).sum(axis=1)
-    finite = np.isfinite(tails[:, 0])
-    counts = np.where(finite & (first <= last), first + 1, 0)
-    tails = np.where(finite, dropped[np.arange(len(first)), np.minimum(first, last)], math.inf)
-    return counts, tails
+    terms = np.abs(coeffs) * radius ** np.arange(len(coeffs))
+    tails = np.cumsum(terms[::-1])[::-1]  # tails[k] = sum of terms[k:]
+    if not np.isfinite(tails[0]):
+        return 0, math.inf
+    dropped = tails[1 : len(coeffs) - _MEASURED_TAIL + 1]
+    # dropped never rises, so its first fit follows all misfits
+    first = int(np.count_nonzero(dropped > tol))
+    if first < len(dropped):
+        return first + 1, float(dropped[first])
+    return 0, float(dropped[-1])
 
 
 def _no_cut(table, radius: float, tail: float) -> str:
@@ -219,22 +217,20 @@ def _no_cut(table, radius: float, tail: float) -> str:
             f"after {len(table) - _MEASURED_TAIL} terms")
 
 
-def _sized_table(coefficients, subject, radii, tol: float) -> tuple:
+def _sized_table(coefficients, subject, radius: float, tol: float) -> tuple:
     """(table, cut): coefficients(subject, tol, length) at the first length
-    with a cut on every circle |z| = r of radii, and its cut there.
+    with a cut on the circle |z| = radius, and _operator_cut's (count, tail).
 
-    The cut is _operator_cut's (counts, tails) for all of radii, taken in
-    the call that decides the length; every caller sums from it and cuts
-    nothing again. Terms |c_n| r^n grow with r, so a cut on the outermost
-    circle is a cut on all of them. The length starts at _FIRST_LENGTH and
-    doubles; at SERIES_TERM_CAP the table is returned whether it has a cut
-    or not, and a circle without one has count 0.
+    Every caller sums from that cut and cuts nothing again; a grid passes
+    its outermost radius, and its other circles sum the same terms. The
+    length starts at _FIRST_LENGTH and doubles; at SERIES_TERM_CAP the
+    table is returned with or without a cut, and without one the count is 0.
     """
     length = _FIRST_LENGTH
     while True:
         table = coefficients(subject, tol, length)
-        cut = _operator_cut(table, radii, tol)
-        if length >= SERIES_TERM_CAP or cut[0].all():
+        cut = _operator_cut(table, radius, tol)
+        if length >= SERIES_TERM_CAP or cut[0]:
             return table, cut
         length = min(2 * length, SERIES_TERM_CAP)
 
@@ -244,10 +240,10 @@ def _table_value(coefficients, subject, z: complex, tol: float) -> SeriesResult:
 
     Raises SeriesTruncationError when the table has no cut at |z|.
     """
-    table, ((n,), (tail,)) = _sized_table(coefficients, subject, [abs(z)], tol)
+    table, (n, tail) = _sized_table(coefficients, subject, abs(z), tol)
     if not n:
         raise SeriesTruncationError(_no_cut(table, abs(z), tail))
-    return SeriesResult(complex(_horner(table[:n], np.array([z]))[0]), int(n), float(tail))
+    return SeriesResult(complex(_horner(table[:n], np.array([z]))[0]), n, tail)
 
 
 def _operator_value(spec: OperatorSpec, z, tol: float, power: bool) -> SeriesResult:
@@ -305,7 +301,4 @@ def convex_log_deriv(factors, z, tol: float = SERIES_TOL) -> complex:
     factors = tuple(factors)
     if not factors:
         raise DomainError("an operator needs at least one factor")
-    zc = complex(z.z) if isinstance(z, EvalPoint) else complex(z)
-    if not abs(zc) < 1.0:
-        raise DomainError(f"|z| must be < 1, got {abs(zc)!r}")
-    return 1.0 + _table_value(_log_derivative_coefficients, factors, zc, tol).value
+    return 1.0 + _table_value(_log_derivative_coefficients, factors, _as_point(z), tol).value

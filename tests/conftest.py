@@ -40,7 +40,7 @@ def table_deviation(table, z, tol=1e-14):
     single-point sum does, when the table has no cut there."""
     z = np.asarray(z, dtype=complex)
     radius = float(np.max(np.abs(z)))
-    (n,), (tail,) = _operator_cut(table, [radius], tol)
+    n, tail = _operator_cut(table, radius, tol)
     if not n:
         raise SeriesTruncationError(_no_cut(table, radius, tail))
     return _horner(table[:n], z)
@@ -50,5 +50,5 @@ def ml_table_deviation(params, z, tol=1e-14):
     """z E'/E - 1 at the points z as the Mittag-Leffler certificates sum it:
     from their table, sized for max |z|."""
     z = np.asarray(z, dtype=complex)
-    table, _ = _ml_starlike_claim(params, 0.0).table([float(np.max(np.abs(z)))], tol)
+    table, _ = _ml_starlike_claim(params, 0.0).table(float(np.max(np.abs(z))), tol)
     return table_deviation(table, z, tol)

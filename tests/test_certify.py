@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from mlstar.certify import (
     sample_grid,
 )
 from mlstar.defaults import SERIES_TOL
+from mlstar.jobs import load_job, run_job
 
 from oracles import brute_max_abs_dev, brute_min_re, e24_log_deriv, exp_star_quantity
 
@@ -48,6 +51,20 @@ class TestGridSpec:
         grid = GridSpec(r_max=0.6)
         assert grid.radii == (0.25, 0.5, 0.6)
 
+    def test_radii_alone_set_r_max(self):
+        grid = GridSpec(radii=(0.25, 0.5))
+        assert grid.r_max == 0.5 and grid.to_dict()["r_max"] == 0.5
+
+    def test_r_max_that_disagrees_with_radii_is_refused(self):
+        assert GridSpec(radii=(0.25, 0.5), r_max=0.5).r_max == 0.5
+        for r_max in (0.999, 0.4):
+            with pytest.raises(DomainError, match="is not the outermost radius 0.5"):
+                GridSpec(radii=(0.25, 0.5), r_max=r_max)
+
+    def test_r_max_alone_builds_the_default_radii(self):
+        assert GridSpec(r_max=0.95).radii == (0.25, 0.5, 0.75, 0.9, 0.95)
+        assert GridSpec(r_max=0.1).radii == (0.1,)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             GridSpec(radii=(0.5, 0.5), angles=16)
@@ -57,6 +74,19 @@ class TestGridSpec:
             GridSpec(angles=4)
         with pytest.raises(DomainError):
             GridSpec(r_max=1.0)
+        for r_max in ("0.9", True, np.bool_(True), 0.5j):
+            with pytest.raises(DomainError, match="r_max must be a number"):
+                GridSpec(r_max=r_max)
+        for radius in ("0.5", False, np.bool_(True), None, 0.5j):
+            with pytest.raises(DomainError, match="a radius must be a number"):
+                GridSpec(radii=(0.25, radius))
+        for r in (0.5, np.float64(0.5), np.float32(0.5)):
+            assert GridSpec(radii=(0.25, r)).radii == (0.25, 0.5)
+            assert GridSpec(r_max=r).radii == (0.25, 0.5)
+        assert GridSpec(radii=(np.float64(0.5),)).to_dict() == {
+            "radii": [0.5], "r_max": 0.5, "angles": 720}
+        with pytest.raises(DomainError, match="radii must lie in"):
+            GridSpec(radii=(0, 0.5))  # an int is a number, but 0 is not inside the disk
         for angles in (720.0, 9.5, True, "720"):
             with pytest.raises(DomainError, match="angles must be an integer"):
                 GridSpec(angles=angles)
@@ -274,10 +304,10 @@ class TestFailurePolicy:
         # the scan sees each circle's half, k <= m/2; a point k fails with its mirror m - k
         original = certify_module._half_circle_sums
 
-        def patched(table, radii, cut, m):
-            half, failures = original(table, radii, cut, m)
-            half[:, [idx for idx in bad_indices if idx <= m // 2]] = np.nan
-            return half, failures
+        def patched(grid, table, count):
+            half = original(grid, table, count)
+            half[:, [idx for idx in bad_indices if idx <= grid.angles // 2]] = np.nan
+            return half
 
         monkeypatch.setattr(certify_module, "_half_circle_sums", patched)
 
@@ -298,17 +328,17 @@ class TestFailurePolicy:
         assert [f.point.angle for f in cert.failed_sample] == list(
             grid.circle_angles()[[*range(10), *range(2048 - 9, 2048 - 3)]])  # the first 16
 
-    def test_zero_of_e_fails_the_circles_past_it(self):
+    def test_zero_of_e_fails_every_point(self):
         # E_{1,0.2} vanishes at -0.2448: z E'/E has a pole there, so its table
-        # has a cut on r = 0.2 but not on the two circles beyond the zero
+        # has no cut on the outermost circle, and no circle of the grid is summed
         grid = GridSpec(radii=(0.2, 0.5, 0.999), angles=64)
         cert = certify_ml_starlike(MLParams(1, 0.2), 0.0, grid)
         assert cert.verdict == VERDICT_FAIL
-        assert cert.failed_count == 128
-        assert all(f.point.radius > 0.2 and f.reason.startswith("series at |z| = ")
+        assert cert.failed_count == 192 == grid.total_points()
+        assert math.isnan(cert.observed) and cert.to_dict()["observed"] is None
+        assert len(cert.failed_sample) == 16
+        assert all(f.point.radius == 0.2 and f.reason.startswith("series at |z| = 0.999 ")
                    for f in cert.failed_sample)
-        assert cert.argmin.radius == 0.2
-        assert cert.observed == pytest.approx(-3.6486995450896, abs=1e-12)
 
     @pytest.mark.parametrize("run", [
         lambda grid: certify_starlike(single(2, 4), grid),
@@ -317,38 +347,51 @@ class TestFailurePolicy:
         lambda grid: check_log_deriv_bound(MLParams(2, 4), grid),
     ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
     def test_truncation_fails_its_circle_for_every_kind(self, monkeypatch, run):
-        original = certify_module._half_circle_sums
-
-        def truncated(table, radii, cut, m):
-            half, failures = original(table, radii, cut, m)
-            for row in np.flatnonzero(np.asarray(radii) > 0.99):
-                half[row] = 0.0
-                failures[int(row)] = "no cut on the outer circle"
-            return half, failures
-
-        monkeypatch.setattr(certify_module, "_half_circle_sums", truncated)
+        # the table's one circle is the outermost; without a cut there, every circle fails
+        monkeypatch.setattr(certify_module, "_sized_table", no_cut_table)
         cert = run(GridSpec(radii=(0.5, 0.999), angles=64))
-        assert cert.failed_count == 64
+        assert cert.failed_count == 128
         assert cert.verdict == VERDICT_FAIL
         assert {(f.point.radius, f.reason) for f in cert.failed_sample} == {
-            (0.999, "no cut on the outer circle")
+            (0.5, "series at |z| = 0.999 keeps a tail of 1 after 8 terms")
         }
-        assert math.isfinite(cert.observed)  # the inner circle still counts
+        assert math.isnan(cert.observed)
+
+
+def no_cut_table(coefficients, subject, radius, tol):
+    """_sized_table's table at 16 terms, with no cut on the circle |z| = radius."""
+    return coefficients(subject, tol, 16), (0, 1.0)
+
+
+def test_the_outermost_circle_alone_gives_each_corpus_certificate():
+    # every circle sums the outermost circle's cut, and the extremum lies on that circle;
+    # a one-row matrix product may round the sums apart from a six-row one
+    job = load_job(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
+    full = run_job(job).certificates
+    outer = run_job(dataclasses.replace(job, grid=GridSpec(radii=(0.999,)))).certificates
+    assert len(full) == len(outer) == 7
+    for one, other in zip(full, outer):
+        assert one.observed == pytest.approx(other.observed, rel=1e-15, abs=0.0)
+        assert one.argmin.angle == other.argmin.angle
+        assert one.argmin.radius == 0.999 and one.failed_count == 0
 
 
 def full_grid_scan(grid, table, cut, largest):
     """The certificate's scan, brute force over the full grid that sample_grid returns.
 
     Returns (observed, (row, k), failed count, [(radius, angle, reason)] of
-    the first 16 failed points), ties to the first point of the raveled grid.
+    the first 16 failed points), ties to the first point of the raveled grid;
+    observed is NaN at (0, 0) when every point failed.
     """
-    deviation, failed, reasons = sample_grid(grid, table, cut)
+    deviation, failed, reason = sample_grid(grid, table, cut)
     masked = -np.abs(deviation) if largest else 1.0 + deviation.real
     masked[failed] = math.inf
     row, k = divmod(int(np.argmin(masked)), grid.angles)
     best = float(masked[row, k])
+    if math.isinf(best):
+        best = math.nan
     angles = grid.circle_angles()
-    sample = [(grid.radii[i], float(angles[j]), reasons[i])
+    sample = [(grid.radii[i], float(angles[j]), reason)
               for i, j in (divmod(int(x), grid.angles) for x in np.flatnonzero(failed)[:16])]
     return (-best if largest else best), (row, k), int(np.count_nonzero(failed)), sample
 
@@ -367,7 +410,7 @@ class TestHalfCircleScan:
                         DEFAULT),
         "log-deriv-bound": (lambda: certify_module._log_deriv_bound_claim(MLParams(1.2, 1.7)),
                             DEFAULT),
-        # E_{1,0.2} vanishes at -0.2448: no cut on the two outer circles
+        # E_{1,0.2} vanishes at -0.2448: no cut on the outermost circle
         "ml-no-cut": (lambda: certify_module._ml_starlike_claim(MLParams(1, 0.2), 0.0),
                       (0.2, 0.5, 0.999)),
     }
@@ -375,14 +418,14 @@ class TestHalfCircleScan:
     def assert_scans_agree(self, kind, m):
         make, radii = self.CLAIMS[kind]
         claim, grid = make(), GridSpec(radii=radii, angles=m)
-        table, cut = claim.table(grid.radii, SERIES_TOL)
+        table, cut = claim.table(grid.radii[-1], SERIES_TOL)
         if kind != "ml-no-cut":
-            assert cut[0][-1] > 9
+            assert cut[0] > 9
         observed, point, count, sample, total = certify_module._scan(grid, table, cut,
                                                                      claim.largest)
         brute_observed, (row, k), brute_count, brute_sample = full_grid_scan(
             grid, table, cut, claim.largest)
-        assert observed == brute_observed
+        assert observed == brute_observed or math.isnan(observed) and math.isnan(brute_observed)
         assert (point.radius, point.angle) == (grid.radii[row], grid.circle_angles()[k])
         assert point == EvalPoint.from_polar(grid.radii[row], float(grid.circle_angles()[k]))
         assert count == brute_count and total == grid.total_points()
@@ -393,7 +436,7 @@ class TestHalfCircleScan:
     @pytest.mark.parametrize("kind", CLAIMS)
     def test_matches_a_full_grid_scan(self, kind, m):
         count = self.assert_scans_agree(kind, m)
-        assert count == (2 * m if kind == "ml-no-cut" else 0)
+        assert count == (3 * m if kind == "ml-no-cut" else 0)
 
     @pytest.mark.parametrize("m", [8, 9, 720])
     @pytest.mark.parametrize("kind", ["starlike", "log-deriv-bound", "ml-no-cut"])
@@ -401,27 +444,21 @@ class TestHalfCircleScan:
         # both paths sum the half that _half_circle_sums returns, poisoned at k = 1 and m/2
         original = certify_module._half_circle_sums
 
-        def poisoned(table, radii, cut, m):
-            half, failures = original(table, radii, cut, m)
-            half[:, [1, m // 2]] = complex(math.nan, 0.0)
-            return half, failures
+        def poisoned(grid, table, count):
+            half = original(grid, table, count)
+            half[:, [1, grid.angles // 2]] = complex(math.nan, 0.0)
+            return half
 
         monkeypatch.setattr(certify_module, "_half_circle_sums", poisoned)
         count = self.assert_scans_agree(kind, m)
         poisoned_per_circle = 3 if m % 2 == 0 else 4  # m/2 is its own mirror when m is even
-        if kind == "ml-no-cut":  # two circles without a cut, one poisoned
-            assert count == 2 * m + poisoned_per_circle
+        if kind == "ml-no-cut":  # no cut: nothing is summed, and every point fails
+            assert count == 3 * m
         else:
             assert count == len(self.CLAIMS[kind][1]) * poisoned_per_circle
 
     def test_every_point_failed(self, monkeypatch):
-        original = certify_module._half_circle_sums
-
-        def nowhere(table, radii, cut, m):
-            half, failures = original(table, radii, cut, m)
-            return half, {row: "no cut" for row in range(len(radii))}
-
-        monkeypatch.setattr(certify_module, "_half_circle_sums", nowhere)
+        monkeypatch.setattr(certify_module, "_sized_table", no_cut_table)
         cert = certify_ml_starlike(MLParams(2, 4), 0.0, GridSpec(radii=(0.5, 0.999), angles=9))
         assert math.isnan(cert.observed) and cert.failed_count == 18
         assert cert.verdict == VERDICT_FAIL and cert.argmin.angle == 0.0

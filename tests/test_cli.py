@@ -103,6 +103,14 @@ class TestEval:
         assert result.exit_code == 0
         assert "0.25156" in result.output  # z + z^2/40 + z^3/2520 + ...
 
+    def test_operator_values_at_the_origin(self):
+        # F(0) = 0 is summed; the convex kind's z^zeta has no principal power at 0
+        star = invoke(["eval", "--job", CORPUS_PATH, "--operator", "star-24", "--z", "0"])
+        assert (star.exit_code, star.output) == (0, "0  0.0  terms=1 tail=0.000e+00\n")
+        convex = invoke(["eval", "--job", CORPUS_PATH, "--operator", "convex-22-threshold",
+                         "--z", "0"])
+        assert convex.exit_code == 3 and "no logarithm" in convex.output
+
     @pytest.mark.parametrize("flags, row", [
         (["--tol", "0.5"], "0.9  0.9  terms=1 tail=2.276e-02"),  # F(z) = z: a 2% tail
         ([], "0.9  0.9205420156051405  terms=7 tail=1.227e-15"),
@@ -314,6 +322,28 @@ class TestCertify:
         assert (ml["name"], ml["verdict"]) == ("ml-24", "fail")
         assert ml["failed_points"]["count"] == 180
         assert ml["failed_points"]["sample"][0]["reason"].startswith("series at |z| = ")
+
+    def test_zero_of_e_fails_every_point(self, tmp_path):
+        # E_{1,0.2} vanishes at -0.2448: its table has no cut on r = 0.999, so
+        # no circle is summed, in the report and in the dump alike
+        job = {"schema": 1, "grid": {"radii": [0.2, 0.5, 0.999], "angles": 16},
+               "operators": [{"name": "ml", "kind": "ml-starlike", "alpha": 1, "beta": 0.2,
+                              "eta": 0}]}
+        path = write_job(tmp_path, job)
+        result = invoke(["--format", "json", "certify", path])
+        assert result.exit_code == 1, result.output
+        (cert,) = json.loads(result.output)["certificates"]
+        assert cert["failed_points"]["count"] == 48 and cert["observed"] is None
+        dump = invoke(["dump", "--job", path, "--operator", "ml"])
+        assert dump.exit_code == 3
+        rows = dump.output.splitlines()[2:]
+        assert len(rows) == 48 and all(row.endswith(",error,error") for row in rows)
+
+    def test_r_max_that_disagrees_with_radii_is_usage_error(self, tmp_path):
+        job = dict(CORPUS, grid={"radii": [0.5, 0.9], "r_max": 0.999, "angles": 16})
+        result = invoke(["certify", write_job(tmp_path, job)])
+        assert result.exit_code == 2
+        assert "r_max 0.999 is not the outermost radius 0.9" in result.output
 
     def test_non_finite_job_numbers_rejected(self, tmp_path):
         # refused while parsing, before any evaluation could produce a nan

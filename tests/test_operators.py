@@ -27,10 +27,10 @@ from mlstar.certify import (
     _BASES,
     _circle_basis,
     _half_circle_sums,
-    _mirror,
     sample_grid,
 )
 from mlstar.defaults import SERIES_TERM_CAP
+from mlstar.mittag_leffler import _horner
 from mlstar.numerics import series_solve
 from mlstar.operators import (
     _log_derivative_coefficients,
@@ -116,9 +116,23 @@ class TestProductTerm:
         assert f_value(spec, 1e-300) / 1e-300 == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_rejected(self):
-        for fn in (star_log_deriv, f_value, f_zeta_power):
-            with pytest.raises(DomainError):
-                fn(single(1, 1), 0.0)
+        # z^zeta has no principal power at 0
+        with pytest.raises(DomainError):
+            f_zeta_power(single(1, 1), 0.0)
+        with pytest.raises(DomainError):
+            f_conv_value(single(1, 1).factors, 0j)
+
+    def test_values_at_the_origin(self):
+        # every table is summed exactly at 0, where zF'/F = 1 + zF''/F' = 1 and F = 0
+        spec = single(2, 4, zeta=0.5)
+        assert star_log_deriv(spec, 0.0) == 1.0
+        assert convex_log_deriv(spec.factors, 0j) == 1.0
+        assert f_value(spec, 0.0) == 0.0
+        for fn in (star_log_deriv, f_value):
+            with pytest.raises(DomainError, match=r"\|z\| < 1"):
+                fn(spec, 1.0)
+        with pytest.raises(DomainError, match=r"\|z\| < 1"):
+            convex_log_deriv(spec.factors, -1.0)
 
     def test_exponent_additivity(self):
         # two identical factors at doubled lambda act like one factor
@@ -266,10 +280,10 @@ class TestStarLogDeriv:
         for fn in (star_log_deriv, f_value):
             with pytest.raises(SeriesTruncationError):
                 fn(spec, 0.5j)
+        # no cut on the outermost circle fails the inner circles too
         cert = certify_starlike(spec, GridSpec(radii=(0.1, 0.2, 0.3, 0.5, 0.999), angles=32))
-        assert cert.failed_count == 3 * 32
-        assert cert.verdict == VERDICT_FAIL
-        assert all(failed.point.radius > 0.2513 for failed in cert.failed_sample)
+        assert cert.failed_count == 5 * 32
+        assert cert.verdict == VERDICT_FAIL and math.isnan(cert.observed)
 
 
 class TestConvexSide:
@@ -444,22 +458,19 @@ class TestCoefficientEngine:
 
     def test_sized_table_is_a_prefix_of_the_full_solve(self):
         spec = single(2, 4)
-        radii = (0.5, 0.9)
-        table, (counts, tails) = _sized_table(_star_coefficients, spec, radii, 1e-14)
+        table, cut = _sized_table(_star_coefficients, spec, 0.9, 1e-14)
         assert len(table) < SERIES_TERM_CAP
         full = _star_coefficients(spec, 1e-14, SERIES_TERM_CAP)
         assert np.array_equal(table, full[: len(table)])
-        # the cut it returns is the table's cut on every circle
-        expected = _operator_cut(table, radii, 1e-14)
-        assert np.array_equal(counts, expected[0]) and np.array_equal(tails, expected[1])
-        assert np.all(counts > 0)
+        # the cut it returns is the table's cut on the circle
+        assert cut == _operator_cut(table, 0.9, 1e-14) and cut[0] > 0
 
     def test_ml_table_cut_past_the_first_length_is_sized_at_twice_it(self):
         # z E'/E - 1 of alpha = 1, beta = 4 needs 15 terms on r = 0.999, more than
         # a 16-term table can cut with 8 measured terms left, so it doubles once
         factors = (FactorSpec(MLParams(1, 4), 1.0),)
-        table, (counts, _) = _sized_table(_log_derivative_coefficients, factors, (0.999,), 1e-14)
-        assert len(table) == 32 and counts.tolist() == [15]
+        table, (count, _) = _sized_table(_log_derivative_coefficients, factors, 0.999, 1e-14)
+        assert len(table) == 32 and count == 15
         full = _log_derivative_coefficients(factors, 1e-14, SERIES_TERM_CAP)
         assert np.array_equal(table, full[:32])
 
@@ -478,13 +489,11 @@ class TestCoefficientEngine:
         # series converges on the circles inside and on none outside
         spec = single(1, 0.2, lam=2.0)
         grid = GridSpec(radii=(0.1, 0.15, 0.25, 0.5, 0.999), angles=32)
-        cert = certify_starlike(spec, grid)
-        assert cert.failed_count == 3 * 32
-        assert cert.verdict == VERDICT_FAIL
-        assert cert.argmin.radius < 0.2448
+        cert = certify_starlike(spec, grid)  # no cut on r = 0.999 fails every circle
+        assert cert.failed_count == 5 * 32
+        assert cert.verdict == VERDICT_FAIL and math.isnan(cert.observed)
         for failed in cert.failed_sample:
-            assert failed.point.radius > 0.2448
-            assert "tail" in failed.reason
+            assert failed.reason.startswith("series at |z| = 0.999 keeps a tail")
         for z in (0.25, -0.3, 0.9j):
             for fn in (star_log_deriv, f_value, f_zeta_power):
                 with pytest.raises(SeriesTruncationError):
@@ -494,7 +503,7 @@ class TestCoefficientEngine:
 
 class TestCircleSums:
     """The certificates' grid sum, each circle's half times a cached cos/sin basis, mirrored
-    into the full circle, against pointwise Horner."""
+    into the full circle, against pointwise Horner over the outermost circle's cut."""
 
     TOL = 1e-14
     PROBE = OperatorSpec((FactorSpec(MLParams(1.5, 2.0), 2.0), FactorSpec(MLParams(2.0, 3.0), 3.0)),
@@ -512,34 +521,49 @@ class TestCircleSums:
         return np.array([complex(mpmath.expjpi(mpmath.mpf(2 * k) / m)) for k in range(m)])
 
     def assert_matches_horner(self, table, sums, radii):
-        counts, _ = _operator_cut(table, radii, self.TOL)
+        count, _ = _operator_cut(table, radii[-1], self.TOL)
         for row, r in enumerate(radii):
-            horner = table_deviation(table, r * self.phases(sums.shape[1]), self.TOL)
-            scale = np.sum(np.abs(table[: counts[row]]) * r ** np.arange(counts[row]))
+            horner = _horner(table[:count], r * self.phases(sums.shape[1]))
+            scale = np.sum(np.abs(table[:count]) * r ** np.arange(count))
             assert np.max(np.abs(sums[row] - horner)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     @pytest.mark.parametrize("kind", TABLES)
     def test_matches_horner_on_every_circle(self, m, kind):
         radii = (0.25, 0.9, 0.999)
-        table, cut = _sized_table(*self.TABLES[kind], radii, self.TOL)
+        table, cut = _sized_table(*self.TABLES[kind], radii[-1], self.TOL)
         sums, failed, _ = sample_grid(GridSpec(radii=radii, angles=m), table, cut)
         assert not failed.any() and sums.shape == (3, m)
-        assert cut[0][-1] > 9  # m = 8 and 9 fold
+        assert cut[0] > 9  # m = 8 and 9 fold
         self.assert_matches_horner(table, sums, radii)
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_inner_circles_sum_the_outer_cut(self, kind):
+        # every circle sums the terms of the outermost circle's cut, which are more than
+        # an inner circle's own cut keeps; the extra terms add up to at most the tolerance
+        radii, m = (0.25, 0.5, 0.999), 720
+        table, cut = _sized_table(*self.TABLES[kind], radii[-1], self.TOL)
+        sums, _, _ = sample_grid(GridSpec(radii=radii, angles=m), table, cut)
+        count = cut[0]
+        for row, r in enumerate(radii[:-1]):
+            z = r * self.phases(m)
+            assert _operator_cut(table, r, self.TOL)[0] < count
+            assert np.max(np.abs(sums[row] - _horner(table[:count], z))) <= 1e-15
+            assert np.max(np.abs(sums[row] - table_deviation(table, z, self.TOL))) <= self.TOL
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     def test_mirror_points_are_exact_conjugates(self, m):
-        table, cut = _sized_table(_star_coefficients, self.PROBE, (0.5, 0.999), self.TOL)
+        table, cut = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
         sums, _, _ = sample_grid(GridSpec(radii=(0.5, 0.999), angles=m), table, cut)
         assert np.array_equal(sums[:, :0:-1], sums[:, 1:].conj())  # g[m-k] == conj(g[k])
         assert np.all(sums[:, 0].imag == 0.0)
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     def test_the_half_is_the_first_half_of_the_circle(self, m):
-        table, cut = _sized_table(_star_coefficients, self.PROBE, (0.5, 0.999), self.TOL)
-        half, _ = _half_circle_sums(table, (0.5, 0.999), cut, m)
-        sums, _, _ = sample_grid(GridSpec(radii=(0.5, 0.999), angles=m), table, cut)
+        grid = GridSpec(radii=(0.5, 0.999), angles=m)
+        table, cut = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
+        half = _half_circle_sums(grid, table, cut[0])
+        sums, _, _ = sample_grid(grid, table, cut)
         assert half.shape == (2, m // 2 + 1) and np.array_equal(sums[:, : m // 2 + 1], half)
 
     @pytest.mark.parametrize("rows, m", [(16, 8), (32, 9), (16, 720), (256, 4096)])
@@ -564,18 +588,3 @@ class TestCircleSums:
             _circle_basis(16, m)
         info = _circle_basis.cache_info()
         assert info.maxsize == _BASES and info.currsize <= _BASES
-
-    def test_a_middle_circle_without_a_cut_fails_alone(self):
-        # 1/(1 + 2t) has a pole at -1/2: no cut on r = 0.9, a cut on 0.3 and 0.4
-        inverse = series_solve([1.0, 2.0], [1.0], SERIES_TERM_CAP)
-        radii = (0.3, 0.9, 0.4)
-        cut = _operator_cut(inverse, radii, self.TOL)
-        half, failures = _half_circle_sums(inverse, radii, cut, 9)  # radii need not ascend
-        sums = _mirror(half, 9)
-        with pytest.raises(SeriesTruncationError) as excinfo:
-            table_deviation(inverse, [0.9], self.TOL)
-        assert failures == {1: str(excinfo.value)}
-        assert np.all(sums[1] == 0.0)
-        self.assert_matches_horner(inverse, sums[::2], radii[::2])
-        z = np.array(radii[::2])[:, None] * self.phases(9)
-        assert np.max(np.abs(sums[::2] - 1.0 / (1.0 + 2.0 * z))) <= 1e-14
