@@ -1,26 +1,23 @@
 """Sampled-minimum certificates for starlikeness and convexity orders.
 
-A certificate compares a predicted order against the minimum of the
-relevant real part over a polar sampling grid of the unit disk. The real
-parts involved are harmonic wherever the functions are nonvanishing, so
-the disk minimum lives on the outermost sampled circle; inner radii are
-kept as diagnostics. A certificate is finite-sample evidence, not a proof,
-and says so in its serialized form.
+A certificate compares a predicted order against the extremum of the
+certified quantity on the outermost circle |z| = r_max of a polar grid:
+Re zF'/F, Re(1 + zF''/F') and Re z E'/E are harmonic wherever the
+functions are nonvanishing, and |z E'/E - 1| is subharmonic, so each
+extremum over |z| <= r_max lies on that circle. Certificates scan r_max;
+dump samples every radius. A certificate is finite-sample evidence, not a
+proof, and says so in its serialized form.
 
-Every certified quantity, zF'/F, 1 + zF''/F' and z E'/E, is summed from
-one coefficient table, so none has a denominator. The table is cut once,
-on the outermost circle, and every circle sums those terms: |c_n| r^n
-grows with r, so on an inner circle the extra terms add up to at most the
-series tolerance. A singularity within reach of the outermost circle,
-such as a zero of E, leaves the table without a cut, and every point
-fails. One matrix product sums the half k = 0 ... M/2 of every circle:
-the sum at r e^(2 pi i k/M) is sum_n c_n r^n e^(2 pi i nk/M), against a
-cached cos/sin basis of 2 pi (nk mod M)/M, which folds a cut longer than M.
-The tables are real, so the point M - k holds the conjugate of the value
-at k: the same real part and modulus, later in the grid's order. The scan
-therefore takes one argmin over the (radii x (M/2 + 1)) half and picks
-the point a full-grid scan would; failed points are counted on the full
-grid, with each failure at k also failing its mirror M - k.
+Every certified quantity is summed from one coefficient table, cut once
+on r_max: |c_n| r^n grows with r, so that is a cut on the inner circles
+that dump sums too. A singularity within reach of r_max, such as a zero
+of E, leaves the table without a cut, and every point fails. One matrix
+product sums the half k = 0 ... M/2 of each circle: the sum at
+r e^(2 pi i k/M) is sum_n c_n r^n e^(2 pi i nk/M), against a cached
+cos/sin basis of 2 pi (nk mod M)/M, which folds a cut longer than M. The
+tables are real, so the point M - k holds the conjugate of the value at
+k: one argmin over r_max's half picks the point a scan of the whole
+circle would, and a failure at k also fails its mirror M - k.
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from .defaults import (
     FAILURE_FRACTION,
     GRID_ANGLES,
     GRID_ANGLES_MAX,
+    GRID_POINTS_MAX,
     R_MAX,
     SERIES_TOL,
 )
@@ -97,8 +95,9 @@ class GridSpec:
 
     The open disk cannot be sampled at radius 1, so r_max < 1, the outermost
     radius, stands in for the boundary; it is recorded in every certificate.
-    r_max alone (default R_MAX) picks default_radii, radii alone set r_max;
-    given both, they must agree.
+    Certificates scan r_max; dump samples every radius. r_max alone (default
+    R_MAX) picks default_radii, radii alone set r_max; given both, they must
+    agree. A grid holds at most GRID_POINTS_MAX points, radii x angles.
     """
 
     radii: tuple = None
@@ -129,6 +128,9 @@ class GridSpec:
         if not 8 <= self.angles <= GRID_ANGLES_MAX:
             raise DomainError(f"angles must lie in [8, {GRID_ANGLES_MAX}], got {self.angles!r}")
         object.__setattr__(self, "angles", int(self.angles))
+        if self.total_points() > GRID_POINTS_MAX:
+            raise DomainError(f"a grid holds at most {GRID_POINTS_MAX} points, got "
+                              f"{len(radii)} radii x {self.angles} angles")
 
     def circle_angles(self) -> np.ndarray:
         return self.circle_angle(np.arange(self.angles))
@@ -169,25 +171,25 @@ def _circle_basis(rows: int, m: int) -> np.ndarray:
     return basis
 
 
-def _half_circle_sums(grid: GridSpec, table, count: int) -> np.ndarray:
-    """The sums of table[:count] at r e^(2 pi i k/M), k = 0 ... M/2, on each circle of the grid.
+def _half_circle_sums(radii, m: int, table, count: int) -> np.ndarray:
+    """The sums of table[:count] at r e^(2 pi i k/m), k = 0 ... m/2, for each r of radii.
 
-    Returns a (radii x (M/2 + 1)) complex array, row-major by circle. The
+    Returns a (radii x (m/2 + 1)) complex array, one row per circle. The
     terms c_n r^n times _circle_basis give every circle's half at once; the
     basis has a power of two rows, at least 16, so that few cuts share one.
     """
-    terms = table[:count] * np.asarray(grid.radii)[:, None] ** np.arange(count)
+    terms = table[:count] * np.asarray(radii)[:, None] ** np.arange(count)
     rows = max(16, 1 << (count - 1).bit_length())
-    return (terms @ _circle_basis(rows, grid.angles)[:count]).view(complex)
+    return (terms @ _circle_basis(rows, m)[:count]).view(complex)
 
 
 def _mirror(half, m: int) -> np.ndarray:
     """Full circles k = 0 ... m - 1 from their halves: the point m - k is the conjugate of k."""
-    return np.concatenate((half, half[:, (m + 1) // 2 - 1 : 0 : -1].conj()), axis=1)
+    return np.concatenate((half, half[..., (m + 1) // 2 - 1 : 0 : -1].conj()), axis=-1)
 
 
-def _half_grid(grid: GridSpec, table, cut) -> tuple:
-    """(half, failed, reason): _half_circle_sums on the grid, for the table's cut on r_max.
+def _half_grid(radii, m: int, table, cut) -> tuple:
+    """(half, failed, reason): _half_circle_sums on the radii, for the table's cut on radii[-1].
 
     failed is the mask of the half's failed points, or None when none
     failed, and reason says why they failed. A table without a cut fails
@@ -196,9 +198,9 @@ def _half_grid(grid: GridSpec, table, cut) -> tuple:
     """
     count, tail = cut
     if not count:
-        half = np.zeros((len(grid.radii), grid.angles // 2 + 1), complex)
-        return half, np.ones(half.shape, bool), _no_cut(table, grid.r_max, tail)
-    half = _half_circle_sums(grid, table, count)
+        half = np.zeros((len(radii), m // 2 + 1), complex)
+        return half, np.ones(half.shape, bool), _no_cut(table, radii[-1], tail)
+    half = _half_circle_sums(radii, m, table, count)
     if np.isfinite(half.sum()):  # a finite sum has no nonfinite term
         return half, None, None
     return half, ~np.isfinite(half), "nonfinite value"
@@ -233,7 +235,7 @@ class Certificate:
     failed_count: int = 0
     failed_sample: tuple = ()
     series_tol: float = SERIES_TOL
-    semantics: str = "sampled-min certificate"
+    semantics: str = "sampled-min certificate on |z| = r_max"
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -274,48 +276,45 @@ class Certificate:
 
 
 def sample_grid(grid: GridSpec, table, cut) -> tuple:
-    """Sum the quantity's table on every circle of the grid at once.
+    """Sum the quantity's table on every circle of the grid at once, for dump.
 
     cut is the table's cut on r_max, as _sized_table returns it. Returns
     (deviation, failed, reason): deviation is a (radii, angles) complex
     array, radius-major, failed the boolean mask of its failed points, and
-    reason why they failed: _half_grid's, for the half that _scan scans,
-    with the sums and the mask mirrored into full circles.
+    reason why they failed: _half_grid's, with the sums and the mask
+    mirrored into full circles. Its row on r_max is what _scan scans, up to
+    an ulp: one product of several rows may round apart from one of one row.
     """
-    half, failed, reason = _half_grid(grid, table, cut)
+    half, failed, reason = _half_grid(grid.radii, grid.angles, table, cut)
     failed = np.zeros(half.shape, bool) if failed is None else failed
     return _mirror(half, grid.angles), _mirror(failed, grid.angles), reason
 
 
 def _scan(grid: GridSpec, table, cut, largest: bool):
-    """Minimize Re Q, or maximize |Q - 1| if largest, over the grid in deterministic order.
+    """Minimize Re Q, or maximize |Q - 1| if largest, over the circle |z| = r_max.
 
-    Ties break toward the smallest radius, then the smallest angle index.
     Returns (extremum, argmin EvalPoint, failed count, the first
-    _FAILED_SAMPLE_CAP failed points, total_points). It scans each circle's
-    half, which holds the first of every pair of mirror points, and builds
-    the full failed mask only when some point failed.
+    _FAILED_SAMPLE_CAP failed points); ties go to the smallest angle index.
+    It scans the half of r_max, the first of each pair of mirror points, and
+    mirrors the failed mask only when some point failed.
     """
-    m = grid.angles
-    half, failed, reason = _half_grid(grid, table, cut)
-    masked = -np.abs(half) if largest else 1.0 + half.real
+    r, m = grid.r_max, grid.angles
+    half, failed, reason = _half_grid((r,), m, table, cut)
+    masked = -np.abs(half[0]) if largest else 1.0 + half[0].real
     count, sample = 0, ()
     if failed is not None:
-        masked[failed] = math.inf
-        failed = _mirror(failed, m)
+        masked[failed[0]] = math.inf
+        failed = _mirror(failed[0], m)
         count = int(np.count_nonzero(failed))
-        sample = tuple(
-            FailedPoint(EvalPoint.from_polar(grid.radii[row], grid.circle_angle(k)), reason)
-            for row, k in (divmod(i, m)
-                           for i in np.flatnonzero(failed)[:_FAILED_SAMPLE_CAP].tolist()))
-    row, k = divmod(int(np.argmin(masked)), masked.shape[1])  # first of the raveled half
-    best = float(masked[row, k])
+        sample = tuple(FailedPoint(EvalPoint.from_polar(r, grid.circle_angle(k)), reason)
+                       for k in np.flatnonzero(failed)[:_FAILED_SAMPLE_CAP].tolist())
+    k = int(np.argmin(masked))
+    best = float(masked[k])
     if math.isinf(best):
         # nothing evaluated; the failure-fraction rule forces a fail verdict
-        best, row, k = math.nan, 0, 0
+        best, k = math.nan, 0
     sign = -1.0 if largest else 1.0
-    return (sign * best, EvalPoint.from_polar(grid.radii[row], grid.circle_angle(k)),
-            count, sample, grid.total_points())
+    return sign * best, EvalPoint.from_polar(r, grid.circle_angle(k)), count, sample
 
 
 def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool,
@@ -350,10 +349,10 @@ class _Claim(NamedTuple):
 
 def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: float,
              predicted: float) -> Certificate:
-    """Scan the claim's quantity over the grid and judge it against the prediction.
+    """Scan the claim's quantity on the grid's r_max and judge it against the prediction.
 
     The margin is the distance into the safe side: observed - target for an
-    order, target - observed for the bound.
+    order, target - observed for the bound. FAILURE_FRACTION counts r_max's M points.
     """
     if series_tol > eval_tolerance:
         raise DomainError(f"series tolerance {series_tol!r} exceeds the margin tolerance "
@@ -361,12 +360,13 @@ def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: f
     grid = grid or GridSpec()
     target = claim.predicted if predicted is None else float(predicted)
     table, cut = claim.table(grid.r_max, series_tol)
-    observed, point, failed, sample, total = _scan(grid, table, cut, claim.largest)
+    observed, point, failed, sample = _scan(grid, table, cut, claim.largest)
     margin = target - observed if claim.largest else observed - target
-    verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, failed, total)
+    verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, failed, grid.angles)
     return Certificate(
         claim.quantity, target, observed, point, margin, grid,
         eval_tolerance, verdict, claim.hypothesis_ok, failed, sample, series_tol,
+        f"sampled-{'max' if claim.largest else 'min'} certificate on |z| = r_max",
     )
 
 

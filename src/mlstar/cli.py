@@ -238,6 +238,8 @@ def cmd_dump(args) -> int:
 
     Rows are emitted radius-major in grid order as radius,angle,re,im; the
     header carries a digest of the sampled spec so dumps are traceable.
+    Certificates scan r_max; dump samples every radius, and its rows on
+    r_max are the values the certificate scans, up to an ulp.
     """
     job = _apply_overrides(load_job(args.job), args)
     op = _operator(job, args.operator)

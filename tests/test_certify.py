@@ -98,8 +98,8 @@ class TestStarlikeCertificates:
     def test_identity_product_stub(self, identity_product, small_grid):
         cert = certify_starlike(single(2, 4), small_grid)
         assert cert.observed == pytest.approx(1.0, abs=1e-12)
-        # deterministic argmin tie-break: smallest radius, then smallest angle
-        assert cert.argmin.radius == small_grid.radii[0]
+        # deterministic argmin tie-break: the smallest angle on r_max
+        assert cert.argmin.radius == small_grid.r_max
         assert cert.argmin.angle == 0.0
         assert cert.verdict == VERDICT_PASS
 
@@ -304,9 +304,9 @@ class TestFailurePolicy:
         # the scan sees each circle's half, k <= m/2; a point k fails with its mirror m - k
         original = certify_module._half_circle_sums
 
-        def patched(grid, table, count):
-            half = original(grid, table, count)
-            half[:, [idx for idx in bad_indices if idx <= grid.angles // 2]] = np.nan
+        def patched(radii, m, table, count):
+            half = original(radii, m, table, count)
+            half[:, [idx for idx in bad_indices if idx <= m // 2]] = np.nan
             return half
 
         monkeypatch.setattr(certify_module, "_half_circle_sums", patched)
@@ -330,14 +330,14 @@ class TestFailurePolicy:
 
     def test_zero_of_e_fails_every_point(self):
         # E_{1,0.2} vanishes at -0.2448: z E'/E has a pole there, so its table
-        # has no cut on the outermost circle, and no circle of the grid is summed
+        # has no cut on the outermost circle, and every point of that circle fails
         grid = GridSpec(radii=(0.2, 0.5, 0.999), angles=64)
         cert = certify_ml_starlike(MLParams(1, 0.2), 0.0, grid)
         assert cert.verdict == VERDICT_FAIL
-        assert cert.failed_count == 192 == grid.total_points()
+        assert cert.failed_count == 64 == grid.angles
         assert math.isnan(cert.observed) and cert.to_dict()["observed"] is None
         assert len(cert.failed_sample) == 16
-        assert all(f.point.radius == 0.2 and f.reason.startswith("series at |z| = 0.999 ")
+        assert all(f.point.radius == 0.999 and f.reason.startswith("series at |z| = 0.999 ")
                    for f in cert.failed_sample)
 
     @pytest.mark.parametrize("run", [
@@ -347,13 +347,13 @@ class TestFailurePolicy:
         lambda grid: check_log_deriv_bound(MLParams(2, 4), grid),
     ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
     def test_truncation_fails_its_circle_for_every_kind(self, monkeypatch, run):
-        # the table's one circle is the outermost; without a cut there, every circle fails
+        # the table's one circle is the outermost; without a cut there, all its points fail
         monkeypatch.setattr(certify_module, "_sized_table", no_cut_table)
         cert = run(GridSpec(radii=(0.5, 0.999), angles=64))
-        assert cert.failed_count == 128
+        assert cert.failed_count == 64
         assert cert.verdict == VERDICT_FAIL
         assert {(f.point.radius, f.reason) for f in cert.failed_sample} == {
-            (0.5, "series at |z| = 0.999 keeps a tail of 1 after 8 terms")
+            (0.999, "series at |z| = 0.999 keeps a tail of 1 after 8 terms")
         }
         assert math.isnan(cert.observed)
 
@@ -364,40 +364,60 @@ def no_cut_table(coefficients, subject, radius, tol):
 
 
 def test_the_outermost_circle_alone_gives_each_corpus_certificate():
-    # every circle sums the outermost circle's cut, and the extremum lies on that circle;
-    # a one-row matrix product may round the sums apart from a six-row one
+    # a certificate sums and scans r_max alone, so the inner radii cannot move it
     job = load_job(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
     full = run_job(job).certificates
     outer = run_job(dataclasses.replace(job, grid=GridSpec(radii=(0.999,)))).certificates
     assert len(full) == len(outer) == 7
     for one, other in zip(full, outer):
-        assert one.observed == pytest.approx(other.observed, rel=1e-15, abs=0.0)
-        assert one.argmin.angle == other.argmin.angle
+        assert one.observed == other.observed
+        assert one.argmin == other.argmin
         assert one.argmin.radius == 0.999 and one.failed_count == 0
 
 
-def full_grid_scan(grid, table, cut, largest):
-    """The certificate's scan, brute force over the full grid that sample_grid returns.
+@pytest.mark.parametrize("run", [
+    lambda grid: certify_starlike(single(2, 4), grid),
+    lambda grid: certify_convex(single(2, 4, lam=5.0).factors, grid),
+    lambda grid: certify_ml_starlike(MLParams(1.2, 1.7), 0.0, grid),
+    lambda grid: check_log_deriv_bound(MLParams(1.2, 1.7), grid),
+], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
+def test_inner_radii_leave_the_certificate_unchanged(run):
+    def report(radii):
+        doc = run(GridSpec(radii=(*radii, 0.97), angles=90)).to_dict()
+        doc.pop("grid")
+        return json.dumps(doc, sort_keys=True)
 
-    Returns (observed, (row, k), failed count, [(radius, angle, reason)] of
-    the first 16 failed points), ties to the first point of the raveled grid;
-    observed is NaN at (0, 0) when every point failed.
+    rng = np.random.default_rng(15)
+    expected = report(())
+    for size in (1, 2, 5, 12):
+        inner = np.sort(rng.uniform(0.01, 0.96, size))
+        assert report(tuple(inner.tolist())) == expected
+
+
+def full_grid_scan(grid, table, cut, largest):
+    """The certificate's scan, brute force over the outer row that sample_grid returns.
+
+    sample_grid sums r_max alone, as the certificate does: a product of one
+    row may round apart from one of several. Returns (observed, k, failed
+    count, [(radius, angle, reason)] of the first 16 failed points), ties to
+    the smallest angle index; observed is NaN at k = 0 when every point failed.
     """
-    deviation, failed, reason = sample_grid(grid, table, cut)
+    outer = GridSpec(radii=(grid.r_max,), angles=grid.angles)
+    deviation, failed, reason = sample_grid(outer, table, cut)
+    deviation, failed = deviation[-1], failed[-1]
     masked = -np.abs(deviation) if largest else 1.0 + deviation.real
     masked[failed] = math.inf
-    row, k = divmod(int(np.argmin(masked)), grid.angles)
-    best = float(masked[row, k])
+    k = int(np.argmin(masked))
+    best = float(masked[k])
     if math.isinf(best):
         best = math.nan
     angles = grid.circle_angles()
-    sample = [(grid.radii[i], float(angles[j]), reason)
-              for i, j in (divmod(int(x), grid.angles) for x in np.flatnonzero(failed)[:16])]
-    return (-best if largest else best), (row, k), int(np.count_nonzero(failed)), sample
+    sample = [(grid.r_max, float(angles[j]), reason) for j in np.flatnonzero(failed)[:16]]
+    return (-best if largest else best), k, int(np.count_nonzero(failed)), sample
 
 
 class TestHalfCircleScan:
-    """The scan of each circle's half picks what a scan of the full grid picks."""
+    """The scan of r_max's half picks what a scan of sample_grid's outer row picks."""
 
     PROBE = OperatorSpec((FactorSpec(MLParams(1.5, 2.0), 2.0), FactorSpec(MLParams(2.0, 3.0), 3.0)),
                          0.37)
@@ -421,14 +441,13 @@ class TestHalfCircleScan:
         table, cut = claim.table(grid.radii[-1], SERIES_TOL)
         if kind != "ml-no-cut":
             assert cut[0] > 9
-        observed, point, count, sample, total = certify_module._scan(grid, table, cut,
-                                                                     claim.largest)
-        brute_observed, (row, k), brute_count, brute_sample = full_grid_scan(
+        observed, point, count, sample = certify_module._scan(grid, table, cut, claim.largest)
+        brute_observed, k, brute_count, brute_sample = full_grid_scan(
             grid, table, cut, claim.largest)
         assert observed == brute_observed or math.isnan(observed) and math.isnan(brute_observed)
-        assert (point.radius, point.angle) == (grid.radii[row], grid.circle_angles()[k])
-        assert point == EvalPoint.from_polar(grid.radii[row], float(grid.circle_angles()[k]))
-        assert count == brute_count and total == grid.total_points()
+        assert (point.radius, point.angle) == (grid.r_max, grid.circle_angles()[k])
+        assert point == EvalPoint.from_polar(grid.r_max, float(grid.circle_angles()[k]))
+        assert count == brute_count
         assert [(f.point.radius, f.point.angle, f.reason) for f in sample] == brute_sample
         return count
 
@@ -436,7 +455,7 @@ class TestHalfCircleScan:
     @pytest.mark.parametrize("kind", CLAIMS)
     def test_matches_a_full_grid_scan(self, kind, m):
         count = self.assert_scans_agree(kind, m)
-        assert count == (3 * m if kind == "ml-no-cut" else 0)
+        assert count == (m if kind == "ml-no-cut" else 0)
 
     @pytest.mark.parametrize("m", [8, 9, 720])
     @pytest.mark.parametrize("kind", ["starlike", "log-deriv-bound", "ml-no-cut"])
@@ -444,21 +463,22 @@ class TestHalfCircleScan:
         # both paths sum the half that _half_circle_sums returns, poisoned at k = 1 and m/2
         original = certify_module._half_circle_sums
 
-        def poisoned(grid, table, count):
-            half = original(grid, table, count)
-            half[:, [1, grid.angles // 2]] = complex(math.nan, 0.0)
+        def poisoned(radii, m, table, count):
+            half = original(radii, m, table, count)
+            half[:, [1, m // 2]] = complex(math.nan, 0.0)
             return half
 
         monkeypatch.setattr(certify_module, "_half_circle_sums", poisoned)
         count = self.assert_scans_agree(kind, m)
         poisoned_per_circle = 3 if m % 2 == 0 else 4  # m/2 is its own mirror when m is even
         if kind == "ml-no-cut":  # no cut: nothing is summed, and every point fails
-            assert count == 3 * m
+            assert count == m
         else:
-            assert count == len(self.CLAIMS[kind][1]) * poisoned_per_circle
+            assert count == poisoned_per_circle
 
     def test_every_point_failed(self, monkeypatch):
         monkeypatch.setattr(certify_module, "_sized_table", no_cut_table)
         cert = certify_ml_starlike(MLParams(2, 4), 0.0, GridSpec(radii=(0.5, 0.999), angles=9))
-        assert math.isnan(cert.observed) and cert.failed_count == 18
+        assert math.isnan(cert.observed) and cert.failed_count == 9
         assert cert.verdict == VERDICT_FAIL and cert.argmin.angle == 0.0
+        assert cert.argmin.radius == 0.999

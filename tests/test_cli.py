@@ -24,8 +24,8 @@ from mlstar import certify as certify_module
 from mlstar import cli as cli_module
 from mlstar.certify import GridSpec
 from mlstar.cli import main
-from mlstar.defaults import GRID_ANGLES_MAX
-from mlstar.errors import JobFileError
+from mlstar.defaults import GRID_ANGLES_MAX, GRID_POINTS_MAX
+from mlstar.errors import DomainError, JobFileError
 from mlstar.jobs import job_to_dict, load_job, parse_job
 
 from cli_runner import invoke
@@ -199,8 +199,10 @@ class TestCertify:
         assert doc["tool"]["name"] == "mlstar"
         assert doc["summary"]["verdict"] == "pass"
         assert len(doc["certificates"]) == 4
+        extremum = {"log-deriv-bound": "max"}
         for cert in doc["certificates"]:
-            assert cert["semantics"] == "sampled-min certificate"
+            assert cert["semantics"] == (f"sampled-{extremum.get(cert['quantity'], 'min')} "
+                                         "certificate on |z| = r_max")
 
     def test_reports_stable_across_runs(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
@@ -320,12 +322,13 @@ class TestCertify:
         star, ml = json.loads(result.output)["certificates"]
         assert (star["name"], star["verdict"]) == ("star-24", "pass")
         assert (ml["name"], ml["verdict"]) == ("ml-24", "fail")
-        assert ml["failed_points"]["count"] == 180
+        assert ml["failed_points"]["count"] == 90  # every point of r_max
         assert ml["failed_points"]["sample"][0]["reason"].startswith("series at |z| = ")
+        assert {f["radius"] for f in ml["failed_points"]["sample"]} == {0.999}
 
     def test_zero_of_e_fails_every_point(self, tmp_path):
         # E_{1,0.2} vanishes at -0.2448: its table has no cut on r = 0.999, so
-        # no circle is summed, in the report and in the dump alike
+        # no circle is summed; the report counts r_max's points, the dump every point
         job = {"schema": 1, "grid": {"radii": [0.2, 0.5, 0.999], "angles": 16},
                "operators": [{"name": "ml", "kind": "ml-starlike", "alpha": 1, "beta": 0.2,
                               "eta": 0}]}
@@ -333,7 +336,8 @@ class TestCertify:
         result = invoke(["--format", "json", "certify", path])
         assert result.exit_code == 1, result.output
         (cert,) = json.loads(result.output)["certificates"]
-        assert cert["failed_points"]["count"] == 48 and cert["observed"] is None
+        assert cert["failed_points"]["count"] == 16 and cert["observed"] is None
+        assert {f["radius"] for f in cert["failed_points"]["sample"]} == {0.999}
         dump = invoke(["dump", "--job", path, "--operator", "ml"])
         assert dump.exit_code == 3
         rows = dump.output.splitlines()[2:]
@@ -524,6 +528,36 @@ class TestGridAngles:
             assert result.exit_code == 2, (argv, result.output)
             assert isinstance(result.exception, SystemExit)
             assert f"angles must lie in [8, {GRID_ANGLES_MAX}], got {angles}" in result.output
+
+
+def many_radii(count):
+    return [0.999 * (i + 1) / count for i in range(count)]
+
+
+class TestGridPoints:
+    # radii x angles sizes a dump's sums; a certificate sums r_max alone
+    def test_the_cap_is_accepted(self):
+        assert GridSpec(angles=GRID_ANGLES_MAX).total_points() <= GRID_POINTS_MAX
+        at_cap = GridSpec(radii=many_radii(GRID_POINTS_MAX // 16), angles=16)
+        assert at_cap.total_points() == GRID_POINTS_MAX
+        with pytest.raises(DomainError, match=f"a grid holds at most {GRID_POINTS_MAX} points"):
+            GridSpec(radii=many_radii(GRID_POINTS_MAX // 16 + 1), angles=16)
+
+    @pytest.mark.parametrize("path", ["job", "flag"])
+    def test_past_the_cap_is_usage_error(self, tmp_path, path):
+        job = {"schema": 1, "grid": {"radii": many_radii(20000), "angles": 8},
+               "operators": [CORPUS["operators"][2]]}
+        if path == "job":
+            options, job["grid"]["angles"] = [], GRID_ANGLES_MAX
+        else:
+            options = ["--grid-angles", str(GRID_ANGLES_MAX)]
+        job = write_job(tmp_path, job)
+        for argv in (["certify", job], ["dump", "--job", job, "--operator", "ml-24"]):
+            result = invoke([*options, *argv])
+            assert result.exit_code == 2, (argv, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert (f"a grid holds at most {GRID_POINTS_MAX} points, got 20000 radii x "
+                    f"{GRID_ANGLES_MAX} angles") in result.output
 
 
 class TestMain:
