@@ -42,7 +42,6 @@ from .orders import (
 )
 from .certify import (
     Certificate,
-    FailedPoint,
     GridSpec,
     certify_convex,
     certify_ml_starlike,
@@ -58,7 +57,6 @@ __all__ = [
     "DomainError",
     "EvalPoint",
     "FactorSpec",
-    "FailedPoint",
     "GOLDEN_RATIO",
     "GridSpec",
     "JobFileError",

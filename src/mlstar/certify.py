@@ -10,14 +10,16 @@ proof, and says so in its serialized form.
 
 Every certified quantity is summed from one coefficient table, cut once
 on r_max: |c_n| r^n grows with r, so that is a cut on the inner circles
-that dump sums too. A singularity within reach of r_max, such as a zero
-of E, leaves the table without a cut, and every point fails. One matrix
-product sums the half k = 0 ... M/2 of each circle: the sum at
-r e^(2 pi i k/M) is sum_n c_n r^n e^(2 pi i nk/M), against a cached
-cos/sin basis of 2 pi (nk mod M)/M, which folds a cut longer than M. The
-tables are real, so the point M - k holds the conjugate of the value at
-k: one argmin over r_max's half picks the point a scan of the whole
-circle would, and a failure at k also fails its mirror M - k.
+that dump sums too. A cut bounds every circle sum by the finite sum of
+|c_n| r_max^n, so no point fails alone: a certificate passes or fails
+whole. A singularity within reach of r_max, such as a zero of E, leaves
+the table without a cut; then no point is summed, and the certificate
+fails with _no_cut's reason. One matrix product sums the half
+k = 0 ... M/2 of each circle: the sum at r e^(2 pi i k/M) is
+sum_n c_n r^n e^(2 pi i nk/M), against a cached cos/sin basis of
+2 pi (nk mod M)/M, which folds a cut longer than M. The tables are real,
+so the point M - k holds the conjugate of the value at k: one argmin over
+r_max's half picks the point a scan of the whole circle would.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .defaults import (
     EVAL_TOLERANCE,
-    FAILURE_FRACTION,
     GRID_ANGLES,
     GRID_ANGLES_MAX,
     GRID_POINTS_MAX,
@@ -54,7 +55,6 @@ from .orders import convex_delta, log_deriv_bound, ml_starlike_hypothesis, starl
 __all__ = [
     "GridSpec",
     "Certificate",
-    "FailedPoint",
     "certify_starlike",
     "certify_convex",
     "certify_ml_starlike",
@@ -74,8 +74,6 @@ QUANTITY_LOG_DERIV_BOUND = "log-deriv-bound"
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_HYPOTHESIS = "hypothesis-violated"
-
-_FAILED_SAMPLE_CAP = 16
 
 
 def default_radii(r_max: float = R_MAX) -> tuple:
@@ -188,30 +186,6 @@ def _mirror(half, m: int) -> np.ndarray:
     return np.concatenate((half, half[..., (m + 1) // 2 - 1 : 0 : -1].conj()), axis=-1)
 
 
-def _half_grid(radii, m: int, table, cut) -> tuple:
-    """(half, failed, reason): _half_circle_sums on the radii, for the table's cut on radii[-1].
-
-    failed is the mask of the half's failed points, or None when none
-    failed, and reason says why they failed. A table without a cut fails
-    every point, with the tail in the reason, and is not summed; otherwise
-    a point fails only where its value is not finite.
-    """
-    count, tail = cut
-    if not count:
-        half = np.zeros((len(radii), m // 2 + 1), complex)
-        return half, np.ones(half.shape, bool), _no_cut(table, radii[-1], tail)
-    half = _half_circle_sums(radii, m, table, count)
-    if np.isfinite(half.sum()):  # a finite sum has no nonfinite term
-        return half, None, None
-    return half, ~np.isfinite(half), "nonfinite value"
-
-
-@dataclass(frozen=True)
-class FailedPoint:
-    point: EvalPoint
-    reason: str
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Verdict record for one certified quantity.
@@ -219,8 +193,9 @@ class Certificate:
     ``observed`` holds the extremal sampled value: a minimum for the order
     quantities and a maximum for the deviation-bound check. ``margin`` is
     always the distance into the safe side, so the pass rule is uniformly
-    margin >= -eval_tolerance (with hypotheses intact and few enough failed
-    points).
+    margin >= -eval_tolerance, with hypotheses intact. A table without a
+    cut on r_max is not summed: ``reason`` says why, ``observed`` is NaN,
+    all M points of r_max count as failed, and the verdict is fail.
     """
 
     quantity: str
@@ -232,10 +207,14 @@ class Certificate:
     eval_tolerance: float
     verdict: str
     hypothesis_ok: bool
-    failed_count: int = 0
-    failed_sample: tuple = ()
+    reason: str = None
     series_tol: float = SERIES_TOL
     semantics: str = "sampled-min certificate on |z| = r_max"
+
+    @property
+    def failed_count(self) -> int:
+        """The points of r_max left unsummed: none, or all M when there is a reason."""
+        return 0 if self.reason is None else self.grid.angles
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -257,13 +236,7 @@ class Certificate:
             "eval_tolerance": self.eval_tolerance,
             "verdict": self.verdict,
             "hypothesis_ok": self.hypothesis_ok,
-            "failed_points": {
-                "count": self.failed_count,
-                "sample": [
-                    {"radius": f.point.radius, "angle": f.point.angle, "reason": f.reason}
-                    for f in self.failed_sample
-                ],
-            },
+            "failed_points": {"count": self.failed_count, "reason": self.reason},
             "series_tol": self.series_tol,
             "semantics": self.semantics,
         }
@@ -275,51 +248,45 @@ class Certificate:
 # the deviation, and the CLI's dump prints 1 + deviation.
 
 
-def sample_grid(grid: GridSpec, table, cut) -> tuple:
-    """Sum the quantity's table on every circle of the grid at once, for dump.
+def sample_grid(grid: GridSpec, table, cut):
+    """Sum the quantity's table on every circle of the grid, for dump.
 
     cut is the table's cut on r_max, as _sized_table returns it. Returns
-    (deviation, failed, reason): deviation is a (radii, angles) complex
-    array, radius-major, failed the boolean mask of its failed points, and
-    reason why they failed: _half_grid's, with the sums and the mask
-    mirrored into full circles. Its row on r_max is what _scan scans, up to
-    an ulp: one product of several rows may round apart from one of one row.
+    the deviation, a (radii, angles) complex array, radius-major, or None
+    when the table has no cut: then no point is summed. r_max is summed in
+    a product of its own, the one _scan makes, so its row is what _scan
+    scans, bit for bit; the inner radii share a second product.
     """
-    half, failed, reason = _half_grid(grid.radii, grid.angles, table, cut)
-    failed = np.zeros(half.shape, bool) if failed is None else failed
-    return _mirror(half, grid.angles), _mirror(failed, grid.angles), reason
+    count, _ = cut
+    if not count:
+        return None
+    m = grid.angles
+    inner = _half_circle_sums(grid.radii[:-1], m, table, count)
+    outer = _half_circle_sums((grid.r_max,), m, table, count)
+    return _mirror(np.concatenate((inner, outer)), m)
 
 
 def _scan(grid: GridSpec, table, cut, largest: bool):
     """Minimize Re Q, or maximize |Q - 1| if largest, over the circle |z| = r_max.
 
-    Returns (extremum, argmin EvalPoint, failed count, the first
-    _FAILED_SAMPLE_CAP failed points); ties go to the smallest angle index.
-    It scans the half of r_max, the first of each pair of mirror points, and
-    mirrors the failed mask only when some point failed.
+    Returns (extremum, argmin EvalPoint, reason); ties go to the smallest
+    angle index. It scans the half of r_max, the first of each pair of
+    mirror points. A table without a cut is not summed: the extremum is
+    NaN at angle 0, and the reason is _no_cut's; otherwise it is None.
     """
     r, m = grid.r_max, grid.angles
-    half, failed, reason = _half_grid((r,), m, table, cut)
-    masked = -np.abs(half[0]) if largest else 1.0 + half[0].real
-    count, sample = 0, ()
-    if failed is not None:
-        masked[failed[0]] = math.inf
-        failed = _mirror(failed[0], m)
-        count = int(np.count_nonzero(failed))
-        sample = tuple(FailedPoint(EvalPoint.from_polar(r, grid.circle_angle(k)), reason)
-                       for k in np.flatnonzero(failed)[:_FAILED_SAMPLE_CAP].tolist())
-    k = int(np.argmin(masked))
-    best = float(masked[k])
-    if math.isinf(best):
-        # nothing evaluated; the failure-fraction rule forces a fail verdict
-        best, k = math.nan, 0
-    sign = -1.0 if largest else 1.0
-    return sign * best, EvalPoint.from_polar(r, grid.circle_angle(k)), count, sample
+    count, tail = cut
+    if not count:
+        return math.nan, EvalPoint.from_polar(r, 0.0), _no_cut(table, r, tail)
+    half = _half_circle_sums((r,), m, table, count)[0]
+    values = -np.abs(half) if largest else 1.0 + half.real
+    k = int(np.argmin(values))
+    best = float(values[k])
+    return (-best if largest else best), EvalPoint.from_polar(r, grid.circle_angle(k)), None
 
 
-def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool,
-             failed: int, total: int) -> str:
-    if failed > FAILURE_FRACTION * total:
+def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool, summed: bool) -> str:
+    if not summed:
         return VERDICT_FAIL
     if not hypothesis_ok:
         return VERDICT_HYPOTHESIS
@@ -352,7 +319,7 @@ def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: f
     """Scan the claim's quantity on the grid's r_max and judge it against the prediction.
 
     The margin is the distance into the safe side: observed - target for an
-    order, target - observed for the bound. FAILURE_FRACTION counts r_max's M points.
+    order, target - observed for the bound.
     """
     if series_tol > eval_tolerance:
         raise DomainError(f"series tolerance {series_tol!r} exceeds the margin tolerance "
@@ -360,12 +327,12 @@ def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: f
     grid = grid or GridSpec()
     target = claim.predicted if predicted is None else float(predicted)
     table, cut = claim.table(grid.r_max, series_tol)
-    observed, point, failed, sample = _scan(grid, table, cut, claim.largest)
+    observed, point, reason = _scan(grid, table, cut, claim.largest)
     margin = target - observed if claim.largest else observed - target
-    verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, failed, grid.angles)
+    verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, reason is None)
     return Certificate(
         claim.quantity, target, observed, point, margin, grid,
-        eval_tolerance, verdict, claim.hypothesis_ok, failed, sample, series_tol,
+        eval_tolerance, verdict, claim.hypothesis_ok, reason, series_tol,
         f"sampled-{'max' if claim.largest else 'min'} certificate on |z| = r_max",
     )
 

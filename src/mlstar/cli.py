@@ -229,7 +229,8 @@ def _print_text_report(report):
             f"[{cert.verdict}] ({seconds:.2f}s)"
         )
         if cert.failed_count:
-            print(f"{'':<{name_w}}  {cert.failed_count} grid points failed to evaluate")
+            print(f"{'':<{name_w}}  {cert.failed_count} grid points failed to evaluate: "
+                  f"{cert.reason}")
     print(f"summary: {report.summary_verdict}")
 
 
@@ -239,24 +240,27 @@ def cmd_dump(args) -> int:
     Rows are emitted radius-major in grid order as radius,angle,re,im; the
     header carries a digest of the sampled spec so dumps are traceable.
     Certificates scan r_max; dump samples every radius, and its rows on
-    r_max are the values the certificate scans, up to an ulp.
+    r_max are the values the certificate scans. A table without a cut on
+    r_max sums no point: every row reads error,error, and dump exits 3.
     """
     job = _apply_overrides(load_job(args.job), args)
     op = _operator(job, args.operator)
     claim = _claim(op)
     digest_doc = {"operator": operator_to_dict(op), "grid": job.grid.to_dict()}
-    lines = [f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}",
-             "radius,angle,re,im"]
     with _open(args.output) as output:
-        deviation, failed, _ = sample_grid(job.grid, *claim.table(job.grid.r_max, job.series_tol))
+        deviation = sample_grid(job.grid, *claim.table(job.grid.r_max, job.series_tol))
+        out = output or sys.stdout
+        out.write(f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}\n"
+                  "radius,angle,re,im\n")
         angles = job.grid.circle_angles().tolist()
-        for r, values, row_failed in zip(job.grid.radii, (1.0 + deviation).tolist(),
-                                         failed.tolist()):
-            for theta, value, error in zip(angles, values, row_failed):
-                body = "error,error" if error else f"{value.real!r},{value.imag!r}"
-                lines.append(f"{r!r},{theta!r},{body}")
-        (output or sys.stdout).write("\n".join(lines) + "\n")
-    return _EXIT_EVAL if failed.any() else 0
+        for row, r in enumerate(job.grid.radii):  # one circle at a time: no whole CSV in memory
+            if deviation is None:
+                rows = (f"{r!r},{theta!r},error,error" for theta in angles)
+            else:
+                rows = (f"{r!r},{theta!r},{value.real!r},{value.imag!r}"
+                        for theta, value in zip(angles, (1.0 + deviation[row]).tolist()))
+            out.write("\n".join(rows) + "\n")
+    return _EXIT_EVAL if deviation is None else 0
 
 
 def _tolerance(text: str) -> float:

@@ -14,4 +14,3 @@ GRID_POINTS_MAX = 1 << 20   # most grid points, radii x angles: a dump's sums ar
 R_MAX = 0.999
 
 DENOM_GUARD = 1e-12       # |E(z)| below this counts as hitting a zero in log_deriv
-FAILURE_FRACTION = 1e-3   # tolerated fraction of failed grid points

@@ -324,9 +324,9 @@ class ReportDocument:
 def run_job(job: Job) -> ReportDocument:
     """Certify every operator in the job, in order.
 
-    Grid points that fail to evaluate are recorded in their certificate by
-    the scan, which fails the certificate past FAILURE_FRACTION; any other
-    error propagates.
+    A table without a cut on r_max fails its certificate whole, with the
+    reason in the certificate, and the other certificates still run; any
+    other error propagates.
     """
     report = ReportDocument(job)
     for op in job.operators:

@@ -90,8 +90,10 @@ def series_solve(a, b, length: int, derivative: bool = False) -> np.ndarray:
         x_n = (b_n - sum_{k=1..n} a_k x_{n-k}) / (a_0, or a_0 + n with t X').
 
     The terms are solved in blocks of _BLOCK. What the earlier blocks
-    contribute to a block is one numpy convolution; inside the block the
-    recurrence runs on Python floats over at most _BLOCK - 1 neighbours.
+    contribute to a block is one numpy convolution, subtracted over the
+    block's terms that a reaches; inside the block the recurrence runs on
+    Python floats over at most _BLOCK - 1 neighbours, and over fewer when a
+    is shorter: a is never padded with zeros.
     A term depends only on the terms before it, so a shorter solve is
     exactly a prefix of a longer one.
 
@@ -104,14 +106,14 @@ def series_solve(a, b, length: int, derivative: bool = False) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)[:length]
     b = np.asarray(b, dtype=float)[:length]
-    a = np.concatenate((a, np.zeros(length - len(a))))
     x = np.concatenate((b, np.zeros(length - len(b))))
     a0, near = float(a[0]), a[1:_BLOCK].tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, length, _BLOCK):
             stop = min(start + _BLOCK, length)
             if start:
-                x[start:stop] -= np.convolve(a[:stop], x[:start])[start:stop]
+                carried = np.convolve(a[:stop], x[:start])[start:stop]
+                x[start : start + len(carried)] -= carried
             block = []
             for n, rhs in enumerate(x[start:stop].tolist(), start):
                 pivot = a0 + n if derivative else a0

@@ -38,9 +38,10 @@ outermost, which also cuts every smaller circle: _sized_table builds it
 16 terms long, doubled until _operator_cut finds a cut, and hands that
 cut on. Where a factor's zero lies within reach of the circle, Q has a
 pole there, and where G has one, so does 1/H; the coefficients stop
-decaying. Then, or when the coefficients overflow, no cut exists and the
-evaluation raises SeriesTruncationError. A point is summed by Horner;
-certify sums the circles of a certificate.
+decaying. Then, or when the terms |c_n| r^n sum past 1e300 or overflow,
+no cut exists and the evaluation raises SeriesTruncationError; with a
+cut, every sum on the circle and inside it is finite. A point is summed
+by Horner; certify sums the circles of a certificate.
 """
 
 from __future__ import annotations
@@ -178,6 +179,9 @@ def _log_ratio_coefficients(spec: OperatorSpec, tol: float, length: int) -> np.n
 # A cut leaves at least this many table terms after it, so that the terms
 # it drops are measured, not extrapolated.
 _MEASURED_TAIL = 8
+# The largest sum of |c_n| r^n a cut accepts: every sum on a circle of
+# radius at most r is bounded by it, so none can overflow in rounding.
+_SUM_MAX = 1e300
 _FIRST_LENGTH = 16  # of a table's first build, which _sized_table doubles
 
 
@@ -195,14 +199,15 @@ def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
 
     When no count qualifies, N is 0 and the tail is the sum at the last
     admissible count: the terms stopped decaying because a singularity,
-    a zero of a factor or of G, lies within reach of the circle, or they
-    overflowed.
+    a zero of a factor or of G, lies within reach of the circle. When the
+    sum of all t_n is NaN or above _SUM_MAX, N is 0 and the tail is inf.
+    With a cut, every circle sum of at most that radius is finite.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
     terms = np.abs(coeffs) * radius ** np.arange(len(coeffs))
     tails = np.cumsum(terms[::-1])[::-1]  # tails[k] = sum of terms[k:]
-    if not np.isfinite(tails[0]):
+    if not tails[0] <= _SUM_MAX:
         return 0, math.inf
     dropped = tails[1 : len(coeffs) - _MEASURED_TAIL + 1]
     # dropped never rises, so its first fit follows all misfits
