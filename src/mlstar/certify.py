@@ -14,8 +14,8 @@ that dump sums too. A cut bounds every circle sum by the finite sum of
 |c_n| r_max^n, so no point fails alone: a certificate passes or fails
 whole. A singularity within reach of r_max, such as a zero of E, leaves
 the table without a cut; then no point is summed, and the certificate
-fails with _no_cut's reason. One matrix product sums the half
-k = 0 ... M/2 of each circle: the sum at r e^(2 pi i k/M) is
+fails with _no_cut's reason. Each circle's half k = 0 ... M/2 is one
+matrix product of its own: the sum at r e^(2 pi i k/M) is
 sum_n c_n r^n e^(2 pi i nk/M), against a cached cos/sin basis of
 2 pi (nk mod M)/M, which folds a cut longer than M. The tables are real,
 so the point M - k holds the conjugate of the value at k: one argmin over
@@ -169,21 +169,21 @@ def _circle_basis(rows: int, m: int) -> np.ndarray:
     return basis
 
 
-def _half_circle_sums(radii, m: int, table, count: int) -> np.ndarray:
-    """The sums of table[:count] at r e^(2 pi i k/m), k = 0 ... m/2, for each r of radii.
+def _half_circle_sums(r: float, m: int, table, count: int) -> np.ndarray:
+    """The sums of table[:count] at r e^(2 pi i k/m), k = 0 ... m/2: m/2 + 1 complex values.
 
-    Returns a (radii x (m/2 + 1)) complex array, one row per circle. The
-    terms c_n r^n times _circle_basis give every circle's half at once; the
-    basis has a power of two rows, at least 16, so that few cuts share one.
+    The terms c_n r^n, as a (1 x count) row, times _circle_basis give the
+    half in one product; the basis has a power of two rows, at least 16,
+    so that few cuts share one.
     """
-    terms = table[:count] * np.asarray(radii)[:, None] ** np.arange(count)
+    terms = table[:count] * r ** np.arange(count)
     rows = max(16, 1 << (count - 1).bit_length())
-    return (terms @ _circle_basis(rows, m)[:count]).view(complex)
+    return (terms[None] @ _circle_basis(rows, m)[:count])[0].view(complex)
 
 
 def _mirror(half, m: int) -> np.ndarray:
-    """Full circles k = 0 ... m - 1 from their halves: the point m - k is the conjugate of k."""
-    return np.concatenate((half, half[..., (m + 1) // 2 - 1 : 0 : -1].conj()), axis=-1)
+    """The full circle k = 0 ... m - 1 from its half: the point m - k is the conjugate of k."""
+    return np.concatenate((half, half[(m + 1) // 2 - 1 : 0 : -1].conj()))
 
 
 @dataclass(frozen=True)
@@ -249,21 +249,20 @@ class Certificate:
 
 
 def sample_grid(grid: GridSpec, table, cut):
-    """Sum the quantity's table on every circle of the grid, for dump.
+    """Sum the quantity's table on each circle of the grid in turn, for dump.
 
     cut is the table's cut on r_max, as _sized_table returns it. Returns
-    the deviation, a (radii, angles) complex array, radius-major, or None
-    when the table has no cut: then no point is summed. r_max is summed in
-    a product of its own, the one _scan makes, so its row is what _scan
-    scans, bit for bit; the inner radii share a second product.
+    None when the table has no cut: then no point is summed. Otherwise it
+    returns an iterator over the radii in grid order that sums each circle
+    as it is reached: the deviation at all M angles, a complex array. Each
+    circle is its own product, the one _scan makes, so the circle r_max is
+    what _scan scans, bit for bit, and no circle moves with the others.
     """
     count, _ = cut
     if not count:
         return None
     m = grid.angles
-    inner = _half_circle_sums(grid.radii[:-1], m, table, count)
-    outer = _half_circle_sums((grid.r_max,), m, table, count)
-    return _mirror(np.concatenate((inner, outer)), m)
+    return (_mirror(_half_circle_sums(r, m, table, count), m) for r in grid.radii)
 
 
 def _scan(grid: GridSpec, table, cut, largest: bool):
@@ -278,7 +277,7 @@ def _scan(grid: GridSpec, table, cut, largest: bool):
     count, tail = cut
     if not count:
         return math.nan, EvalPoint.from_polar(r, 0.0), _no_cut(table, r, tail)
-    half = _half_circle_sums((r,), m, table, count)[0]
+    half = _half_circle_sums(r, m, table, count)
     values = -np.abs(half) if largest else 1.0 + half.real
     k = int(np.argmin(values))
     best = float(values[k])

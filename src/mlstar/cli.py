@@ -115,6 +115,9 @@ def cmd_eval(args) -> int:
     if args.operator is not None or args.job is not None:
         if args.job is None or args.operator is None:
             raise UsageError("operator evaluation needs both --job and --operator")
+        for flag in ("alpha", "beta", "raw", "deriv"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} does not apply to operator evaluation")
         op = _operator(load_job(args.job), args.operator)
         if op.kind == KIND_STARLIKE:
             spec, power = op.operator_spec(), False  # F, as f_value sums it
@@ -239,28 +242,29 @@ def cmd_dump(args) -> int:
 
     Rows are emitted radius-major in grid order as radius,angle,re,im; the
     header carries a digest of the sampled spec so dumps are traceable.
-    Certificates scan r_max; dump samples every radius, and its rows on
-    r_max are the values the certificate scans. A table without a cut on
-    r_max sums no point: every row reads error,error, and dump exits 3.
+    Certificates scan r_max; dump samples every radius, a circle at a time,
+    and its rows on r_max are the values the certificate scans. A table
+    without a cut on r_max sums no point: every row reads error,error, and
+    dump exits 3.
     """
     job = _apply_overrides(load_job(args.job), args)
     op = _operator(job, args.operator)
     claim = _claim(op)
     digest_doc = {"operator": operator_to_dict(op), "grid": job.grid.to_dict()}
     with _open(args.output) as output:
-        deviation = sample_grid(job.grid, *claim.table(job.grid.r_max, job.series_tol))
+        circles = sample_grid(job.grid, *claim.table(job.grid.r_max, job.series_tol))
         out = output or sys.stdout
         out.write(f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}\n"
                   "radius,angle,re,im\n")
         angles = job.grid.circle_angles().tolist()
-        for row, r in enumerate(job.grid.radii):  # one circle at a time: no whole CSV in memory
-            if deviation is None:
+        for r in job.grid.radii:  # each circle is summed as it is written
+            if circles is None:
                 rows = (f"{r!r},{theta!r},error,error" for theta in angles)
             else:
                 rows = (f"{r!r},{theta!r},{value.real!r},{value.imag!r}"
-                        for theta, value in zip(angles, (1.0 + deviation[row]).tolist()))
+                        for theta, value in zip(angles, (1.0 + next(circles)).tolist()))
             out.write("\n".join(rows) + "\n")
-    return _EXIT_EVAL if deviation is None else 0
+    return _EXIT_EVAL if circles is None else 0
 
 
 def _tolerance(text: str) -> float:
@@ -301,9 +305,11 @@ def _parser() -> argparse.ArgumentParser:
     sub = command("eval", cmd_eval)
     sub.add_argument("--alpha", type=float, help="Series parameter alpha (>= 1).")
     sub.add_argument("--beta", type=float, help="Series parameter beta (> 0).")
-    sub.add_argument("--raw", action="store_true",
-                     help="Evaluate the raw series instead of the normalization.")
-    sub.add_argument("--deriv", action="store_true", help="Evaluate z E'/E instead of the value.")
+    form = sub.add_mutually_exclusive_group()  # unset is None, as for --alpha and --beta
+    form.add_argument("--raw", action="store_true", default=None,
+                      help="Evaluate the raw series instead of the normalization.")
+    form.add_argument("--deriv", action="store_true", default=None,
+                      help="Evaluate z E'/E instead of the value.")
     sub.add_argument("--job", help="Job file providing an operator to evaluate.")
     sub.add_argument("--operator",
                      help="Name of the job operator to evaluate (implies --job).")

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .defaults import DENOM_GUARD, SERIES_TERM_CAP, SERIES_TOL
 from .errors import DomainError, NearZeroDenominatorError, SeriesTruncationError
 from .numerics import gamma_ratio
@@ -54,7 +52,8 @@ class MLParams:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Series value plus the number of terms used and a proven tail bound."""
+    """Series value, the number of terms used and tail_bound, a proven bound on the
+    terms dropped: the truncation error, not the rounding of the terms summed."""
 
     value: complex
     terms_used: int
@@ -63,8 +62,9 @@ class SeriesResult:
 
 def _check_disk(z: complex) -> complex:
     z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
-        raise DomainError(f"|z| must be <= 1, got |z| = {abs(z)!r}")
+    size = math.hypot(z.real, z.imag)  # NaN or inf, never OverflowError, for a bad z
+    if not size <= 1.0 + 1e-12:
+        raise DomainError(f"|z| must be <= 1, got |z| = {size!r}")
     return z
 
 
@@ -77,7 +77,8 @@ def _check_disk(z: complex) -> complex:
 #
 # whose product z u(z) is the normalized function, from one cached table
 # of c_n per (alpha, beta, tol). Each evaluation cuts the table for |z| and
-# runs Horner on a 1-element ndarray.
+# sums its one point by Horner in Python complex numbers, which overflow to
+# inf or nan silently; _point_result and _log_deriv_value refuse those.
 
 
 @lru_cache(maxsize=256)
@@ -110,15 +111,15 @@ def _tail(coeffs, n: int, radius: float) -> float:
     return n * c_n * radius ** (n - 1) * ratio / (1.0 - ratio)
 
 
-def _cut(params: MLParams, z: np.ndarray, tol: float):
-    """(c_1, ..., c_N) for the points z and the tail bound of that cut.
+def _cut(params: MLParams, radius: float, tol: float):
+    """(c_1, ..., c_N) for the circle |z| = radius and the tail bound of that cut.
 
-    N is the first count whose tail bound at max|z| is below tol; the tail
-    is inf when no count up to SERIES_TERM_CAP gets there.
+    N is the first count whose tail bound at the radius is below tol; the
+    tail is inf when no count up to SERIES_TERM_CAP gets there.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
-    radius = min(float(np.max(np.abs(z))), 1.0) if z.size else 0.0
+    radius = min(radius, 1.0)
     coeffs = _coefficients(params.alpha, params.beta, tol)
     for n in range(1, min(SERIES_TERM_CAP, len(coeffs) - 1) + 1):
         tail = _tail(coeffs, n, radius)
@@ -127,19 +128,11 @@ def _cut(params: MLParams, z: np.ndarray, tol: float):
     return coeffs[:SERIES_TERM_CAP], math.inf
 
 
-def _horner(coeffs, z: np.ndarray) -> np.ndarray:
-    acc = np.full(z.shape, coeffs[-1], dtype=complex)
+def _horner(coeffs, z: complex) -> complex:
+    acc = complex(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
-
-
-# The sums overflow only for beta between about 5.6e-309 and 1e-308, where
-# the coefficients near 1/beta are close to the double range. They then come
-# out inf or nan, which the callers fail or refuse, so numpy need not warn.
-# It is entered once per evaluation, not per Horner call, because entering
-# it costs about a microsecond.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 def _unreachable(tol: float) -> str:
@@ -155,7 +148,6 @@ def _point_result(value, coeffs, tail: float, tol: float) -> SeriesResult:
     return result
 
 
-@_quiet_overflow
 def ml_raw(
     params: MLParams,
     z: complex,
@@ -166,16 +158,15 @@ def ml_raw(
     This is u(z) / Gamma(beta); past beta = 171.6 the factor 1/Gamma(beta)
     is below the double range and the value is 0.
     """
-    z = np.array([_check_disk(z)])
+    z = _check_disk(z)
     try:
         gamma_beta = math.gamma(params.beta)
     except OverflowError:
         gamma_beta = math.inf
-    coeffs, tail = _cut(params, z, tol * gamma_beta)
-    return _point_result(_horner(coeffs, z)[0] / gamma_beta, coeffs, tail / gamma_beta, tol)
+    coeffs, tail = _cut(params, abs(z), tol * gamma_beta)
+    return _point_result(_horner(coeffs, z) / gamma_beta, coeffs, tail / gamma_beta, tol)
 
 
-@_quiet_overflow
 def ml_norm(
     params: MLParams,
     z: complex,
@@ -186,47 +177,45 @@ def ml_norm(
     Equals z + sum_{n>=2} [Gamma(beta)/Gamma(alpha*(n-1)+beta)] z^n, so the
     value at 0 is 0 and the derivative there is 1.
     """
-    z = np.array([_check_disk(z)])
-    coeffs, tail = _cut(params, z, tol)
-    return _point_result(z[0] * _horner(coeffs, z)[0], coeffs, abs(z[0]) * tail, tol)
+    z = _check_disk(z)
+    coeffs, tail = _cut(params, abs(z), tol)
+    return _point_result(z * _horner(coeffs, z), coeffs, abs(z) * tail, tol)
 
 
-@_quiet_overflow
 def ml_norm_deriv(
     params: MLParams,
     z: complex,
     tol: float = SERIES_TOL,
 ) -> SeriesResult:
     """Derivative of the normalization: 1 + sum_{n>=2} n c_n z^(n-1)."""
-    z = np.array([_check_disk(z)])
-    coeffs, tail = _cut(params, z, tol)
+    z = _check_disk(z)
+    coeffs, tail = _cut(params, abs(z), tol)
     weighted = tuple(n * c for n, c in enumerate(coeffs, start=1))
-    return _point_result(_horner(weighted, z)[0], coeffs, tail, tol)
+    return _point_result(_horner(weighted, z), coeffs, tail, tol)
 
 
-@_quiet_overflow
 def _log_deriv_value(params: MLParams, z: complex, tol: float) -> SeriesResult:
     """log_deriv's value with the cut it sums: its terms and its error bound.
 
     The cut's tail t bounds the terms dropped from each of the two sums,
     u = sum c_n z^(n-1) and w = sum (n-1) c_n z^(n-1). The ratio's error
     (dw - (w/u) du)/(u + du) is then at most t (1 + |w/u|)/(|u| - t), the
-    bound returned, which is inf when |u| <= t.
+    bound returned, inf when |u| <= t; like every tail_bound, it leaves out rounding.
     """
     z = _check_disk(z)
-    point = np.array([z])
-    coeffs, tail = _cut(params, point, tol)
+    coeffs, tail = _cut(params, abs(z), tol)
     if tail == math.inf:
         raise SeriesTruncationError(_unreachable(tol))
-    u = _horner(coeffs, point)
-    size = float(abs(u[0]))
+    u = _horner(coeffs, z)
+    size = math.hypot(u.real, u.imag)  # abs() raises OverflowError past the double range
     if size < DENOM_GUARD:
         raise NearZeroDenominatorError(f"normalized value vanished at z = {z!r}", z=z)
-    ratio = complex((_horner(tuple(k * c for k, c in enumerate(coeffs)), point) / u)[0])
+    ratio = _horner(tuple(k * c for k, c in enumerate(coeffs)), z) / u
     value = 1.0 + ratio
     if not cmath.isfinite(value):
         raise SeriesTruncationError(f"z E'/E overflows the double range at z = {z!r}")
-    bound = tail * (1.0 + abs(ratio)) / (size - tail) if size > tail else math.inf
+    bound = (tail * (1.0 + math.hypot(ratio.real, ratio.imag)) / (size - tail)
+             if size > tail else math.inf)
     return SeriesResult(value, len(coeffs), bound)
 
 

@@ -248,7 +248,7 @@ def _table_value(coefficients, subject, z: complex, tol: float) -> SeriesResult:
     table, (n, tail) = _sized_table(coefficients, subject, abs(z), tol)
     if not n:
         raise SeriesTruncationError(_no_cut(table, abs(z), tail))
-    return SeriesResult(complex(_horner(table[:n], np.array([z]))[0]), n, tail)
+    return SeriesResult(_horner(table[:n].tolist(), z), n, tail)
 
 
 def _operator_value(spec: OperatorSpec, z, tol: float, power: bool) -> SeriesResult:

@@ -3,13 +3,17 @@
 Everything here is deliberately primitive and shares no code with the
 library: hyperbolic closed forms via cmath, direct series summation with
 math.gamma, fixed-panel Gauss-Legendre quadrature with no adaptivity, and
-plain-loop grid minima.
+plain-loop grid minima. Two sums the package once ran are kept as they
+were: Horner over an array of points, and the product that summed several
+circles at once against the package's cos/sin basis.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from mlstar.certify import _circle_basis
 
 
 def e21(z):
@@ -119,3 +123,22 @@ def brute_max_abs_dev(fn, radii, angle_count):
             value = complex(fn(r * cmath.exp(1j * theta)))
             worst = max(worst, abs(value - 1.0))
     return worst
+
+
+def horner(coeffs, z):
+    """sum coeffs[n] z^n at every point of the array z."""
+    acc = np.full(z.shape, coeffs[-1], dtype=complex)
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def half_circle_sums(radii, m, table, count):
+    """The sums of table[:count] at r e^(2 pi i k/m), k = 0 ... m/2, for each r of radii.
+
+    Returns a (radii x (m/2 + 1)) complex array, one row per circle, from
+    one product of every circle's terms c_n r^n with the basis.
+    """
+    terms = table[:count] * np.asarray(radii)[:, None] ** np.arange(count)
+    rows = max(16, 1 << (count - 1).bit_length())
+    return (terms @ _circle_basis(rows, m)[:count]).view(complex)

@@ -357,8 +357,8 @@ def test_certificates_pass_or_fail_whole():
         cert = certify_module._certify(claim, grid, 1e-6, SERIES_TOL, None)
         counts[cert.failed_count] += 1
         if cert.failed_count == 0:
-            deviation = sample_grid(grid, *claim.table(grid.r_max, SERIES_TOL))
-            assert np.all(np.isfinite(deviation)) and math.isfinite(cert.observed)
+            circles = sample_grid(grid, *claim.table(grid.r_max, SERIES_TOL))
+            assert all(np.all(np.isfinite(c)) for c in circles) and math.isfinite(cert.observed)
         else:
             assert math.isnan(cert.observed) and cert.verdict == VERDICT_FAIL
             assert cert.reason.startswith("series at |z| = 0.999 keeps a tail of ")
@@ -387,9 +387,21 @@ def test_dump_row_on_r_max_gives_each_corpus_certificate_bit_for_bit():
     job = load_job(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
     for op, cert in zip(job.operators, run_job(job).certificates):
         claim = _claim(op)
-        outer = sample_grid(job.grid, *claim.table(job.grid.r_max, job.series_tol))[-1]
+        outer = list(sample_grid(job.grid, *claim.table(job.grid.r_max, job.series_tol)))[-1]
         extremum = np.max(np.abs(outer)) if claim.largest else np.min(1.0 + outer.real)
         assert extremum == cert.observed, op.name
+
+
+def test_each_dump_circle_is_summed_alone_bit_for_bit():
+    # no circle moves with the others: each equals the sum on a grid of that radius alone
+    job = load_job(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
+    for op in job.operators:
+        table, cut = _claim(op).table(job.grid.r_max, job.series_tol)
+        circles = list(sample_grid(job.grid, table, cut))
+        assert len(circles) == len(job.grid.radii) == 6
+        for r, circle in zip(job.grid.radii, circles):
+            [alone] = sample_grid(GridSpec(radii=(r,), angles=job.grid.angles), table, cut)
+            assert np.array_equal(circle, alone), (op.name, r)
 
 
 @pytest.mark.parametrize("run", [
@@ -417,10 +429,11 @@ def full_grid_scan(grid, table, cut, largest):
     Returns (observed, k), ties to the smallest angle index; observed is NaN
     at k = 0 when the table has no cut and nothing is summed.
     """
-    deviation = sample_grid(grid, table, cut)
-    if deviation is None:
+    circles = sample_grid(grid, table, cut)
+    if circles is None:
         return math.nan, 0
-    values = -np.abs(deviation[-1]) if largest else 1.0 + deviation[-1].real
+    outer = list(circles)[-1]
+    values = -np.abs(outer) if largest else 1.0 + outer.real
     k = int(np.argmin(values))
     return (-1.0 if largest else 1.0) * float(values[k]), k
 

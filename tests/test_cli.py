@@ -148,6 +148,23 @@ class TestEval:
         assert result.exit_code == 3
         assert "error" in result.output
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--raw", "--deriv", "--alpha", "1", "--beta", "1"],
+         "mlstar eval: error: argument --deriv: not allowed with argument --raw"),
+        (["--operator", "star-24", "--alpha", "2", "--deriv"],
+         "mlstar: error: --alpha does not apply to operator evaluation"),
+        (["--operator", "star-24", "--alpha", "0"], "error: --alpha does not apply"),
+        (["--operator", "star-24", "--beta", "3"], "error: --beta does not apply"),
+        (["--operator", "star-24", "--raw"], "error: --raw does not apply"),
+        (["--operator", "star-24", "--deriv"], "error: --deriv does not apply"),
+    ], ids=["raw-and-deriv", "operator-alpha-deriv", "operator-alpha-0", "operator-beta",
+            "operator-raw", "operator-deriv"])
+    def test_a_flag_that_would_be_ignored_is_usage_error(self, argv, message):
+        if "--operator" in argv:
+            argv = ["--job", CORPUS_PATH, *argv]
+        result = invoke(["eval", *argv, "--z", "0.5"])
+        assert result.exit_code == 2 and message in result.output, result.output
+
 
 class TestOrders:
     def test_corpus_orders(self, tmp_path):
@@ -473,6 +490,26 @@ class TestDump:
         assert exited.value.code == 0
         assert len(out.read_text().splitlines()) == 2 + 4 * 16384
         assert peak <= 10e6
+
+    def test_dump_peak_does_not_grow_with_the_radii(self, tmp_path):
+        # dump holds one circle's sums at a time; summing every circle at once held
+        # radii x M of them, 16 B each: 3.7 MB more at 16 radii than at 2
+        def peak(radii):
+            job = dict(CORPUS, grid={"radii": radii, "angles": 16384})
+            path, out = write_job(tmp_path, job), tmp_path / "dump.csv"
+            tracemalloc.start()
+            try:
+                with pytest.raises(SystemExit) as exited:
+                    main(["dump", "--job", path, "--operator", "ml-24", "-o", str(out)])
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert exited.value.code == 0
+            return traced
+
+        few, many = [0.5, 0.999], [round(0.06 * k, 2) for k in range(1, 16)] + [0.999]
+        peak(few)  # warm-up: imports and the cached circle basis
+        assert peak(many) - peak(few) <= 1e6
 
     def test_dump_deterministic(self, tmp_path):
         path = write_job(tmp_path, CORPUS)

@@ -97,6 +97,14 @@ class TestRawSeries:
         with pytest.raises(DomainError):
             ml_raw(MLParams(1, 1), 0.5, tol=0.0)
 
+    @pytest.mark.parametrize("evaluate", [ml_raw, ml_norm, ml_norm_deriv, log_deriv])
+    @pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), complex(0.1, math.nan),
+                                   complex(1.5e308, 1.5e308)])
+    def test_a_modulus_that_is_not_at_most_1_is_rejected(self, evaluate, z):
+        # NaN fails every comparison, and abs() of the last z overflows
+        with pytest.raises(DomainError, match="must be <= 1"):
+            evaluate(MLParams(2, 4), z)
+
 
 class TestNormalized:
     def test_zero_maps_to_zero(self):
@@ -197,7 +205,7 @@ class TestLogDeriv:
         params = MLParams(2, 4)
 
         def tiny_series(coeffs, z):
-            return np.full(z.shape, 1e-13 + 0j)
+            return 1e-13 + 0j
 
         monkeypatch.setattr(mittag_leffler, "_horner", tiny_series)
         with pytest.raises(NearZeroDenominatorError) as err:

@@ -30,7 +30,6 @@ from mlstar.certify import (
     sample_grid,
 )
 from mlstar.defaults import SERIES_TERM_CAP
-from mlstar.mittag_leffler import _horner
 from mlstar.numerics import series_solve
 from mlstar.operators import (
     _log_derivative_coefficients,
@@ -45,6 +44,8 @@ from oracles import (
     e24,
     exp_star_quantity,
     fixed_panel_integral,
+    half_circle_sums,
+    horner,
     integrated_series,
 )
 
@@ -512,8 +513,8 @@ class TestCoefficientEngine:
 
 
 class TestCircleSums:
-    """The certificates' grid sum, each circle's half times a cached cos/sin basis, mirrored
-    into the full circle, against pointwise Horner over the outermost circle's cut."""
+    """The grid sum, each circle's half times a cached cos/sin basis in a product of its own,
+    mirrored into the full circle, against pointwise Horner over the outermost circle's cut."""
 
     TOL = 1e-14
     PROBE = OperatorSpec((FactorSpec(MLParams(1.5, 2.0), 2.0), FactorSpec(MLParams(2.0, 3.0), 3.0)),
@@ -533,16 +534,16 @@ class TestCircleSums:
     def assert_matches_horner(self, table, sums, radii):
         count, _ = _operator_cut(table, radii[-1], self.TOL)
         for row, r in enumerate(radii):
-            horner = _horner(table[:count], r * self.phases(sums.shape[1]))
+            pointwise = horner(table[:count], r * self.phases(sums.shape[1]))
             scale = np.sum(np.abs(table[:count]) * r ** np.arange(count))
-            assert np.max(np.abs(sums[row] - horner)) <= 1e-15 * scale
+            assert np.max(np.abs(sums[row] - pointwise)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     @pytest.mark.parametrize("kind", TABLES)
     def test_matches_horner_on_every_circle(self, m, kind):
         radii = (0.25, 0.9, 0.999)
         table, cut = _sized_table(*self.TABLES[kind], radii[-1], self.TOL)
-        sums = sample_grid(GridSpec(radii=radii, angles=m), table, cut)
+        sums = np.array(list(sample_grid(GridSpec(radii=radii, angles=m), table, cut)))
         assert sums.shape == (3, m)
         assert cut[0] > 9  # m = 8 and 9 fold
         self.assert_matches_horner(table, sums, radii)
@@ -553,31 +554,36 @@ class TestCircleSums:
         # an inner circle's own cut keeps; the extra terms add up to at most the tolerance
         radii, m = (0.25, 0.5, 0.999), 720
         table, cut = _sized_table(*self.TABLES[kind], radii[-1], self.TOL)
-        sums = sample_grid(GridSpec(radii=radii, angles=m), table, cut)
+        sums = np.array(list(sample_grid(GridSpec(radii=radii, angles=m), table, cut)))
         count = cut[0]
         for row, r in enumerate(radii[:-1]):
             z = r * self.phases(m)
             assert _operator_cut(table, r, self.TOL)[0] < count
-            assert np.max(np.abs(sums[row] - _horner(table[:count], z))) <= 1e-15
+            assert np.max(np.abs(sums[row] - horner(table[:count], z))) <= 1e-15
             assert np.max(np.abs(sums[row] - table_deviation(table, z, self.TOL))) <= self.TOL
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     def test_mirror_points_are_exact_conjugates(self, m):
         table, cut = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
-        sums = sample_grid(GridSpec(radii=(0.5, 0.999), angles=m), table, cut)
+        sums = np.array(list(sample_grid(GridSpec(radii=(0.5, 0.999), angles=m), table, cut)))
         assert np.array_equal(sums[:, :0:-1], sums[:, 1:].conj())  # g[m-k] == conj(g[k])
         assert np.all(sums[:, 0].imag == 0.0)
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     def test_the_half_is_the_first_half_of_the_circle(self, m):
-        # r_max is its own product, the certificate's; the inner radii share another
+        # every circle is its own product, the certificate's; the product that summed
+        # several circles at once differs from it in rounding alone
         grid = GridSpec(radii=(0.25, 0.5, 0.999), angles=m)
         table, cut = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
-        inner = _half_circle_sums(grid.radii[:-1], m, table, cut[0])
-        outer = _half_circle_sums((0.999,), m, table, cut[0])
-        sums = sample_grid(grid, table, cut)
-        assert inner.shape == (2, m // 2 + 1) and outer.shape == (1, m // 2 + 1)
-        assert np.array_equal(sums[:, : m // 2 + 1], np.concatenate((inner, outer)))
+        count = cut[0]
+        together = half_circle_sums(grid.radii, m, table, count)
+        for r, circle, row in zip(grid.radii, sample_grid(grid, table, cut), together,
+                                  strict=True):
+            half = _half_circle_sums(r, m, table, count)
+            assert half.shape == row.shape == (m // 2 + 1,) and circle.shape == (m,)
+            assert np.array_equal(circle[: m // 2 + 1], half)
+            scale = np.sum(np.abs(table[:count]) * r ** np.arange(count))
+            assert np.max(np.abs(half - row)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("rows, m", [(16, 8), (32, 9), (16, 720), (256, 4096)])
     def test_basis_is_exact_where_the_angle_is_0_or_pi(self, rows, m):
