@@ -172,11 +172,11 @@ def _circle_basis(rows: int, m: int) -> np.ndarray:
 def _half_circle_sums(r: float, m: int, table, count: int) -> np.ndarray:
     """The sums of table[:count] at r e^(2 pi i k/m), k = 0 ... m/2: m/2 + 1 complex values.
 
-    The terms c_n r^n, as a (1 x count) row, times _circle_basis give the
-    half in one product; the basis has a power of two rows, at least 16,
-    so that few cuts share one.
+    The cut becomes an array here, once: its terms c_n r^n, as a
+    (1 x count) row, times _circle_basis give the half in one product; the
+    basis has a power of two rows, at least 16, so that few cuts share one.
     """
-    terms = table[:count] * r ** np.arange(count)
+    terms = np.array(table[:count]) * r ** np.arange(count)
     rows = max(16, 1 << (count - 1).bit_length())
     return (terms[None] @ _circle_basis(rows, m)[:count])[0].view(complex)
 

@@ -16,7 +16,6 @@ be written, 3 evaluation errors (eval or dump points that failed).
 from __future__ import annotations
 
 import argparse
-import cmath
 import contextlib
 import dataclasses
 import inspect
@@ -81,7 +80,7 @@ def _parse_z(values):
             z = complex(raw)
         except ValueError:
             raise UsageError(f"cannot parse {raw!r} as a complex number")
-        if not (cmath.isfinite(z) and abs(z) <= 1.0):
+        if not math.hypot(z.real, z.imag) <= 1.0:  # abs() raises OverflowError past the double range
             raise UsageError(f"|z| must be finite and <= 1, got {raw!r}")
         points.append(z)
     return points
@@ -299,7 +298,7 @@ def _parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc,
                                   allow_abbrev=False,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, error=sub.error)  # usage errors read 'mlstar <name>: error:'
         return sub
 
     sub = command("eval", cmd_eval)
@@ -329,12 +328,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None):
     """Run the CLI on argv (default sys.argv[1:]); always ends in SystemExit."""
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.run(args)
     except (UsageError, DomainError, JobFileError) as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
     sys.exit(code)
 
 

@@ -3,9 +3,10 @@
 Gamma quotients free of overflow, principal-branch complex powers, and
 one solver for power series, which gives quotients and logarithmic
 derivatives. The coefficients it produces carry the branch continued from
-the origin, so nothing is ever tracked along a path. It solves blocks of
-16 terms: one numpy convolution carries the earlier blocks into a block,
-and a short recurrence on Python floats solves inside it.
+the origin, so nothing is ever tracked along a path. Everything here runs
+on Python floats: the tables are 16 to 200 terms long, and those that
+certificates build 16 or 32, where a numpy call costs more than the
+arithmetic it saves.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from operator import mul
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -28,8 +27,6 @@ __all__ = [
 _STIRLING_MIN = 30.0
 # math.gamma overflows just above 171.62.
 _GAMMA_DIRECT_MAX = 171.0
-# series_solve's block: terms solved together on Python floats
-_BLOCK = 16
 
 
 def _stirling_correction(y: float) -> float:
@@ -52,7 +49,8 @@ def gamma_ratio(x: float, h: float) -> float:
     math.gamma values would also inherit the rounding of x + h, amplified
     by the digamma function (7e-14 at x + h = 170). Smaller x take the
     quotient, or past the overflow of math.gamma the plain lgamma
-    difference: there the ratio is below Gamma(30)/Gamma(171) = 1e-276.
+    difference: there the ratio is below Gamma(30)/Gamma(171) = 1e-276,
+    and past the overflow of lgamma(x + h), near x + h = 2.6e305, it is 0.
     """
     if x >= _STIRLING_MIN:
         y = x + h
@@ -62,7 +60,10 @@ def gamma_ratio(x: float, h: float) -> float:
         )
     if x + h < _GAMMA_DIRECT_MAX:
         return math.gamma(x) / math.gamma(x + h)
-    return math.exp(math.lgamma(x) - math.lgamma(x + h))
+    try:
+        return math.exp(math.lgamma(x) - math.lgamma(x + h))
+    except OverflowError:
+        return 0.0
 
 
 def _principal_arg(w: complex) -> float:
@@ -80,43 +81,30 @@ def principal_power(w: complex, e: float) -> complex:
     return cmath.exp(e * complex(math.log(abs(w)), _principal_arg(w)))
 
 
-def series_solve(a, b, length: int, derivative: bool = False) -> np.ndarray:
+def series_solve(a, b, length: int, derivative: bool = False) -> list:
     """The first ``length`` Taylor coefficients of X with A X = B, or A X + t X' = B.
 
     a and b hold the coefficients of A and B, those past their ends count
     as 0, and A(0) = a[0] must not vanish. The system is lower-triangular
-    Toeplitz, so it is solved term by term:
+    Toeplitz, so it is solved term by term, on Python floats:
 
         x_n = (b_n - sum_{k=1..n} a_k x_{n-k}) / (a_0, or a_0 + n with t X').
 
-    The terms are solved in blocks of _BLOCK. What the earlier blocks
-    contribute to a block is one numpy convolution, subtracted over the
-    block's terms that a reaches; inside the block the recurrence runs on
-    Python floats over at most _BLOCK - 1 neighbours, and over fewer when a
-    is shorter: a is never padded with zeros.
-    A term depends only on the terms before it, so a shorter solve is
-    exactly a prefix of a longer one.
+    It returns a list of length floats. A term depends only on the terms
+    before it, so a shorter solve is exactly a prefix of a longer one.
 
     X is therefore the solution analytic at the origin, continued across
     any disk where it stays analytic. A quotient B/A, a logarithmic
     derivative (B = t A') and the operators' H (with t X') are each one
     call. A zero t_0 of A is a pole of X, so the coefficients grow like
     |t_0|^-n for the zero nearest the origin; those that overflow come out
-    inf or nan.
+    inf or nan, quietly, as Python float arithmetic does.
     """
-    a = np.asarray(a, dtype=float)[:length]
-    b = np.asarray(b, dtype=float)[:length]
-    x = np.concatenate((b, np.zeros(length - len(b))))
-    a0, near = float(a[0]), a[1:_BLOCK].tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, length, _BLOCK):
-            stop = min(start + _BLOCK, length)
-            if start:
-                carried = np.convolve(a[:stop], x[:start])[start:stop]
-                x[start : start + len(carried)] -= carried
-            block = []
-            for n, rhs in enumerate(x[start:stop].tolist(), start):
-                pivot = a0 + n if derivative else a0
-                block.append((rhs - sum(map(mul, near, reversed(block)))) / pivot)
-            x[start:stop] = block
+    a0, *near = map(float, a[:length])
+    rhs = list(map(float, b[:length]))
+    rhs += [0.0] * (length - len(rhs))
+    x = []
+    for n, rhs_n in enumerate(rhs):
+        pivot = a0 + n if derivative else a0
+        x.append((rhs_n - sum(map(mul, near, reversed(x)))) / pivot)
     return x

@@ -40,8 +40,9 @@ cut on. Where a factor's zero lies within reach of the circle, Q has a
 pole there, and where G has one, so does 1/H; the coefficients stop
 decaying. Then, or when the terms |c_n| r^n sum past 1e300 or overflow,
 no cut exists and the evaluation raises SeriesTruncationError; with a
-cut, every sum on the circle and inside it is finite. A point is summed
-by Horner; certify sums the circles of a certificate.
+cut, every sum on the circle and inside it is finite. The tables are
+lists of Python floats: a point is summed by Horner, and certify makes
+the cut an array for the circles of a certificate.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .defaults import SERIES_TERM_CAP, SERIES_TOL
 from .errors import DegenerateOperatorError, DomainError, SeriesTruncationError
@@ -117,32 +117,24 @@ class EvalPoint:
             raise DomainError(f"radius must lie in (0, 1), got {radius!r}")
         return cls(radius * cmath.exp(1j * angle), radius, angle)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "EvalPoint":
-        z = complex(z)
-        r = abs(z)
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"|z| must lie in (0, 1), got {r!r}")
-        return cls(z, r, cmath.phase(z))
-
 
 def _as_point(z) -> complex:
     if isinstance(z, EvalPoint):
         return complex(z.z)
     z = complex(z)
-    if not abs(z) < 1.0:
+    if not math.hypot(z.real, z.imag) < 1.0:  # abs() raises OverflowError past the double range
         raise DomainError(f"evaluation point must satisfy |z| < 1, got {z!r}")
     return z
 
 
 # --- the coefficient engine ---------------------------------------------------
 #
-# Each table builder takes (subject, tol, length) and returns a table that
-# vanishes at the origin. series_solve is prefix-stable, so a longer table
-# extends a shorter one exactly.
+# Each table builder takes (subject, tol, length) and returns a table, a list
+# of floats, that vanishes at the origin. series_solve is prefix-stable, so a
+# longer table extends a shorter one exactly.
 
 
-def _log_derivative_coefficients(factors, tol: float, length: int) -> np.ndarray:
+def _log_derivative_coefficients(factors, tol: float, length: int) -> list:
     """(q_0, ..., q_{length-1}) of Q = t P'/P; q_0 = 0.
 
     Each factor's table A is mittag_leffler's cached one, exact to tol on
@@ -150,30 +142,29 @@ def _log_derivative_coefficients(factors, tol: float, length: int) -> np.ndarray
     (1 + zF''/F') - 1 of the zeta-free operator, and for the one factor
     E/z with lambda = 1 it is z E'/E - 1.
     """
-    q = np.zeros(length)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for factor in factors:
-            table = np.asarray(_coefficients(factor.params.alpha, factor.params.beta, tol))
-            q += series_solve(table, np.arange(len(table)) * table, length) / factor.lam
+    q = [0.0] * length
+    for factor in factors:
+        table = _coefficients(factor.params.alpha, factor.params.beta, tol)
+        solved = series_solve(table, [n * c for n, c in enumerate(table)], length)
+        q = [total + x / factor.lam for total, x in zip(q, solved)]
     return q
 
 
-def _star_coefficients(spec: OperatorSpec, tol: float, length: int) -> np.ndarray:
+def _star_coefficients(spec: OperatorSpec, tol: float, length: int) -> list:
     """(v_0, ..., v_{length-1}) of zF'/F - 1 = 1/H - 1; v_0 = 0.
 
     H = G/P solves (zeta + Q) H + z H' = zeta, and V = 1/H solves H V = 1.
     """
     q = _log_derivative_coefficients(spec.factors, tol, length)
-    h = series_solve(np.concatenate(([spec.zeta], q[1:])), [spec.zeta], length,
-                     derivative=True)
+    h = series_solve([spec.zeta] + q[1:], [spec.zeta], length, derivative=True)
     v = series_solve(h, [1.0], length)
     v[0] = 0.0
     return v
 
 
-def _log_ratio_coefficients(spec: OperatorSpec, tol: float, length: int) -> np.ndarray:
+def _log_ratio_coefficients(spec: OperatorSpec, tol: float, length: int) -> list:
     """log(F/z) = Integral_0^z (zF'/F - 1) dt/t = sum_{n>=1} v_n z^n / n."""
-    return _star_coefficients(spec, tol, length) / np.maximum(np.arange(length), 1)
+    return [v / max(n, 1) for n, v in enumerate(_star_coefficients(spec, tol, length))]
 
 
 # A cut leaves at least this many table terms after it, so that the terms
@@ -205,16 +196,16 @@ def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
-    terms = np.abs(coeffs) * radius ** np.arange(len(coeffs))
-    tails = np.cumsum(terms[::-1])[::-1]  # tails[k] = sum of terms[k:]
+    terms = [abs(c) * radius ** n for n, c in enumerate(coeffs)]
+    tails = list(accumulate(reversed(terms)))[::-1]  # tails[k] = sum of terms[k:]
     if not tails[0] <= _SUM_MAX:
         return 0, math.inf
     dropped = tails[1 : len(coeffs) - _MEASURED_TAIL + 1]
     # dropped never rises, so its first fit follows all misfits
-    first = int(np.count_nonzero(dropped > tol))
+    first = sum(d > tol for d in dropped)
     if first < len(dropped):
-        return first + 1, float(dropped[first])
-    return 0, float(dropped[-1])
+        return first + 1, dropped[first]
+    return 0, dropped[-1]
 
 
 def _no_cut(table, radius: float, tail: float) -> str:
@@ -248,7 +239,7 @@ def _table_value(coefficients, subject, z: complex, tol: float) -> SeriesResult:
     table, (n, tail) = _sized_table(coefficients, subject, abs(z), tol)
     if not n:
         raise SeriesTruncationError(_no_cut(table, abs(z), tail))
-    return SeriesResult(_horner(table[:n].tolist(), z), n, tail)
+    return SeriesResult(_horner(table[:n], z), n, tail)
 
 
 def _operator_value(spec: OperatorSpec, z, tol: float, power: bool) -> SeriesResult:

@@ -209,7 +209,7 @@ def test_criterion_8_property_suites(rng):
 
     # log-derivative additivity on coefficient tables: t (AB)'/(AB) = t A'/A + t B'/B
     def log_derivative(table):
-        return series_solve(table, np.arange(len(table)) * np.asarray(table), 60)
+        return np.array(series_solve(table, np.arange(len(table)) * np.asarray(table), 60))
 
     one, two = _coefficients(2.0, 3.0, 1e-14), _coefficients(1.5, 2.5, 1e-14)
     lhs = log_derivative(np.convolve(one, two)[:60])

@@ -82,8 +82,11 @@ class TestEval:
         assert abs(complex(value) - (1.3 + 0.4j)) <= float(tail.removeprefix("tail="))
 
     def test_point_outside_disk_is_usage_error(self):
-        result = invoke(["eval", "--alpha", "1", "--beta", "1", "--z", "2.0"])
-        assert result.exit_code == 2
+        # abs() of the second z raises OverflowError; its modulus is taken without it
+        for z in ("2.0", "1.5e308+1.5e308j"):
+            result = invoke(["eval", "--alpha", "1", "--beta", "1", "--z", z])
+            assert result.exit_code == 2, result.output
+            assert "mlstar eval: error: |z| must be finite and <= 1" in result.output
 
     def test_non_finite_input_is_usage_error(self):
         for args in (["--z", "nan"], ["--z", "inf+0.1j"], ["--z", "0.5", "--beta", "inf"]):
@@ -91,6 +94,12 @@ class TestEval:
             assert invoke(argv).exit_code == 2, args
         result = invoke(["--tol", "nan", "eval", "--alpha", "2", "--beta", "3", "--z", "0.5"])
         assert result.exit_code == 2
+
+    def test_alpha_past_the_lgamma_range(self):
+        # Gamma(1)/Gamma(1 + 1e308) is 0, where lgamma(1 + 1e308) overflows
+        result = invoke(["eval", "--alpha", "1e308", "--beta", "1", "--z", "0.5"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "0.5  0.5  terms=1 tail=0.000e+00\n"
 
     def test_beta_past_gamma_overflow(self):
         result = invoke(["eval", "--alpha", "2", "--beta", "200", "--z", "0.5"])
@@ -152,7 +161,7 @@ class TestEval:
         (["--raw", "--deriv", "--alpha", "1", "--beta", "1"],
          "mlstar eval: error: argument --deriv: not allowed with argument --raw"),
         (["--operator", "star-24", "--alpha", "2", "--deriv"],
-         "mlstar: error: --alpha does not apply to operator evaluation"),
+         "mlstar eval: error: --alpha does not apply to operator evaluation"),
         (["--operator", "star-24", "--alpha", "0"], "error: --alpha does not apply"),
         (["--operator", "star-24", "--beta", "3"], "error: --beta does not apply"),
         (["--operator", "star-24", "--raw"], "error: --raw does not apply"),
@@ -393,7 +402,7 @@ class TestCertify:
             result = invoke(argv)
             assert result.exit_code == 2, (argv, result.output)
             assert isinstance(result.exception, SystemExit)
-            assert "mlstar: error: job file" in result.output
+            assert f"mlstar {argv[0]}: error: job file" in result.output
             assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("command", ["certify", "orders"])
@@ -439,7 +448,7 @@ class TestCertify:
         result = invoke(["--grid-angles", "8", "certify", CORPUS_PATH, "-o", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert f"mlstar: error: cannot write {str(out)!r}" in result.output
+        assert f"mlstar certify: error: cannot write {str(out)!r}" in result.output
 
     def test_unwritable_report_path_is_refused_before_the_run(self, tmp_path, monkeypatch):
         def no_run(job):
@@ -449,7 +458,7 @@ class TestCertify:
         out = tmp_path / "missing" / "r.json"
         result = invoke(["certify", CORPUS_PATH, "-o", str(out)])
         assert result.exit_code == 2, result.output
-        assert f"mlstar: error: cannot write {str(out)!r}" in result.output
+        assert f"mlstar certify: error: cannot write {str(out)!r}" in result.output
 
     @pytest.mark.parametrize("command", ["certify", "dump"])
     def test_invalid_job_leaves_the_output_untouched(self, tmp_path, command):
@@ -550,7 +559,7 @@ class TestDump:
                          "--operator", "star-24", "-o", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert f"mlstar: error: cannot write {str(out)!r}" in result.output
+        assert f"mlstar dump: error: cannot write {str(out)!r}" in result.output
 
 
 def one_op_job(tmp_path, angles):
@@ -629,9 +638,27 @@ class TestMain:
         assert self.exit_code(["eval", "--alpha", "1", "--beta", "1", "--z", "2"]) == 2
         assert self.exit_code(tiny_beta_argv(tmp_path, "dump", 1e-300)) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["orders", "missing.json"],
+        ["--tol", "1", "certify", CORPUS_PATH],
+        ["--r-max", "1.5", "certify", CORPUS_PATH],
+        ["dump", "--job", CORPUS_PATH, "--operator", "nope"],
+        ["eval", "--z", "0.5"],
+        ["eval", "--alpha", "0", "--beta", "1", "--z", "0.5"],
+    ], ids=["orders-job-file", "certify-usage", "certify-domain", "dump-usage", "eval-usage",
+            "eval-domain"])
+    def test_a_command_error_names_its_command(self, capsys, argv):
+        # every usage error of a command carries one prefix, the command's
+        assert self.exit_code(argv) == 2
+        err = capsys.readouterr().err
+        command = next(arg for arg in argv if arg in ("orders", "certify", "dump", "eval"))
+        assert f"mlstar {command}: error: " in err and "mlstar: error:" not in err
+
     def test_no_arguments_is_usage_error(self, capsys):
+        # no command ran, so the error is the top-level parser's
         assert self.exit_code([]) == 2
-        assert "mlstar: error:" in capsys.readouterr().err
+        assert "mlstar: error: the following arguments are required: COMMAND" in \
+            capsys.readouterr().err
 
     def test_version(self, capsys):
         assert self.exit_code(["--version"]) == 0

@@ -83,13 +83,20 @@ class TestSpecs:
             with pytest.raises(DomainError):
                 OperatorSpec((FactorSpec(params, 1.0),), zeta)
 
+    def test_a_modulus_past_the_double_range_is_a_domain_error(self):
+        # abs() of this z raises OverflowError; its modulus is taken without it
+        spec, z = single(2, 4), 1.5e308 + 1.5e308j
+        for fn in (f_value, f_zeta_power, star_log_deriv):
+            with pytest.raises(DomainError, match=r"\|z\| < 1"):
+                fn(spec, z)
+        with pytest.raises(DomainError, match=r"\|z\| < 1"):
+            convex_log_deriv(spec.factors, z)
+
     def test_eval_point(self):
         point = EvalPoint.from_polar(0.5, math.pi)
         assert point.z == pytest.approx(-0.5, abs=1e-15)
         with pytest.raises(DomainError):
             EvalPoint.from_polar(1.0, 0.0)
-        with pytest.raises(DomainError):
-            EvalPoint.from_complex(0.0)
 
 
 class TestProductTerm:
@@ -142,7 +149,7 @@ class TestProductTerm:
         two = _log_derivative_coefficients(
             (FactorSpec(params, 2.0), FactorSpec(params, 2.0)), 1e-14, SERIES_TERM_CAP
         )
-        assert np.max(np.abs(one - two)) <= 1e-16
+        assert np.max(np.abs(np.subtract(one, two))) <= 1e-16
 
 
 class TestZetaPower:
