@@ -1,5 +1,5 @@
 """Normalized Mittag-Leffler functions, their integral operators, and
-sampled certificates for predicted orders of starlikeness and convexity."""
+certificates for predicted orders of starlikeness and convexity."""
 
 __version__ = "0.1.0"
 

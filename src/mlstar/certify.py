@@ -1,12 +1,11 @@
-"""Sampled-minimum certificates for starlikeness and convexity orders.
+"""Certificates for starlikeness and convexity orders on the circle |z| = r_max.
 
 A certificate compares a predicted order against the extremum of the
 certified quantity on the outermost circle |z| = r_max of a polar grid:
 Re zF'/F, Re(1 + zF''/F') and Re z E'/E are harmonic wherever the
 functions are nonvanishing, and |z E'/E - 1| is subharmonic, so each
-extremum over |z| <= r_max lies on that circle. Certificates scan r_max;
-dump samples every radius. A certificate is finite-sample evidence, not a
-proof, and says so in its serialized form.
+extremum over |z| <= r_max lies on that circle. Certificates take r_max;
+dump samples every radius.
 
 Every certified quantity is summed from one coefficient table, cut once
 on r_max: |c_n| r^n grows with r, so that is a cut on the inner circles
@@ -14,33 +13,42 @@ that dump sums too. A cut bounds every circle sum by the finite sum of
 |c_n| r_max^n, so no point fails alone: a certificate passes or fails
 whole. A singularity within reach of r_max, such as a zero of E, leaves
 the table without a cut; then no point is summed, and the certificate
-fails with _no_cut's reason. Each circle's half k = 0 ... M/2 is one
-matrix product of its own: the sum at r e^(2 pi i k/M) is
-sum_n c_n r^n e^(2 pi i nk/M), against a cached cos/sin basis of
-2 pi (nk mod M)/M, which folds a cut longer than M. The tables are real,
-so the point M - k holds the conjugate of the value at k: one argmin over
-r_max's half picks the point a scan of the whole circle would.
+fails with _no_cut's reason.
+
+On |z| = r_max, with t_n = c_n r_max^n for the cut, each certified
+quantity is a cosine polynomial S(theta) = sum a_n cos n theta, even in
+theta, so [0, pi] holds its extremum: a = (1 + t_0, t_1, t_2, ...) is
+Re(1 + g) for the order kinds, and S = -|g|^2 = -(rho_0 + 2 sum rho_k
+cos k theta), with rho the autocorrelation of t, for the bound, whose
+maximum of |g| is the minimum of S. _extremum proves where the minimum of
+S lies to rounding, whatever the grid's angle count: the angle count
+shapes only dump and the grid a certificate echoes. Because
+1 - cos n phi <= n^2 (1 - cos phi), a_1 >= sum_{n>=2} n^2 |a_n| puts the
+minimum at theta = pi, and -a_1 >= sum_{n>=2} n^2 |a_n| puts it at 0,
+each with a rounding allowance; elsewhere a branch and bound on arcs
+brackets it to rounding. The extremum is proven
+for the summed cut; the tables' tails past the cut are extrapolated
+(operators._operator_cut), and r_max < 1 stands in for the boundary, so a
+certificate is still evidence about the disk, not a proof, and says so in
+its serialized form.
+
+A circle sum is Horner in Python complex numbers: the terms t_n of the
+circle at e^(i theta). dump sums the half k = 0 ... M/2 of each circle and
+mirrors it: the tables are real, so the point M - k holds the conjugate
+of the value at k.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
-import numpy as np
-
-from .defaults import (
-    EVAL_TOLERANCE,
-    GRID_ANGLES,
-    GRID_ANGLES_MAX,
-    GRID_POINTS_MAX,
-    R_MAX,
-    SERIES_TOL,
-)
+from .defaults import EVAL_TOLERANCE, GRID_ANGLES, GRID_POINTS_MAX, R_MAX, SERIES_TOL
 from .errors import DomainError
-from .mittag_leffler import MLParams
+from .mittag_leffler import MLParams, _horner
 from .operators import (
     EvalPoint,
     FactorSpec,
@@ -75,6 +83,10 @@ VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_HYPOTHESIS = "hypothesis-violated"
 
+RULE_ENDPOINT = "endpoint"   # the n^2 test put the extremum at theta = 0 or pi
+RULE_BISECTED = "bisected"   # the branch and bound bracketed it
+RULE_UNSUMMED = "unsummed"   # the table has no cut, so nothing was summed
+
 
 def default_radii(r_max: float = R_MAX) -> tuple:
     base = [r for r in (0.25, 0.5, 0.75, 0.9, 0.99) if r < r_max]
@@ -82,7 +94,7 @@ def default_radii(r_max: float = R_MAX) -> tuple:
 
 
 def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -93,9 +105,10 @@ class GridSpec:
 
     The open disk cannot be sampled at radius 1, so r_max < 1, the outermost
     radius, stands in for the boundary; it is recorded in every certificate.
-    Certificates scan r_max; dump samples every radius. r_max alone (default
-    R_MAX) picks default_radii, radii alone set r_max; given both, they must
-    agree. A grid holds at most GRID_POINTS_MAX points, radii x angles.
+    Certificates take r_max alone, whatever the angle count; dump samples
+    every radius at every angle. r_max alone (default R_MAX) picks
+    default_radii, radii alone set r_max; given both, they must agree. A
+    grid holds at most GRID_POINTS_MAX points, radii x angles.
     """
 
     radii: tuple = None
@@ -121,21 +134,21 @@ class GridSpec:
             raise DomainError(f"r_max {r_max!r} is not the outermost radius {radii[-1]!r}")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "r_max", radii[-1])
-        if isinstance(self.angles, bool) or not isinstance(self.angles, (int, np.integer)):
+        if isinstance(self.angles, bool) or not isinstance(self.angles, numbers.Integral):
             raise DomainError(f"angles must be an integer, got {self.angles!r}")
-        if not 8 <= self.angles <= GRID_ANGLES_MAX:
-            raise DomainError(f"angles must lie in [8, {GRID_ANGLES_MAX}], got {self.angles!r}")
         object.__setattr__(self, "angles", int(self.angles))
+        if self.angles < 8:
+            raise DomainError(f"angles must be at least 8, got {self.angles!r}")
         if self.total_points() > GRID_POINTS_MAX:
             raise DomainError(f"a grid holds at most {GRID_POINTS_MAX} points, got "
                               f"{len(radii)} radii x {self.angles} angles")
 
-    def circle_angles(self) -> np.ndarray:
-        return self.circle_angle(np.arange(self.angles))
+    def circle_angles(self) -> list:
+        return [self.circle_angle(k) for k in range(self.angles)]
 
-    def circle_angle(self, k):
-        """The angle 2 pi k/angles of point k of every circle; k may be an index array."""
-        return 2.0 * np.pi * k / self.angles
+    def circle_angle(self, k: int) -> float:
+        """The angle 2 pi k/angles of point k of every circle."""
+        return 2.0 * math.pi * k / self.angles
 
     def total_points(self) -> int:
         return len(self.radii) * self.angles
@@ -144,58 +157,142 @@ class GridSpec:
         return {"radii": list(self.radii), "r_max": self.r_max, "angles": self.angles}
 
 
-# Bases kept by _circle_basis; one holds rows x (M + 2) doubles: at 4096
-# angles 0.5 MB for 16 rows, and 8.4 MB for the 256 that the longest cut
-# under SERIES_TERM_CAP needs.
-_BASES = 4
+def _circle_terms(table, count: int, r: float) -> list:
+    """The terms t_n = c_n r^n of the cut table[:count] on the circle |z| = r."""
+    return [c * r ** n for n, c in enumerate(table[:count])]
 
 
-@lru_cache(maxsize=_BASES)
-def _circle_basis(rows: int, m: int) -> np.ndarray:
-    """cos and sin of 2 pi n k/m, interleaved, for n < rows and k = 0 ... m/2.
-
-    Row n holds (cos, sin) pairs, so a row vector of terms times the basis
-    reads as the complex sums at the angles 2 pi k/m. Each angle is taken
-    from n k mod m and reduced to (-pi, pi] first, and sin is exactly 0
-    where 2 n k = 0 mod m, at k = 0 and k = m/2.
-    """
-    j = np.arange(rows)[:, None] * np.arange(m // 2 + 1) % m
-    angle = 2.0 * np.pi * np.where(2 * j > m, j - m, j) / m
-    basis = np.empty((rows, m // 2 + 1, 2))
-    basis[..., 0] = np.cos(angle)
-    basis[..., 1] = np.where(2 * j % m == 0, 0.0, np.sin(angle))
-    basis = basis.reshape(rows, -1)
-    basis.flags.writeable = False
-    return basis
+def _end_sum(terms, end: float) -> float:
+    """sum t_n end^n at end = 1 or -1, theta = 0 or pi: a real sum, correctly rounded."""
+    return math.fsum(terms if end > 0.0 else (-t if n % 2 else t for n, t in enumerate(terms)))
 
 
-def _half_circle_sums(r: float, m: int, table, count: int) -> np.ndarray:
-    """The sums of table[:count] at r e^(2 pi i k/m), k = 0 ... m/2: m/2 + 1 complex values.
-
-    The cut becomes an array here, once: its terms c_n r^n, as a
-    (1 x count) row, times _circle_basis give the half in one product; the
-    basis has a power of two rows, at least 16, so that few cuts share one.
-    """
-    terms = np.array(table[:count]) * r ** np.arange(count)
-    rows = max(16, 1 << (count - 1).bit_length())
-    return (terms[None] @ _circle_basis(rows, m)[:count])[0].view(complex)
+def _circle_sum(terms, theta: float) -> complex:
+    """sum t_n e^(i n theta) by Horner for theta in [0, pi]; real at 0 and pi."""
+    if theta == 0.0 or theta == math.pi:
+        return complex(_end_sum(terms, 1.0 if theta == 0.0 else -1.0), 0.0)
+    return _horner(terms, complex(math.cos(theta), math.sin(theta)))
 
 
-def _mirror(half, m: int) -> np.ndarray:
+def _circle_half(terms, m: int) -> list:
+    """The sums at e^(2 pi i k/m), k = 0 ... m/2: m/2 + 1 complex values."""
+    half = [_circle_sum(terms, 2.0 * math.pi * k / m) for k in range((m + 1) // 2)]
+    if m % 2 == 0:
+        half.append(_circle_sum(terms, math.pi))
+    return half
+
+
+def _mirror(half, m: int) -> list:
     """The full circle k = 0 ... m - 1 from its half: the point m - k is the conjugate of k."""
-    return np.concatenate((half, half[(m + 1) // 2 - 1 : 0 : -1].conj()))
+    return half + [v.conjugate() for v in reversed(half[1 : (m + 1) // 2])]
+
+
+_EPS = 2.0 ** -52
+_FIRST_ARCS = 32  # the arcs of [0, pi] that the branch and bound samples first
+# Most evaluations of S in one branch and bound; past them it stops and
+# reports the proven bound of the arcs still open.
+_EVALUATIONS_MAX = 1 << 14
+
+
+def _cosine_polynomial(terms, largest: bool) -> tuple:
+    """(a, rounding): S = sum a_n cos n theta, the quantity whose minimum a certificate takes.
+
+    a = (1 + t_0, t_1, ...) is Re(1 + g) for an order; for the bound, S =
+    -|g|^2 = -(rho_0 + 2 sum rho_k cos k theta), with rho the
+    autocorrelation of t. rounding bounds sum n^2 |a_n - computed a_n|.
+    """
+    if not largest:
+        return [1.0 + terms[0], *terms[1:]], 0.0
+    if len(terms) > 1 and terms[0] == 0.0:
+        terms = terms[1:]  # |g| = |g/e^(i theta)|: the tables vanish at the origin
+    rho = [sum(map(mul, terms, terms[k:])) for k in range(len(terms))]
+    # each rho_k is off by at most N eps sum_j |t_j t_(j+k)| <= N eps rho_0 (Cauchy-Schwarz)
+    weights = sum(n * n for n in range(len(terms)))
+    return [-rho[0], *(-2.0 * r for r in rho[1:])], 2.0 * len(terms) * _EPS * rho[0] * weights
+
+
+def _extremum(terms, largest: bool) -> tuple:
+    """The minimum of Re(1 + g), or the maximum of |g| if largest, on the circle of terms.
+
+    g = sum t_n e^(i n theta). Returns (extremum, theta in [0, pi], rule).
+    With B = sum_{n>=2} n^2 |a_n|, the n^2 test -a_1 >= B (or a_1 >= B),
+    with a rounding allowance, proves that the minimum of S lies at theta =
+    0 (or pi): S(theta) - S(0) >= (-a_1 - B)(1 - cos theta). A constant S
+    has it at 0. That is RULE_ENDPOINT; otherwise _bisect brackets the
+    minimum, RULE_BISECTED.
+    """
+    a, rounding = _cosine_polynomial(terms, largest)
+    a_1 = a[1] if len(a) > 1 else 0.0
+    weighted = sum(n * n * abs(a[n]) for n in range(2, len(a)))
+    allowance = rounding + 2.0 * len(a) * _EPS * weighted
+
+    def value(theta):
+        g = _circle_sum(terms, theta)
+        return abs(g) if largest else 1.0 + g.real
+
+    for theta, slope in ((0.0, -a_1), (math.pi, a_1)):
+        if slope - weighted >= allowance:
+            return value(theta), theta, RULE_ENDPOINT
+    # a few units of rounding in a sum of S: its terms add up to at most this scale
+    scale = sum(map(abs, terms)) ** 2 if largest else sum(map(abs, a))
+    s = (lambda theta: -value(theta) ** 2) if largest else value
+    theta, lower = _bisect(s, abs(a_1) + weighted, 4.0 * len(a) * _EPS * scale)
+    if lower is None:
+        return value(theta), theta, RULE_BISECTED
+    return (math.sqrt(-lower) if largest else lower), theta, RULE_BISECTED
+
+
+def _bisect(s, curvature: float, closing: float) -> tuple:
+    """(theta*, lower): where S is least among the angles of [0, pi] it visits.
+
+    Branch and bound: S is sampled at the ends of _FIRST_ARCS arcs; an arc
+    of width h whose bound min(ends) - curvature h^2/8 clears the best
+    value less `closing` cannot hold the minimum and is dropped, and the
+    others are bisected. Here curvature = sum n^2 |a_n| >= max |S''|. When
+    no arc is left, the minimum lies within `closing` below S(theta*), and
+    lower is None; past _EVALUATIONS_MAX evaluations, lower is the least
+    bound of the arcs still open.
+    """
+    h = math.pi / _FIRST_ARCS
+    thetas = [k * h for k in range(_FIRST_ARCS)] + [math.pi]
+    values = [s(theta) for theta in thetas]
+    k = min(range(len(values)), key=values.__getitem__)
+    best, best_theta = values[k], thetas[k]
+    arcs = list(zip(thetas, values, thetas[1:], values[1:]))
+    evaluations = len(values)
+    while True:
+        slack = curvature * h * h / 8.0
+        arcs = [arc for arc in arcs if min(arc[1], arc[3]) - slack < best - closing]
+        if not arcs:
+            return best_theta, None
+        if evaluations >= _EVALUATIONS_MAX:
+            return best_theta, min(best, min(min(arc[1], arc[3]) for arc in arcs) - slack)
+        h *= 0.5
+        split = []
+        for lo, s_lo, hi, s_hi in arcs:
+            mid = 0.5 * (lo + hi)
+            s_mid = s(mid)
+            if s_mid < best:
+                best, best_theta = s_mid, mid
+            split += ((lo, s_lo, mid, s_mid), (mid, s_mid, hi, s_hi))
+        evaluations += len(arcs)
+        arcs = split
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Verdict record for one certified quantity.
 
-    ``observed`` holds the extremal sampled value: a minimum for the order
-    quantities and a maximum for the deviation-bound check. ``margin`` is
-    always the distance into the safe side, so the pass rule is uniformly
-    margin >= -eval_tolerance, with hypotheses intact. A table without a
-    cut on r_max is not summed: ``reason`` says why, ``observed`` is NaN,
-    all M points of r_max count as failed, and the verdict is fail.
+    ``observed`` holds the extremum of the summed cut on |z| = r_max, a
+    minimum for the order quantities and a maximum for the deviation-bound
+    check, proven to rounding, and ``argmin`` the point where it is taken:
+    theta = 0 or pi when the n^2 test places it, or the angle that the
+    branch and bound refined. ``semantics`` names the rule, "endpoint",
+    "bisected" or "unsummed". ``margin`` is always the distance into the
+    safe side, so the pass rule is uniformly margin >= -eval_tolerance,
+    with hypotheses intact. A table without a cut on r_max is not summed:
+    ``reason`` says why, ``observed`` is NaN, all M points of r_max count as
+    failed, and the verdict is fail.
     """
 
     quantity: str
@@ -209,7 +306,7 @@ class Certificate:
     hypothesis_ok: bool
     reason: str = None
     series_tol: float = SERIES_TOL
-    semantics: str = "sampled-min certificate on |z| = r_max"
+    semantics: str = f"{RULE_ENDPOINT}-min certificate on |z| = r_max"
 
     @property
     def failed_count(self) -> int:
@@ -254,34 +351,16 @@ def sample_grid(grid: GridSpec, table, cut):
     cut is the table's cut on r_max, as _sized_table returns it. Returns
     None when the table has no cut: then no point is summed. Otherwise it
     returns an iterator over the radii in grid order that sums each circle
-    as it is reached: the deviation at all M angles, a complex array. Each
-    circle is its own product, the one _scan makes, so the circle r_max is
-    what _scan scans, bit for bit, and no circle moves with the others.
+    as it is reached: the deviation at all M angles, a list of complex
+    numbers. Each circle's half is summed by Horner from its own terms and
+    mirrored, so no circle moves with the others; at theta = 0 and pi the
+    sums are the real ones that _extremum takes there, bit for bit.
     """
     count, _ = cut
     if not count:
         return None
     m = grid.angles
-    return (_mirror(_half_circle_sums(r, m, table, count), m) for r in grid.radii)
-
-
-def _scan(grid: GridSpec, table, cut, largest: bool):
-    """Minimize Re Q, or maximize |Q - 1| if largest, over the circle |z| = r_max.
-
-    Returns (extremum, argmin EvalPoint, reason); ties go to the smallest
-    angle index. It scans the half of r_max, the first of each pair of
-    mirror points. A table without a cut is not summed: the extremum is
-    NaN at angle 0, and the reason is _no_cut's; otherwise it is None.
-    """
-    r, m = grid.r_max, grid.angles
-    count, tail = cut
-    if not count:
-        return math.nan, EvalPoint.from_polar(r, 0.0), _no_cut(table, r, tail)
-    half = _half_circle_sums(r, m, table, count)
-    values = -np.abs(half) if largest else 1.0 + half.real
-    k = int(np.argmin(values))
-    best = float(values[k])
-    return (-best if largest else best), EvalPoint.from_polar(r, grid.circle_angle(k)), None
+    return (_mirror(_circle_half(_circle_terms(table, count, r), m), m) for r in grid.radii)
 
 
 def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool, summed: bool) -> str:
@@ -315,7 +394,7 @@ class _Claim(NamedTuple):
 
 def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: float,
              predicted: float) -> Certificate:
-    """Scan the claim's quantity on the grid's r_max and judge it against the prediction.
+    """Take the claim's extremum on the grid's r_max and judge it against the prediction.
 
     The margin is the distance into the safe side: observed - target for an
     order, target - observed for the bound.
@@ -325,14 +404,20 @@ def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: f
                           f"{eval_tolerance!r}")
     grid = grid or GridSpec()
     target = claim.predicted if predicted is None else float(predicted)
-    table, cut = claim.table(grid.r_max, series_tol)
-    observed, point, reason = _scan(grid, table, cut, claim.largest)
+    table, (count, tail) = claim.table(grid.r_max, series_tol)
+    r = grid.r_max
+    if count:
+        observed, theta, rule = _extremum(_circle_terms(table, count, r), claim.largest)
+        reason = None
+    else:
+        observed, theta, rule = math.nan, 0.0, RULE_UNSUMMED
+        reason = _no_cut(table, r, tail)
     margin = target - observed if claim.largest else observed - target
     verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, reason is None)
     return Certificate(
-        claim.quantity, target, observed, point, margin, grid,
+        claim.quantity, target, observed, EvalPoint.from_polar(r, theta), margin, grid,
         eval_tolerance, verdict, claim.hypothesis_ok, reason, series_tol,
-        f"sampled-{'max' if claim.largest else 'min'} certificate on |z| = r_max",
+        f"{rule}-{'max' if claim.largest else 'min'} certificate on |z| = r_max",
     )
 
 

@@ -241,10 +241,11 @@ def cmd_dump(args) -> int:
 
     Rows are emitted radius-major in grid order as radius,angle,re,im; the
     header carries a digest of the sampled spec so dumps are traceable.
-    Certificates scan r_max; dump samples every radius, a circle at a time,
-    and its rows on r_max are the values the certificate scans. A table
-    without a cut on r_max sums no point: every row reads error,error, and
-    dump exits 3.
+    dump samples every radius, a circle at a time. A certificate takes the
+    extremum on r_max itself, so every row on r_max lies on its safe side,
+    and a row at its argmin, theta = 0 or pi, holds the certificate's own
+    sum. A table without a cut on r_max sums no point: every row reads
+    error,error, and dump exits 3.
     """
     job = _apply_overrides(load_job(args.job), args)
     op = _operator(job, args.operator)
@@ -255,13 +256,13 @@ def cmd_dump(args) -> int:
         out = output or sys.stdout
         out.write(f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}\n"
                   "radius,angle,re,im\n")
-        angles = job.grid.circle_angles().tolist()
+        angles = job.grid.circle_angles()
         for r in job.grid.radii:  # each circle is summed as it is written
             if circles is None:
                 rows = (f"{r!r},{theta!r},error,error" for theta in angles)
             else:
                 rows = (f"{r!r},{theta!r},{value.real!r},{value.imag!r}"
-                        for theta, value in zip(angles, (1.0 + next(circles)).tolist()))
+                        for theta, value in zip(angles, (1.0 + v for v in next(circles))))
             out.write("\n".join(rows) + "\n")
     return _EXIT_EVAL if circles is None else 0
 
@@ -278,13 +279,14 @@ def _parser() -> argparse.ArgumentParser:
         prog="mlstar", allow_abbrev=False,
         description="Evaluate normalized Mittag-Leffler functions, build their integral "
                     "operators, and certify predicted orders of starlikeness and convexity "
-                    "by dense sampling of the unit disk.")
+                    "by the extremum on the outermost circle of a polar grid.")
     parser.add_argument("--version", action="version", version=f"mlstar, version {__version__}")
     parser.add_argument("--tol", type=_tolerance,
                         help="Series truncation tolerance (default 1e-14); it also cuts the "
                              "operators' series.")
     parser.add_argument("--grid-angles", type=int,
-                        help="Override the number of sampled angles per circle.")
+                        help="Override the number of angles per circle that dump samples; "
+                             "certificates only echo it.")
     parser.add_argument("--r-max", type=float,
                         help="Override the outermost sampled radius (< 1).")
     parser.add_argument("--strict", action="store_true",

@@ -4,9 +4,10 @@ Gamma quotients free of overflow, principal-branch complex powers, and
 one solver for power series, which gives quotients and logarithmic
 derivatives. The coefficients it produces carry the branch continued from
 the origin, so nothing is ever tracked along a path. Everything here runs
-on Python floats: the tables are 16 to 200 terms long, and those that
-certificates build 16 or 32, where a numpy call costs more than the
-arithmetic it saves.
+on Python floats, as does the whole package: the tables are 16 to 200
+terms long, and those that certificates build 16 or 32, where a numpy
+call costs more than the arithmetic it saves, and importing numpy costs
+a cold process more than all its work on the corpus.
 """
 
 from __future__ import annotations

@@ -41,8 +41,8 @@ pole there, and where G has one, so does 1/H; the coefficients stop
 decaying. Then, or when the terms |c_n| r^n sum past 1e300 or overflow,
 no cut exists and the evaluation raises SeriesTruncationError; with a
 cut, every sum on the circle and inside it is finite. The tables are
-lists of Python floats: a point is summed by Horner, and certify makes
-the cut an array for the circles of a certificate.
+lists of Python floats: a point is summed by Horner in Python complex
+numbers, and so is a circle in certify.
 """
 
 from __future__ import annotations

@@ -3,17 +3,17 @@
 Everything here is deliberately primitive and shares no code with the
 library: hyperbolic closed forms via cmath, direct series summation with
 math.gamma, fixed-panel Gauss-Legendre quadrature with no adaptivity, and
-plain-loop grid minima. Two sums the package once ran are kept as they
-were: Horner over an array of points, and the product that summed several
-circles at once against the package's cos/sin basis.
+plain-loop grid minima. Sums the package once ran are kept as they
+were: Horner over an array of points, the circle sums against a cached
+cos/sin basis, which the package's Horner sums must match, and the
+product that summed several circles at once against that basis.
 """
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
-
-from mlstar.certify import _circle_basis
 
 
 def e21(z):
@@ -142,3 +142,53 @@ def half_circle_sums(radii, m, table, count):
     terms = table[:count] * np.asarray(radii)[:, None] ** np.arange(count)
     rows = max(16, 1 << (count - 1).bit_length())
     return (terms @ _circle_basis(rows, m)[:count]).view(complex)
+
+
+# Bases kept by _circle_basis; one holds rows x (M + 2) doubles: at 4096
+# angles 0.5 MB for 16 rows, and 8.4 MB for the 256 that the longest cut
+# under SERIES_TERM_CAP needs.
+_BASES = 4
+
+
+@lru_cache(maxsize=_BASES)
+def _circle_basis(rows: int, m: int) -> np.ndarray:
+    """cos and sin of 2 pi n k/m, interleaved, for n < rows and k = 0 ... m/2.
+
+    Row n holds (cos, sin) pairs, so a row vector of terms times the basis
+    reads as the complex sums at the angles 2 pi k/m. Each angle is taken
+    from n k mod m and reduced to (-pi, pi] first, and sin is exactly 0
+    where 2 n k = 0 mod m, at k = 0 and k = m/2.
+    """
+    j = np.arange(rows)[:, None] * np.arange(m // 2 + 1) % m
+    angle = 2.0 * np.pi * np.where(2 * j > m, j - m, j) / m
+    basis = np.empty((rows, m // 2 + 1, 2))
+    basis[..., 0] = np.cos(angle)
+    basis[..., 1] = np.where(2 * j % m == 0, 0.0, np.sin(angle))
+    basis = basis.reshape(rows, -1)
+    basis.flags.writeable = False
+    return basis
+
+
+def dense_extremum(terms, largest, samples=20001):
+    """(best, values): the least of Re(1 + g), or the largest |g| if largest, and
+    the values at `samples` equally spaced angles of [0, pi], ends included.
+
+    g = sum terms[n] e^(i n theta), summed against cos and sin of each angle
+    n theta in numpy, with no Horner and no mirror. best also takes a second
+    grid of `samples` angles across the two spacings beside the best sample,
+    so that it lies within about 1e-17 of the extremum, not a spacing's gap.
+    """
+    terms = np.asarray(terms, dtype=float)
+
+    def evaluate(theta):
+        phase = np.arange(len(terms))[:, None] * theta
+        g = terms @ np.cos(phase) + 1j * (terms @ np.sin(phase))
+        return np.abs(g) if largest else 1.0 + g.real
+
+    pick = np.argmax if largest else np.argmin
+    theta = np.linspace(0.0, np.pi, samples)
+    values = evaluate(theta)
+    k = int(pick(values))
+    fine = evaluate(np.linspace(theta[max(k - 1, 0)], theta[min(k + 1, samples - 1)], samples))
+    best = float(max(values.max(), fine.max()) if largest else min(values.min(), fine.min()))
+    return best, np.concatenate((values, fine))

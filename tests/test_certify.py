@@ -29,10 +29,16 @@ from mlstar.certify import (
     default_radii,
     sample_grid,
 )
-from mlstar.defaults import SERIES_TOL
+from mlstar.defaults import GRID_POINTS_MAX, SERIES_TOL
 from mlstar.jobs import _claim, load_job, run_job
 
-from oracles import brute_max_abs_dev, brute_min_re, e24_log_deriv, exp_star_quantity
+from oracles import (
+    brute_max_abs_dev,
+    brute_min_re,
+    dense_extremum,
+    e24_log_deriv,
+    exp_star_quantity,
+)
 
 
 def single(alpha, beta, lam=1.0, zeta=1.0, eta=0.0):
@@ -87,20 +93,29 @@ class TestGridSpec:
             "radii": [0.5], "r_max": 0.5, "angles": 720}
         with pytest.raises(DomainError, match="radii must lie in"):
             GridSpec(radii=(0, 0.5))  # an int is a number, but 0 is not inside the disk
-        for angles in (720.0, 9.5, True, "720"):
+        for angles in (720.0, 9.5, True, np.bool_(True), "720"):
             with pytest.raises(DomainError, match="angles must be an integer"):
                 GridSpec(angles=angles)
         grid = GridSpec(angles=np.int64(720))
         assert type(grid.angles) is int and json.dumps(grid.to_dict())
+        # no angle cap of its own: one radius may take all GRID_POINTS_MAX points
+        assert GridSpec(radii=(0.5,), angles=GRID_POINTS_MAX).total_points() == GRID_POINTS_MAX
+        with pytest.raises(DomainError, match=f"a grid holds at most {GRID_POINTS_MAX} points"):
+            GridSpec(radii=(0.5,), angles=GRID_POINTS_MAX + 1)
+        with pytest.raises(DomainError, match="angles must be at least 8, got 7"):
+            GridSpec(angles=np.int64(7))
+        grid = GridSpec(radii=(np.float64(0.25), np.float64(0.5)), r_max=np.float64(0.5))
+        assert [type(r) for r in grid.radii] == [float, float] and type(grid.r_max) is float
 
 
 class TestStarlikeCertificates:
     def test_identity_product_stub(self, identity_product, small_grid):
         cert = certify_starlike(single(2, 4), small_grid)
         assert cert.observed == pytest.approx(1.0, abs=1e-12)
-        # deterministic argmin tie-break: the smallest angle on r_max
+        # a constant quantity meets the n^2 test at theta = 0, which is tried first
         assert cert.argmin.radius == small_grid.r_max
         assert cert.argmin.angle == 0.0
+        assert cert.semantics == "endpoint-min certificate on |z| = r_max"
         assert cert.verdict == VERDICT_PASS
 
     def test_corpus_case_passes(self, small_grid):
@@ -382,14 +397,35 @@ def test_the_outermost_circle_alone_gives_each_corpus_certificate():
         assert one.argmin.radius == 0.999 and one.failed_count == 0
 
 
-def test_dump_row_on_r_max_gives_each_corpus_certificate_bit_for_bit():
-    # dump sums r_max in the certificate's own product, apart from the inner radii
+def rounding(terms):
+    """How far a circle sum of the terms may lie from another order of the same sum."""
+    return 8 * len(terms) * 2.0**-52 * (1.0 + sum(map(abs, terms)))
+
+
+def assert_rows_on_the_safe_side(cert, grid, table, cut, largest):
+    """Every row of r_max lies on the safe side of observed, up to rounding; where the
+    argmin is a grid angle, the row there equals observed within 2 ulps."""
+    outer = np.array(list(sample_grid(grid, table, cut))[-1])
+    values = np.abs(outer) if largest else 1.0 + outer.real
+    beyond = values - cert.observed if largest else cert.observed - values
+    assert np.max(beyond) <= rounding(certify_module._circle_terms(table, cut[0], grid.r_max))
+    angles = grid.circle_angles()
+    at = [k for k, theta in enumerate(angles) if theta == cert.argmin.angle]
+    if cert.argmin.angle == math.pi and grid.angles % 2 == 0:
+        at = [grid.angles // 2]  # 2 pi (M/2)/M may round off pi; the row sums at -1 all the same
+    for k in at:
+        assert abs(values[k] - cert.observed) <= 2 * math.ulp(cert.observed)
+    return at
+
+
+def test_dump_row_on_r_max_lies_on_the_safe_side_of_each_corpus_certificate():
+    # every corpus extremum lies at theta = 0 or pi, both grid angles at 720
     job = load_job(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
     for op, cert in zip(job.operators, run_job(job).certificates):
         claim = _claim(op)
-        outer = list(sample_grid(job.grid, *claim.table(job.grid.r_max, job.series_tol)))[-1]
-        extremum = np.max(np.abs(outer)) if claim.largest else np.min(1.0 + outer.real)
-        assert extremum == cert.observed, op.name
+        table, cut = claim.table(job.grid.r_max, job.series_tol)
+        assert cert.semantics.startswith("endpoint-"), op.name
+        assert assert_rows_on_the_safe_side(cert, job.grid, table, cut, claim.largest), op.name
 
 
 def test_each_dump_circle_is_summed_alone_bit_for_bit():
@@ -423,23 +459,9 @@ def test_inner_radii_leave_the_certificate_unchanged(run):
         assert report(tuple(inner.tolist())) == expected
 
 
-def full_grid_scan(grid, table, cut, largest):
-    """The certificate's scan, brute force over the r_max row that sample_grid returns.
-
-    Returns (observed, k), ties to the smallest angle index; observed is NaN
-    at k = 0 when the table has no cut and nothing is summed.
-    """
-    circles = sample_grid(grid, table, cut)
-    if circles is None:
-        return math.nan, 0
-    outer = list(circles)[-1]
-    values = -np.abs(outer) if largest else 1.0 + outer.real
-    k = int(np.argmin(values))
-    return (-1.0 if largest else 1.0) * float(values[k]), k
-
-
 class TestHalfCircleScan:
-    """The scan of r_max's half picks what a scan of sample_grid's outer row picks."""
+    """The certificate's extremum against every point of sample_grid's outer row: each
+    lies on its safe side, up to rounding, and the row at a grid argmin equals it."""
 
     PROBE = OperatorSpec((FactorSpec(MLParams(1.5, 2.0), 2.0), FactorSpec(MLParams(2.0, 3.0), 3.0)),
                          0.37)
@@ -459,15 +481,19 @@ class TestHalfCircleScan:
 
     @staticmethod
     def assert_scans_agree(claim, grid):
-        """_scan against full_grid_scan on one claim; returns (cut, reason)."""
+        """The certificate against sample_grid's outer row on one claim; returns (cut, reason)."""
         table, cut = claim.table(grid.r_max, SERIES_TOL)
-        observed, point, reason = certify_module._scan(grid, table, cut, claim.largest)
-        brute_observed, k = full_grid_scan(grid, table, cut, claim.largest)
-        assert observed == brute_observed or math.isnan(observed) and math.isnan(brute_observed)
-        assert (point.radius, point.angle) == (grid.r_max, grid.circle_angles()[k])
-        assert point == EvalPoint.from_polar(grid.r_max, float(grid.circle_angles()[k]))
-        assert (reason is None) == (cut[0] > 0) == (not math.isnan(observed))
-        return cut, reason
+        cert = certify_module._certify(claim, grid, 1e-6, SERIES_TOL, None)
+        assert cert.argmin.radius == grid.r_max
+        assert cert.argmin == EvalPoint.from_polar(grid.r_max, cert.argmin.angle)
+        assert (cert.reason is None) == (cut[0] > 0) == (not math.isnan(cert.observed))
+        if cert.reason is None:
+            assert 0.0 <= cert.argmin.angle <= math.pi
+            assert_rows_on_the_safe_side(cert, grid, table, cut, claim.largest)
+        else:
+            assert sample_grid(grid, table, cut) is None and cert.argmin.angle == 0.0
+            assert cert.semantics.startswith("unsummed-")
+        return cut, cert.reason
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     @pytest.mark.parametrize("kind", CLAIMS)
@@ -500,3 +526,98 @@ class TestHalfCircleScan:
         assert math.isnan(cert.observed) and cert.failed_count == 9
         assert cert.verdict == VERDICT_FAIL and cert.argmin.angle == 0.0
         assert cert.argmin.radius == 0.999
+
+
+def terms_on_r_max(claim, r=0.999):
+    """The terms t_n = c_n r^n of the claim's cut on |z| = r."""
+    table, (count, _) = claim.table(r, SERIES_TOL)
+    return certify_module._circle_terms(table, count, r)
+
+
+def series_claims():
+    """(label, claim): the corpus's, and seeded draws of the three series kinds."""
+    job = load_job(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
+    claims = [(op.name, _claim(op)) for op in job.operators]
+    rng = np.random.default_rng(20)
+    for i in range(40):
+        params = MLParams(rng.uniform(1.0, 5.0), math.exp(rng.uniform(math.log(1.7), math.log(160))))
+        claims += [
+            (f"convex-{i}", certify_module._convex_claim((FactorSpec(params, rng.uniform(1, 9)),))),
+            (f"ml-starlike-{i}", certify_module._ml_starlike_claim(params, 0.0)),
+            (f"log-deriv-bound-{i}", certify_module._log_deriv_bound_claim(params)),
+        ]
+    return claims
+
+
+def assert_matches_the_dense_oracle(observed, terms, largest):
+    """observed lies on the safe side of 20001 samples of [0, pi], up to rounding, and
+    within 1e-13 of the refined best sample."""
+    best, values = dense_extremum(terms, largest)
+    beyond = values - observed if largest else observed - values
+    assert np.max(beyond) <= rounding(terms)
+    assert abs(observed - best) <= 1e-13
+
+
+class TestExtremum:
+    """The extremum on |z| = r_max: the n^2 test at the ends, a branch and bound elsewhere."""
+
+    def test_exponential_anchor(self):
+        # alpha = beta = 1: f = z e^z and z f'/f = 1 + z, least at z = -r_max
+        cert = certify_ml_starlike(MLParams(1, 1), 0.0)
+        assert cert.observed == pytest.approx(1.0 - 0.999, abs=2e-16)
+        assert cert.argmin.angle == math.pi and cert.argmin.z.real == -0.999
+        assert cert.semantics == "endpoint-min certificate on |z| = r_max"
+
+    CLAIMS = series_claims()
+
+    @pytest.mark.parametrize("claim", [claim for _, claim in CLAIMS],
+                             ids=[label for label, _ in CLAIMS])
+    def test_matches_a_dense_oracle(self, claim):
+        terms = terms_on_r_max(claim)
+        cert = certify_module._certify(claim, GridSpec(), 1e-6, SERIES_TOL, None)
+        assert_matches_the_dense_oracle(cert.observed, terms, claim.largest)
+        rule = cert.semantics.partition("-")[0]
+        if rule == "endpoint":
+            assert cert.argmin.angle in (0.0, math.pi)
+        else:
+            assert rule == "bisected" and claim.largest
+
+    def test_an_interior_maximum_is_bisected(self):
+        # |z E'/E - 1| of (1.4, 2) is largest inside the half circle: the n^2 test fails
+        claim = certify_module._log_deriv_bound_claim(MLParams(1.4, 2.0))
+        cert = check_log_deriv_bound(MLParams(1.4, 2.0))
+        assert cert.semantics == "bisected-max certificate on |z| = r_max"
+        assert 1.7 < cert.argmin.angle < 1.8
+        assert_matches_the_dense_oracle(cert.observed, terms_on_r_max(claim), True)
+
+    @pytest.mark.parametrize("terms, least, theta", [
+        # S = 0.8 + 0.3 c + 0.4 c^2 with c = cos theta: t_1 = 0.3 passes the test
+        # t_1 > sum |t_n| but not t_1 > sum n^2 |t_n|, and S is least at c = -3/8
+        ([0.0, 0.3, 0.2], 0.74375, math.acos(-0.375)),
+        ([0.0, 0.1, 0.2], 0.79375, math.acos(-0.125)),
+    ])
+    def test_a_quadratic_in_cos_theta(self, terms, least, theta):
+        observed, argmin, rule = certify_module._extremum(terms, False)
+        assert rule == "bisected"
+        assert observed == pytest.approx(least, abs=1e-15)
+        assert argmin == pytest.approx(theta, abs=1e-7)
+        assert_matches_the_dense_oracle(observed, terms, False)
+
+    def test_the_deepest_well_lies_between_samples(self):
+        # S = 1 + 1e-3 cos theta + 0.01 cos 24 theta: the sample 28 pi/32 sits at the bottom
+        # of a well, 1e-3 above the deepest, at 23 pi/24, whose samples lie higher; only
+        # the arcs' curvature bound keeps the deepest well's arcs
+        terms = [0.0, 1e-3] + [0.0] * 22 + [0.01]
+        observed, argmin, rule = certify_module._extremum(terms, False)
+        assert rule == "bisected" and argmin == pytest.approx(3.0107, abs=1e-4)
+        assert_matches_the_dense_oracle(observed, terms, False)
+
+    @pytest.mark.parametrize("largest", [False, True])
+    def test_a_capped_branch_and_bound_reports_its_open_bound(self, monkeypatch, largest):
+        terms = [0.0, 1e-3] + [0.0] * 22 + [0.01]
+        monkeypatch.setattr(certify_module, "_EVALUATIONS_MAX", 40)
+        observed, argmin, rule = certify_module._extremum(terms, largest)
+        best, values = dense_extremum(terms, largest)
+        assert rule == "bisected"
+        # a proven bound, on the safe side of the extremum and short of closing
+        assert (observed > best + 1e-6) if largest else (observed < best - 1e-6)

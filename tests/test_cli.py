@@ -25,7 +25,7 @@ from mlstar import certify as certify_module
 from mlstar import cli as cli_module
 from mlstar.certify import GridSpec
 from mlstar.cli import main
-from mlstar.defaults import GRID_ANGLES_MAX, GRID_POINTS_MAX
+from mlstar.defaults import GRID_POINTS_MAX
 from mlstar.errors import DomainError, JobFileError
 from mlstar.jobs import job_to_dict, load_job, parse_job
 
@@ -227,8 +227,8 @@ class TestCertify:
         assert doc["summary"]["verdict"] == "pass"
         assert len(doc["certificates"]) == 4
         extremum = {"log-deriv-bound": "max"}
-        for cert in doc["certificates"]:
-            assert cert["semantics"] == (f"sampled-{extremum.get(cert['quantity'], 'min')} "
+        for cert in doc["certificates"]:  # the n^2 test places every corpus extremum
+            assert cert["semantics"] == (f"endpoint-{extremum.get(cert['quantity'], 'min')} "
                                          "certificate on |z| = r_max")
 
     def test_reports_stable_across_runs(self, tmp_path):
@@ -530,7 +530,8 @@ class TestDump:
     @pytest.mark.parametrize("flags", [["--grid-angles", "180"],
                                        ["--grid-angles", "64", "--tol", "1e-6"]])
     def test_dump_samples_the_certificate_evaluator(self, flags):
-        # the dumped rows are the values the certificate scanned, bit for bit
+        # every extremum lies at theta = pi, a grid angle, where the dumped row is the
+        # certificate's own sum, bit for bit
         report = invoke([*flags, "--format", "json", "certify", CORPUS_PATH])
         assert report.exit_code == 0
         observed = {c["name"]: c["observed"] for c in json.loads(report.output)["certificates"]}
@@ -569,16 +570,17 @@ def one_op_job(tmp_path, angles):
 
 
 class TestGridAngles:
-    # the angle count sizes every allocation of a certificate or a dump
+    # the angle count sizes a dump, and a certificate only echoes it: one radius may
+    # take every point of GRID_POINTS_MAX
     def test_the_cap_is_accepted(self, tmp_path):
-        assert GridSpec(angles=GRID_ANGLES_MAX).angles == GRID_ANGLES_MAX
-        result = invoke(["certify", one_op_job(tmp_path, GRID_ANGLES_MAX)])
+        assert GridSpec(radii=(0.5,), angles=GRID_POINTS_MAX).angles == GRID_POINTS_MAX
+        result = invoke(["certify", one_op_job(tmp_path, GRID_POINTS_MAX)])
         assert result.exit_code == 0, result.output
-        result = invoke(["--grid-angles", str(GRID_ANGLES_MAX), "certify",
+        result = invoke(["--grid-angles", str(GRID_POINTS_MAX), "certify",
                          one_op_job(tmp_path, 8)])
         assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("angles", [GRID_ANGLES_MAX + 1, 10**9])
+    @pytest.mark.parametrize("angles", [GRID_POINTS_MAX + 1, 10**9])
     @pytest.mark.parametrize("path", ["job", "flag"])
     def test_past_the_cap_is_usage_error(self, tmp_path, angles, path):
         if path == "job":
@@ -589,7 +591,8 @@ class TestGridAngles:
             result = invoke([*options, *argv])
             assert result.exit_code == 2, (argv, result.output)
             assert isinstance(result.exception, SystemExit)
-            assert f"angles must lie in [8, {GRID_ANGLES_MAX}], got {angles}" in result.output
+            assert (f"a grid holds at most {GRID_POINTS_MAX} points, got 1 radii x "
+                    f"{angles} angles") in result.output
 
 
 def many_radii(count):
@@ -599,7 +602,6 @@ def many_radii(count):
 class TestGridPoints:
     # radii x angles sizes a dump's sums; a certificate sums r_max alone
     def test_the_cap_is_accepted(self):
-        assert GridSpec(angles=GRID_ANGLES_MAX).total_points() <= GRID_POINTS_MAX
         at_cap = GridSpec(radii=many_radii(GRID_POINTS_MAX // 16), angles=16)
         assert at_cap.total_points() == GRID_POINTS_MAX
         with pytest.raises(DomainError, match=f"a grid holds at most {GRID_POINTS_MAX} points"):
@@ -610,16 +612,16 @@ class TestGridPoints:
         job = {"schema": 1, "grid": {"radii": many_radii(20000), "angles": 8},
                "operators": [CORPUS["operators"][2]]}
         if path == "job":
-            options, job["grid"]["angles"] = [], GRID_ANGLES_MAX
+            options, job["grid"]["angles"] = [], 65536
         else:
-            options = ["--grid-angles", str(GRID_ANGLES_MAX)]
+            options = ["--grid-angles", "65536"]
         job = write_job(tmp_path, job)
         for argv in (["certify", job], ["dump", "--job", job, "--operator", "ml-24"]):
             result = invoke([*options, *argv])
             assert result.exit_code == 2, (argv, result.output)
             assert isinstance(result.exception, SystemExit)
             assert (f"a grid holds at most {GRID_POINTS_MAX} points, got 20000 radii x "
-                    f"{GRID_ANGLES_MAX} angles") in result.output
+                    "65536 angles") in result.output
 
 
 class TestMain:
@@ -689,15 +691,33 @@ class TestMain:
         assert "mlstar" in capsys.readouterr().err
 
 
-def test_importing_the_cli_loads_only_numpy_beside_the_stdlib():
-    # the runtime dependency set: a fresh interpreter, so no test's imports count
+def test_importing_the_cli_loads_only_the_stdlib():
+    # the runtime dependency set, none: a fresh interpreter, so no test's imports count
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = ("import sys; before = set(sys.modules); import mlstar.cli; "
              "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
              " - set(sys.stdlib_module_names)))")
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          check=True, capture_output=True, text=True).stdout
-    assert out == "['mlstar', 'numpy']\n"
+    assert out == "['mlstar']\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orders", CORPUS_PATH],
+    ["certify", CORPUS_PATH],
+    ["dump", "--job", CORPUS_PATH, "--operator", "bound-110"],
+    ["eval", "--alpha", "2", "--beta", "3", "--z", "0.49", "--z", "0.5j"],
+    ["eval", "--job", CORPUS_PATH, "--operator", "star-24", "--z", "0.25"],
+], ids=["orders", "certify", "dump", "eval-function", "eval-operator"])
+def test_every_command_runs_without_numpy(argv):
+    # numpy blocked in a fresh interpreter: importing it raises ImportError
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys; sys.modules['numpy'] = None; from mlstar.cli import main; "
+             f"main({argv!r})")
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout and not done.stderr
 
 
 def tiny_beta_argv(tmp_path, command, beta):
@@ -772,7 +792,7 @@ def fuzz_jobs(draw):
             op["eta"] = draw(value(0))
     if draw(st.booleans()):
         op["predicted"] = draw(edge)
-    angles = draw(st.sampled_from([8, 9, 720, GRID_ANGLES_MAX + 1, 10**9]))
+    angles = draw(st.sampled_from([8, 9, 720, GRID_POINTS_MAX + 1, 10**9]))
     job = {"schema": 1, "grid": {"radii": [0.5, 0.999], "angles": angles}, "operators": [op]}
     tolerance = draw(st.dictionaries(st.sampled_from(["margin", "series"]), edge))
     if tolerance:

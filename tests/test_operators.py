@@ -21,14 +21,7 @@ from mlstar import (
     f_zeta_power,
     star_log_deriv,
 )
-from mlstar.certify import (
-    GridSpec,
-    VERDICT_FAIL,
-    _BASES,
-    _circle_basis,
-    _half_circle_sums,
-    sample_grid,
-)
+from mlstar.certify import GridSpec, VERDICT_FAIL, _circle_half, _circle_terms, sample_grid
 from mlstar.defaults import SERIES_TERM_CAP
 from mlstar.numerics import series_solve
 from mlstar.operators import (
@@ -40,6 +33,8 @@ from mlstar.operators import (
 
 from conftest import random_disk_points, table_deviation
 from oracles import (
+    _BASES,
+    _circle_basis,
     direct_series_raw,
     e24,
     exp_star_quantity,
@@ -520,8 +515,9 @@ class TestCoefficientEngine:
 
 
 class TestCircleSums:
-    """The grid sum, each circle's half times a cached cos/sin basis in a product of its own,
-    mirrored into the full circle, against pointwise Horner over the outermost circle's cut."""
+    """The grid sum, each circle's half by Horner on its own terms, mirrored into the full
+    circle, against pointwise Horner over the outermost circle's cut and against the
+    cos/sin basis that oracles keeps."""
 
     TOL = 1e-14
     PROBE = OperatorSpec((FactorSpec(MLParams(1.5, 2.0), 2.0), FactorSpec(MLParams(2.0, 3.0), 3.0)),
@@ -578,7 +574,7 @@ class TestCircleSums:
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     def test_the_half_is_the_first_half_of_the_circle(self, m):
-        # every circle is its own product, the certificate's; the product that summed
+        # every circle is its own Horner sum; the basis product that once summed
         # several circles at once differs from it in rounding alone
         grid = GridSpec(radii=(0.25, 0.5, 0.999), angles=m)
         table, cut = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
@@ -586,11 +582,11 @@ class TestCircleSums:
         together = half_circle_sums(grid.radii, m, table, count)
         for r, circle, row in zip(grid.radii, sample_grid(grid, table, cut), together,
                                   strict=True):
-            half = _half_circle_sums(r, m, table, count)
-            assert half.shape == row.shape == (m // 2 + 1,) and circle.shape == (m,)
-            assert np.array_equal(circle[: m // 2 + 1], half)
+            half = _circle_half(_circle_terms(table, count, r), m)
+            assert len(half) == row.shape[0] == m // 2 + 1 and len(circle) == m
+            assert circle[: m // 2 + 1] == half
             scale = np.sum(np.abs(table[:count]) * r ** np.arange(count))
-            assert np.max(np.abs(half - row)) <= 1e-15 * scale
+            assert np.max(np.abs(np.array(half) - row)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("rows, m", [(16, 8), (32, 9), (16, 720), (256, 4096)])
     def test_basis_is_exact_where_the_angle_is_0_or_pi(self, rows, m):
