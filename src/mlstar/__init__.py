@@ -42,12 +42,12 @@ from .orders import (
 )
 from .certify import (
     Certificate,
-    GridSpec,
     certify_convex,
     certify_ml_starlike,
     certify_starlike,
     check_log_deriv_bound,
 )
+from .jobs import GridSpec
 
 __all__ = [
     "__version__",

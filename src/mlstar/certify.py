@@ -1,19 +1,17 @@
 """Certificates for starlikeness and convexity orders on the circle |z| = r_max.
 
 A certificate compares a predicted order against the extremum of the
-certified quantity on the outermost circle |z| = r_max of a polar grid:
+certified quantity on the circle |z| = r_max, its one geometric input:
 Re zF'/F, Re(1 + zF''/F') and Re z E'/E are harmonic wherever the
 functions are nonvanishing, and |z E'/E - 1| is subharmonic, so each
-extremum over |z| <= r_max lies on that circle. Certificates take r_max;
-dump samples every radius.
+extremum over |z| <= r_max lies on that circle.
 
 Every certified quantity is summed from one coefficient table, cut once
-on r_max: |c_n| r^n grows with r, so that is a cut on the inner circles
-that dump sums too. A cut bounds every circle sum by the finite sum of
-|c_n| r_max^n, so no point fails alone: a certificate passes or fails
-whole. A singularity within reach of r_max, such as a zero of E, leaves
-the table without a cut; then no point is summed, and the certificate
-fails with _no_cut's reason.
+on r_max. A cut bounds every circle sum by the finite sum of |c_n| r_max^n,
+so no point fails alone: a certificate passes or fails whole. A
+singularity within reach of r_max, such as a zero of E, leaves the table
+without a cut; then nothing is summed, and the certificate fails with
+_no_cut's reason.
 
 On |z| = r_max, with t_n = c_n r_max^n for the cut, each certified
 quantity is a cosine polynomial S(theta) = sum a_n cos n theta, even in
@@ -21,21 +19,19 @@ theta, so [0, pi] holds its extremum: a = (1 + t_0, t_1, t_2, ...) is
 Re(1 + g) for the order kinds, and S = -|g|^2 = -(rho_0 + 2 sum rho_k
 cos k theta), with rho the autocorrelation of t, for the bound, whose
 maximum of |g| is the minimum of S. _extremum proves where the minimum of
-S lies to rounding, whatever the grid's angle count: the angle count
-shapes only dump and the grid a certificate echoes. Because
-1 - cos n phi <= n^2 (1 - cos phi), a_1 >= sum_{n>=2} n^2 |a_n| puts the
-minimum at theta = pi, and -a_1 >= sum_{n>=2} n^2 |a_n| puts it at 0,
-each with a rounding allowance; elsewhere a branch and bound on arcs
-brackets it to rounding. The extremum is proven
-for the summed cut; the tables' tails past the cut are extrapolated
-(operators._operator_cut), and r_max < 1 stands in for the boundary, so a
-certificate is still evidence about the disk, not a proof, and says so in
-its serialized form.
+S lies to rounding. Because 1 - cos n phi <= n^2 (1 - cos phi),
+a_1 >= sum_{n>=2} n^2 |a_n| puts the minimum at theta = pi, and
+-a_1 >= sum_{n>=2} n^2 |a_n| puts it at 0, each with a rounding
+allowance; elsewhere a branch and bound on arcs brackets it to rounding.
+The extremum is proven for the summed cut; the tables' tails past the cut
+are extrapolated (operators._operator_cut), and r_max < 1 stands in for
+the boundary, so a certificate is still evidence about the disk, not a
+proof, and says so in its serialized form.
 
 A circle sum is Horner in Python complex numbers: the terms t_n of the
-circle at e^(i theta). dump sums the half k = 0 ... M/2 of each circle and
-mirrors it: the tables are real, so the point M - k holds the conjugate
-of the value at k.
+circle at e^(i theta). The CLI's dump sums the half k = 0 ... M/2 of each
+circle with _circle_half and mirrors it: the tables are real, so the
+point M - k holds the conjugate of the value at k.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
-from .defaults import EVAL_TOLERANCE, GRID_ANGLES, GRID_POINTS_MAX, R_MAX, SERIES_TOL
+from .defaults import EVAL_TOLERANCE, R_MAX, SERIES_TOL
 from .errors import DomainError
 from .mittag_leffler import MLParams, _horner
 from .operators import (
@@ -61,13 +57,11 @@ from .operators import (
 from .orders import convex_delta, log_deriv_bound, ml_starlike_hypothesis, starlike_delta
 
 __all__ = [
-    "GridSpec",
     "Certificate",
     "certify_starlike",
     "certify_convex",
     "certify_ml_starlike",
     "check_log_deriv_bound",
-    "sample_grid",
     "QUANTITY_STARLIKE_OPERATOR",
     "QUANTITY_CONVEX_OPERATOR",
     "QUANTITY_STARLIKE_ML",
@@ -88,73 +82,20 @@ RULE_BISECTED = "bisected"   # the branch and bound bracketed it
 RULE_UNSUMMED = "unsummed"   # the table has no cut, so nothing was summed
 
 
-def default_radii(r_max: float = R_MAX) -> tuple:
-    base = [r for r in (0.25, 0.5, 0.75, 0.9, 0.99) if r < r_max]
-    return tuple(base + [r_max])
-
-
 def _real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        return math.inf if value > 0 else -math.inf
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Polar sampling plan: ascending radii plus a uniform angle count.
-
-    The open disk cannot be sampled at radius 1, so r_max < 1, the outermost
-    radius, stands in for the boundary; it is recorded in every certificate.
-    Certificates take r_max alone, whatever the angle count; dump samples
-    every radius at every angle. r_max alone (default R_MAX) picks
-    default_radii, radii alone set r_max; given both, they must agree. A
-    grid holds at most GRID_POINTS_MAX points, radii x angles.
-    """
-
-    radii: tuple = None
-    r_max: float = None
-    angles: int = GRID_ANGLES
-
-    def __post_init__(self):
-        r_max = None if self.r_max is None else _real(self.r_max, "r_max")
-        if r_max is not None and not 0.0 < r_max < 1.0:
-            raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
-        if self.radii is None:
-            radii = default_radii(R_MAX if r_max is None else r_max)
-        else:
-            radii = tuple(_real(r, "a radius") for r in self.radii)
-        if not radii:
-            raise DomainError("grid needs at least one radius")
-        for a, b in zip(radii, radii[1:]):
-            if not a < b:
-                raise DomainError(f"radii must ascend strictly, got {radii!r}")
-        if not (0.0 < radii[0] and radii[-1] < 1.0):
-            raise DomainError(f"radii must lie in (0, 1), got {radii!r}")
-        if r_max is not None and r_max != radii[-1]:
-            raise DomainError(f"r_max {r_max!r} is not the outermost radius {radii[-1]!r}")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "r_max", radii[-1])
-        if isinstance(self.angles, bool) or not isinstance(self.angles, numbers.Integral):
-            raise DomainError(f"angles must be an integer, got {self.angles!r}")
-        object.__setattr__(self, "angles", int(self.angles))
-        if self.angles < 8:
-            raise DomainError(f"angles must be at least 8, got {self.angles!r}")
-        if self.total_points() > GRID_POINTS_MAX:
-            raise DomainError(f"a grid holds at most {GRID_POINTS_MAX} points, got "
-                              f"{len(radii)} radii x {self.angles} angles")
-
-    def circle_angles(self) -> list:
-        return [self.circle_angle(k) for k in range(self.angles)]
-
-    def circle_angle(self, k: int) -> float:
-        """The angle 2 pi k/angles of point k of every circle."""
-        return 2.0 * math.pi * k / self.angles
-
-    def total_points(self) -> int:
-        return len(self.radii) * self.angles
-
-    def to_dict(self) -> dict:
-        return {"radii": list(self.radii), "r_max": self.r_max, "angles": self.angles}
+def _finite(value, name: str) -> float:
+    value = _real(value, name)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _circle_terms(table, count: int, r: float) -> list:
@@ -290,9 +231,9 @@ class Certificate:
     branch and bound refined. ``semantics`` names the rule, "endpoint",
     "bisected" or "unsummed". ``margin`` is always the distance into the
     safe side, so the pass rule is uniformly margin >= -eval_tolerance,
-    with hypotheses intact. A table without a cut on r_max is not summed:
-    ``reason`` says why, ``observed`` is NaN, all M points of r_max count as
-    failed, and the verdict is fail.
+    with hypotheses intact. ``argmin.radius`` is r_max. A table without a
+    cut on r_max is not summed: ``reason`` says why, ``observed`` is NaN,
+    and the verdict is fail. jobs.ReportDocument adds the job's grid.
     """
 
     quantity: str
@@ -300,18 +241,12 @@ class Certificate:
     observed: float
     argmin: EvalPoint
     margin: float
-    grid: GridSpec
     eval_tolerance: float
     verdict: str
     hypothesis_ok: bool
     reason: str = None
     series_tol: float = SERIES_TOL
     semantics: str = f"{RULE_ENDPOINT}-min certificate on |z| = r_max"
-
-    @property
-    def failed_count(self) -> int:
-        """The points of r_max left unsummed: none, or all M when there is a reason."""
-        return 0 if self.reason is None else self.grid.angles
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -329,11 +264,9 @@ class Certificate:
                 "im": self.argmin.z.imag,
             },
             "margin": clean(self.margin),
-            "grid": self.grid.to_dict(),
             "eval_tolerance": self.eval_tolerance,
             "verdict": self.verdict,
             "hypothesis_ok": self.hypothesis_ok,
-            "failed_points": {"count": self.failed_count, "reason": self.reason},
             "series_tol": self.series_tol,
             "semantics": self.semantics,
         }
@@ -343,24 +276,6 @@ class Certificate:
 # Q is 1 for the identity function, and the bound certificate needs |Q - 1|
 # itself, so no 1 is ever subtracted from a computed Q. Certificates project
 # the deviation, and the CLI's dump prints 1 + deviation.
-
-
-def sample_grid(grid: GridSpec, table, cut):
-    """Sum the quantity's table on each circle of the grid in turn, for dump.
-
-    cut is the table's cut on r_max, as _sized_table returns it. Returns
-    None when the table has no cut: then no point is summed. Otherwise it
-    returns an iterator over the radii in grid order that sums each circle
-    as it is reached: the deviation at all M angles, a list of complex
-    numbers. Each circle's half is summed by Horner from its own terms and
-    mirrored, so no circle moves with the others; at theta = 0 and pi the
-    sums are the real ones that _extremum takes there, bit for bit.
-    """
-    count, _ = cut
-    if not count:
-        return None
-    m = grid.angles
-    return (_mirror(_circle_half(_circle_terms(table, count, r), m), m) for r in grid.radii)
 
 
 def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool, summed: bool) -> str:
@@ -375,7 +290,7 @@ class _Claim(NamedTuple):
     """One certificate's prediction and sampled quantity, named ``sampled`` in dumps.
 
     The quantity minus 1 is the table coefficients(subject, tol, length);
-    ``table(radius, series_tol)`` sizes it for a grid's r_max and returns
+    ``table(radius, series_tol)`` sizes it for the radius and returns
     it with its cut there, so predicting evaluates no series.
     ``largest`` marks the bound, which certifies a maximum.
     """
@@ -392,30 +307,42 @@ class _Claim(NamedTuple):
         return _sized_table(self.coefficients, self.subject, radius, series_tol)
 
 
-def _certify(claim: _Claim, grid: GridSpec, eval_tolerance: float, series_tol: float,
+def _checked(r_max, eval_tolerance, series_tol, predicted) -> tuple:
+    """The public functions' numbers, or DomainError unless r_max lies in (0, 1),
+    eval_tolerance and predicted (or None) are finite and series_tol is real; a
+    job checks its own as it is parsed, so run_job calls _certify directly."""
+    r_max = _real(r_max, "r_max")
+    if not 0.0 < r_max < 1.0:
+        raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
+    eval_tolerance = _finite(eval_tolerance, "eval_tolerance")
+    series_tol = _real(series_tol, "series_tol")
+    if predicted is not None:
+        predicted = _finite(predicted, "predicted")
+    return r_max, eval_tolerance, series_tol, predicted
+
+
+def _certify(claim: _Claim, r_max: float, eval_tolerance: float, series_tol: float,
              predicted: float) -> Certificate:
-    """Take the claim's extremum on the grid's r_max and judge it against the prediction.
+    """Take the claim's extremum on |z| = r_max and judge it against the prediction.
 
     The margin is the distance into the safe side: observed - target for an
     order, target - observed for the bound.
     """
-    if series_tol > eval_tolerance:
+    if not series_tol <= eval_tolerance:
         raise DomainError(f"series tolerance {series_tol!r} exceeds the margin tolerance "
                           f"{eval_tolerance!r}")
-    grid = grid or GridSpec()
     target = claim.predicted if predicted is None else float(predicted)
-    table, (count, tail) = claim.table(grid.r_max, series_tol)
-    r = grid.r_max
+    table, (count, tail) = claim.table(r_max, series_tol)
     if count:
-        observed, theta, rule = _extremum(_circle_terms(table, count, r), claim.largest)
+        observed, theta, rule = _extremum(_circle_terms(table, count, r_max), claim.largest)
         reason = None
     else:
         observed, theta, rule = math.nan, 0.0, RULE_UNSUMMED
-        reason = _no_cut(table, r, tail)
+        reason = _no_cut(table, r_max, tail)
     margin = target - observed if claim.largest else observed - target
     verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, reason is None)
     return Certificate(
-        claim.quantity, target, observed, EvalPoint.from_polar(r, theta), margin, grid,
+        claim.quantity, target, observed, EvalPoint.from_polar(r_max, theta), margin,
         eval_tolerance, verdict, claim.hypothesis_ok, reason, series_tol,
         f"{rule}-{'max' if claim.largest else 'min'} certificate on |z| = r_max",
     )
@@ -431,18 +358,19 @@ def _starlike_claim(spec: OperatorSpec) -> _Claim:
 
 def certify_starlike(
     spec: OperatorSpec,
-    grid: GridSpec = None,
+    r_max: float = R_MAX,
     *,
     eval_tolerance: float = EVAL_TOLERANCE,
     series_tol: float = SERIES_TOL,
     predicted: float = None,
 ) -> Certificate:
-    """Certify Re(z F'/F) > delta over the grid for the rooted operator.
+    """Certify Re(z F'/F) > delta on |z| <= r_max for the rooted operator.
 
     ``predicted`` overrides the closed-form order; negative-control jobs
     use that to verify the certifier can fail.
     """
-    return _certify(_starlike_claim(spec), grid, eval_tolerance, series_tol, predicted)
+    return _certify(_starlike_claim(spec),
+                    *_checked(r_max, eval_tolerance, series_tol, predicted))
 
 
 def _convex_claim(factors) -> _Claim:
@@ -456,14 +384,15 @@ def _convex_claim(factors) -> _Claim:
 
 def certify_convex(
     factors,
-    grid: GridSpec = None,
+    r_max: float = R_MAX,
     *,
     eval_tolerance: float = EVAL_TOLERANCE,
     series_tol: float = SERIES_TOL,
     predicted: float = None,
 ) -> Certificate:
     """Certify Re(1 + z F''/F') > delta for the zeta-free operator."""
-    return _certify(_convex_claim(factors), grid, eval_tolerance, series_tol, predicted)
+    return _certify(_convex_claim(factors),
+                    *_checked(r_max, eval_tolerance, series_tol, predicted))
 
 
 def _ml_starlike_claim(params: MLParams, eta: float) -> _Claim:
@@ -478,14 +407,15 @@ def _ml_starlike_claim(params: MLParams, eta: float) -> _Claim:
 def certify_ml_starlike(
     params: MLParams,
     eta: float,
-    grid: GridSpec = None,
+    r_max: float = R_MAX,
     *,
     eval_tolerance: float = EVAL_TOLERANCE,
     series_tol: float = SERIES_TOL,
     predicted: float = None,
 ) -> Certificate:
     """Certify Re(z E'/E) > eta for one normalized function."""
-    return _certify(_ml_starlike_claim(params, eta), grid, eval_tolerance, series_tol, predicted)
+    return _certify(_ml_starlike_claim(params, eta),
+                    *_checked(r_max, eval_tolerance, series_tol, predicted))
 
 
 def _log_deriv_bound_claim(params: MLParams) -> _Claim:
@@ -498,16 +428,17 @@ def _log_deriv_bound_claim(params: MLParams) -> _Claim:
 
 def check_log_deriv_bound(
     params: MLParams,
-    grid: GridSpec = None,
+    r_max: float = R_MAX,
     *,
     eval_tolerance: float = EVAL_TOLERANCE,
     series_tol: float = SERIES_TOL,
     predicted: float = None,
 ) -> Certificate:
-    """Check the uniform bound on |z E'/E - 1| over the grid.
+    """Check the uniform bound on |z E'/E - 1| on |z| <= r_max.
 
     Passes when the observed maximum stays within eval_tolerance of the
     bound; the margin is bound - max so the sign convention matches the
     other certificates.
     """
-    return _certify(_log_deriv_bound_claim(params), grid, eval_tolerance, series_tol, predicted)
+    return _certify(_log_deriv_bound_claim(params),
+                    *_checked(r_max, eval_tolerance, series_tol, predicted))

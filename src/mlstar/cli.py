@@ -25,10 +25,11 @@ import sys
 from functools import partial
 
 from . import __version__
-from .certify import GridSpec, VERDICT_FAIL, VERDICT_HYPOTHESIS, sample_grid
+from .certify import VERDICT_FAIL, VERDICT_HYPOTHESIS, _circle_half, _circle_terms, _mirror
 from .defaults import SERIES_TOL
 from .errors import DomainError, JobFileError, MLStarError
 from .jobs import (
+    GridSpec,
     Job,
     KIND_CONVEX,
     KIND_STARLIKE,
@@ -230,9 +231,8 @@ def _print_text_report(report):
             f"observed={cert.observed:+.9f} margin={cert.margin:+.3e} "
             f"[{cert.verdict}] ({seconds:.2f}s)"
         )
-        if cert.failed_count:
-            print(f"{'':<{name_w}}  {cert.failed_count} grid points failed to evaluate: "
-                  f"{cert.reason}")
+        if cert.reason is not None:
+            print(f"{'':<{name_w}}  not summed: {cert.reason}")
     print(f"summary: {report.summary_verdict}")
 
 
@@ -241,30 +241,32 @@ def cmd_dump(args) -> int:
 
     Rows are emitted radius-major in grid order as radius,angle,re,im; the
     header carries a digest of the sampled spec so dumps are traceable.
-    dump samples every radius, a circle at a time. A certificate takes the
-    extremum on r_max itself, so every row on r_max lies on its safe side,
-    and a row at its argmin, theta = 0 or pi, holds the certificate's own
-    sum. A table without a cut on r_max sums no point: every row reads
-    error,error, and dump exits 3.
+    dump sums every radius, a circle's half at a time, mirrored, from the
+    table's cut on r_max, which holds on the inner circles too. A
+    certificate takes the extremum on r_max itself, so every row on r_max
+    lies on its safe side, and a row at its argmin, theta = 0 or pi, holds
+    the certificate's own sum. A table without a cut on r_max sums no
+    point: every row reads error,error, and dump exits 3.
     """
     job = _apply_overrides(load_job(args.job), args)
     op = _operator(job, args.operator)
     claim = _claim(op)
     digest_doc = {"operator": operator_to_dict(op), "grid": job.grid.to_dict()}
     with _open(args.output) as output:
-        circles = sample_grid(job.grid, *claim.table(job.grid.r_max, job.series_tol))
+        table, (count, _) = claim.table(job.grid.r_max, job.series_tol)
         out = output or sys.stdout
         out.write(f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}\n"
                   "radius,angle,re,im\n")
-        angles = job.grid.circle_angles()
+        m, angles = job.grid.angles, job.grid.circle_angles()
         for r in job.grid.radii:  # each circle is summed as it is written
-            if circles is None:
+            if not count:
                 rows = (f"{r!r},{theta!r},error,error" for theta in angles)
             else:
+                circle = _mirror(_circle_half(_circle_terms(table, count, r), m), m)
                 rows = (f"{r!r},{theta!r},{value.real!r},{value.imag!r}"
-                        for theta, value in zip(angles, (1.0 + v for v in next(circles))))
+                        for theta, value in zip(angles, (1.0 + v for v in circle)))
             out.write("\n".join(rows) + "\n")
-    return _EXIT_EVAL if circles is None else 0
+    return 0 if count else _EXIT_EVAL
 
 
 def _tolerance(text: str) -> float:
@@ -279,16 +281,16 @@ def _parser() -> argparse.ArgumentParser:
         prog="mlstar", allow_abbrev=False,
         description="Evaluate normalized Mittag-Leffler functions, build their integral "
                     "operators, and certify predicted orders of starlikeness and convexity "
-                    "by the extremum on the outermost circle of a polar grid.")
+                    "by the extremum on the circle |z| = r_max.")
     parser.add_argument("--version", action="version", version=f"mlstar, version {__version__}")
     parser.add_argument("--tol", type=_tolerance,
                         help="Series truncation tolerance (default 1e-14); it also cuts the "
                              "operators' series.")
     parser.add_argument("--grid-angles", type=int,
                         help="Override the number of angles per circle that dump samples; "
-                             "certificates only echo it.")
+                             "a certify report only echoes it.")
     parser.add_argument("--r-max", type=float,
-                        help="Override the outermost sampled radius (< 1).")
+                        help="Override the certificate radius, also dump's outermost circle (< 1).")
     parser.add_argument("--strict", action="store_true",
                         help="Treat hypothesis violations as failures (exit 1).")
     parser.add_argument("--format", choices=["text", "json"],

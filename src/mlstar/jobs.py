@@ -2,7 +2,8 @@
 
 Jobs are plain JSON with explicit keys and decimal numbers, so they are
 trivially reproducible and parseable from any language. Unknown keys are
-rejected everywhere.
+rejected everywhere. A job's grid gives its certificates their radius,
+r_max, and gives dump every circle it samples.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 from . import __version__
 from .certify import (
-    GridSpec,
     VERDICT_FAIL,
     VERDICT_HYPOTHESIS,
     VERDICT_PASS,
@@ -23,14 +24,15 @@ from .certify import (
     _convex_claim,
     _log_deriv_bound_claim,
     _ml_starlike_claim,
+    _real,
     _starlike_claim,
 )
-from .defaults import EVAL_TOLERANCE, SERIES_TOL
+from .defaults import EVAL_TOLERANCE, GRID_ANGLES, GRID_POINTS_MAX, R_MAX, SERIES_TOL
 from .errors import DomainError, JobFileError
 from .mittag_leffler import MLParams
 from .operators import FactorSpec, OperatorSpec
 
-__all__ = ["Job", "JobOperator", "ReportDocument", "load_job", "job_to_dict", "run_job"]
+__all__ = ["GridSpec", "Job", "JobOperator", "ReportDocument", "load_job", "job_to_dict", "run_job"]
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +47,65 @@ _GRID_KEYS = {"radii", "angles", "r_max"}
 _TOL_KEYS = {"margin", "quadrature", "series"}
 _FACTOR_KEYS = {"alpha", "beta", "lambda", "eta"}
 _OP_KEYS_COMMON = {"name", "kind", "predicted"}
+
+
+def default_radii(r_max: float = R_MAX) -> tuple:
+    base = [r for r in (0.25, 0.5, 0.75, 0.9, 0.99) if r < r_max]
+    return tuple(base + [r_max])
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """A job's polar grid: ascending radii plus a uniform angle count.
+
+    The open disk cannot be summed at radius 1, so r_max < 1, the outermost
+    radius and the radius of the job's certificates, stands in for the
+    boundary; dump samples every radius at every angle. r_max alone (default
+    R_MAX) picks default_radii, radii alone set r_max; given both, they must
+    agree. A grid holds at most GRID_POINTS_MAX points, radii x angles.
+    """
+
+    radii: tuple = None
+    r_max: float = None
+    angles: int = GRID_ANGLES
+
+    def __post_init__(self):
+        r_max = None if self.r_max is None else _real(self.r_max, "r_max")
+        if r_max is not None and not 0.0 < r_max < 1.0:
+            raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
+        if self.radii is None:
+            radii = default_radii(R_MAX if r_max is None else r_max)
+        else:
+            radii = tuple(_real(r, "a radius") for r in self.radii)
+        if not radii:
+            raise DomainError("grid needs at least one radius")
+        for a, b in zip(radii, radii[1:]):
+            if not a < b:
+                raise DomainError(f"radii must ascend strictly, got {radii!r}")
+        if not (0.0 < radii[0] and radii[-1] < 1.0):
+            raise DomainError(f"radii must lie in (0, 1), got {radii!r}")
+        if r_max is not None and r_max != radii[-1]:
+            raise DomainError(f"r_max {r_max!r} is not the outermost radius {radii[-1]!r}")
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "r_max", radii[-1])
+        if isinstance(self.angles, bool) or not isinstance(self.angles, numbers.Integral):
+            raise DomainError(f"angles must be an integer, got {self.angles!r}")
+        object.__setattr__(self, "angles", int(self.angles))
+        if self.angles < 8:
+            raise DomainError(f"angles must be at least 8, got {self.angles!r}")
+        if self.total_points() > GRID_POINTS_MAX:
+            raise DomainError(f"a grid holds at most {GRID_POINTS_MAX} points, got "
+                              f"{len(radii)} radii x {self.angles} angles")
+
+    def circle_angles(self) -> list:
+        """The angle 2 pi k/angles of each point k of every circle."""
+        return [2.0 * math.pi * k / self.angles for k in range(self.angles)]
+
+    def total_points(self) -> int:
+        return len(self.radii) * self.angles
+
+    def to_dict(self) -> dict:
+        return {"radii": list(self.radii), "r_max": self.r_max, "angles": self.angles}
 
 
 @dataclass(frozen=True)
@@ -303,12 +364,18 @@ class ReportDocument:
         return VERDICT_PASS
 
     def to_dict(self, include_timings: bool = True) -> dict:
+        """The report; each certificate entry also echoes the job's grid and,
+        in failed_points, the reason a table was not summed and a count: 0
+        with a cut, the grid's angle count without one."""
+        grid = self.job.grid
         out = {
             "schema": SCHEMA_VERSION,
             "tool": {"name": "mlstar", "version": __version__},
             "job": job_to_dict(self.job),
             "certificates": [
-                {"name": name, **cert.to_dict()}
+                {"name": name, **cert.to_dict(), "grid": grid.to_dict(),
+                 "failed_points": {"count": 0 if cert.reason is None else grid.angles,
+                                   "reason": cert.reason}}
                 for name, cert in zip(self.names, self.certificates)
             ],
             "summary": {"verdict": self.summary_verdict},
@@ -331,7 +398,7 @@ def run_job(job: Job) -> ReportDocument:
     report = ReportDocument(job)
     for op in job.operators:
         start = time.perf_counter()
-        certificate = _certify(_claim(op), job.grid, job.margin_tol, job.series_tol,
+        certificate = _certify(_claim(op), job.grid.r_max, job.margin_tol, job.series_tol,
                                op.predicted)
         report.names.append(op.name)
         report.certificates.append(certificate)

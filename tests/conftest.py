@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mlstar import operators
-from mlstar.certify import GridSpec, _ml_starlike_claim
+from mlstar.certify import _circle_half, _circle_terms, _mirror, _ml_starlike_claim
 from mlstar.errors import SeriesTruncationError
+from mlstar.jobs import GridSpec
 from mlstar.operators import _no_cut, _operator_cut
 
 from oracles import horner
@@ -27,6 +28,13 @@ def identity_product(monkeypatch):
         return [0.0] * length  # t P'/P = 0
 
     monkeypatch.setattr(operators, "_log_derivative_coefficients", constant)
+
+
+def dump_circles(radii, m, table, cut):
+    """The circles of m points that dump sums from a table with a cut on the outermost
+    radius: each circle's half by Horner from its own terms, mirrored."""
+    count, _ = cut
+    return [_mirror(_circle_half(_circle_terms(table, count, r), m), m) for r in radii]
 
 
 def random_disk_points(rng, count, r_max=0.999, r_min=0.0):

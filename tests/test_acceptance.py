@@ -26,7 +26,8 @@ from mlstar import (
     star_log_deriv,
     starlike_delta,
 )
-from mlstar.certify import GridSpec, VERDICT_PASS
+from mlstar.certify import VERDICT_PASS
+from mlstar.jobs import parse_job, run_job
 from mlstar.mittag_leffler import _coefficients
 from mlstar.numerics import series_solve
 
@@ -58,7 +59,7 @@ def test_criterion_1_oracle_equivalence(rng):
 def test_criterion_2_starlike_corpus_case():
     started = time.perf_counter()
     spec = OperatorSpec((FactorSpec(MLParams(2, 4), 1.0),), 1.0)
-    cert = certify_starlike(spec, GridSpec())
+    cert = certify_starlike(spec)
     elapsed = time.perf_counter() - started
     assert cert.predicted == 0.5
     assert cert.verdict == VERDICT_PASS
@@ -101,7 +102,7 @@ def test_criterion_4_convex_corpus():
     for beta, threshold in cases:
         for lam in (threshold, 2.0 * threshold):
             expected = 1.0 - threshold / lam
-            cert = certify_convex((FactorSpec(MLParams(2, beta), lam),), GridSpec())
+            cert = certify_convex((FactorSpec(MLParams(2, beta), lam),))
             assert cert.predicted == pytest.approx(expected, abs=1e-12)
             assert cert.verdict == VERDICT_PASS
             assert cert.margin >= 1e-6
@@ -117,7 +118,7 @@ def test_criterion_5_log_deriv_bound_sweep():
     slack = math.inf
     for alpha in (1.0, 1.5, 2.0, 3.0):
         for beta in (2.0, 3.0, 4.0, 10.0):
-            cert = check_log_deriv_bound(MLParams(alpha, beta), GridSpec())
+            cert = check_log_deriv_bound(MLParams(alpha, beta))
             assert cert.verdict == VERDICT_PASS
             assert cert.observed < phi(beta)  # strictly below the bound
             slack = min(slack, phi(beta) - cert.observed)
@@ -131,7 +132,7 @@ def test_criterion_6_ml_starlike_sweep():
     for eta in (0.0, 0.25, 0.5):
         beta = psi(eta) + 0.01
         for alpha in (1.0, 1.5, 2.0, 5.0):
-            cert = certify_ml_starlike(MLParams(alpha, beta), eta, GridSpec())
+            cert = certify_ml_starlike(MLParams(alpha, beta), eta)
             assert cert.verdict == VERDICT_PASS
             assert cert.observed >= eta - 1e-6
             worst = min(worst, cert.observed - eta)
@@ -139,10 +140,9 @@ def test_criterion_6_ml_starlike_sweep():
 
 
 def test_criterion_7_negative_control(tmp_path):
-    grid = GridSpec(radii=(0.9, 0.999), angles=180)
     spec = OperatorSpec((FactorSpec(MLParams(2, 4), 1.0),), 1.0)
-    observed_star = certify_starlike(spec, grid).observed
-    observed_convex = certify_convex((FactorSpec(MLParams(2, 2), 5.0),), grid).observed
+    observed_star = certify_starlike(spec, 0.999).observed
+    observed_convex = certify_convex((FactorSpec(MLParams(2, 2), 5.0),), 0.999).observed
     control = {
         "schema": 1,
         "grid": {"radii": [0.9, 0.999], "angles": 180},
@@ -197,15 +197,16 @@ def test_criterion_8_property_suites(rng):
     assert len(orders) >= 5
     assert min(orders) >= 1.9
 
-    # boundary dominance and angle-refinement stability
+    # boundary dominance, and a job's radii and angles leave its certificates alone
     spec = OperatorSpec((FactorSpec(MLParams(2, 4), 1.0),), 1.0)
-    grid = GridSpec(radii=(0.5, 0.999), angles=360)
-    outer = GridSpec(radii=(0.999,), angles=360)
-    full_cert = certify_starlike(spec, grid)
-    assert abs(full_cert.observed - certify_starlike(spec, outer).observed) \
-        <= 2.0 * full_cert.eval_tolerance
-    fine = certify_starlike(spec, GridSpec(radii=(0.999,), angles=720))
-    assert abs(full_cert.observed - fine.observed) < 1e-4
+    assert certify_starlike(spec, 0.5).observed >= certify_starlike(spec, 0.999).observed
+    star = {"name": "star-24", "kind": "starlike", "zeta": 1.0,
+            "factors": [{"alpha": 2, "beta": 4, "lambda": 1}]}
+    certificates = [
+        run_job(parse_job({"schema": 1, "grid": grid, "operators": [star]})).certificates
+        for grid in ({"radii": [0.5, 0.999], "angles": 360}, {"radii": [0.999], "angles": 720})
+    ]
+    assert certificates[0] == certificates[1]
 
     # log-derivative additivity on coefficient tables: t (AB)'/(AB) = t A'/A + t B'/B
     def log_derivative(table):

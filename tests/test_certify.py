@@ -20,17 +20,17 @@ from mlstar import (
 )
 from mlstar import certify as certify_module
 from mlstar.certify import (
-    GridSpec,
     QUANTITY_LOG_DERIV_BOUND,
     QUANTITY_STARLIKE_ML,
     VERDICT_FAIL,
     VERDICT_HYPOTHESIS,
     VERDICT_PASS,
-    default_radii,
-    sample_grid,
 )
-from mlstar.defaults import GRID_POINTS_MAX, SERIES_TOL
-from mlstar.jobs import _claim, load_job, run_job
+from mlstar.defaults import GRID_POINTS_MAX, R_MAX, SERIES_TOL
+from mlstar.jobs import GridSpec, _claim, default_radii, load_job, parse_job, run_job
+
+from cli_runner import invoke
+from conftest import dump_circles
 
 from oracles import (
     brute_max_abs_dev,
@@ -41,8 +41,38 @@ from oracles import (
 )
 
 
+CORPUS_PATH = Path(__file__).resolve().parent.parent / "jobs" / "corpus.json"
+
+
 def single(alpha, beta, lam=1.0, zeta=1.0, eta=0.0):
     return OperatorSpec((FactorSpec(MLParams(alpha, beta), lam, eta),), zeta)
+
+
+OPERATORS = {  # one job operator of each kind
+    "starlike": {"name": "starlike", "kind": "starlike", "zeta": 1.0,
+                 "factors": [{"alpha": 2, "beta": 4, "lambda": 1}]},
+    "convex": {"name": "convex", "kind": "convex",
+               "factors": [{"alpha": 2, "beta": 4, "lambda": 5}]},
+    "ml-starlike": {"name": "ml-starlike", "kind": "ml-starlike",
+                    "alpha": 1.2, "beta": 1.7, "eta": 0.0},
+    "log-deriv-bound": {"name": "log-deriv-bound", "kind": "log-deriv-bound",
+                        "alpha": 1.2, "beta": 1.7},
+}
+
+
+# one certificate of each kind, called with keyword arguments; OPERATORS' keys name them
+RUNS = [
+    lambda **kw: certify_starlike(single(2, 4), **kw),
+    lambda **kw: certify_convex(single(2, 4, lam=5.0).factors, **kw),
+    lambda **kw: certify_ml_starlike(MLParams(2, 4), 0.0, **kw),
+    lambda **kw: check_log_deriv_bound(MLParams(2, 4), **kw),
+]
+
+
+def job_certificates(grid: dict, operators=tuple(OPERATORS.values())) -> list:
+    """run_job's certificates of the operators on a job grid, as their dicts."""
+    job = parse_job({"schema": 1, "grid": grid, "operators": list(operators)})
+    return [cert.to_dict() for cert in run_job(job).certificates]
 
 
 class TestGridSpec:
@@ -86,6 +116,9 @@ class TestGridSpec:
         for radius in ("0.5", False, np.bool_(True), None, 0.5j):
             with pytest.raises(DomainError, match="a radius must be a number"):
                 GridSpec(radii=(0.25, radius))
+        for r_max in (10**400, -10**400):  # past the double range
+            with pytest.raises(DomainError, match="r_max must lie in"):
+                GridSpec(r_max=r_max)
         for r in (0.5, np.float64(0.5), np.float32(0.5)):
             assert GridSpec(radii=(0.25, r)).radii == (0.25, 0.5)
             assert GridSpec(r_max=r).radii == (0.25, 0.5)
@@ -110,7 +143,7 @@ class TestGridSpec:
 
 class TestStarlikeCertificates:
     def test_identity_product_stub(self, identity_product, small_grid):
-        cert = certify_starlike(single(2, 4), small_grid)
+        cert = certify_starlike(single(2, 4), small_grid.r_max)
         assert cert.observed == pytest.approx(1.0, abs=1e-12)
         # a constant quantity meets the n^2 test at theta = 0, which is tried first
         assert cert.argmin.radius == small_grid.r_max
@@ -119,14 +152,14 @@ class TestStarlikeCertificates:
         assert cert.verdict == VERDICT_PASS
 
     def test_corpus_case_passes(self, small_grid):
-        cert = certify_starlike(single(2, 4), small_grid)
+        cert = certify_starlike(single(2, 4), small_grid.r_max)
         assert cert.predicted == 0.5
         assert cert.verdict == VERDICT_PASS
         assert cert.margin >= 1e-6
-        assert cert.failed_count == 0
+        assert cert.reason is None
 
     def test_exponential_case_against_brute_force(self, small_grid):
-        cert = certify_starlike(single(1, 1), small_grid)
+        cert = certify_starlike(single(1, 1), small_grid.r_max)
         oracle = brute_min_re(
             exp_star_quantity, small_grid.radii, 10 * small_grid.angles
         )
@@ -135,7 +168,7 @@ class TestStarlikeCertificates:
         assert cert.observed - oracle <= 5e-3
 
     def test_prediction_override(self, small_grid):
-        cert = certify_starlike(single(2, 4), small_grid, predicted=2.0)
+        cert = certify_starlike(single(2, 4), small_grid.r_max, predicted=2.0)
         assert cert.verdict == VERDICT_FAIL
         assert cert.margin < 0.0
 
@@ -145,15 +178,14 @@ class TestStarlikeCertificates:
             FactorSpec(MLParams(2.0, 4.0), 4.0, eta=0.0),
         )
         spec = OperatorSpec(factors, 2.0)
-        grid = GridSpec(radii=(0.9, 0.999), angles=180)
-        cert = certify_starlike(spec, grid)
+        cert = certify_starlike(spec, 0.999)
         assert cert.hypothesis_ok  # 0.25/2 + 1/4 = 0.625 <= zeta
         assert cert.verdict == VERDICT_PASS
         assert cert.margin >= 1e-6
 
     def test_weight_sum_above_zeta_flags_hypothesis(self):
         spec = single(2, 4, lam=1.0, zeta=0.5)  # 1/lambda = 1 > zeta
-        cert = certify_starlike(spec, GridSpec(radii=(0.999,), angles=90))
+        cert = certify_starlike(spec, 0.999)
         assert cert.verdict == VERDICT_HYPOTHESIS
         assert not cert.hypothesis_ok
 
@@ -167,65 +199,64 @@ class TestStarlikeCertificates:
             ),
             1.7,
         )
-        cert = certify_starlike(spec, GridSpec(radii=(0.9, 0.999), angles=180))
+        cert = certify_starlike(spec, 0.999)
         assert cert.verdict == VERDICT_PASS
-        assert cert.failed_count == 0
+        assert cert.reason is None
         assert cert.margin >= 1e-6
 
 
 class TestConvexCertificates:
     def test_threshold_cases_pass(self, small_grid):
         for beta, lam in ((2.0, 5.0), (4.0, 9.0 / 11.0)):
-            cert = certify_convex((FactorSpec(MLParams(2, beta), lam),), small_grid)
+            cert = certify_convex((FactorSpec(MLParams(2, beta), lam),), small_grid.r_max)
             assert cert.predicted == pytest.approx(0.0, abs=1e-15)
             assert cert.verdict == VERDICT_PASS
             assert cert.margin >= 1e-6
 
     def test_huge_lambda_degenerates_to_identity(self, small_grid):
-        cert = certify_convex((FactorSpec(MLParams(2, 2), 1e6),), small_grid)
+        cert = certify_convex((FactorSpec(MLParams(2, 2), 1e6),), small_grid.r_max)
         assert cert.observed == pytest.approx(1.0, abs=1e-3)
 
     def test_hypothesis_flag(self, small_grid):
         factors = (FactorSpec(MLParams(2, 4), 2.0), FactorSpec(MLParams(2, 3), 2.0))
-        cert = certify_convex(factors, small_grid)
+        cert = certify_convex(factors, small_grid.r_max)
         assert cert.verdict == VERDICT_HYPOTHESIS
         assert not cert.hypothesis_ok
 
 
 class TestMLCertificates:
     def test_high_beta_case(self, small_grid):
-        cert = certify_ml_starlike(MLParams(2, 4), 0.0, small_grid)
+        cert = certify_ml_starlike(MLParams(2, 4), 0.0, small_grid.r_max)
         assert cert.quantity == QUANTITY_STARLIKE_ML
         assert cert.verdict == VERDICT_PASS
         assert cert.hypothesis_ok
 
     def test_exponential_case_observed_minimum(self, small_grid):
         # z E'/E = 1 + z, minimized at z = -r_max
-        cert = certify_ml_starlike(MLParams(1, 1), 0.0, small_grid)
+        cert = certify_ml_starlike(MLParams(1, 1), 0.0, small_grid.r_max)
         assert cert.observed == pytest.approx(1.0 - small_grid.r_max, abs=1e-12)
         assert cert.verdict == VERDICT_HYPOTHESIS  # beta = 1 < psi(0)
 
     def test_subset_monotonicity(self):
-        inner = certify_ml_starlike(MLParams(2, 4), 0.0, GridSpec(radii=(0.1,), angles=64))
-        outer = certify_ml_starlike(MLParams(2, 4), 0.0, GridSpec(radii=(0.999,), angles=64))
+        inner = certify_ml_starlike(MLParams(2, 4), 0.0, 0.1)
+        outer = certify_ml_starlike(MLParams(2, 4), 0.0, 0.999)
         assert inner.observed >= outer.observed
 
 
 class TestDeviationBound:
     def test_bound_holds(self, small_grid):
-        cert = check_log_deriv_bound(MLParams(2, 2), small_grid)
+        cert = check_log_deriv_bound(MLParams(2, 2), small_grid.r_max)
         assert cert.quantity == QUANTITY_LOG_DERIV_BOUND
         assert cert.predicted == pytest.approx(5.0)
         assert cert.observed < 5.0
         assert cert.verdict == VERDICT_PASS
 
     def test_small_radius_region_is_tame(self):
-        grid = GridSpec(radii=(0.01,), angles=32)
-        cert = check_log_deriv_bound(MLParams(2, 2), grid)
+        cert = check_log_deriv_bound(MLParams(2, 2), 0.01)
         assert cert.observed <= 0.01
 
     def test_observed_max_matches_brute_force(self, small_grid):
-        cert = check_log_deriv_bound(MLParams(2, 4), small_grid)
+        cert = check_log_deriv_bound(MLParams(2, 4), small_grid.r_max)
         oracle = brute_max_abs_dev(
             lambda z: e24_log_deriv(z) if abs(z) > 1e-12 else 1.0,
             small_grid.radii,
@@ -236,12 +267,12 @@ class TestDeviationBound:
 
     def test_beta_at_golden_ratio_rejected(self, small_grid):
         with pytest.raises(DomainError):
-            check_log_deriv_bound(MLParams(1, 1.6), small_grid)
+            check_log_deriv_bound(MLParams(1, 1.6), small_grid.r_max)
 
 
 class TestEmpiricalOrder:
     """The prediction-free grid minimum: the plain-loop oracle over the
-    scalar path against the certificate's vectorized scan."""
+    scalar path against the certificate's extremum."""
 
     def test_constant_stub(self):
         assert brute_min_re(lambda z: 1.0, (0.5,), 8) == pytest.approx(1.0)
@@ -250,94 +281,127 @@ class TestEmpiricalOrder:
         params = MLParams(1, 1)
         value = brute_min_re(lambda z: log_deriv(params, z), small_grid.radii, small_grid.angles)
         assert value == pytest.approx(1.0 - small_grid.r_max, abs=1e-12)
-        cert = certify_ml_starlike(params, 0.0, small_grid)
+        cert = certify_ml_starlike(params, 0.0, small_grid.r_max)
         # z E'/E = 1 + z: the table sums it to 1e-15, the scalar ratio to 1e-14
         assert cert.observed == pytest.approx(1.0 - small_grid.r_max, abs=1e-15)
         assert cert.observed == pytest.approx(value, abs=1e-14)
 
     def test_more_radii_can_only_lower_the_minimum(self):
-        params = MLParams(2, 4)
-        one = certify_ml_starlike(params, 0.0, GridSpec(radii=(0.5,), angles=32))
-        two = certify_ml_starlike(params, 0.0, GridSpec(radii=(0.5, 0.9), angles=32))
-        assert two.observed <= one.observed
-        assert one.observed == pytest.approx(
-            brute_min_re(lambda z: log_deriv(params, z), (0.5,), 32), abs=1e-15
+        # the minimum lies on r_max, so jobs that add inner radii give equal certificates
+        op = {"name": "ml-2-4", "kind": "ml-starlike", "alpha": 2, "beta": 4, "eta": 0}
+        [one] = job_certificates({"radii": [0.5], "angles": 32}, [op])
+        [two] = job_certificates({"radii": [0.1, 0.25, 0.5], "angles": 32}, [op])
+        assert two == one
+        assert one["observed"] == pytest.approx(
+            brute_min_re(lambda z: log_deriv(MLParams(2, 4), z), (0.5,), 32), abs=1e-15
         )
 
 
 class TestGridInvariants:
-    def test_boundary_dominance(self, small_grid):
+    def test_boundary_dominance(self):
         # harmonic real parts take their disk minimum on the outer circle;
-        # |zE'/E - 1| is subharmonic, so its maximum also lives there
-        outer = GridSpec(radii=(small_grid.r_max,), angles=small_grid.angles)
+        # |zE'/E - 1| is subharmonic, so its maximum also lives there: a certificate
+        # on an inner circle lies on the safe side of the one on r_max
         cases = [
-            lambda g: certify_starlike(single(2, 4), g),
-            lambda g: certify_convex((FactorSpec(MLParams(2, 2), 5.0),), g),
-            lambda g: certify_ml_starlike(MLParams(2, 4), 0.0, g),
-            lambda g: check_log_deriv_bound(MLParams(2, 3), g),
+            (lambda r: certify_starlike(single(2, 4), r), False),
+            (lambda r: certify_convex((FactorSpec(MLParams(2, 2), 5.0),), r), False),
+            (lambda r: certify_ml_starlike(MLParams(2, 4), 0.0, r), False),
+            (lambda r: check_log_deriv_bound(MLParams(2, 3), r), True),
         ]
-        for run in cases:
-            full = run(small_grid)
-            boundary = run(outer)
-            assert abs(full.observed - boundary.observed) <= 2.0 * full.eval_tolerance
+        for run, largest in cases:
+            boundary = run(0.999).observed
+            for r in (0.5, 0.9):
+                inner = run(r).observed
+                assert (inner <= boundary + 1e-12) if largest else (inner >= boundary - 1e-12)
 
     def test_angle_refinement_stability(self):
-        coarse = GridSpec(radii=(0.999,), angles=720)
-        fine = GridSpec(radii=(0.999,), angles=1440)
-        runs = [
-            lambda g: certify_starlike(single(2, 4), g),
-            lambda g: certify_convex((FactorSpec(MLParams(2, 2), 5.0),), g),
-            lambda g: certify_ml_starlike(MLParams(2, 4), 0.0, g),
-            lambda g: check_log_deriv_bound(MLParams(2, 3), g),
-        ]
-        for run in runs:
-            assert abs(run(coarse).observed - run(fine).observed) < 1e-4
+        # the angle count shapes dump alone: jobs at 720 and 1440 angles certify alike
+        coarse = job_certificates({"radii": [0.999], "angles": 720})
+        assert job_certificates({"radii": [0.999], "angles": 1440}) == coarse
 
     def test_certificates_are_deterministic(self, small_grid):
-        one = certify_starlike(single(2, 4), small_grid)
-        two = certify_starlike(single(2, 4), small_grid)
+        one = certify_starlike(single(2, 4), small_grid.r_max)
+        two = certify_starlike(single(2, 4), small_grid.r_max)
         assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(
             two.to_dict(), sort_keys=True
         )
 
 
 class TestSeriesTolerance:
-    @pytest.mark.parametrize("run", [
-        lambda tol: certify_starlike(single(2, 4), series_tol=tol),
-        lambda tol: certify_convex(single(2, 4, lam=5.0).factors, series_tol=tol),
-        lambda tol: certify_ml_starlike(MLParams(2, 4), 0.0, series_tol=tol),
-        lambda tol: check_log_deriv_bound(MLParams(2, 4), series_tol=tol),
-    ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
+    @pytest.mark.parametrize("run", RUNS, ids=OPERATORS)
     def test_series_tolerance_above_the_margin_is_refused(self, run):
         # the truncation error could otherwise exceed the margin the verdict allows
         with pytest.raises(DomainError, match="exceeds the margin tolerance"):
-            run(0.05)
+            run(series_tol=0.05)
+
+
+class TestRefusals:
+    """Each numeric input of the certificate API is checked, since unchecked a NaN
+    tolerance fails a good claim, an infinite one passes any margin, a NaN prediction
+    gives a NaN margin, and a string prediction is read as a number."""
+
+    @pytest.mark.parametrize("r_max", ["0.5", True, 0, 1, math.nan, -0.5, math.inf, None,
+                                       pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("run", RUNS, ids=OPERATORS)
+    def test_r_max_outside_the_disk_or_not_a_number(self, run, r_max):
+        with pytest.raises(DomainError, match="r_max must"):
+            run(r_max=r_max)
+
+    @pytest.mark.parametrize("tolerance, message", [
+        (math.nan, "eval_tolerance must be finite"),
+        (math.inf, "eval_tolerance must be finite"),
+        ("1e-6", "eval_tolerance must be a number"),
+        (True, "eval_tolerance must be a number"),
+        (1e-15, "exceeds the margin tolerance"),
+    ])
+    @pytest.mark.parametrize("run", RUNS, ids=OPERATORS)
+    def test_eval_tolerance_finite_and_past_the_series_tolerance(self, run, tolerance, message):
+        with pytest.raises(DomainError, match=message):
+            run(eval_tolerance=tolerance)
+
+    @pytest.mark.parametrize("predicted, message", [
+        (math.nan, "predicted must be finite"),
+        (-math.inf, "predicted must be finite"),
+        ("0.5", "predicted must be a number"),
+        (False, "predicted must be a number"),
+        pytest.param(-10**400, "predicted must be finite, got -inf", id="-10**400"),
+    ])
+    @pytest.mark.parametrize("run", RUNS, ids=OPERATORS)
+    def test_predicted_is_none_or_a_finite_number(self, run, predicted, message):
+        with pytest.raises(DomainError, match=message):
+            run(predicted=predicted)
+
+    def test_numpy_numbers_are_accepted_as_floats(self):
+        cert = certify_ml_starlike(MLParams(2, 4), 0.0, np.float64(0.9),
+                                   eval_tolerance=np.float64(1e-6), predicted=np.float32(0.25))
+        assert (cert.argmin.radius, cert.eval_tolerance, cert.predicted) == (0.9, 1e-6, 0.25)
+        assert {type(x) for x in (cert.argmin.radius, cert.eval_tolerance, cert.predicted)} \
+            == {float}
+        assert cert.verdict == VERDICT_PASS
 
 
 class TestFailurePolicy:
     def test_zero_of_e_fails_every_point(self):
         # E_{1,0.2} vanishes at -0.2448: z E'/E has a pole there, so its table
-        # has no cut on the outermost circle, and every point of that circle fails
-        grid = GridSpec(radii=(0.2, 0.5, 0.999), angles=64)
-        cert = certify_ml_starlike(MLParams(1, 0.2), 0.0, grid)
+        # has no cut on r_max, and the certificate sums nothing
+        cert = certify_ml_starlike(MLParams(1, 0.2), 0.0, 0.999)
         assert cert.verdict == VERDICT_FAIL and not cert.hypothesis_ok
-        assert cert.failed_count == 64 == grid.angles
         assert math.isnan(cert.observed) and cert.to_dict()["observed"] is None
         assert (cert.argmin.radius, cert.argmin.angle) == (0.999, 0.0)
         assert cert.reason.startswith("series at |z| = 0.999 keeps a tail of ")
-        assert cert.to_dict()["failed_points"] == {"count": 64, "reason": cert.reason}
+        assert "grid" not in cert.to_dict() and "failed_points" not in cert.to_dict()
+        # a report entry counts the job's angles as failed, and gives the reason
+        job = parse_job({"schema": 1, "grid": {"radii": [0.2, 0.5, 0.999], "angles": 64},
+                         "operators": [{"name": "e-1-0.2", "kind": "ml-starlike",
+                                        "alpha": 1, "beta": 0.2, "eta": 0}]})
+        [entry] = run_job(job).to_dict()["certificates"]
+        assert entry["failed_points"] == {"count": 64, "reason": cert.reason}
 
-    @pytest.mark.parametrize("run", [
-        lambda grid: certify_starlike(single(2, 4), grid),
-        lambda grid: certify_convex(single(2, 4, lam=5.0).factors, grid),
-        lambda grid: certify_ml_starlike(MLParams(2, 4), 0.0, grid),
-        lambda grid: check_log_deriv_bound(MLParams(2, 4), grid),
-    ], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
+    @pytest.mark.parametrize("run", RUNS, ids=OPERATORS)
     def test_truncation_fails_its_circle_for_every_kind(self, monkeypatch, run):
-        # the table's one circle is the outermost; without a cut there, all its points fail
+        # the table's one circle is r_max; without a cut there, the certificate fails whole
         monkeypatch.setattr(certify_module, "_sized_table", no_cut_table)
-        cert = run(GridSpec(radii=(0.5, 0.999), angles=64))
-        assert cert.failed_count == 64
+        cert = run(r_max=0.999)
         assert cert.verdict == VERDICT_FAIL
         assert cert.reason == "series at |z| = 0.999 keeps a tail of 1 after 8 terms"
         assert math.isnan(cert.observed)
@@ -362,17 +426,16 @@ def test_certificates_pass_or_fail_whole():
         lambda: certify_module._ml_starlike_claim(params(), 0.0),
         lambda: certify_module._log_deriv_bound_claim(params()),
     )
-    grid = GridSpec(angles=64)
-    counts = {0: 0, 64: 0}
+    counts = {"summed": 0, "unsummed": 0}
     for _ in range(400):
         try:
             claim = claims[rng.integers(4)]()
         except DomainError:  # convex and bound claims refuse beta below the golden ratio
             continue
-        cert = certify_module._certify(claim, grid, 1e-6, SERIES_TOL, None)
-        counts[cert.failed_count] += 1
-        if cert.failed_count == 0:
-            circles = sample_grid(grid, *claim.table(grid.r_max, SERIES_TOL))
+        cert = certify_module._certify(claim, R_MAX, 1e-6, SERIES_TOL, None)
+        counts["summed" if cert.reason is None else "unsummed"] += 1
+        if cert.reason is None:
+            circles = dump_circles(default_radii(), 64, *claim.table(R_MAX, SERIES_TOL))
             assert all(np.all(np.isfinite(c)) for c in circles) and math.isfinite(cert.observed)
         else:
             assert math.isnan(cert.observed) and cert.verdict == VERDICT_FAIL
@@ -387,14 +450,14 @@ def no_cut_table(coefficients, subject, radius, tol):
 
 def test_the_outermost_circle_alone_gives_each_corpus_certificate():
     # a certificate sums and scans r_max alone, so the inner radii cannot move it
-    job = load_job(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
+    job = load_job(CORPUS_PATH)
     full = run_job(job).certificates
     outer = run_job(dataclasses.replace(job, grid=GridSpec(radii=(0.999,)))).certificates
     assert len(full) == len(outer) == 7
     for one, other in zip(full, outer):
         assert one.observed == other.observed
         assert one.argmin == other.argmin
-        assert one.argmin.radius == 0.999 and one.failed_count == 0
+        assert one.argmin.radius == 0.999 and one.reason is None
 
 
 def rounding(terms):
@@ -405,7 +468,7 @@ def rounding(terms):
 def assert_rows_on_the_safe_side(cert, grid, table, cut, largest):
     """Every row of r_max lies on the safe side of observed, up to rounding; where the
     argmin is a grid angle, the row there equals observed within 2 ulps."""
-    outer = np.array(list(sample_grid(grid, table, cut))[-1])
+    [outer] = np.array(dump_circles((grid.r_max,), grid.angles, table, cut))
     values = np.abs(outer) if largest else 1.0 + outer.real
     beyond = values - cert.observed if largest else cert.observed - values
     assert np.max(beyond) <= rounding(certify_module._circle_terms(table, cut[0], grid.r_max))
@@ -420,7 +483,7 @@ def assert_rows_on_the_safe_side(cert, grid, table, cut, largest):
 
 def test_dump_row_on_r_max_lies_on_the_safe_side_of_each_corpus_certificate():
     # every corpus extremum lies at theta = 0 or pi, both grid angles at 720
-    job = load_job(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
+    job = load_job(CORPUS_PATH)
     for op, cert in zip(job.operators, run_job(job).certificates):
         claim = _claim(op)
         table, cut = claim.table(job.grid.r_max, job.series_tol)
@@ -429,38 +492,36 @@ def test_dump_row_on_r_max_lies_on_the_safe_side_of_each_corpus_certificate():
 
 
 def test_each_dump_circle_is_summed_alone_bit_for_bit():
-    # no circle moves with the others: each equals the sum on a grid of that radius alone
-    job = load_job(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
+    # no circle moves with the others: dump's rows of each radius are 1 + that circle's
+    # own sum from the cut on r_max
+    job = load_job(CORPUS_PATH)
+    m = job.grid.angles
     for op in job.operators:
         table, cut = _claim(op).table(job.grid.r_max, job.series_tol)
-        circles = list(sample_grid(job.grid, table, cut))
-        assert len(circles) == len(job.grid.radii) == 6
-        for r, circle in zip(job.grid.radii, circles):
-            [alone] = sample_grid(GridSpec(radii=(r,), angles=job.grid.angles), table, cut)
-            assert np.array_equal(circle, alone), (op.name, r)
+        result = invoke(["dump", "--job", str(CORPUS_PATH), "--operator", op.name])
+        assert result.exit_code == 0, result.output
+        rows = [row.split(",") for row in result.output.splitlines()[2:]]
+        assert len(rows) == len(job.grid.radii) * m == 6 * 720
+        for k, r in enumerate(job.grid.radii):
+            [alone] = dump_circles((r,), m, table, cut)
+            assert [complex(float(re), float(im)) for _, _, re, im in rows[k * m:(k + 1) * m]] \
+                == [1.0 + v for v in alone], (op.name, r)
 
 
-@pytest.mark.parametrize("run", [
-    lambda grid: certify_starlike(single(2, 4), grid),
-    lambda grid: certify_convex(single(2, 4, lam=5.0).factors, grid),
-    lambda grid: certify_ml_starlike(MLParams(1.2, 1.7), 0.0, grid),
-    lambda grid: check_log_deriv_bound(MLParams(1.2, 1.7), grid),
-], ids=["starlike", "convex", "ml-starlike", "log-deriv-bound"])
-def test_inner_radii_leave_the_certificate_unchanged(run):
-    def report(radii):
-        doc = run(GridSpec(radii=(*radii, 0.97), angles=90)).to_dict()
-        doc.pop("grid")
-        return json.dumps(doc, sort_keys=True)
+@pytest.mark.parametrize("kind", OPERATORS)
+def test_inner_radii_leave_the_certificate_unchanged(kind):
+    def certificate(radii):
+        return job_certificates({"radii": [*radii, 0.97], "angles": 90}, [OPERATORS[kind]])
 
     rng = np.random.default_rng(15)
-    expected = report(())
+    expected = certificate(())
     for size in (1, 2, 5, 12):
         inner = np.sort(rng.uniform(0.01, 0.96, size))
-        assert report(tuple(inner.tolist())) == expected
+        assert certificate(inner.tolist()) == expected
 
 
 class TestHalfCircleScan:
-    """The certificate's extremum against every point of sample_grid's outer row: each
+    """The certificate's extremum against every point of dump's outer row: each
     lies on its safe side, up to rounding, and the row at a grid argmin equals it."""
 
     PROBE = OperatorSpec((FactorSpec(MLParams(1.5, 2.0), 2.0), FactorSpec(MLParams(2.0, 3.0), 3.0)),
@@ -481,9 +542,9 @@ class TestHalfCircleScan:
 
     @staticmethod
     def assert_scans_agree(claim, grid):
-        """The certificate against sample_grid's outer row on one claim; returns (cut, reason)."""
+        """The certificate against dump's outer row on one claim; returns (cut, reason)."""
         table, cut = claim.table(grid.r_max, SERIES_TOL)
-        cert = certify_module._certify(claim, grid, 1e-6, SERIES_TOL, None)
+        cert = certify_module._certify(claim, grid.r_max, 1e-6, SERIES_TOL, None)
         assert cert.argmin.radius == grid.r_max
         assert cert.argmin == EvalPoint.from_polar(grid.r_max, cert.argmin.angle)
         assert (cert.reason is None) == (cut[0] > 0) == (not math.isnan(cert.observed))
@@ -491,7 +552,7 @@ class TestHalfCircleScan:
             assert 0.0 <= cert.argmin.angle <= math.pi
             assert_rows_on_the_safe_side(cert, grid, table, cut, claim.largest)
         else:
-            assert sample_grid(grid, table, cut) is None and cert.argmin.angle == 0.0
+            assert cut[0] == 0 and cert.argmin.angle == 0.0
             assert cert.semantics.startswith("unsummed-")
         return cut, cert.reason
 
@@ -522,8 +583,8 @@ class TestHalfCircleScan:
 
     def test_every_point_failed(self, monkeypatch):
         monkeypatch.setattr(certify_module, "_sized_table", no_cut_table)
-        cert = certify_ml_starlike(MLParams(2, 4), 0.0, GridSpec(radii=(0.5, 0.999), angles=9))
-        assert math.isnan(cert.observed) and cert.failed_count == 9
+        cert = certify_ml_starlike(MLParams(2, 4), 0.0, 0.999)
+        assert math.isnan(cert.observed) and cert.reason is not None
         assert cert.verdict == VERDICT_FAIL and cert.argmin.angle == 0.0
         assert cert.argmin.radius == 0.999
 
@@ -536,7 +597,7 @@ def terms_on_r_max(claim, r=0.999):
 
 def series_claims():
     """(label, claim): the corpus's, and seeded draws of the three series kinds."""
-    job = load_job(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
+    job = load_job(CORPUS_PATH)
     claims = [(op.name, _claim(op)) for op in job.operators]
     rng = np.random.default_rng(20)
     for i in range(40):
@@ -574,7 +635,7 @@ class TestExtremum:
                              ids=[label for label, _ in CLAIMS])
     def test_matches_a_dense_oracle(self, claim):
         terms = terms_on_r_max(claim)
-        cert = certify_module._certify(claim, GridSpec(), 1e-6, SERIES_TOL, None)
+        cert = certify_module._certify(claim, R_MAX, 1e-6, SERIES_TOL, None)
         assert_matches_the_dense_oracle(cert.observed, terms, claim.largest)
         rule = cert.semantics.partition("-")[0]
         if rule == "endpoint":

@@ -23,11 +23,10 @@ from mlstar import (
 )
 from mlstar import certify as certify_module
 from mlstar import cli as cli_module
-from mlstar.certify import GridSpec
 from mlstar.cli import main
 from mlstar.defaults import GRID_POINTS_MAX
 from mlstar.errors import DomainError, JobFileError
-from mlstar.jobs import job_to_dict, load_job, parse_job
+from mlstar.jobs import GridSpec, job_to_dict, load_job, parse_job
 
 from cli_runner import invoke
 
@@ -231,6 +230,20 @@ class TestCertify:
             assert cert["semantics"] == (f"endpoint-{extremum.get(cert['quantity'], 'min')} "
                                          "certificate on |z| = r_max")
 
+    @pytest.mark.parametrize("flags", [[], ["--grid-angles", "9"], ["--r-max", "0.9"]])
+    def test_each_entry_echoes_the_job_grid(self, flags):
+        # every entry carries the job's grid, its argmin lies on r_max, and a summed
+        # table counts no failed point
+        result = invoke([*flags, "--format", "json", "certify", CORPUS_PATH])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        grid = doc["job"]["grid"]
+        assert len(doc["certificates"]) == 7
+        for entry in doc["certificates"]:
+            assert entry["grid"] == grid
+            assert entry["argmin"]["radius"] == grid["r_max"]
+            assert entry["failed_points"] == {"count": 0, "reason": None}
+
     def test_reports_stable_across_runs(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
         docs = []
@@ -243,11 +256,8 @@ class TestCertify:
 
     def test_negative_control_fails(self, tmp_path):
         # inflate predictions 0.2 above the corpus's own observed values
-        grid = GridSpec(radii=(0.9, 0.999), angles=90)
-        observed_star = certify_starlike(star24_spec(), grid).observed
-        observed_convex = certify_convex(
-            (FactorSpec(MLParams(2, 2), 5.0),), grid
-        ).observed
+        observed_star = certify_starlike(star24_spec(), 0.999).observed
+        observed_convex = certify_convex((FactorSpec(MLParams(2, 2), 5.0),), 0.999).observed
         control = {
             "schema": 1,
             "grid": {"radii": [0.9, 0.999], "angles": 90},
@@ -365,6 +375,13 @@ class TestCertify:
         (cert,) = json.loads(result.output)["certificates"]
         assert cert["failed_points"]["count"] == 16 and cert["observed"] is None
         assert cert["failed_points"]["reason"].startswith("series at |z| = 0.999 keeps a tail")
+        assert cert["grid"] == {"radii": [0.2, 0.5, 0.999], "r_max": 0.999, "angles": 16}
+        # the text report names the reason, and counts no points: none were summed
+        for flags in ([], ["--grid-angles", "720"]):
+            text = invoke([*flags, "certify", path])
+            assert text.exit_code == 1
+            assert text.output.splitlines()[1].strip() == \
+                f"not summed: {cert['failed_points']['reason']}"
         dump = invoke(["dump", "--job", path, "--operator", "ml"])
         assert dump.exit_code == 3
         rows = dump.output.splitlines()[2:]
@@ -570,7 +587,7 @@ def one_op_job(tmp_path, angles):
 
 
 class TestGridAngles:
-    # the angle count sizes a dump, and a certificate only echoes it: one radius may
+    # the angle count sizes a dump, and a report only echoes it: one radius may
     # take every point of GRID_POINTS_MAX
     def test_the_cap_is_accepted(self, tmp_path):
         assert GridSpec(radii=(0.5,), angles=GRID_POINTS_MAX).angles == GRID_POINTS_MAX

@@ -21,7 +21,7 @@ from mlstar import (
     f_zeta_power,
     star_log_deriv,
 )
-from mlstar.certify import GridSpec, VERDICT_FAIL, _circle_half, _circle_terms, sample_grid
+from mlstar.certify import VERDICT_FAIL, _circle_half, _circle_terms
 from mlstar.defaults import SERIES_TERM_CAP
 from mlstar.numerics import series_solve
 from mlstar.operators import (
@@ -31,7 +31,7 @@ from mlstar.operators import (
     _star_coefficients,
 )
 
-from conftest import random_disk_points, table_deviation
+from conftest import dump_circles, random_disk_points, table_deviation
 from oracles import (
     _BASES,
     _circle_basis,
@@ -283,9 +283,9 @@ class TestStarLogDeriv:
         for fn in (star_log_deriv, f_value):
             with pytest.raises(SeriesTruncationError):
                 fn(spec, 0.5j)
-        # no cut on the outermost circle fails the certificate, whatever the inner circles
-        cert = certify_starlike(spec, GridSpec(radii=(0.1, 0.2, 0.3, 0.5, 0.999), angles=32))
-        assert cert.failed_count == 32
+        # no cut on the certificate's circle r_max fails it whole
+        cert = certify_starlike(spec, 0.999)
+        assert cert.reason.startswith("series at |z| = 0.999 keeps a tail")
         assert cert.verdict == VERDICT_FAIL and math.isnan(cert.observed)
 
 
@@ -502,9 +502,7 @@ class TestCoefficientEngine:
         # E_{1,0.2} vanishes at -0.2448; (E/t)^(1/2) branches there, so its
         # series converges on the circles inside and on none outside
         spec = single(1, 0.2, lam=2.0)
-        grid = GridSpec(radii=(0.1, 0.15, 0.25, 0.5, 0.999), angles=32)
-        cert = certify_starlike(spec, grid)  # no cut on r = 0.999 fails all its points
-        assert cert.failed_count == 32
+        cert = certify_starlike(spec, 0.999)  # no cut on r = 0.999 fails it whole
         assert cert.verdict == VERDICT_FAIL and math.isnan(cert.observed)
         assert cert.reason.startswith("series at |z| = 0.999 keeps a tail")
         for z in (0.25, -0.3, 0.9j):
@@ -515,9 +513,9 @@ class TestCoefficientEngine:
 
 
 class TestCircleSums:
-    """The grid sum, each circle's half by Horner on its own terms, mirrored into the full
-    circle, against pointwise Horner over the outermost circle's cut and against the
-    cos/sin basis that oracles keeps."""
+    """dump's circle sums, each circle's half by Horner on its own terms, mirrored into
+    the full circle, against pointwise Horner over the outermost circle's cut and
+    against the cos/sin basis that oracles keeps."""
 
     TOL = 1e-14
     PROBE = OperatorSpec((FactorSpec(MLParams(1.5, 2.0), 2.0), FactorSpec(MLParams(2.0, 3.0), 3.0)),
@@ -546,7 +544,7 @@ class TestCircleSums:
     def test_matches_horner_on_every_circle(self, m, kind):
         radii = (0.25, 0.9, 0.999)
         table, cut = _sized_table(*self.TABLES[kind], radii[-1], self.TOL)
-        sums = np.array(list(sample_grid(GridSpec(radii=radii, angles=m), table, cut)))
+        sums = np.array(dump_circles(radii, m, table, cut))
         assert sums.shape == (3, m)
         assert cut[0] > 9  # m = 8 and 9 fold
         self.assert_matches_horner(table, sums, radii)
@@ -557,7 +555,7 @@ class TestCircleSums:
         # an inner circle's own cut keeps; the extra terms add up to at most the tolerance
         radii, m = (0.25, 0.5, 0.999), 720
         table, cut = _sized_table(*self.TABLES[kind], radii[-1], self.TOL)
-        sums = np.array(list(sample_grid(GridSpec(radii=radii, angles=m), table, cut)))
+        sums = np.array(dump_circles(radii, m, table, cut))
         count = cut[0]
         for row, r in enumerate(radii[:-1]):
             z = r * self.phases(m)
@@ -568,7 +566,7 @@ class TestCircleSums:
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     def test_mirror_points_are_exact_conjugates(self, m):
         table, cut = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
-        sums = np.array(list(sample_grid(GridSpec(radii=(0.5, 0.999), angles=m), table, cut)))
+        sums = np.array(dump_circles((0.5, 0.999), m, table, cut))
         assert np.array_equal(sums[:, :0:-1], sums[:, 1:].conj())  # g[m-k] == conj(g[k])
         assert np.all(sums[:, 0].imag == 0.0)
 
@@ -576,11 +574,11 @@ class TestCircleSums:
     def test_the_half_is_the_first_half_of_the_circle(self, m):
         # every circle is its own Horner sum; the basis product that once summed
         # several circles at once differs from it in rounding alone
-        grid = GridSpec(radii=(0.25, 0.5, 0.999), angles=m)
+        radii = (0.25, 0.5, 0.999)
         table, cut = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
         count = cut[0]
-        together = half_circle_sums(grid.radii, m, table, count)
-        for r, circle, row in zip(grid.radii, sample_grid(grid, table, cut), together,
+        together = half_circle_sums(radii, m, table, count)
+        for r, circle, row in zip(radii, dump_circles(radii, m, table, cut), together,
                                   strict=True):
             half = _circle_half(_circle_terms(table, count, r), m)
             assert len(half) == row.shape[0] == m // 2 + 1 and len(circle) == m
