@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 from .defaults import EVAL_TOLERANCE, R_MAX, SERIES_TOL
 from .errors import DomainError
@@ -55,6 +54,7 @@ from .operators import (
     _star_coefficients,
 )
 from .orders import convex_delta, log_deriv_bound, ml_starlike_hypothesis, starlike_delta
+from .records import _Record
 
 __all__ = [
     "Certificate",
@@ -220,8 +220,7 @@ def _bisect(s, curvature: float, closing: float) -> tuple:
         arcs = split
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Verdict record for one certified quantity.
 
     ``observed`` holds the extremum of the summed cut on |z| = r_max, a
@@ -236,17 +235,24 @@ class Certificate:
     and the verdict is fail. jobs.ReportDocument adds the job's grid.
     """
 
-    quantity: str
-    predicted: float
-    observed: float
-    argmin: EvalPoint
-    margin: float
-    eval_tolerance: float
-    verdict: str
-    hypothesis_ok: bool
-    reason: str = None
-    series_tol: float = SERIES_TOL
-    semantics: str = f"{RULE_ENDPOINT}-min certificate on |z| = r_max"
+    __slots__ = ("quantity", "predicted", "observed", "argmin", "margin", "eval_tolerance",
+                 "verdict", "hypothesis_ok", "reason", "series_tol", "semantics")
+
+    def __init__(self, quantity: str, predicted: float, observed: float, argmin: EvalPoint,
+                 margin: float, eval_tolerance: float, verdict: str, hypothesis_ok: bool,
+                 reason: str = None, series_tol: float = SERIES_TOL,
+                 semantics: str = f"{RULE_ENDPOINT}-min certificate on |z| = r_max"):
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "argmin", argmin)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "eval_tolerance", eval_tolerance)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "hypothesis_ok", hypothesis_ok)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "series_tol", series_tol)
+        object.__setattr__(self, "semantics", semantics)
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -286,7 +292,8 @@ def _verdict(margin: float, eval_tolerance: float, hypothesis_ok: bool, summed: 
     return VERDICT_PASS if margin >= -eval_tolerance else VERDICT_FAIL
 
 
-class _Claim(NamedTuple):
+class _Claim(namedtuple("_Claim", "quantity predicted hypothesis_ok sampled coefficients subject "
+                                  "largest", defaults=(False,))):
     """One certificate's prediction and sampled quantity, named ``sampled`` in dumps.
 
     The quantity minus 1 is the table coefficients(subject, tol, length);
@@ -295,13 +302,7 @@ class _Claim(NamedTuple):
     ``largest`` marks the bound, which certifies a maximum.
     """
 
-    quantity: str
-    predicted: float
-    hypothesis_ok: bool
-    sampled: str
-    coefficients: object
-    subject: object
-    largest: bool = False
+    __slots__ = ()
 
     def table(self, radius: float, series_tol: float) -> tuple:
         return _sized_table(self.coefficients, self.subject, radius, series_tol)

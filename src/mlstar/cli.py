@@ -9,8 +9,9 @@ Commands:
 Global flags (--tol, --grid-angles, --r-max, --strict, --format) go before
 the command. main() always ends in SystemExit with the exit code: 0 success
 (certify: all pass, or hypothesis warnings without --strict), 1 any failed
-certificate, 2 bad usage, an invalid job file or an output path that cannot
-be written, 3 evaluation errors (eval or dump points that failed).
+certificate, 2 bad usage, an invalid job file, an output path that cannot
+be written or a stdout pipe that its reader closed, 3 evaluation errors
+(eval or dump points that failed).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import sys
 from functools import partial
 
@@ -43,6 +45,7 @@ from .mittag_leffler import MLParams, _log_deriv_value, ml_norm, ml_raw
 from .operators import OperatorSpec, _operator_value
 
 _EXIT_FAIL = 1
+_EXIT_USAGE = 2
 _EXIT_EVAL = 3
 
 
@@ -257,13 +260,14 @@ def cmd_dump(args) -> int:
         out = output or sys.stdout
         out.write(f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}\n"
                   "radius,angle,re,im\n")
-        m, angles = job.grid.angles, job.grid.circle_angles()
+        m, angles = job.grid.angles, [repr(theta) for theta in job.grid.circle_angles()]
         for r in job.grid.radii:  # each circle is summed as it is written
+            radius = repr(r)
             if not count:
-                rows = (f"{r!r},{theta!r},error,error" for theta in angles)
+                rows = (f"{radius},{theta},error,error" for theta in angles)
             else:
                 circle = _mirror(_circle_half(_circle_terms(table, count, r), m), m)
-                rows = (f"{r!r},{theta!r},{value.real!r},{value.imag!r}"
+                rows = (f"{radius},{theta},{value.real!r},{value.imag!r}"
                         for theta, value in zip(angles, (1.0 + v for v in circle)))
             out.write("\n".join(rows) + "\n")
     return 0 if count else _EXIT_EVAL
@@ -335,8 +339,13 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
     except (UsageError, DomainError, JobFileError) as exc:
         args.error(str(exc))
+    except BrokenPipeError:  # the reader closed stdout, as head does
+        # the interpreter flushes stdout again at exit; point it at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_USAGE
     sys.exit(code)
 
 

@@ -8,12 +8,11 @@ r_max, and gives dump every circle it samples.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .certify import (
@@ -31,6 +30,7 @@ from .defaults import EVAL_TOLERANCE, GRID_ANGLES, GRID_POINTS_MAX, R_MAX, SERIE
 from .errors import DomainError, JobFileError
 from .mittag_leffler import MLParams
 from .operators import FactorSpec, OperatorSpec
+from .records import _Record
 
 __all__ = ["GridSpec", "Job", "JobOperator", "ReportDocument", "load_job", "job_to_dict", "run_job"]
 
@@ -54,8 +54,7 @@ def default_radii(r_max: float = R_MAX) -> tuple:
     return tuple(base + [r_max])
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """A job's polar grid: ascending radii plus a uniform angle count.
 
     The open disk cannot be summed at radius 1, so r_max < 1, the outermost
@@ -65,18 +64,16 @@ class GridSpec:
     agree. A grid holds at most GRID_POINTS_MAX points, radii x angles.
     """
 
-    radii: tuple = None
-    r_max: float = None
-    angles: int = GRID_ANGLES
+    __slots__ = ("radii", "r_max", "angles")
 
-    def __post_init__(self):
-        r_max = None if self.r_max is None else _real(self.r_max, "r_max")
+    def __init__(self, radii: tuple = None, r_max: float = None, angles: int = GRID_ANGLES):
+        r_max = None if r_max is None else _real(r_max, "r_max")
         if r_max is not None and not 0.0 < r_max < 1.0:
             raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
-        if self.radii is None:
+        if radii is None:
             radii = default_radii(R_MAX if r_max is None else r_max)
         else:
-            radii = tuple(_real(r, "a radius") for r in self.radii)
+            radii = tuple(_real(r, "a radius") for r in radii)
         if not radii:
             raise DomainError("grid needs at least one radius")
         for a, b in zip(radii, radii[1:]):
@@ -86,16 +83,17 @@ class GridSpec:
             raise DomainError(f"radii must lie in (0, 1), got {radii!r}")
         if r_max is not None and r_max != radii[-1]:
             raise DomainError(f"r_max {r_max!r} is not the outermost radius {radii[-1]!r}")
+        if isinstance(angles, bool) or not isinstance(angles, numbers.Integral):
+            raise DomainError(f"angles must be an integer, got {angles!r}")
+        angles = int(angles)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "r_max", radii[-1])
-        if isinstance(self.angles, bool) or not isinstance(self.angles, numbers.Integral):
-            raise DomainError(f"angles must be an integer, got {self.angles!r}")
-        object.__setattr__(self, "angles", int(self.angles))
-        if self.angles < 8:
-            raise DomainError(f"angles must be at least 8, got {self.angles!r}")
+        object.__setattr__(self, "angles", angles)
+        if angles < 8:
+            raise DomainError(f"angles must be at least 8, got {angles!r}")
         if self.total_points() > GRID_POINTS_MAX:
             raise DomainError(f"a grid holds at most {GRID_POINTS_MAX} points, got "
-                              f"{len(radii)} radii x {self.angles} angles")
+                              f"{len(radii)} radii x {angles} angles")
 
     def circle_angles(self) -> list:
         """The angle 2 pi k/angles of each point k of every circle."""
@@ -108,16 +106,23 @@ class GridSpec:
         return {"radii": list(self.radii), "r_max": self.r_max, "angles": self.angles}
 
 
-@dataclass(frozen=True)
-class JobOperator:
-    name: str
-    kind: str
-    factors: tuple = ()            # starlike / convex kinds
-    zeta: float = None             # starlike kind only
-    alpha: float = None            # ml kinds
-    beta: float = None
-    eta: float = None              # ml-starlike kind
-    predicted: float = None
+class JobOperator(_Record):
+    """One operator entry: factors for the starlike and convex kinds and zeta for
+    starlike only; alpha and beta for the ml kinds and eta for ml-starlike only."""
+
+    __slots__ = ("name", "kind", "factors", "zeta", "alpha", "beta", "eta", "predicted")
+
+    def __init__(self, name: str, kind: str, factors: tuple = (), zeta: float = None,
+                 alpha: float = None, beta: float = None, eta: float = None,
+                 predicted: float = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "predicted", predicted)
 
     def operator_spec(self) -> OperatorSpec:
         return OperatorSpec(self.factors, self.zeta)
@@ -126,6 +131,7 @@ class JobOperator:
         return MLParams(self.alpha, self.beta)
 
 
+# a dataclass, because perfbench/worker.py builds one-operator jobs with dataclasses.replace
 @dataclass(frozen=True)
 class Job:
     operators: tuple
@@ -331,6 +337,8 @@ def canonical_json(document: dict) -> str:
 
 
 def job_digest(document: dict) -> str:
+    import hashlib  # here, so that only dump's processes load it
+
     return hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()[:12]
 
 
@@ -345,14 +353,18 @@ def _claim(op: JobOperator):
     return _log_deriv_bound_claim(op.ml_params())
 
 
-@dataclass
-class ReportDocument:
+class ReportDocument(_Record):
     """Tool metadata, the job echo, certificates, timings, and a verdict."""
 
-    job: Job
-    names: list = field(default_factory=list)
-    certificates: list = field(default_factory=list)
-    timings: list = field(default_factory=list)
+    __slots__ = ("job", "names", "certificates", "timings")
+    __hash__ = None  # its lists grow as run_job certifies
+
+    def __init__(self, job: Job, names: list = None, certificates: list = None,
+                 timings: list = None):
+        object.__setattr__(self, "job", job)
+        object.__setattr__(self, "names", [] if names is None else names)
+        object.__setattr__(self, "certificates", [] if certificates is None else certificates)
+        object.__setattr__(self, "timings", [] if timings is None else timings)
 
     @property
     def summary_verdict(self) -> str:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .defaults import DENOM_GUARD, SERIES_TERM_CAP, SERIES_TOL
 from .errors import DomainError, NearZeroDenominatorError, SeriesTruncationError
 from .numerics import gamma_ratio
+from .records import _Record
 
 __all__ = [
     "MLParams",
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MLParams:
+class MLParams(_Record):
     """One (alpha, beta) pair for a normalized Mittag-Leffler factor.
 
     alpha >= 1 and beta > 0, both finite; these are the hypotheses under
@@ -40,24 +39,27 @@ class MLParams:
     c_2 ~ 1/(beta Gamma(alpha)); such beta are refused too.
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        if not 1.0 <= self.alpha < math.inf:
-            raise DomainError(f"alpha must be finite and >= 1, got {self.alpha!r}")
-        if not (0.0 < self.beta < math.inf and math.isfinite(1.0 / self.beta)):
-            raise DomainError(f"beta must be finite and > 0 with 1/beta finite, got {self.beta!r}")
+    def __init__(self, alpha: float, beta: float):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        if not 1.0 <= alpha < math.inf:
+            raise DomainError(f"alpha must be finite and >= 1, got {alpha!r}")
+        if not (0.0 < beta < math.inf and math.isfinite(1.0 / beta)):
+            raise DomainError(f"beta must be finite and > 0 with 1/beta finite, got {beta!r}")
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(_Record):
     """Series value, the number of terms used and tail_bound, a proven bound on the
     terms dropped: the truncation error, not the rounding of the terms summed."""
 
-    value: complex
-    terms_used: int
-    tail_bound: float
+    __slots__ = ("value", "terms_used", "tail_bound")
+
+    def __init__(self, value: complex, terms_used: int, tail_bound: float):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "terms_used", terms_used)
+        object.__setattr__(self, "tail_bound", tail_bound)
 
 
 def _check_disk(z: complex) -> complex:

@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .defaults import SERIES_TERM_CAP, SERIES_TOL
 from .errors import DegenerateOperatorError, DomainError, SeriesTruncationError
 from .mittag_leffler import MLParams, SeriesResult, _coefficients, _horner
 from .numerics import principal_power, series_solve
+from .records import _Record
 
 __all__ = [
     "FactorSpec",
@@ -69,47 +69,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FactorSpec:
+class FactorSpec(_Record):
     """One factor (E_{alpha,beta}(t)/t)^(1/lambda) with its order target eta."""
 
-    params: MLParams
-    lam: float
-    eta: float = 0.0
+    __slots__ = ("params", "lam", "eta")
 
-    def __post_init__(self):
-        if not 0.0 < self.lam < math.inf:
-            raise DomainError(f"lambda must be finite and > 0, got {self.lam!r}")
-        if not 0.0 <= self.eta < 1.0:
-            raise DomainError(f"eta must lie in [0, 1), got {self.eta!r}")
+    def __init__(self, params: MLParams, lam: float, eta: float = 0.0):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "eta", eta)
+        if not 0.0 < lam < math.inf:
+            raise DomainError(f"lambda must be finite and > 0, got {lam!r}")
+        if not 0.0 <= eta < 1.0:
+            raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(_Record):
     """Full description of the operator: factor list plus the root order zeta."""
 
-    factors: tuple
-    zeta: float
+    __slots__ = ("factors", "zeta")
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors: tuple, zeta: float):
+        factors = tuple(factors)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "zeta", zeta)
         if not factors:
             raise DomainError("an operator needs at least one factor")
         for f in factors:
             if not isinstance(f, FactorSpec):
                 raise DomainError(f"not a FactorSpec: {f!r}")
-        object.__setattr__(self, "factors", factors)
-        if not 0.0 < self.zeta < math.inf:
-            raise DomainError(f"zeta must be finite and > 0, got {self.zeta!r}")
+        if not 0.0 < zeta < math.inf:
+            raise DomainError(f"zeta must be finite and > 0, got {zeta!r}")
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(_Record):
     """A point of the open unit disk in both cartesian and polar form."""
 
-    z: complex
-    radius: float
-    angle: float
+    __slots__ = ("z", "radius", "angle")
+
+    def __init__(self, z: complex, radius: float, angle: float):
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "angle", angle)
 
     @classmethod
     def from_polar(cls, radius: float, angle: float) -> "EvalPoint":

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .mittag_leffler import MLParams
 from .operators import OperatorSpec
+from .records import _Record
 
 __all__ = [
     "GOLDEN_RATIO",
@@ -63,24 +63,30 @@ def log_deriv_bound(params: MLParams) -> float:
     return phi(params.beta)
 
 
-@dataclass(frozen=True)
-class StarlikeOrderReport:
-    """Predicted starlikeness order of the operator plus hypothesis status."""
+class StarlikeOrderReport(_Record):
+    """Predicted starlikeness order of the operator plus hypothesis status;
+    hypothesis_sum is sum (1 - eta_j) / lambda_j."""
 
-    delta: float
-    hypothesis_sum: float    # sum (1 - eta_j) / lambda_j
-    zeta: float
-    hypothesis_ok: bool
+    __slots__ = ("delta", "hypothesis_sum", "zeta", "hypothesis_ok")
+
+    def __init__(self, delta: float, hypothesis_sum: float, zeta: float, hypothesis_ok: bool):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "hypothesis_sum", hypothesis_sum)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "hypothesis_ok", hypothesis_ok)
 
 
-@dataclass(frozen=True)
-class ConvexOrderReport:
-    """Predicted convexity order of the zeta-free operator plus hypothesis status."""
+class ConvexOrderReport(_Record):
+    """Predicted convexity order of the zeta-free operator plus hypothesis status;
+    bound_sum is phi(beta_min) * sum 1/lambda_j."""
 
-    delta: float
-    beta_min: float
-    bound_sum: float         # phi(beta_min) * sum 1/lambda_j
-    hypothesis_ok: bool
+    __slots__ = ("delta", "beta_min", "bound_sum", "hypothesis_ok")
+
+    def __init__(self, delta: float, beta_min: float, bound_sum: float, hypothesis_ok: bool):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "beta_min", beta_min)
+        object.__setattr__(self, "bound_sum", bound_sum)
+        object.__setattr__(self, "hypothesis_ok", hypothesis_ok)
 
 
 def starlike_delta(spec: OperatorSpec) -> StarlikeOrderReport:

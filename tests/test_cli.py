@@ -26,12 +26,15 @@ from mlstar import cli as cli_module
 from mlstar.cli import main
 from mlstar.defaults import GRID_POINTS_MAX
 from mlstar.errors import DomainError, JobFileError
-from mlstar.jobs import GridSpec, job_to_dict, load_job, parse_job
+from mlstar.jobs import GridSpec, _claim, job_to_dict, load_job, parse_job
 
 from cli_runner import invoke
+from conftest import dump_circles
 
 
 CORPUS_PATH = str(Path(__file__).resolve().parent.parent / "jobs" / "corpus.json")
+CORPUS_NAMES = [op.name for op in load_job(CORPUS_PATH).operators]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def star24_spec():
@@ -565,6 +568,50 @@ class TestDump:
         worst = max(abs(v - 1.0) for v in dumped("bound-110"))
         assert abs(worst - observed["bound-110"]) <= 1e-15
 
+    def test_the_digest_of_a_corpus_dump(self):
+        result = invoke(["dump", "--job", CORPUS_PATH, "--operator", "star-24"])
+        assert result.output.splitlines()[0] == \
+            "# spec=star-24 quantity=star-log-deriv digest=2bed89932124"
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_rows_print_one_plus_each_sum(self, name):
+        job = load_job(CORPUS_PATH)
+        op = next(op for op in job.operators if op.name == name)
+        table, cut = _claim(op).table(job.grid.r_max, job.series_tol)
+        thetas = [2.0 * math.pi * k / 16 for k in range(16)]
+        expected = [f"{r!r},{theta!r},{(1.0 + v).real!r},{(1.0 + v).imag!r}"
+                    for r, circle in zip(job.grid.radii,
+                                         dump_circles(job.grid.radii, 16, table, cut))
+                    for theta, v in zip(thetas, circle)]
+        result = invoke(["--grid-angles", "16", "dump", "--job", CORPUS_PATH, "--operator", name])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[2:] == expected
+
+    def test_a_negative_zero_imaginary_part_prints_as_zero(self, monkeypatch):
+        # 1 + v is a complex sum, and 1.0 + complex(x, -0.0) has imaginary part +0.0
+        monkeypatch.setattr(cli_module, "_mirror", lambda half, m: [complex(0.5, -0.0)] * m)
+        result = invoke(["--grid-angles", "8", "dump", "--job", CORPUS_PATH,
+                         "--operator", "ml-24"])
+        assert result.exit_code == 0
+        assert all(row.endswith(",1.5,0.0") for row in result.output.splitlines()[2:])
+
+    def test_a_closed_stdout_pipe_exits_2_without_a_traceback(self):
+        # as `mlstar dump ... | head -1` closes it: the CSV outgrows the pipe's buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mlstar.cli", "dump", "--job", CORPUS_PATH,
+             "--operator", "star-24"],
+            env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first.startswith(b"# spec=star-24")
+        assert b"Traceback" not in stderr and b"Exception ignored" not in stderr
+
     def test_unknown_operator(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
         result = invoke(["dump", "--job", path, "--operator", "nope"])
@@ -717,6 +764,15 @@ def test_importing_the_cli_loads_only_the_stdlib():
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          check=True, capture_output=True, text=True).stdout
     assert out == "['mlstar']\n"
+
+
+def test_importing_the_cli_loads_neither_hashlib_nor_typing():
+    # -S: no site, whose .pth files may load either; only dump's digest needs hashlib
+    probe = ("import sys, mlstar.cli; "
+             "print(sorted({'hashlib', '_hashlib', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [
