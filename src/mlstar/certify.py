@@ -23,10 +23,10 @@ S lies to rounding. Because 1 - cos n phi <= n^2 (1 - cos phi),
 a_1 >= sum_{n>=2} n^2 |a_n| puts the minimum at theta = pi, and
 -a_1 >= sum_{n>=2} n^2 |a_n| puts it at 0, each with a rounding
 allowance; elsewhere a branch and bound on arcs brackets it to rounding.
-The extremum is proven for the summed cut; the tables' tails past the cut
-are extrapolated (operators._operator_cut), and r_max < 1 stands in for
-the boundary, so a certificate is still evidence about the disk, not a
-proof, and says so in its serialized form.
+The extremum is proven for the summed cut, and r_max may be 1, the
+boundary itself; but the tables' tails past the cut are extrapolated
+(operators._operator_cut), so a certificate is still evidence about the
+disk, not a proof, and says so in its serialized form.
 
 A circle sum is Horner in Python complex numbers: the terms t_n of the
 circle at e^(i theta). The CLI's dump sums the half k = 0 ... M/2 of each
@@ -43,7 +43,7 @@ from operator import mul
 
 from .defaults import EVAL_TOLERANCE, R_MAX, SERIES_TOL
 from .errors import DomainError
-from .mittag_leffler import MLParams, _horner
+from .mittag_leffler import MLParams, _check_radius, _horner
 from .operators import (
     EvalPoint,
     FactorSpec,
@@ -309,12 +309,10 @@ class _Claim(namedtuple("_Claim", "quantity predicted hypothesis_ok sampled coef
 
 
 def _checked(r_max, eval_tolerance, series_tol, predicted) -> tuple:
-    """The public functions' numbers, or DomainError unless r_max lies in (0, 1),
+    """The public functions' numbers, or DomainError unless r_max lies in (0, 1],
     eval_tolerance and predicted (or None) are finite and series_tol is real; a
     job checks its own as it is parsed, so run_job calls _certify directly."""
-    r_max = _real(r_max, "r_max")
-    if not 0.0 < r_max < 1.0:
-        raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
+    r_max = _check_radius(_real(r_max, "r_max"), "r_max")
     eval_tolerance = _finite(eval_tolerance, "eval_tolerance")
     series_tol = _real(series_tol, "series_tol")
     if predicted is not None:

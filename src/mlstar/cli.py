@@ -9,9 +9,9 @@ Commands:
 Global flags (--tol, --grid-angles, --r-max, --strict, --format) go before
 the command. main() always ends in SystemExit with the exit code: 0 success
 (certify: all pass, or hypothesis warnings without --strict), 1 any failed
-certificate, 2 bad usage, an invalid job file, an output path that cannot
-be written or a stdout pipe that its reader closed, 3 evaluation errors
-(eval or dump points that failed).
+certificate, 2 bad usage, an invalid job file, an output (stdout or a path)
+that cannot be written or a stdout pipe that its reader closed, 3
+evaluation errors (eval or dump points that failed).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .jobs import (
     operator_to_dict,
     run_job,
 )
-from .mittag_leffler import MLParams, _log_deriv_value, ml_norm, ml_raw
+from .mittag_leffler import MLParams, _check_disk, _log_deriv_value, ml_norm, ml_raw
 from .operators import OperatorSpec, _operator_value
 
 _EXIT_FAIL = 1
@@ -78,15 +78,14 @@ def _apply_overrides(job: Job, args) -> Job:
 
 
 def _parse_z(values):
+    """The --z points; a point outside the closed disk raises DomainError, exit 2 in main."""
     points = []
     for raw in values:
         try:
             z = complex(raw)
         except ValueError:
             raise UsageError(f"cannot parse {raw!r} as a complex number")
-        if not math.hypot(z.real, z.imag) <= 1.0:  # abs() raises OverflowError past the double range
-            raise UsageError(f"|z| must be finite and <= 1, got {raw!r}")
-        points.append(z)
+        points.append(_check_disk(z))
     return points
 
 
@@ -204,7 +203,7 @@ def cmd_certify(args) -> int:
     job = _apply_overrides(load_job(args.job_path), args)
     if not job.operators:
         raise UsageError("job lists no operators; nothing to certify")
-    fmt = args.format or (job.outputs[0] if job.outputs else "text")
+    fmt = args.format or job.outputs[0]
     with _open(args.output) as output:
         report = run_job(job)
         if output or fmt == "json":
@@ -294,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="Override the number of angles per circle that dump samples; "
                              "a certify report only echoes it.")
     parser.add_argument("--r-max", type=float,
-                        help="Override the certificate radius, also dump's outermost circle (< 1).")
+                        help="Override the certificate radius, in (0, 1], and dump's outer circle.")
     parser.add_argument("--strict", action="store_true",
                         help="Treat hypothesis violations as failures (exit 1).")
     parser.add_argument("--format", choices=["text", "json"],
@@ -342,9 +341,11 @@ def main(argv=None):
         sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
     except (UsageError, DomainError, JobFileError) as exc:
         args.error(str(exc))
-    except BrokenPipeError:  # the reader closed stdout, as head does
+    except OSError as exc:  # writing stdout or the -o file failed; reading errors are JobFileError
         # the interpreter flushes stdout again at exit; point it at devnull first
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe is its reader's choice, as head's
+            args.error(f"cannot write the output: {exc}")
         code = _EXIT_USAGE
     sys.exit(code)
 

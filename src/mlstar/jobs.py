@@ -28,7 +28,7 @@ from .certify import (
 )
 from .defaults import EVAL_TOLERANCE, GRID_ANGLES, GRID_POINTS_MAX, R_MAX, SERIES_TOL
 from .errors import DomainError, JobFileError
-from .mittag_leffler import MLParams
+from .mittag_leffler import MLParams, _check_radius
 from .operators import FactorSpec, OperatorSpec
 from .records import _Record
 
@@ -57,30 +57,27 @@ def default_radii(r_max: float = R_MAX) -> tuple:
 class GridSpec(_Record):
     """A job's polar grid: ascending radii plus a uniform angle count.
 
-    The open disk cannot be summed at radius 1, so r_max < 1, the outermost
-    radius and the radius of the job's certificates, stands in for the
-    boundary; dump samples every radius at every angle. r_max alone (default
-    R_MAX) picks default_radii, radii alone set r_max; given both, they must
-    agree. A grid holds at most GRID_POINTS_MAX points, radii x angles.
+    Every radius lies in (0, 1]; r_max, the outermost, is the radius of the
+    job's certificates, and r_max = 1 is the boundary itself. dump samples
+    every radius at every angle. r_max alone (default R_MAX) picks
+    default_radii, radii alone set r_max; given both, they must agree. A
+    grid holds at most GRID_POINTS_MAX points, radii x angles.
     """
 
     __slots__ = ("radii", "r_max", "angles")
 
     def __init__(self, radii: tuple = None, r_max: float = None, angles: int = GRID_ANGLES):
-        r_max = None if r_max is None else _real(r_max, "r_max")
-        if r_max is not None and not 0.0 < r_max < 1.0:
-            raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
+        if r_max is not None:
+            r_max = _check_radius(_real(r_max, "r_max"), "r_max")
         if radii is None:
             radii = default_radii(R_MAX if r_max is None else r_max)
         else:
-            radii = tuple(_real(r, "a radius") for r in radii)
+            radii = tuple(_check_radius(_real(r, "a radius"), "a radius") for r in radii)
         if not radii:
             raise DomainError("grid needs at least one radius")
         for a, b in zip(radii, radii[1:]):
             if not a < b:
                 raise DomainError(f"radii must ascend strictly, got {radii!r}")
-        if not (0.0 < radii[0] and radii[-1] < 1.0):
-            raise DomainError(f"radii must lie in (0, 1), got {radii!r}")
         if r_max is not None and r_max != radii[-1]:
             raise DomainError(f"r_max {r_max!r} is not the outermost radius {radii[-1]!r}")
         if isinstance(angles, bool) or not isinstance(angles, numbers.Integral):

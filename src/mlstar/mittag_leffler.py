@@ -62,12 +62,20 @@ class SeriesResult(_Record):
         object.__setattr__(self, "tail_bound", tail_bound)
 
 
-def _check_disk(z: complex) -> complex:
+def _check_disk(z) -> complex:
+    """z as a complex number, or DomainError unless |z| <= 1: the package's one point rule."""
     z = complex(z)
     size = math.hypot(z.real, z.imag)  # NaN or inf, never OverflowError, for a bad z
-    if not size <= 1.0 + 1e-12:
+    if not size <= 1.0:
         raise DomainError(f"|z| must be <= 1, got |z| = {size!r}")
     return z
+
+
+def _check_radius(r: float, name: str) -> float:
+    """r, or DomainError naming it unless 0 < r <= 1: the package's one radius rule."""
+    if not 0.0 < r <= 1.0:
+        raise DomainError(f"{name} must lie in (0, 1], got {r!r}")
+    return r
 
 
 # --- the series engine ------------------------------------------------------
@@ -121,7 +129,6 @@ def _cut(params: MLParams, radius: float, tol: float):
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol!r}")
-    radius = min(radius, 1.0)
     coeffs = _coefficients(params.alpha, params.beta, tol)
     for n in range(1, min(SERIES_TERM_CAP, len(coeffs) - 1) + 1):
         tail = _tail(coeffs, n, radius)

@@ -53,7 +53,8 @@ from itertools import accumulate
 
 from .defaults import SERIES_TERM_CAP, SERIES_TOL
 from .errors import DegenerateOperatorError, DomainError, SeriesTruncationError
-from .mittag_leffler import MLParams, SeriesResult, _coefficients, _horner
+from .mittag_leffler import (MLParams, SeriesResult, _check_disk, _check_radius, _coefficients,
+                             _horner)
 from .numerics import principal_power, series_solve
 from .records import _Record
 
@@ -103,7 +104,7 @@ class OperatorSpec(_Record):
 
 
 class EvalPoint(_Record):
-    """A point of the open unit disk in both cartesian and polar form."""
+    """A point of the closed unit disk in both cartesian and polar form."""
 
     __slots__ = ("z", "radius", "angle")
 
@@ -114,18 +115,12 @@ class EvalPoint(_Record):
 
     @classmethod
     def from_polar(cls, radius: float, angle: float) -> "EvalPoint":
-        if not 0.0 < radius < 1.0:
-            raise DomainError(f"radius must lie in (0, 1), got {radius!r}")
+        _check_radius(radius, "radius")
         return cls(radius * cmath.exp(1j * angle), radius, angle)
 
 
 def _as_point(z) -> complex:
-    if isinstance(z, EvalPoint):
-        return complex(z.z)
-    z = complex(z)
-    if not math.hypot(z.real, z.imag) < 1.0:  # abs() raises OverflowError past the double range
-        raise DomainError(f"evaluation point must satisfy |z| < 1, got {z!r}")
-    return z
+    return _check_disk(z.z if isinstance(z, EvalPoint) else z)
 
 
 # --- the coefficient engine ---------------------------------------------------

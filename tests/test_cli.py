@@ -88,7 +88,7 @@ class TestEval:
         for z in ("2.0", "1.5e308+1.5e308j"):
             result = invoke(["eval", "--alpha", "1", "--beta", "1", "--z", z])
             assert result.exit_code == 2, result.output
-            assert "mlstar eval: error: |z| must be finite and <= 1" in result.output
+            assert "mlstar eval: error: |z| must be <= 1" in result.output
 
     def test_non_finite_input_is_usage_error(self):
         for args in (["--z", "nan"], ["--z", "inf+0.1j"], ["--z", "0.5", "--beta", "inf"]):
@@ -900,3 +900,24 @@ class TestJobRoundTrip:
         echoed = job_to_dict(job)
         again = parse_job(echoed)
         assert job_to_dict(again) == echoed
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full, whose writes fail")
+@pytest.mark.parametrize("argv, on_stdout", [
+    (["orders", CORPUS_PATH], True),
+    (["certify", CORPUS_PATH], True),
+    (["eval", "--alpha", "2", "--beta", "4", "--z", "0.5"], True),
+    (["dump", "--job", CORPUS_PATH, "--operator", "star-24"], True),
+    (["certify", "-o", "/dev/full", CORPUS_PATH], False),
+    (["dump", "--job", CORPUS_PATH, "--operator", "star-24", "-o", "/dev/full"], False),
+], ids=["orders", "certify", "eval", "dump", "certify -o", "dump -o"])
+def test_a_full_output_exits_2_without_a_traceback(argv, on_stdout):
+    # every write to /dev/full fails with ENOSPC, as on a full disk
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "mlstar.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+                              stdout=full if on_stdout else subprocess.DEVNULL,
+                              stderr=subprocess.PIPE)
+    assert done.returncode == 2
+    assert f"mlstar {argv[0]}: error: cannot write the output".encode() in done.stderr
+    assert b"Traceback" not in done.stderr and b"Exception ignored" not in done.stderr

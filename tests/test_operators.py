@@ -82,16 +82,17 @@ class TestSpecs:
         # abs() of this z raises OverflowError; its modulus is taken without it
         spec, z = single(2, 4), 1.5e308 + 1.5e308j
         for fn in (f_value, f_zeta_power, star_log_deriv):
-            with pytest.raises(DomainError, match=r"\|z\| < 1"):
+            with pytest.raises(DomainError, match=r"\|z\| must be <= 1"):
                 fn(spec, z)
-        with pytest.raises(DomainError, match=r"\|z\| < 1"):
+        with pytest.raises(DomainError, match=r"\|z\| must be <= 1"):
             convex_log_deriv(spec.factors, z)
 
     def test_eval_point(self):
         point = EvalPoint.from_polar(0.5, math.pi)
         assert point.z == pytest.approx(-0.5, abs=1e-15)
-        with pytest.raises(DomainError):
-            EvalPoint.from_polar(1.0, 0.0)
+        assert EvalPoint.from_polar(1.0, 0.0).z == 1.0  # the closed disk's boundary
+        with pytest.raises(DomainError, match=r"radius must lie in \(0, 1\]"):
+            EvalPoint.from_polar(1.0000000000000002, 0.0)
 
 
 class TestProductTerm:
@@ -132,10 +133,10 @@ class TestProductTerm:
         assert convex_log_deriv(spec.factors, 0j) == 1.0
         assert f_value(spec, 0.0) == 0.0
         for fn in (star_log_deriv, f_value):
-            with pytest.raises(DomainError, match=r"\|z\| < 1"):
-                fn(spec, 1.0)
-        with pytest.raises(DomainError, match=r"\|z\| < 1"):
-            convex_log_deriv(spec.factors, -1.0)
+            with pytest.raises(DomainError, match=r"\|z\| must be <= 1"):
+                fn(spec, 1.0000000000000002)
+        with pytest.raises(DomainError, match=r"\|z\| must be <= 1"):
+            convex_log_deriv(spec.factors, -1.0000000000000002)
 
     def test_exponent_additivity(self):
         # two identical factors at doubled lambda act like one factor

@@ -176,11 +176,11 @@ def test_records_match_by_position():
     lambda: OperatorSpec((P,), 1.0),
     lambda: OperatorSpec((F,), 0.0),
     lambda: OperatorSpec((F,), math.nan),
-    lambda: GridSpec(r_max=1.0),
+    lambda: GridSpec(r_max=1.0000000000000002),
     lambda: GridSpec(r_max="0.5"),
     lambda: GridSpec(radii=()),
     lambda: GridSpec(radii=(0.5, 0.5)),
-    lambda: GridSpec(radii=(0.5, 1.0)),
+    lambda: GridSpec(radii=(0.5, 1.0000000000000002)),
     lambda: GridSpec(radii=("0.5",)),
     lambda: GridSpec(radii=(0.5,), r_max=0.9),
     lambda: GridSpec(angles=7),
