@@ -12,7 +12,6 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .certify import (
@@ -42,11 +41,17 @@ KIND_ML_STARLIKE = "ml-starlike"
 KIND_LOG_DERIV_BOUND = "log-deriv-bound"
 _KINDS = (KIND_STARLIKE, KIND_CONVEX, KIND_ML_STARLIKE, KIND_LOG_DERIV_BOUND)
 
-_TOP_KEYS = {"schema", "grid", "tolerance", "outputs", "operators"}
-_GRID_KEYS = {"radii", "angles", "r_max"}
-_TOL_KEYS = {"margin", "quadrature", "series"}
-_FACTOR_KEYS = {"alpha", "beta", "lambda", "eta"}
-_OP_KEYS_COMMON = {"name", "kind", "predicted"}
+_TOP_KEYS = frozenset({"schema", "grid", "tolerance", "outputs", "operators"})
+_GRID_KEYS = frozenset({"radii", "angles", "r_max"})
+_TOL_KEYS = frozenset({"margin", "quadrature", "series"})
+_FACTOR_KEYS = frozenset({"alpha", "beta", "lambda", "eta"})
+_OP_KEYS_COMMON = frozenset({"name", "kind", "predicted"})
+_OP_KEYS = {  # a log-deriv-bound entry may name eta, only to be told it takes none
+    KIND_STARLIKE: _OP_KEYS_COMMON | {"factors", "zeta"},
+    KIND_CONVEX: _OP_KEYS_COMMON | {"factors"},
+    KIND_ML_STARLIKE: _OP_KEYS_COMMON | {"alpha", "beta", "eta"},
+    KIND_LOG_DERIV_BOUND: _OP_KEYS_COMMON | {"alpha", "beta", "eta"},
+}
 
 
 def default_radii(r_max: float = R_MAX) -> tuple:
@@ -128,42 +133,68 @@ class JobOperator(_Record):
         return MLParams(self.alpha, self.beta)
 
 
-# a dataclass, because perfbench/worker.py builds one-operator jobs with dataclasses.replace
-@dataclass(frozen=True)
-class Job:
-    operators: tuple
-    grid: GridSpec
-    margin_tol: float = EVAL_TOLERANCE
-    series_tol: float = SERIES_TOL
-    outputs: tuple = ("text",)
+class _DataclassFields:
+    """Job's __dataclass_fields__, built on first access and then cached on the class.
+
+    dataclasses.replace, fields, asdict and is_dataclass read only this
+    attribute, so they accept a Job; perfbench/worker.py and
+    cli._apply_overrides build jobs with replace. Until one of them asks, no
+    process imports dataclasses.
+    """
+
+    def __get__(self, instance, owner):
+        import dataclasses
+
+        fields = dataclasses.make_dataclass(owner.__name__, owner.__slots__).__dataclass_fields__
+        owner.__dataclass_fields__ = fields  # replaces this descriptor
+        return fields
 
 
-def _require(condition, message):
+class Job(_Record):
+    """A parsed job: its operators, grid, tolerances and output formats."""
+
+    __slots__ = ("operators", "grid", "margin_tol", "series_tol", "outputs")
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, operators: tuple, grid: GridSpec, margin_tol: float = EVAL_TOLERANCE,
+                 series_tol: float = SERIES_TOL, outputs: tuple = ("text",)):
+        object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "margin_tol", margin_tol)
+        object.__setattr__(self, "series_tol", series_tol)
+        object.__setattr__(self, "outputs", outputs)
+
+
+def _require(condition, message, *args):
+    """JobFileError(message % args) unless condition; valid input formats no message."""
     if not condition:
-        raise JobFileError(message)
+        raise JobFileError(message % args)
 
 
 def _number(raw, key, context):
-    _require(isinstance(raw, (int, float)) and not isinstance(raw, bool),
-             f"{context}: key '{key}' must be a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError:  # an integer literal beyond the double range
-        value = math.inf
-    _require(math.isfinite(value), f"{context}: key '{key}' must be finite")
+    if isinstance(raw, float):
+        value = float(raw)  # a float subclass's value, as a float
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        try:
+            value = float(raw)
+        except OverflowError:  # an integer literal beyond the double range
+            value = math.inf
+    else:
+        raise JobFileError(f"{context}: key '{key}' must be a number, got {raw!r}")
+    _require(math.isfinite(value), "%s: key '%s' must be finite", context, key)
     return value
 
 
 def _check_keys(mapping, allowed, context):
-    _require(isinstance(mapping, dict), f"{context}: expected an object")
-    unknown = set(mapping) - allowed
-    _require(not unknown, f"{context}: unknown keys {sorted(unknown)!r}")
+    _require(isinstance(mapping, dict), "%s: expected an object", context)
+    if not mapping.keys() <= allowed:
+        raise JobFileError(f"{context}: unknown keys {sorted(mapping.keys() - allowed)!r}")
 
 
 def _parse_factor(raw, context):
     _check_keys(raw, _FACTOR_KEYS, context)
     _require("alpha" in raw and "beta" in raw and "lambda" in raw,
-             f"{context}: factors need alpha, beta and lambda")
+             "%s: factors need alpha, beta and lambda", context)
     try:
         return FactorSpec(
             MLParams(_number(raw["alpha"], "alpha", context),
@@ -177,42 +208,40 @@ def _parse_factor(raw, context):
 
 def _parse_operator(raw, index):
     context = f"operators[{index}]"
-    _require(isinstance(raw, dict), f"{context}: expected an object")
+    _require(isinstance(raw, dict), "%s: expected an object", context)
     name = raw.get("name")
-    _require(isinstance(name, str) and name, f"{context}: needs a nonempty 'name'")
+    _require(isinstance(name, str) and name, "%s: needs a nonempty 'name'", context)
+    # a control character would break a text report row or dump's header line
+    _require(name.isprintable(), "%s: 'name' must be printable, got %r", context, name)
     kind = raw.get("kind")
-    _require(kind in _KINDS, f"{context}: 'kind' must be one of {_KINDS}, got {kind!r}")
+    _require(kind in _KINDS, "%s: 'kind' must be one of %s, got %r", context, _KINDS, kind)
     predicted = raw.get("predicted")
     if predicted is not None:
         predicted = _number(predicted, "predicted", context)
+    _check_keys(raw, _OP_KEYS[kind], context)
 
     if kind in (KIND_STARLIKE, KIND_CONVEX):
-        allowed = _OP_KEYS_COMMON | {"factors"}
-        if kind == KIND_STARLIKE:
-            allowed |= {"zeta"}
-        _check_keys(raw, allowed, context)
         raw_factors = raw.get("factors")
         _require(isinstance(raw_factors, list) and raw_factors,
-                 f"{context}: needs a nonempty 'factors' list")
+                 "%s: needs a nonempty 'factors' list", context)
         factors = tuple(
             _parse_factor(f, f"{context}.factors[{i}]") for i, f in enumerate(raw_factors)
         )
         zeta = None
         if kind == KIND_STARLIKE:
-            _require("zeta" in raw, f"{context}: starlike operators need 'zeta'")
+            _require("zeta" in raw, "%s: starlike operators need 'zeta'", context)
             zeta = _number(raw["zeta"], "zeta", context)
         op = JobOperator(name, kind, factors=factors, zeta=zeta, predicted=predicted)
     else:
-        _check_keys(raw, _OP_KEYS_COMMON | {"alpha", "beta", "eta"}, context)
-        _require("alpha" in raw and "beta" in raw, f"{context}: needs 'alpha' and 'beta'")
+        _require("alpha" in raw and "beta" in raw, "%s: needs 'alpha' and 'beta'", context)
         alpha = _number(raw["alpha"], "alpha", context)
         beta = _number(raw["beta"], "beta", context)
         eta = None
         if kind == KIND_ML_STARLIKE:
-            _require("eta" in raw, f"{context}: ml-starlike needs 'eta'")
+            _require("eta" in raw, "%s: ml-starlike needs 'eta'", context)
             eta = _number(raw["eta"], "eta", context)
         else:
-            _require("eta" not in raw, f"{context}: log-deriv-bound entries take no 'eta'")
+            _require("eta" not in raw, "%s: log-deriv-bound entries take no 'eta'", context)
         op = JobOperator(name, kind, alpha=alpha, beta=beta, eta=eta, predicted=predicted)
     try:
         _claim(op)  # checks the prediction's domain, e.g. beta above golden for convex and bound
@@ -224,8 +253,9 @@ def _parse_operator(raw, index):
 def parse_job(document: dict) -> Job:
     """Validate a decoded job document; JobFileError on any problem."""
     _check_keys(document, _TOP_KEYS, "job")
-    _require(document.get("schema") == SCHEMA_VERSION,
-             f"job: 'schema' must equal {SCHEMA_VERSION}")
+    schema = document.get("schema")  # True == 1, but a bool is no schema number
+    _require(schema == SCHEMA_VERSION and not isinstance(schema, bool),
+             "job: 'schema' must equal %d", SCHEMA_VERSION)
 
     grid_raw = document.get("grid", {})
     _check_keys(grid_raw, _GRID_KEYS, "job.grid")
@@ -252,7 +282,7 @@ def parse_job(document: dict) -> Job:
         checked.append(("quadrature", _number(tol_raw["quadrature"], "quadrature",
                                               "job.tolerance")))
     for key, value in checked:
-        _require(value > 0.0, f"job.tolerance: '{key}' must be positive")
+        _require(value > 0.0, "job.tolerance: '%s' must be positive", key)
     _require(series_tol <= margin_tol,
              "job.tolerance: 'series' must not exceed 'margin', or the truncation "
              "error could hide a failed margin")
@@ -260,7 +290,7 @@ def parse_job(document: dict) -> Job:
     outputs = document.get("outputs", ["text"])
     _require(isinstance(outputs, list) and outputs, "job: 'outputs' must be a nonempty list")
     for fmt in outputs:
-        _require(fmt in ("text", "json"), f"job: unknown output format {fmt!r}")
+        _require(fmt in ("text", "json"), "job: unknown output format %r", fmt)
 
     raw_ops = document.get("operators", [])
     _require(isinstance(raw_ops, list), "job: 'operators' must be a list")

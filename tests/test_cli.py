@@ -775,6 +775,17 @@ def test_importing_the_cli_loads_neither_hashlib_nor_typing():
     assert out == "[]\n"
 
 
+def test_a_library_job_run_loads_neither_dataclasses_nor_inspect():
+    # -S, as above; Job builds its dataclass fields only when dataclasses asks for them
+    probe = ("import sys, mlstar.jobs; "
+             f"report = mlstar.jobs.run_job(mlstar.jobs.load_job({CORPUS_PATH!r})); "
+             "assert report.summary_verdict == 'pass'; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["orders", CORPUS_PATH],
     ["certify", CORPUS_PATH],
@@ -892,6 +903,143 @@ def test_any_job_ends_in_a_documented_exit_code(job, tol):
             assert result.exception is None or isinstance(result.exception, SystemExit), (
                 argv, repr(result.exception))
 
+
+STAR = {"name": "s", "kind": "starlike", "zeta": 1.0,
+        "factors": [{"alpha": 2, "beta": 4, "lambda": 1}]}
+ML = {"name": "m", "kind": "ml-starlike", "alpha": 2, "beta": 4, "eta": 0}
+BOUND = {"name": "b", "kind": "log-deriv-bound", "alpha": 2, "beta": 4}
+DROP = object()  # a key that the entry leaves out
+
+
+def job_doc(**top):
+    return {"schema": 1, "operators": [STAR], **top}
+
+
+def op_doc(base, **changes):
+    entry = {**base, **changes}
+    return job_doc(operators=[{k: v for k, v in entry.items() if v is not DROP}])
+
+
+def factor_doc(**changes):
+    factor = {**STAR["factors"][0], **changes}
+    return op_doc(STAR, factors=[{k: v for k, v in factor.items() if v is not DROP}])
+
+
+KINDS = "('starlike', 'convex', 'ml-starlike', 'log-deriv-bound')"
+# every rule of parse_job, with its exact message
+JOB_RULES = [
+    ("top-not-object", [1], "job: expected an object"),
+    ("top-unknown-key", job_doc(extra=1), "job: unknown keys ['extra']"),
+    ("schema-missing", {"operators": []}, "job: 'schema' must equal 1"),
+    ("schema-2", job_doc(schema=2), "job: 'schema' must equal 1"),
+    ("grid-not-object", job_doc(grid=[]), "job.grid: expected an object"),
+    ("grid-unknown-key", job_doc(grid={"angle": 8}), "job.grid: unknown keys ['angle']"),
+    ("grid-radii-empty", job_doc(grid={"radii": []}),
+     "job.grid: 'radii' must be a nonempty list"),
+    ("grid-radius-string", job_doc(grid={"radii": ["0.5"]}),
+     "job.grid: key 'radii' must be a number, got '0.5'"),
+    ("grid-radius-huge", job_doc(grid={"radii": [10**400]}),
+     "job.grid: key 'radii' must be finite"),
+    ("grid-r_max-bool", job_doc(grid={"r_max": True}),
+     "job.grid: key 'r_max' must be a number, got True"),
+    ("grid-angles", job_doc(grid={"angles": 4}), "job.grid: angles must be at least 8, got 4"),
+    ("grid-radii-descend", job_doc(grid={"radii": [0.9, 0.5]}),
+     "job.grid: radii must ascend strictly, got (0.9, 0.5)"),
+    ("tolerance-not-object", job_doc(tolerance=1e-6), "job.tolerance: expected an object"),
+    ("tolerance-unknown-key", job_doc(tolerance={"series_tol": 1e-14}),
+     "job.tolerance: unknown keys ['series_tol']"),
+    ("tolerance-margin-null", job_doc(tolerance={"margin": None}),
+     "job.tolerance: key 'margin' must be a number, got None"),
+    ("tolerance-series-zero", job_doc(tolerance={"series": 0.0}),
+     "job.tolerance: 'series' must be positive"),
+    ("tolerance-quadrature-negative", job_doc(tolerance={"quadrature": -1.0}),
+     "job.tolerance: 'quadrature' must be positive"),
+    ("tolerance-series-above-margin", job_doc(tolerance={"margin": 1e-10, "series": 1e-8}),
+     "job.tolerance: 'series' must not exceed 'margin', or the truncation error could hide "
+     "a failed margin"),
+    ("outputs-empty", job_doc(outputs=[]), "job: 'outputs' must be a nonempty list"),
+    ("outputs-unknown", job_doc(outputs=["xml"]), "job: unknown output format 'xml'"),
+    ("operators-not-list", job_doc(operators={}), "job: 'operators' must be a list"),
+    ("operator-not-object", job_doc(operators=[[]]), "operators[0]: expected an object"),
+    ("operator-name-empty", op_doc(STAR, name=""), "operators[0]: needs a nonempty 'name'"),
+    ("operator-kind", op_doc(STAR, kind="concave"),
+     f"operators[0]: 'kind' must be one of {KINDS}, got 'concave'"),
+    ("operator-predicted-string", op_doc(STAR, predicted="0.5"),
+     "operators[0]: key 'predicted' must be a number, got '0.5'"),
+    ("starlike-unknown-key", op_doc(STAR, alpha=2), "operators[0]: unknown keys ['alpha']"),
+    ("starlike-factors-empty", op_doc(STAR, factors=[]),
+     "operators[0]: needs a nonempty 'factors' list"),
+    ("starlike-zeta-missing", op_doc(STAR, zeta=DROP),
+     "operators[0]: starlike operators need 'zeta'"),
+    ("starlike-zeta-bool", op_doc(STAR, zeta=False),
+     "operators[0]: key 'zeta' must be a number, got False"),
+    ("ml-unknown-key", op_doc(ML, factors=[]), "operators[0]: unknown keys ['factors']"),
+    ("ml-beta-missing", op_doc(ML, beta=DROP), "operators[0]: needs 'alpha' and 'beta'"),
+    ("ml-eta-missing", op_doc(ML, eta=DROP), "operators[0]: ml-starlike needs 'eta'"),
+    ("bound-eta", op_doc(BOUND, eta=0), "operators[0]: log-deriv-bound entries take no 'eta'"),
+    ("ml-alpha-string", op_doc(ML, alpha="2"),
+     "operators[0]: key 'alpha' must be a number, got '2'"),
+    ("ml-eta-huge", op_doc(ML, eta=10**400), "operators[0]: key 'eta' must be finite"),
+    ("factor-not-object", op_doc(STAR, factors=[1]),
+     "operators[0].factors[0]: expected an object"),
+    ("factor-unknown-key", factor_doc(lam=1), "operators[0].factors[0]: unknown keys ['lam']"),
+    ("factor-lambda-missing", factor_doc(**{"lambda": DROP}),
+     "operators[0].factors[0]: factors need alpha, beta and lambda"),
+    ("factor-lambda-string", factor_doc(**{"lambda": "1"}),
+     "operators[0].factors[0]: key 'lambda' must be a number, got '1'"),
+    ("factor-domain", factor_doc(alpha=0.5),
+     "operators[0].factors[0]: alpha must be finite and >= 1, got 0.5"),
+    ("names-duplicate", job_doc(operators=[STAR, STAR]), "job: operator names must be unique"),
+    ("claim-bound-beta", op_doc(BOUND, beta=1.5),
+     "operators[0]: beta must exceed (1 + sqrt 5)/2 = 1.6180339887, got 1.5"),
+    ("claim-ml-alpha", op_doc(ML, alpha=0.5),
+     "operators[0]: alpha must be finite and >= 1, got 0.5"),
+    ("claim-starlike-zeta", op_doc(STAR, zeta=0.0),
+     "operators[0]: zeta must be finite and > 0, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("document, message", [rule[1:] for rule in JOB_RULES],
+                         ids=[rule[0] for rule in JOB_RULES])
+def test_each_job_rule_raises_its_message(document, message):
+    with pytest.raises(JobFileError) as info:
+        parse_job(document)
+    assert str(info.value) == message
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["orders", "JOB"],
+    ["certify", "JOB"],
+    ["dump", "--job", "JOB", "--operator", "star\nrow,1,2,3"],
+], ids=["orders", "certify", "dump"])
+def test_a_name_with_a_control_character_is_refused(tmp_path, argv):
+    # it would split a certify text row and put a data-shaped line above dump's CSV header
+    path = write_job(tmp_path, op_doc(STAR, name="star\nrow,1,2,3"))
+    result = invoke([path if arg == "JOB" else arg for arg in argv])
+    assert result.exit_code == 2, result.output
+    assert ("operators[0]: 'name' must be printable, got 'star\\nrow,1,2,3'"
+            in result.output)
+    assert "row,1,2,3 " not in result.output and "radius,angle" not in result.output
+
+
+def test_a_bool_schema_is_refused():
+    # True == 1, yet every other number in a job refuses a bool
+    with pytest.raises(JobFileError) as info:
+        parse_job(job_doc(schema=True))
+    assert str(info.value) == "job: 'schema' must equal 1"
+    assert parse_job(job_doc(schema=1)) == parse_job(job_doc(schema=1.0))
+
+
+def test_numbers_the_parser_still_accepts():
+    class Real(float):
+        pass
+
+    job = parse_job(op_doc(STAR, zeta=Real(2.0), predicted=0, name="s t\u00e9"))
+    op, = job.operators
+    assert type(op.zeta) is float and op.zeta == 2.0
+    assert type(op.predicted) is float and op.predicted == 0.0
+    assert op.name == "s t\u00e9"
 
 class TestJobRoundTrip:
     def test_parse_serialize_parse(self, tmp_path):

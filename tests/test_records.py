@@ -28,12 +28,14 @@ from mlstar import (
     SeriesResult,
     StarlikeOrderReport,
 )
-from mlstar.jobs import Job, JobOperator, ReportDocument
+from mlstar.jobs import Job, JobOperator, ReportDocument, _DataclassFields
 
 P = MLParams(2.0, 4.0)
 F = FactorSpec(P, 1.0)
 POINT = EvalPoint(-0.5 + 0j, 0.5, math.pi)
-JOB = Job((), GridSpec(radii=(0.5,), angles=8))
+GRID = GridSpec(radii=(0.5,), angles=8)
+JOB = Job((), GRID)
+OP = JobOperator("ml", "ml-starlike", alpha=2.0, beta=4.0, eta=0.0)
 
 # (class, every field by keyword in positional order, one field changed, repr)
 RECORDS = [
@@ -69,6 +71,11 @@ RECORDS = [
                        beta=4.0, eta=0.0, predicted=None), dict(predicted=0.5),
      "JobOperator(name='ml', kind='ml-starlike', factors=(), zeta=None, alpha=2.0, "
      "beta=4.0, eta=0.0, predicted=None)"),
+    (Job, dict(operators=(OP,), grid=GRID, margin_tol=1e-6, series_tol=1e-14,
+               outputs=("text",)), dict(outputs=("json",)),
+     "Job(operators=(JobOperator(name='ml', kind='ml-starlike', factors=(), zeta=None, "
+     "alpha=2.0, beta=4.0, eta=0.0, predicted=None),), grid=GridSpec(radii=(0.5,), "
+     "r_max=0.5, angles=8), margin_tol=1e-06, series_tol=1e-14, outputs=('text',))"),
     (ReportDocument, dict(job=JOB, names=["a"], certificates=[None], timings=[0.5]),
      dict(timings=[0.25]),
      "ReportDocument(job=Job(operators=(), grid=GridSpec(radii=(0.5,), r_max=0.5, angles=8), "
@@ -112,6 +119,9 @@ class TestRecord:
     def test_repr_is_the_dataclass_repr(self, cls, fields, changed, text):
         assert repr(cls(**fields)) == text
 
+    def test_signature_lists_the_fields_in_order(self, cls, fields, changed, text):
+        assert list(inspect.signature(cls).parameters) == list(fields) == list(cls.__slots__)
+
     def test_copies_and_pickles_are_equal(self, cls, fields, changed, text):
         record = cls(**fields)
         for twin in (copy.copy(record), copy.deepcopy(record),
@@ -138,8 +148,9 @@ def test_records_of_different_classes_are_never_equal():
     (lambda: GridSpec(r_max=0.8), dict(radii=(0.25, 0.5, 0.75, 0.8), r_max=0.8)),
     (lambda: JobOperator("s", "starlike"), dict(factors=(), zeta=None, alpha=None, beta=None,
                                                 eta=None, predicted=None)),
+    (lambda: Job((), GRID), dict(margin_tol=1e-6, series_tol=1e-14, outputs=("text",))),
     (lambda: ReportDocument(JOB), dict(names=[], certificates=[], timings=[])),
-], ids=["FactorSpec", "Certificate", "GridSpec", "GridSpec-r_max", "JobOperator",
+], ids=["FactorSpec", "Certificate", "GridSpec", "GridSpec-r_max", "JobOperator", "Job",
         "ReportDocument"])
 def test_defaults(build, defaults):
     record = build()
@@ -198,12 +209,28 @@ def test_operator_spec_keeps_its_factors_as_a_tuple():
 
 
 def test_job_alone_is_a_dataclass():
-    # perfbench/worker.py builds its one-operator jobs with dataclasses.replace(job, ...),
-    # so Job stays a dataclass until the benchmark builds them otherwise
+    # perfbench/worker.py and cli._apply_overrides build jobs with dataclasses.replace
     modules = [importlib.import_module(f"mlstar.{info.name}")
                for info in pkgutil.iter_modules(mlstar.__path__)]
     classes = {obj for module in modules for obj in vars(module).values()
                if inspect.isclass(obj) and obj.__module__ == module.__name__}
     assert {cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)} == {"Job"}
     assert {cls.__name__ for cls, *_ in RECORDS} <= {cls.__name__ for cls in classes}
-    assert dataclasses.replace(JOB, operators=(1,)).operators == (1,)
+
+
+def test_dataclasses_functions_accept_a_job(monkeypatch):
+    # a fresh descriptor, as in a process where no dataclasses function has asked yet
+    monkeypatch.setattr(Job, "__dataclass_fields__", _DataclassFields())
+    job = Job((OP,), GRID, 1e-5, 1e-12, ("json",))
+    assert dataclasses.is_dataclass(job) and dataclasses.is_dataclass(Job)
+    cached = vars(Job)["__dataclass_fields__"]
+    assert type(cached) is dict and list(cached) == list(Job.__slots__)
+    assert [f.name for f in dataclasses.fields(job)] == list(Job.__slots__)
+    assert dataclasses.fields(Job) == dataclasses.fields(job)
+    assert vars(Job)["__dataclass_fields__"] is cached  # built once, then read from the class
+    other = dataclasses.replace(job, operators=(), series_tol=1e-14)
+    assert type(other) is Job and other == Job((), GRID, 1e-5, 1e-14, ("json",))
+    assert dataclasses.asdict(job) == dict(operators=(OP,), grid=GRID, margin_tol=1e-5,
+                                           series_tol=1e-12, outputs=("json",))
+    with pytest.raises(TypeError):
+        dataclasses.replace(job, extra=1)
