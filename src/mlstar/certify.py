@@ -29,21 +29,20 @@ boundary itself; but the tables' tails past the cut are extrapolated
 disk, not a proof, and says so in its serialized form.
 
 A circle sum is Horner in Python complex numbers: the terms t_n of the
-circle at e^(i theta). The CLI's dump sums the half k = 0 ... M/2 of each
-circle with _circle_half and mirrors it: the tables are real, so the
-point M - k holds the conjugate of the value at k.
+circle at e^(i theta). The CLI's dump takes each circle from _circle,
+which sums the half k = 0 ... M/2 and mirrors it: the tables are real, so
+the point M - k holds the conjugate of the value at k.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from operator import mul
 
 from .defaults import EVAL_TOLERANCE, R_MAX, SERIES_TOL
 from .errors import DomainError
-from .mittag_leffler import MLParams, _check_radius, _horner
+from .mittag_leffler import MLParams, _check_radius, _check_tol, _horner, _real
 from .operators import (
     EvalPoint,
     FactorSpec,
@@ -82,20 +81,18 @@ RULE_BISECTED = "bisected"   # the branch and bound bracketed it
 RULE_UNSUMMED = "unsummed"   # the table has no cut, so nothing was summed
 
 
-def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the double range
-        return math.inf if value > 0 else -math.inf
+def _finite_or_none(x):
+    """x, or None for NaN and inf: the one way a report writes a number, as strict JSON."""
+    return x if x is None or math.isfinite(x) else None
 
 
-def _finite(value, name: str) -> float:
-    value = _real(value, name)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+def _check_tolerances(series_tol, margin_tol, names=("series_tol", "eval_tolerance")) -> tuple:
+    """(series_tol, margin_tol), each by _check_tol, or DomainError unless series <= margin."""
+    margin_tol, series_tol = _check_tol(margin_tol, names[1]), _check_tol(series_tol, names[0])
+    if not series_tol <= margin_tol:
+        raise DomainError(f"series tolerance {series_tol!r} exceeds the margin tolerance "
+                          f"{margin_tol!r}: the truncation error could hide a failed margin")
+    return series_tol, margin_tol
 
 
 def _circle_terms(table, count: int, r: float) -> list:
@@ -123,8 +120,9 @@ def _circle_half(terms, m: int) -> list:
     return half
 
 
-def _mirror(half, m: int) -> list:
-    """The full circle k = 0 ... m - 1 from its half: the point m - k is the conjugate of k."""
+def _circle(table, count: int, r: float, m: int) -> list:
+    """dump's m sums of the cut table[:count] on |z| = r: the half, and its conjugate mirror."""
+    half = _circle_half(_circle_terms(table, count, r), m)
     return half + [v.conjugate() for v in reversed(half[1 : (m + 1) // 2])]
 
 
@@ -255,21 +253,17 @@ class Certificate(_Record):
         object.__setattr__(self, "semantics", semantics)
 
     def to_dict(self) -> dict:
-        def clean(x):
-            # keep reports strict JSON: no NaN/inf literals
-            return x if x is None or math.isfinite(x) else None
-
         return {
             "quantity": self.quantity,
-            "predicted": clean(self.predicted),
-            "observed": clean(self.observed),
+            "predicted": _finite_or_none(self.predicted),
+            "observed": _finite_or_none(self.observed),
             "argmin": {
                 "radius": self.argmin.radius,
                 "angle": self.argmin.angle,
                 "re": self.argmin.z.real,
                 "im": self.argmin.z.imag,
             },
-            "margin": clean(self.margin),
+            "margin": _finite_or_none(self.margin),
             "eval_tolerance": self.eval_tolerance,
             "verdict": self.verdict,
             "hypothesis_ok": self.hypothesis_ok,
@@ -309,14 +303,12 @@ class _Claim(namedtuple("_Claim", "quantity predicted hypothesis_ok sampled coef
 
 
 def _checked(r_max, eval_tolerance, series_tol, predicted) -> tuple:
-    """The public functions' numbers, or DomainError unless r_max lies in (0, 1],
-    eval_tolerance and predicted (or None) are finite and series_tol is real; a
-    job checks its own as it is parsed, so run_job calls _certify directly."""
-    r_max = _check_radius(_real(r_max, "r_max"), "r_max")
-    eval_tolerance = _finite(eval_tolerance, "eval_tolerance")
-    series_tol = _real(series_tol, "series_tol")
-    if predicted is not None:
-        predicted = _finite(predicted, "predicted")
+    """The public functions' numbers, checked as a job's are when it is parsed, so
+    run_job calls _certify directly; predicted is None or finite."""
+    r_max = _check_radius(r_max, "r_max")
+    series_tol, eval_tolerance = _check_tolerances(series_tol, eval_tolerance)
+    if predicted is not None and not math.isfinite(predicted := _real(predicted, "predicted")):
+        raise DomainError(f"predicted must be finite, got {predicted!r}")
     return r_max, eval_tolerance, series_tol, predicted
 
 
@@ -325,11 +317,8 @@ def _certify(claim: _Claim, r_max: float, eval_tolerance: float, series_tol: flo
     """Take the claim's extremum on |z| = r_max and judge it against the prediction.
 
     The margin is the distance into the safe side: observed - target for an
-    order, target - observed for the bound.
+    order, target - observed for the bound. Its callers check the numbers.
     """
-    if not series_tol <= eval_tolerance:
-        raise DomainError(f"series tolerance {series_tol!r} exceeds the margin tolerance "
-                          f"{eval_tolerance!r}")
     target = claim.predicted if predicted is None else float(predicted)
     table, (count, tail) = claim.table(r_max, series_tol)
     if count:
@@ -395,8 +384,6 @@ def certify_convex(
 
 
 def _ml_starlike_claim(params: MLParams, eta: float) -> _Claim:
-    if not 0.0 <= eta < 1.0:
-        raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
     return _Claim(
         QUANTITY_STARLIKE_ML, eta, ml_starlike_hypothesis(params, eta), "ml-log-deriv",
         _log_derivative_coefficients, (FactorSpec(params, 1.0),),  # Q = z E'/E - 1

@@ -21,13 +21,12 @@ import contextlib
 import dataclasses
 import inspect
 import json
-import math
 import os
 import sys
 from functools import partial
 
 from . import __version__
-from .certify import VERDICT_FAIL, VERDICT_HYPOTHESIS, _circle_half, _circle_terms, _mirror
+from .certify import VERDICT_FAIL, VERDICT_HYPOTHESIS, _circle, _finite_or_none
 from .defaults import SERIES_TOL
 from .errors import DomainError, JobFileError, MLStarError
 from .jobs import (
@@ -38,10 +37,9 @@ from .jobs import (
     _claim,
     job_digest,
     load_job,
-    operator_to_dict,
     run_job,
 )
-from .mittag_leffler import MLParams, _check_disk, _log_deriv_value, ml_norm, ml_raw
+from .mittag_leffler import MLParams, _check_disk, _check_tol, _log_deriv_value, ml_norm, ml_raw
 from .operators import OperatorSpec, _operator_value
 
 _EXIT_FAIL = 1
@@ -61,11 +59,8 @@ def _operator(job: Job, name: str):
 
 
 def _apply_overrides(job: Job, args) -> Job:
-    """The job with the global --tol, --grid-angles and --r-max applied."""
+    """The job with the global --tol, --grid-angles and --r-max applied; Job checks --tol."""
     if args.tol is not None:
-        if args.tol > job.margin_tol:
-            raise UsageError(f"--tol {args.tol!r} exceeds the job's margin tolerance "
-                             f"{job.margin_tol!r}")
         job = dataclasses.replace(job, series_tol=args.tol)
     if args.grid_angles is None and args.r_max is None:
         return job
@@ -179,10 +174,10 @@ def cmd_orders(args) -> int:
         raise UsageError("job lists no operators")
     if args.format == "json":
         doc = [
-            {"name": name, "kind": kind, "delta": delta, "hypothesis_ok": ok}
+            {"name": name, "kind": kind, "delta": _finite_or_none(delta), "hypothesis_ok": ok}
             for name, kind, delta, ok in rows
         ]
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     else:
         name_w = max(len(r[0]) for r in rows)
         for name, kind, delta, ok in rows:
@@ -207,7 +202,7 @@ def cmd_certify(args) -> int:
     with _open(args.output) as output:
         report = run_job(job)
         if output or fmt == "json":
-            text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+            text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
             if output:
                 output.write(text)
     if fmt == "json":
@@ -253,11 +248,10 @@ def cmd_dump(args) -> int:
     job = _apply_overrides(load_job(args.job), args)
     op = _operator(job, args.operator)
     claim = _claim(op)
-    digest_doc = {"operator": operator_to_dict(op), "grid": job.grid.to_dict()}
     with _open(args.output) as output:
         table, (count, _) = claim.table(job.grid.r_max, job.series_tol)
         out = output or sys.stdout
-        out.write(f"# spec={op.name} quantity={claim.sampled} digest={job_digest(digest_doc)}\n"
+        out.write(f"# spec={op.name} quantity={claim.sampled} digest={job_digest(op, job.grid)}\n"
                   "radius,angle,re,im\n")
         m, angles = job.grid.angles, [repr(theta) for theta in job.grid.circle_angles()]
         for r in job.grid.radii:  # each circle is summed as it is written
@@ -265,7 +259,7 @@ def cmd_dump(args) -> int:
             if not count:
                 rows = (f"{radius},{theta},error,error" for theta in angles)
             else:
-                circle = _mirror(_circle_half(_circle_terms(table, count, r), m), m)
+                circle = _circle(table, count, r, m)
                 rows = (f"{radius},{theta},{value.real!r},{value.imag!r}"
                         for theta, value in zip(angles, (1.0 + v for v in circle)))
             out.write("\n".join(rows) + "\n")
@@ -273,10 +267,10 @@ def cmd_dump(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {tol!r}")
-    return tol
+    try:
+        return _check_tol(float(text), "the series tolerance")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -19,10 +19,10 @@ from .certify import (
     VERDICT_HYPOTHESIS,
     VERDICT_PASS,
     _certify,
+    _check_tolerances,
     _convex_claim,
     _log_deriv_bound_claim,
     _ml_starlike_claim,
-    _real,
     _starlike_claim,
 )
 from .defaults import EVAL_TOLERANCE, GRID_ANGLES, GRID_POINTS_MAX, R_MAX, SERIES_TOL
@@ -73,11 +73,11 @@ class GridSpec(_Record):
 
     def __init__(self, radii: tuple = None, r_max: float = None, angles: int = GRID_ANGLES):
         if r_max is not None:
-            r_max = _check_radius(_real(r_max, "r_max"), "r_max")
+            r_max = _check_radius(r_max, "r_max")
         if radii is None:
             radii = default_radii(R_MAX if r_max is None else r_max)
         else:
-            radii = tuple(_check_radius(_real(r, "a radius"), "a radius") for r in radii)
+            radii = tuple(_check_radius(r, "a radius") for r in radii)
         if not radii:
             raise DomainError("grid needs at least one radius")
         for a, b in zip(radii, radii[1:]):
@@ -151,7 +151,7 @@ class _DataclassFields:
 
 
 class Job(_Record):
-    """A parsed job: its operators, grid, tolerances and output formats."""
+    """A parsed job: its operators, grid, tolerances (checked, in copies too) and outputs."""
 
     __slots__ = ("operators", "grid", "margin_tol", "series_tol", "outputs")
     __dataclass_fields__ = _DataclassFields()
@@ -160,6 +160,7 @@ class Job(_Record):
                  series_tol: float = SERIES_TOL, outputs: tuple = ("text",)):
         object.__setattr__(self, "operators", operators)
         object.__setattr__(self, "grid", grid)
+        series_tol, margin_tol = _check_tolerances(series_tol, margin_tol)
         object.__setattr__(self, "margin_tol", margin_tol)
         object.__setattr__(self, "series_tol", series_tol)
         object.__setattr__(self, "outputs", outputs)
@@ -211,8 +212,10 @@ def _parse_operator(raw, index):
     _require(isinstance(raw, dict), "%s: expected an object", context)
     name = raw.get("name")
     _require(isinstance(name, str) and name, "%s: needs a nonempty 'name'", context)
-    # a control character would break a text report row or dump's header line
+    # a control character or a space would split a text report row or dump's header line;
+    # the space is the one whitespace character that isprintable() lets through
     _require(name.isprintable(), "%s: 'name' must be printable, got %r", context, name)
+    _require(" " not in name, "%s: 'name' must not contain a space, got %r", context, name)
     kind = raw.get("kind")
     _require(kind in _KINDS, "%s: 'kind' must be one of %s, got %r", context, _KINDS, kind)
     predicted = raw.get("predicted")
@@ -277,15 +280,13 @@ def parse_job(document: dict) -> Job:
     _check_keys(tol_raw, _TOL_KEYS, "job.tolerance")
     margin_tol = _number(tol_raw.get("margin", EVAL_TOLERANCE), "margin", "job.tolerance")
     series_tol = _number(tol_raw.get("series", SERIES_TOL), "series", "job.tolerance")
-    checked = [("margin", margin_tol), ("series", series_tol)]
+    try:
+        series_tol, margin_tol = _check_tolerances(series_tol, margin_tol, ("'series'", "'margin'"))
+    except DomainError as exc:
+        raise JobFileError(f"job.tolerance: {exc}") from exc
     if "quadrature" in tol_raw:  # still accepted, so that older jobs run, but unused
-        checked.append(("quadrature", _number(tol_raw["quadrature"], "quadrature",
-                                              "job.tolerance")))
-    for key, value in checked:
-        _require(value > 0.0, "job.tolerance: '%s' must be positive", key)
-    _require(series_tol <= margin_tol,
-             "job.tolerance: 'series' must not exceed 'margin', or the truncation "
-             "error could hide a failed margin")
+        _require(_number(tol_raw["quadrature"], "quadrature", "job.tolerance") > 0.0,
+                 "job.tolerance: 'quadrature' must be positive")
 
     outputs = document.get("outputs", ["text"])
     _require(isinstance(outputs, list) and outputs, "job: 'outputs' must be a nonempty list")
@@ -363,9 +364,10 @@ def canonical_json(document: dict) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
-def job_digest(document: dict) -> str:
+def job_digest(op: JobOperator, grid: GridSpec) -> str:
     import hashlib  # here, so that only dump's processes load it
 
+    document = {"operator": operator_to_dict(op), "grid": grid.to_dict()}
     return hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()[:12]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from functools import lru_cache
 
 from .defaults import DENOM_GUARD, SERIES_TERM_CAP, SERIES_TOL
@@ -71,11 +72,29 @@ def _check_disk(z) -> complex:
     return z
 
 
-def _check_radius(r: float, name: str) -> float:
-    """r, or DomainError naming it unless 0 < r <= 1: the package's one radius rule."""
-    if not 0.0 < r <= 1.0:
+def _real(value, name: str) -> float:
+    if type(value) is float:  # most values, without the slower numbers.Real test below
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        return math.inf if value > 0 else -math.inf
+
+
+def _check_radius(r, name: str) -> float:
+    """r as a float, or DomainError naming it unless a number in (0, 1]: the one radius rule."""
+    if not 0.0 < (r := _real(r, name)) <= 1.0:
         raise DomainError(f"{name} must lie in (0, 1], got {r!r}")
     return r
+
+
+def _check_tol(value, name: str) -> float:
+    """value as a float, or DomainError naming it unless 0 < value < inf: the one tolerance rule."""
+    if not 0.0 < (tol := _real(value, name)) < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {tol!r}")
+    return tol
 
 
 # --- the series engine ------------------------------------------------------
@@ -125,10 +144,8 @@ def _cut(params: MLParams, radius: float, tol: float):
     """(c_1, ..., c_N) for the circle |z| = radius and the tail bound of that cut.
 
     N is the first count whose tail bound at the radius is below tol; the
-    tail is inf when no count up to SERIES_TERM_CAP gets there.
+    tail is inf when no count up to SERIES_TERM_CAP gets there; callers check tol.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
     coeffs = _coefficients(params.alpha, params.beta, tol)
     for n in range(1, min(SERIES_TERM_CAP, len(coeffs) - 1) + 1):
         tail = _tail(coeffs, n, radius)
@@ -167,12 +184,12 @@ def ml_raw(
     This is u(z) / Gamma(beta); past beta = 171.6 the factor 1/Gamma(beta)
     is below the double range and the value is 0.
     """
-    z = _check_disk(z)
+    z, tol = _check_disk(z), _check_tol(tol, "tol")
     try:
         gamma_beta = math.gamma(params.beta)
     except OverflowError:
         gamma_beta = math.inf
-    coeffs, tail = _cut(params, abs(z), tol * gamma_beta)
+    coeffs, tail = _cut(params, abs(z), tol * gamma_beta)  # inf past beta = 171.6
     return _point_result(_horner(coeffs, z) / gamma_beta, coeffs, tail / gamma_beta, tol)
 
 
@@ -186,7 +203,7 @@ def ml_norm(
     Equals z + sum_{n>=2} [Gamma(beta)/Gamma(alpha*(n-1)+beta)] z^n, so the
     value at 0 is 0 and the derivative there is 1.
     """
-    z = _check_disk(z)
+    z, tol = _check_disk(z), _check_tol(tol, "tol")
     coeffs, tail = _cut(params, abs(z), tol)
     return _point_result(z * _horner(coeffs, z), coeffs, abs(z) * tail, tol)
 
@@ -197,7 +214,7 @@ def ml_norm_deriv(
     tol: float = SERIES_TOL,
 ) -> SeriesResult:
     """Derivative of the normalization: 1 + sum_{n>=2} n c_n z^(n-1)."""
-    z = _check_disk(z)
+    z, tol = _check_disk(z), _check_tol(tol, "tol")
     coeffs, tail = _cut(params, abs(z), tol)
     weighted = tuple(n * c for n, c in enumerate(coeffs, start=1))
     return _point_result(_horner(weighted, z), coeffs, tail, tol)
@@ -211,7 +228,7 @@ def _log_deriv_value(params: MLParams, z: complex, tol: float) -> SeriesResult:
     (dw - (w/u) du)/(u + du) is then at most t (1 + |w/u|)/(|u| - t), the
     bound returned, inf when |u| <= t; like every tail_bound, it leaves out rounding.
     """
-    z = _check_disk(z)
+    z, tol = _check_disk(z), _check_tol(tol, "tol")
     coeffs, tail = _cut(params, abs(z), tol)
     if tail == math.inf:
         raise SeriesTruncationError(_unreachable(tol))

@@ -53,8 +53,8 @@ from itertools import accumulate
 
 from .defaults import SERIES_TERM_CAP, SERIES_TOL
 from .errors import DegenerateOperatorError, DomainError, SeriesTruncationError
-from .mittag_leffler import (MLParams, SeriesResult, _check_disk, _check_radius, _coefficients,
-                             _horner)
+from .mittag_leffler import (MLParams, SeriesResult, _check_disk, _check_radius, _check_tol,
+                             _coefficients, _horner)
 from .numerics import principal_power, series_solve
 from .records import _Record
 
@@ -78,11 +78,27 @@ class FactorSpec(_Record):
     def __init__(self, params: MLParams, lam: float, eta: float = 0.0):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "eta", eta)
         if not 0.0 < lam < math.inf:
             raise DomainError(f"lambda must be finite and > 0, got {lam!r}")
-        if not 0.0 <= eta < 1.0:
-            raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
+        object.__setattr__(self, "eta", _check_eta(eta))
+
+
+def _check_eta(eta: float) -> float:
+    """eta, or DomainError unless 0 <= eta < 1: the package's one eta rule."""
+    if not 0.0 <= eta < 1.0:
+        raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
+    return eta
+
+
+def _check_factors(factors) -> tuple:
+    """factors as a tuple, or DomainError unless a nonempty list of FactorSpec: the one rule."""
+    factors = tuple(factors)
+    if not factors:
+        raise DomainError("an operator needs at least one factor")
+    for f in factors:
+        if not isinstance(f, FactorSpec):
+            raise DomainError(f"not a FactorSpec: {f!r}")
+    return factors
 
 
 class OperatorSpec(_Record):
@@ -91,14 +107,8 @@ class OperatorSpec(_Record):
     __slots__ = ("factors", "zeta")
 
     def __init__(self, factors: tuple, zeta: float):
-        factors = tuple(factors)
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factors", _check_factors(factors))
         object.__setattr__(self, "zeta", zeta)
-        if not factors:
-            raise DomainError("an operator needs at least one factor")
-        for f in factors:
-            if not isinstance(f, FactorSpec):
-                raise DomainError(f"not a FactorSpec: {f!r}")
         if not 0.0 < zeta < math.inf:
             raise DomainError(f"zeta must be finite and > 0, got {zeta!r}")
 
@@ -190,8 +200,6 @@ def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
     sum of all t_n is NaN or above _SUM_MAX, N is 0 and the tail is inf.
     With a cut, every circle sum of at most that radius is finite.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
     terms = [abs(c) * radius ** n for n, c in enumerate(coeffs)]
     tails = list(accumulate(reversed(terms)))[::-1]  # tails[k] = sum of terms[k:]
     if not tails[0] <= _SUM_MAX:
@@ -232,6 +240,7 @@ def _table_value(coefficients, subject, z: complex, tol: float) -> SeriesResult:
 
     Raises SeriesTruncationError when the table has no cut at |z|.
     """
+    tol = _check_tol(tol, "tol")
     table, (n, tail) = _sized_table(coefficients, subject, abs(z), tol)
     if not n:
         raise SeriesTruncationError(_no_cut(table, abs(z), tail))
@@ -280,7 +289,7 @@ def f_value(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
 
 def f_conv_value(factors, z, tol: float = SERIES_TOL) -> complex:
     """The zeta-free operator Integral_0^z P(t) dt: F^zeta at zeta = 1."""
-    return f_zeta_power(OperatorSpec(tuple(factors), 1.0), z, tol)
+    return f_zeta_power(OperatorSpec(factors, 1.0), z, tol)
 
 
 def convex_log_deriv(factors, z, tol: float = SERIES_TOL) -> complex:
@@ -290,7 +299,5 @@ def convex_log_deriv(factors, z, tol: float = SERIES_TOL) -> complex:
     table has no cut, and it raises SeriesTruncationError, as f_conv_value
     does.
     """
-    factors = tuple(factors)
-    if not factors:
-        raise DomainError("an operator needs at least one factor")
+    factors = _check_factors(factors)
     return 1.0 + _table_value(_log_derivative_coefficients, factors, _as_point(z), tol).value

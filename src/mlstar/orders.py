@@ -6,7 +6,7 @@ import math
 
 from .errors import DomainError
 from .mittag_leffler import MLParams
-from .operators import OperatorSpec
+from .operators import OperatorSpec, _check_eta, _check_factors
 from .records import _Record
 
 __all__ = [
@@ -30,9 +30,7 @@ def psi(eta: float) -> float:
     psi(eta) = [(3 - eta) + sqrt(5 eta^2 - 18 eta + 17)] / [2 (1 - eta)],
     strictly increasing on [0, 1) and divergent as eta -> 1.
     """
-    eta = float(eta)
-    if not 0.0 <= eta < 1.0:
-        raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
+    eta = _check_eta(float(eta))
     return ((3.0 - eta) + math.sqrt(5.0 * eta * eta - 18.0 * eta + 17.0)) / (
         2.0 * (1.0 - eta)
     )
@@ -99,10 +97,13 @@ def starlike_delta(spec: OperatorSpec) -> StarlikeOrderReport:
     """
     zeta = spec.zeta
     hyp_sum = sum((1.0 - f.eta) / f.lam for f in spec.factors)
-    b = 2.0 * hyp_sum - 2.0 * zeta + 1.0
-    root = math.hypot(b, math.sqrt(8.0 * zeta))  # b^2 alone would overflow for |b| > 1e154
+    # the equation times k: past 2^1020, 8 zeta or 2 hyp_sum would overflow at k = 1, and
+    # k = 1/16 scales every step exactly, so both give the same root where both are finite
+    k = 1.0 if zeta < 2.0 ** 1020 and hyp_sum < 2.0 ** 1020 else 0.0625
+    b = 2.0 * (hyp_sum * k) - 2.0 * (zeta * k) + k
+    root = math.hypot(b, math.sqrt(8.0 * (zeta * k) * k))  # b^2 would overflow past 1e154
     # for b > 0 the textbook form cancels when 8 zeta << b^2; its conjugate does not
-    delta = 2.0 / (b + root) if b > 0.0 else (-b + root) / (4.0 * zeta)
+    delta = 2.0 * k / (b + root) if b > 0.0 else (-b + root) / (4.0 * (zeta * k))
     hypothesis_ok = hyp_sum <= zeta and all(
         ml_starlike_hypothesis(f.params, f.eta) for f in spec.factors
     )
@@ -115,9 +116,7 @@ def convex_delta(factors) -> ConvexOrderReport:
     Every beta_j must exceed the golden ratio for the bound coefficient to
     exist; the flag additionally records whether the order lands in [0, 1).
     """
-    factors = tuple(factors)
-    if not factors:
-        raise DomainError("an operator needs at least one factor")
+    factors = _check_factors(factors)
     beta_min = min(f.params.beta for f in factors)
     bound_sum = phi(beta_min) * sum(1.0 / f.lam for f in factors)
     delta = 1.0 - bound_sum

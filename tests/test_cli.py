@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -294,14 +296,14 @@ class TestCertify:
         for tol in ("0.05", "0.5"):
             result = invoke(["--tol", tol, "--grid-angles", "90", "certify", path])
             assert result.exit_code == 2, result.output
-            assert "exceeds the job's margin tolerance" in result.output
+            assert "exceeds the margin tolerance" in result.output
         # eval prints tail bounds, so it keeps any positive --tol
         result = invoke(["--tol", "0.5", "eval", "--job", path,
                          "--operator", "star-control", "--z", "0.25"])
         assert result.exit_code == 0, result.output
 
     def test_job_series_tolerance_above_the_margin_is_rejected(self):
-        with pytest.raises(JobFileError, match="'series' must not exceed 'margin'"):
+        with pytest.raises(JobFileError, match="0.05 exceeds the margin tolerance"):
             parse_job(dict(CORPUS, tolerance={"margin": 1e-6, "series": 0.05}))
         job = parse_job(dict(CORPUS, tolerance={"margin": 1e-6, "series": 1e-6}))
         assert job.series_tol == job.margin_tol
@@ -589,7 +591,8 @@ class TestDump:
 
     def test_a_negative_zero_imaginary_part_prints_as_zero(self, monkeypatch):
         # 1 + v is a complex sum, and 1.0 + complex(x, -0.0) has imaginary part +0.0
-        monkeypatch.setattr(cli_module, "_mirror", lambda half, m: [complex(0.5, -0.0)] * m)
+        monkeypatch.setattr(cli_module, "_circle",
+                            lambda table, count, r, m: [complex(0.5, -0.0)] * m)
         result = invoke(["--grid-angles", "8", "dump", "--job", CORPUS_PATH,
                          "--operator", "ml-24"])
         assert result.exit_code == 0
@@ -951,12 +954,12 @@ JOB_RULES = [
     ("tolerance-margin-null", job_doc(tolerance={"margin": None}),
      "job.tolerance: key 'margin' must be a number, got None"),
     ("tolerance-series-zero", job_doc(tolerance={"series": 0.0}),
-     "job.tolerance: 'series' must be positive"),
+     "job.tolerance: 'series' must be finite and > 0, got 0.0"),
     ("tolerance-quadrature-negative", job_doc(tolerance={"quadrature": -1.0}),
      "job.tolerance: 'quadrature' must be positive"),
     ("tolerance-series-above-margin", job_doc(tolerance={"margin": 1e-10, "series": 1e-8}),
-     "job.tolerance: 'series' must not exceed 'margin', or the truncation error could hide "
-     "a failed margin"),
+     "job.tolerance: series tolerance 1e-08 exceeds the margin tolerance 1e-10: the truncation "
+     "error could hide a failed margin"),
     ("outputs-empty", job_doc(outputs=[]), "job: 'outputs' must be a nonempty list"),
     ("outputs-unknown", job_doc(outputs=["xml"]), "job: unknown output format 'xml'"),
     ("operators-not-list", job_doc(operators={}), "job: 'operators' must be a list"),
@@ -1023,6 +1026,55 @@ def test_a_name_with_a_control_character_is_refused(tmp_path, argv):
     assert "row,1,2,3 " not in result.output and "radius,angle" not in result.output
 
 
+FORGED = "s digest=000000000000 quantity=none"  # would forge dump's header fields
+
+
+@pytest.mark.parametrize("argv", [
+    ["orders", "JOB"],
+    ["certify", "JOB"],
+    ["dump", "--job", "JOB", "--operator", FORGED],
+], ids=["orders", "certify", "dump"])
+def test_a_name_with_a_space_is_refused(tmp_path, argv):
+    # it would split a text report row, as a reader that splits on whitespace sees it,
+    # and put a second digest= into dump's header
+    path = write_job(tmp_path, op_doc(STAR, name=FORGED))
+    result = invoke([path if arg == "JOB" else arg for arg in argv])
+    assert result.exit_code == 2, result.output
+    assert f"operators[0]: 'name' must not contain a space, got {FORGED!r}" in result.output
+    assert "# spec=" not in result.output and "summary:" not in result.output
+
+
+def _stdout_of(argv):
+    """main(argv)'s exit code and its standard output alone, without stderr's warnings."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit) as info:
+        main(argv)
+    return info.value.code or 0, out.getvalue()
+
+
+def test_orders_and_certify_write_strict_json(tmp_path):
+    # lambda = 5e-324 makes the convex delta -inf, and zeta = 8e307 made the starlike one
+    # NaN; both commands write a number that is not finite as null
+    path = write_job(tmp_path, job_doc(operators=[
+        {"name": "tiny-lambda", "kind": "convex",
+         "factors": [{"alpha": 2, "beta": 2, "lambda": 5e-324}]},
+        {**STAR, "name": "huge-zeta", "zeta": 8e307}]))
+
+    def strict(text):
+        return json.loads(text, parse_constant=lambda s: pytest.fail(f"non-strict JSON {s}"))
+
+    code, out = _stdout_of(["--format", "json", "orders", path])
+    assert code == 0
+    deltas = {entry["name"]: entry["delta"] for entry in strict(out)}
+    assert deltas == {"tiny-lambda": None, "huge-zeta": 1.0}
+    code, out = _stdout_of(["--format", "json", "certify", path])
+    assert code == 1  # the tiny lambda's table has no cut
+    tiny, huge = strict(out)["certificates"]
+    assert tiny["predicted"] is None and tiny["observed"] is None and tiny["margin"] is None
+    assert huge["predicted"] == 1.0 and huge["verdict"] == "pass"
+
+
 def test_a_bool_schema_is_refused():
     # True == 1, yet every other number in a job refuses a bool
     with pytest.raises(JobFileError) as info:
@@ -1035,11 +1087,11 @@ def test_numbers_the_parser_still_accepts():
     class Real(float):
         pass
 
-    job = parse_job(op_doc(STAR, zeta=Real(2.0), predicted=0, name="s t\u00e9"))
+    job = parse_job(op_doc(STAR, zeta=Real(2.0), predicted=0, name="s-t\u00e9"))
     op, = job.operators
     assert type(op.zeta) is float and op.zeta == 2.0
     assert type(op.predicted) is float and op.predicted == 0.0
-    assert op.name == "s t\u00e9"
+    assert op.name == "s-t\u00e9"
 
 class TestJobRoundTrip:
     def test_parse_serialize_parse(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mlstar import (
     DomainError,
@@ -146,6 +146,29 @@ class TestStarlikeDelta:
             exact = float((-b + mpmath.sqrt(b * b + 8 * z)) / (4 * z))
         delta = starlike_delta(spec_of([(2, 4, lam, 0.0)], zeta)).delta
         assert delta == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("lam, zeta", [(1.0, 8e307), (1.0, 1.7e308), (1e-307, 1.7e308),
+                                           (1e-308, 1e300)])
+    def test_root_past_the_overflow_of_8_zeta(self, lam, zeta):
+        # 8 zeta or 2/lambda overflows: the unscaled root gave NaN, NaN, NaN and 0 here
+        with mpmath.workdps(700):
+            z = mpmath.mpf(zeta)
+            b = 2 / mpmath.mpf(lam) - 2 * z + 1
+            exact = float((-b + mpmath.sqrt(b * b + 8 * z)) / (4 * z))
+        delta = starlike_delta(spec_of([(2, 4, lam, 0.0)], zeta)).delta
+        assert delta == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(zeta=st.floats(5e-324, 1.7e308),
+           factors=st.lists(st.tuples(st.floats(5e-324, 1.7e308),
+                                      st.sampled_from([0.0, 0.5, 0.999])), min_size=1, max_size=2))
+    @example(zeta=8e307, factors=[(1.0, 0.0)])
+    @example(zeta=1.7e308, factors=[(5e-324, 0.0), (5e-324, 0.5)])
+    @example(zeta=5e-324, factors=[(1.7e308, 0.999)])
+    def test_the_order_is_finite_and_in_the_unit_interval(self, zeta, factors):
+        # 1 ulp above 1 is rounding: a small zeta with a huge lambda gives it
+        delta = starlike_delta(spec_of([(2, 4, lam, eta) for lam, eta in factors], zeta)).delta
+        assert 0.0 <= delta <= 1.0 + 2.0 ** -52
 
     def test_root_property_and_range(self, rng):
         logged = []
