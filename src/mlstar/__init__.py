@@ -13,6 +13,7 @@ from .errors import (
 )
 from .numerics import principal_power
 from .mittag_leffler import (
+    EvalPoint,
     MLParams,
     SeriesResult,
     log_deriv,
@@ -21,7 +22,6 @@ from .mittag_leffler import (
     ml_raw,
 )
 from .operators import (
-    EvalPoint,
     FactorSpec,
     OperatorSpec,
     convex_log_deriv,

@@ -42,9 +42,8 @@ from operator import mul
 
 from .defaults import EVAL_TOLERANCE, R_MAX, SERIES_TOL
 from .errors import DomainError
-from .mittag_leffler import MLParams, _check_radius, _check_tol, _horner, _real
+from .mittag_leffler import EvalPoint, MLParams, _check_radius, _check_tol, _horner, _real
 from .operators import (
-    EvalPoint,
     FactorSpec,
     OperatorSpec,
     _log_derivative_coefficients,
@@ -290,7 +289,7 @@ class _Claim(namedtuple("_Claim", "quantity predicted hypothesis_ok sampled coef
                                   "largest", defaults=(False,))):
     """One certificate's prediction and sampled quantity, named ``sampled`` in dumps.
 
-    The quantity minus 1 is the table coefficients(subject, tol, length);
+    The quantity minus 1 is the table coefficients(subject, tol, length, solved);
     ``table(radius, series_tol)`` sizes it for the radius and returns
     it with its cut there, so predicting evaluates no series.
     ``largest`` marks the bound, which certifies a maximum.

@@ -23,6 +23,7 @@ from .records import _Record
 __all__ = [
     "MLParams",
     "SeriesResult",
+    "EvalPoint",
     "ml_raw",
     "ml_norm",
     "ml_norm_deriv",
@@ -43,6 +44,8 @@ class MLParams(_Record):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float):
+        if type(alpha) is not float or type(beta) is not float:  # floats skip two calls
+            alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         if not 1.0 <= alpha < math.inf:
@@ -61,6 +64,22 @@ class SeriesResult(_Record):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "terms_used", terms_used)
         object.__setattr__(self, "tail_bound", tail_bound)
+
+
+class EvalPoint(_Record):
+    """A point of the closed unit disk in both cartesian and polar form."""
+
+    __slots__ = ("z", "radius", "angle")
+
+    def __init__(self, z: complex, radius: float, angle: float):
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "angle", angle)
+
+    @classmethod
+    def from_polar(cls, radius: float, angle: float) -> "EvalPoint":
+        _check_radius(radius, "radius")
+        return cls(radius * cmath.exp(1j * angle), radius, angle)
 
 
 def _check_disk(z) -> complex:
@@ -91,10 +110,20 @@ def _check_radius(r, name: str) -> float:
 
 
 def _check_tol(value, name: str) -> float:
-    """value as a float, or DomainError naming it unless 0 < value < inf: the one tolerance rule."""
-    if not 0.0 < (tol := _real(value, name)) < math.inf:
+    """value as a float, or DomainError naming it unless 0 < value < inf: the one rule
+    for tolerances, and for lambda and zeta, which obey it too."""
+    tol = value if type(value) is float else _real(value, name)  # floats skip the call
+    if not 0.0 < tol < math.inf:
         raise DomainError(f"{name} must be finite and > 0, got {tol!r}")
     return tol
+
+
+def _check_eta(eta) -> float:
+    """eta as a float, or DomainError unless a number with 0 <= eta < 1: the one eta rule."""
+    eta = eta if type(eta) is float else _real(eta, "eta")  # floats skip the call
+    if not 0.0 <= eta < 1.0:
+        raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
+    return eta
 
 
 # --- the series engine ------------------------------------------------------

@@ -5,9 +5,10 @@ one solver for power series, which gives quotients and logarithmic
 derivatives. The coefficients it produces carry the branch continued from
 the origin, so nothing is ever tracked along a path. Everything here runs
 on Python floats, as does the whole package: the tables are 16 to 200
-terms long, and those that certificates build 16 or 32, where a numpy
+terms long, and most that certificates build 16 or 24, where a numpy
 call costs more than the arithmetic it saves, and importing numpy costs
-a cold process more than all its work on the corpus.
+a cold process more than all its work on the corpus. A table that grows
+is solved on from the terms it has, never again from the first.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def principal_power(w: complex, e: float) -> complex:
     return cmath.exp(e * complex(math.log(abs(w)), _principal_arg(w)))
 
 
-def series_solve(a, b, length: int, derivative: bool = False) -> list:
+def series_solve(a, b, length: int, derivative: bool = False, x: list = None) -> list:
     """The first ``length`` Taylor coefficients of X with A X = B, or A X + t X' = B.
 
     a and b hold the coefficients of A and B, those past their ends count
@@ -92,7 +93,10 @@ def series_solve(a, b, length: int, derivative: bool = False) -> list:
         x_n = (b_n - sum_{k=1..n} a_k x_{n-k}) / (a_0, or a_0 + n with t X').
 
     It returns a list of length floats. A term depends only on the terms
-    before it, so a shorter solve is exactly a prefix of a longer one.
+    before it, so a shorter solve is exactly a prefix of a longer one. x,
+    when given, is such a prefix, the list an earlier call on the same a
+    and b returned, no longer than length: this call solves only the terms
+    after it, appends them to x and returns x, bit for bit a fresh solve.
 
     X is therefore the solution analytic at the origin, continued across
     any disk where it stays analytic. A quotient B/A, a logarithmic
@@ -101,11 +105,12 @@ def series_solve(a, b, length: int, derivative: bool = False) -> list:
     |t_0|^-n for the zero nearest the origin; those that overflow come out
     inf or nan, quietly, as Python float arithmetic does.
     """
+    x = [] if x is None else x
+    start = len(x)
     a0, *near = map(float, a[:length])
-    rhs = list(map(float, b[:length]))
-    rhs += [0.0] * (length - len(rhs))
-    x = []
-    for n, rhs_n in enumerate(rhs):
+    rhs = list(map(float, b[start:length]))
+    rhs += [0.0] * (length - start - len(rhs))
+    for n, rhs_n in enumerate(rhs, start):
         pivot = a0 + n if derivative else a0
         x.append((rhs_n - sum(map(mul, near, reversed(x)))) / pivot)
     return x

@@ -35,9 +35,11 @@ Q, H and 1/H all come from the one triangular solve numerics.series_solve.
 
 A table is cut once, on one circle |z| = r, a point's or a grid's
 outermost, which also cuts every smaller circle: _sized_table builds it
-16 terms long, doubled until _operator_cut finds a cut, and hands that
-cut on. Where a factor's zero lies within reach of the circle, Q has a
-pole there, and where G has one, so does 1/H; the coefficients stop
+16 terms long and grows it by half until _operator_cut finds a cut, and
+hands that cut on. Growing solves only the new terms: each builder keeps
+its solved series between lengths, and series_solve continues them.
+Where a factor's zero lies within reach of the circle, Q has a pole
+there, and where G has one, so does 1/H; the coefficients stop
 decaying. Then, or when the terms |c_n| r^n sum past 1e300 or overflow,
 no cut exists and the evaluation raises SeriesTruncationError; with a
 cut, every sum on the circle and inside it is finite. The tables are
@@ -53,15 +55,14 @@ from itertools import accumulate
 
 from .defaults import SERIES_TERM_CAP, SERIES_TOL
 from .errors import DegenerateOperatorError, DomainError, SeriesTruncationError
-from .mittag_leffler import (MLParams, SeriesResult, _check_disk, _check_radius, _check_tol,
-                             _coefficients, _horner)
+from .mittag_leffler import (EvalPoint, MLParams, SeriesResult, _check_disk, _check_eta,
+                             _check_tol, _coefficients, _horner)
 from .numerics import principal_power, series_solve
 from .records import _Record
 
 __all__ = [
     "FactorSpec",
     "OperatorSpec",
-    "EvalPoint",
     "f_zeta_power",
     "f_value",
     "star_log_deriv",
@@ -77,17 +78,8 @@ class FactorSpec(_Record):
 
     def __init__(self, params: MLParams, lam: float, eta: float = 0.0):
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "lam", lam)
-        if not 0.0 < lam < math.inf:
-            raise DomainError(f"lambda must be finite and > 0, got {lam!r}")
+        object.__setattr__(self, "lam", _check_tol(lam, "lambda"))
         object.__setattr__(self, "eta", _check_eta(eta))
-
-
-def _check_eta(eta: float) -> float:
-    """eta, or DomainError unless 0 <= eta < 1: the package's one eta rule."""
-    if not 0.0 <= eta < 1.0:
-        raise DomainError(f"eta must lie in [0, 1), got {eta!r}")
-    return eta
 
 
 def _check_factors(factors) -> tuple:
@@ -108,25 +100,7 @@ class OperatorSpec(_Record):
 
     def __init__(self, factors: tuple, zeta: float):
         object.__setattr__(self, "factors", _check_factors(factors))
-        object.__setattr__(self, "zeta", zeta)
-        if not 0.0 < zeta < math.inf:
-            raise DomainError(f"zeta must be finite and > 0, got {zeta!r}")
-
-
-class EvalPoint(_Record):
-    """A point of the closed unit disk in both cartesian and polar form."""
-
-    __slots__ = ("z", "radius", "angle")
-
-    def __init__(self, z: complex, radius: float, angle: float):
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "angle", angle)
-
-    @classmethod
-    def from_polar(cls, radius: float, angle: float) -> "EvalPoint":
-        _check_radius(radius, "radius")
-        return cls(radius * cmath.exp(1j * angle), radius, angle)
+        object.__setattr__(self, "zeta", _check_tol(zeta, "zeta"))
 
 
 def _as_point(z) -> complex:
@@ -135,42 +109,50 @@ def _as_point(z) -> complex:
 
 # --- the coefficient engine ---------------------------------------------------
 #
-# Each table builder takes (subject, tol, length) and returns a table, a list
-# of floats, that vanishes at the origin. series_solve is prefix-stable, so a
-# longer table extends a shorter one exactly.
+# Each table builder takes (subject, tol, length, solved) and returns a new
+# table, a list of floats, that vanishes at the origin. solved is a dict
+# that keeps the builder's solved series between calls on one subject and
+# tol, each a list that series_solve continues: a longer table extends a
+# shorter one exactly and solves only its new terms. Without solved, the
+# call solves from the first term.
 
 
-def _log_derivative_coefficients(factors, tol: float, length: int) -> list:
+def _log_derivative_coefficients(factors, tol: float, length: int, solved: dict = None) -> list:
     """(q_0, ..., q_{length-1}) of Q = t P'/P; q_0 = 0.
 
     Each factor's table A is mittag_leffler's cached one, exact to tol on
-    the unit circle, and contributes t A'/A / lambda. Q is also
-    (1 + zF''/F') - 1 of the zeta-free operator, and for the one factor
-    E/z with lambda = 1 it is z E'/E - 1.
+    the unit circle, and contributes t A'/A / lambda, kept in solved under
+    the factor's index. Q is also (1 + zF''/F') - 1 of the zeta-free
+    operator, and for the one factor E/z with lambda = 1 it is z E'/E - 1.
     """
+    solved = {} if solved is None else solved
     q = [0.0] * length
-    for factor in factors:
+    for j, factor in enumerate(factors):
         table = _coefficients(factor.params.alpha, factor.params.beta, tol)
-        solved = series_solve(table, [n * c for n, c in enumerate(table)], length)
-        q = [total + x / factor.lam for total, x in zip(q, solved)]
+        part = series_solve(table, [n * c for n, c in enumerate(table)], length,
+                            x=solved.setdefault(j, []))
+        q = [total + x / factor.lam for total, x in zip(q, part)]
     return q
 
 
-def _star_coefficients(spec: OperatorSpec, tol: float, length: int) -> list:
+def _star_coefficients(spec: OperatorSpec, tol: float, length: int, solved: dict = None) -> list:
     """(v_0, ..., v_{length-1}) of zF'/F - 1 = 1/H - 1; v_0 = 0.
 
-    H = G/P solves (zeta + Q) H + z H' = zeta, and V = 1/H solves H V = 1.
+    H = G/P solves (zeta + Q) H + z H' = zeta, and V = 1/H solves H V = 1;
+    solved keeps them under "h" and "v", beside Q's factors.
     """
-    q = _log_derivative_coefficients(spec.factors, tol, length)
-    h = series_solve([spec.zeta] + q[1:], [spec.zeta], length, derivative=True)
-    v = series_solve(h, [1.0], length)
-    v[0] = 0.0
-    return v
+    solved = {} if solved is None else solved
+    q = _log_derivative_coefficients(spec.factors, tol, length, solved)
+    h = series_solve([spec.zeta] + q[1:], [spec.zeta], length, derivative=True,
+                     x=solved.setdefault("h", []))
+    v = series_solve(h, [1.0], length, x=solved.setdefault("v", []))
+    return [0.0] + v[1:]
 
 
-def _log_ratio_coefficients(spec: OperatorSpec, tol: float, length: int) -> list:
+def _log_ratio_coefficients(spec: OperatorSpec, tol: float, length: int,
+                            solved: dict = None) -> list:
     """log(F/z) = Integral_0^z (zF'/F - 1) dt/t = sum_{n>=1} v_n z^n / n."""
-    return [v / max(n, 1) for n, v in enumerate(_star_coefficients(spec, tol, length))]
+    return [v / max(n, 1) for n, v in enumerate(_star_coefficients(spec, tol, length, solved))]
 
 
 # A cut leaves at least this many table terms after it, so that the terms
@@ -179,7 +161,7 @@ _MEASURED_TAIL = 8
 # The largest sum of |c_n| r^n a cut accepts: every sum on a circle of
 # radius at most r is bounded by it, so none can overflow in rounding.
 _SUM_MAX = 1e300
-_FIRST_LENGTH = 16  # of a table's first build, which _sized_table doubles
+_FIRST_LENGTH = 16  # of a table's first build, which _sized_table grows by half
 
 
 def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
@@ -223,16 +205,20 @@ def _sized_table(coefficients, subject, radius: float, tol: float) -> tuple:
 
     Every caller sums from that cut and cuts nothing again; a grid passes
     its outermost radius, and its other circles sum the same terms. The
-    length starts at _FIRST_LENGTH and doubles; at SERIES_TERM_CAP the
-    table is returned with or without a cut, and without one the count is 0.
+    length starts at _FIRST_LENGTH and grows by half, 16, 24, 36, ..., 181;
+    each length solves only the terms past the last, as coefficients
+    continues the series it keeps in one solved dict, and is cut once. At
+    SERIES_TERM_CAP the table is returned with or without a cut, and
+    without one the count is 0.
     """
+    solved = {}
     length = _FIRST_LENGTH
     while True:
-        table = coefficients(subject, tol, length)
+        table = coefficients(subject, tol, length, solved)
         cut = _operator_cut(table, radius, tol)
         if length >= SERIES_TERM_CAP or cut[0]:
             return table, cut
-        length = min(2 * length, SERIES_TERM_CAP)
+        length = min(length + length // 2, SERIES_TERM_CAP)
 
 
 def _table_value(coefficients, subject, z: complex, tol: float) -> SeriesResult:

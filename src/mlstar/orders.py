@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .mittag_leffler import MLParams
-from .operators import OperatorSpec, _check_eta, _check_factors
+from .mittag_leffler import MLParams, _check_eta, _real
+from .operators import OperatorSpec
 from .records import _Record
 
 __all__ = [
@@ -30,7 +30,7 @@ def psi(eta: float) -> float:
     psi(eta) = [(3 - eta) + sqrt(5 eta^2 - 18 eta + 17)] / [2 (1 - eta)],
     strictly increasing on [0, 1) and divergent as eta -> 1.
     """
-    eta = _check_eta(float(eta))
+    eta = _check_eta(eta)
     return ((3.0 - eta) + math.sqrt(5.0 * eta * eta - 18.0 * eta + 17.0)) / (
         2.0 * (1.0 - eta)
     )
@@ -42,8 +42,7 @@ def phi(beta: float) -> float:
     Defined and strictly decreasing for beta above the golden ratio, where
     the denominator is positive.
     """
-    beta = float(beta)
-    if not beta > GOLDEN_RATIO:
+    if not (beta := _real(beta, "beta")) > GOLDEN_RATIO:
         raise DomainError(
             f"beta must exceed (1 + sqrt 5)/2 = {GOLDEN_RATIO:.10f}, got {beta!r}"
         )
@@ -116,7 +115,7 @@ def convex_delta(factors) -> ConvexOrderReport:
     Every beta_j must exceed the golden ratio for the bound coefficient to
     exist; the flag additionally records whether the order lands in [0, 1).
     """
-    factors = _check_factors(factors)
+    factors = OperatorSpec(factors, 1.0).factors  # checked as F at zeta = 1
     beta_min = min(f.params.beta for f in factors)
     bound_sum = phi(beta_min) * sum(1.0 / f.lam for f in factors)
     delta = 1.0 - bound_sum

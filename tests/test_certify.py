@@ -571,8 +571,8 @@ class TestHalfCircleScan:
         make, radii = self.CLAIMS[kind]
         claim = make()
 
-        def huge(subject, tol, length):
-            table = claim.coefficients(subject, tol, length)
+        def huge(subject, tol, length, solved=None):
+            table = claim.coefficients(subject, tol, length, solved)
             table[1] = 1e301
             return table
 

@@ -353,7 +353,7 @@ class TestCertify:
         assert bound["observed"] == pytest.approx(5.3096214052587017e-5, rel=1e-11)
 
     def test_truncated_operator_fails_beside_a_healthy_one(self, tmp_path, monkeypatch):
-        def overflowed(factors, tol, length):
+        def overflowed(factors, tol, length, solved=None):
             return np.full(length, np.inf)  # no cut on any circle
 
         # the ml kinds take this table from certify; star-24 from operators

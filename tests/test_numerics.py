@@ -259,6 +259,15 @@ class TestSeriesSolve:
                 assert np.array_equal(series_solve(a, b, length, derivative=derivative),
                                       full[:length])
 
+    def test_a_continued_prefix_is_the_fresh_solve(self):
+        # each call appends the terms past x to x itself, bit for bit a fresh solve
+        for a, b, derivative in self.uses().values():
+            full = series_solve(a, b, 200, derivative=derivative)
+            x = []
+            for length in (1, 16, 24, 36, 54, 81, 121, 181, 200):
+                assert series_solve(a, b, length, derivative=derivative, x=x) is x
+                assert x == full[:length]
+
     def test_overflow_gives_inf_and_nan_quietly(self):
         # 1/(1 + 1e200 t): the coefficients (-1e200)^n overflow from n = 2 on
         with warnings.catch_warnings():

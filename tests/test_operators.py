@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -21,8 +22,10 @@ from mlstar import (
     f_zeta_power,
     star_log_deriv,
 )
+from mlstar import operators
 from mlstar.certify import VERDICT_FAIL, _circle_half, _circle_terms
 from mlstar.defaults import SERIES_TERM_CAP
+from mlstar.jobs import load_job, parse_job, run_job
 from mlstar.numerics import series_solve
 from mlstar.operators import (
     _log_derivative_coefficients,
@@ -480,14 +483,14 @@ class TestCoefficientEngine:
         # the cut it returns is the table's cut on the circle
         assert cut == _operator_cut(table, 0.9, 1e-14) and cut[0] > 0
 
-    def test_ml_table_cut_past_the_first_length_is_sized_at_twice_it(self):
+    def test_ml_table_cut_past_the_first_length_grows_it_by_half(self):
         # z E'/E - 1 of alpha = 1, beta = 4 needs 15 terms on r = 0.999, more than
-        # a 16-term table can cut with 8 measured terms left, so it doubles once
+        # a 16-term table can cut with 8 measured terms left, so it grows once, to 24
         factors = (FactorSpec(MLParams(1, 4), 1.0),)
         table, (count, _) = _sized_table(_log_derivative_coefficients, factors, 0.999, 1e-14)
-        assert len(table) == 32 and count == 15
+        assert len(table) == 24 and count == 15
         full = _log_derivative_coefficients(factors, 1e-14, SERIES_TERM_CAP)
-        assert np.array_equal(table, full[:32])
+        assert np.array_equal(table, full[:24])
 
     def test_growing_product_without_cancellation(self):
         # P = e^(25 t): summed as a series, P(-0.999) = e^-25 would cancel
@@ -511,6 +514,88 @@ class TestCoefficientEngine:
                 with pytest.raises(SeriesTruncationError):
                     fn(spec, z)
         assert math.isfinite(star_log_deriv(spec, -0.15).real)
+
+
+def spy_on_solves(monkeypatch):
+    """Record every operators.series_solve call: the dict maps the id of each solved list
+    to the list and the range of term indices each call appended to it."""
+    solves = {}
+
+    def spy(a, b, length, derivative=False, x=None):
+        start = 0 if x is None else len(x)
+        out = series_solve(a, b, length, derivative, x)
+        solves.setdefault(id(out), (out, []))[1].append(range(start, len(out)))
+        return out  # solves keeps out alive, so no later list reuses its id
+
+    monkeypatch.setattr(operators, "series_solve", spy)
+    return solves
+
+
+def terms_solved(solves):
+    return sum(len(r) for _, ranges in solves.values() for r in ranges)
+
+
+CORPUS_PATH = Path(__file__).resolve().parent.parent / "jobs" / "corpus.json"
+# the five operators of the operator-grid benchmark at seed 1
+OPERATOR_GRID = parse_job({"schema": 1, "operators": [
+    {"name": "probe-zeta-0.37", "kind": "starlike", "zeta": 0.37, "factors": [
+        {"alpha": 1.5, "beta": 7.154893404542053, "lambda": 11.0077374411061},
+        {"alpha": 2.0, "beta": 4.37543834709694, "lambda": 11.54038040453884},
+        {"alpha": 2.5, "beta": 4.113389906088026, "lambda": 9.515070287781793}]},
+    {"name": "probe-zeta-2.5", "kind": "starlike", "zeta": 2.5, "factors": [
+        {"alpha": 2.0, "beta": 4.008424213404442, "lambda": 1.0546631223362106},
+        {"alpha": 1.5, "beta": 5.781548776219205, "lambda": 0.7793476597789173}]},
+    {"name": "star-24", "kind": "starlike", "zeta": 1.0,
+     "factors": [{"alpha": 2.0, "beta": 4.0, "lambda": 1.0}]},
+    {"name": "exponential", "kind": "starlike", "zeta": 1.0,
+     "factors": [{"alpha": 1.0, "beta": 1.0, "lambda": 2.582310048511174}]},
+    {"name": "eta-factor", "kind": "starlike", "zeta": 1.0, "factors": [
+        {"alpha": 2.0, "beta": 7.385935999375465, "lambda": 1.7637746189766141,
+         "eta": 0.1537456976449605}]},
+]})
+
+
+def grid_spec(name):
+    return next(op.operator_spec() for op in OPERATOR_GRID.operators if op.name == name)
+
+
+class TestTableGrowth:
+    """_sized_table grows a table by half, 16, 24, 36, ..., 200, and every length
+    solves only the terms past the last: no term of any series is solved twice."""
+
+    TOL = 1e-14
+    TABLES = {  # name -> (coefficients, subject, series per length, final length)
+        "two-factor-starlike": (_star_coefficients, grid_spec("probe-zeta-2.5"), 4, 24),
+        "exponential": (_star_coefficients, grid_spec("exponential"), 3, 24),
+        "ml-1-4": (_log_derivative_coefficients, (FactorSpec(MLParams(1, 4), 1.0),), 1, 24),
+        "ml-1-0.2-no-cut": (_log_derivative_coefficients,
+                            (FactorSpec(MLParams(1, 0.2), 1.0),), 1, SERIES_TERM_CAP),
+    }
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_no_term_is_solved_twice(self, monkeypatch, kind):
+        coefficients, subject, series, length = self.TABLES[kind]
+        full = coefficients(subject, self.TOL, SERIES_TERM_CAP)
+        solves = spy_on_solves(monkeypatch)
+        table, (count, _) = _sized_table(coefficients, subject, 0.999, self.TOL)
+        assert len(table) == length and (count == 0) == (length == SERIES_TERM_CAP)
+        assert len(solves) == series  # one list per series, continued at every length
+        lengths = [16, 24, 36, 54, 81, 121, 181, 200]
+        for solved, ranges in solves.values():
+            assert len(solved) == length
+            assert [r.stop for r in ranges] == lengths[: lengths.index(length) + 1]
+            assert [i for r in ranges for i in r] == list(range(length))  # each index once
+        assert np.array_equal(table, full[:length])  # bit for bit
+
+    def test_run_job_solves_each_term_once(self, monkeypatch):
+        # a count, not a time, so solving any table again from its first term fails here
+        # whatever the host's speed; every table of these jobs stops at 16 or 24 terms
+        solves = spy_on_solves(monkeypatch)
+        run_job(load_job(CORPUS_PATH))
+        assert terms_solved(solves) == 176
+        solves.clear()
+        run_job(OPERATOR_GRID)
+        assert terms_solved(solves) == 344
 
 
 class TestCircleSums:

@@ -1,10 +1,12 @@
 """Each parameter rule is one function, and every entry point that takes the
 parameter refuses the same values with the same message.
 
-- tolerances: mittag_leffler._check_tol (finite and > 0) and
-  certify._check_tolerances (and series <= margin);
+- tolerances: mittag_leffler._check_tol (finite and > 0), which lambda and
+  zeta obey too, and certify._check_tolerances (and series <= margin);
 - factor lists: operators._check_factors (nonempty, every item a FactorSpec);
-- eta: operators._check_eta (0 <= eta < 1).
+- eta: mittag_leffler._check_eta (0 <= eta < 1);
+- every number: mittag_leffler._real, which refuses a string or a bool
+  by the parameter's name.
 """
 
 import json
@@ -31,6 +33,7 @@ from mlstar import (
     ml_norm,
     ml_norm_deriv,
     ml_raw,
+    phi,
     psi,
     star_log_deriv,
 )
@@ -194,6 +197,28 @@ def test_the_eta_rule_at_every_entry(entry, eta):
     entry(0.5)
     with pytest.raises(DomainError, match=r"eta must lie in \[0, 1\), got "):
         entry(eta)
+
+
+NUMBER_ENTRIES = {  # name -> (the parameter's name, run(value), an accepted value)
+    "MLParams-alpha": ("alpha", lambda x: MLParams(x, 4), 2.0),
+    "MLParams-beta": ("beta", lambda x: MLParams(2, x), 4.0),
+    "FactorSpec-lambda": ("lambda", lambda x: FactorSpec(PARAMS, x), 1.0),
+    "FactorSpec-eta": ("eta", lambda x: FactorSpec(PARAMS, 1.0, x), 0.5),
+    "OperatorSpec-zeta": ("zeta", lambda x: OperatorSpec(FACTORS, x), 1.0),
+    "certify_ml_starlike-eta": ("eta", lambda x: certify_ml_starlike(MLParams(2, 20), x), 0.5),
+    "psi": ("eta", psi, 0.5),
+    "phi": ("beta", phi, 4.0),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None], ids=["str", "bool", "None"])
+@pytest.mark.parametrize("entry", NUMBER_ENTRIES.values(), ids=NUMBER_ENTRIES.keys())
+def test_a_non_number_is_refused_by_name(entry, value):
+    # a bool is an int to Python, and "0.5" is one to float(); neither is a number here
+    name, run, accepted = entry
+    run(accepted)
+    with pytest.raises(DomainError, match=re.escape(f"{name} must be a number, got {value!r}")):
+        run(value)
 
 
 @pytest.mark.parametrize("rule, text", [
