@@ -79,6 +79,13 @@ RULE_ENDPOINT = "endpoint"   # the n^2 test put the extremum at theta = 0 or pi
 RULE_BISECTED = "bisected"   # the branch and bound bracketed it
 RULE_UNSUMMED = "unsummed"   # the table has no cut, so nothing was summed
 
+# the kinds of a job's operators, each certified by one claim (_claim)
+KIND_STARLIKE = "starlike"
+KIND_CONVEX = "convex"
+KIND_ML_STARLIKE = "ml-starlike"
+KIND_LOG_DERIV_BOUND = "log-deriv-bound"
+_KINDS = (KIND_STARLIKE, KIND_CONVEX, KIND_ML_STARLIKE, KIND_LOG_DERIV_BOUND)
+
 
 def _finite_or_none(x):
     """x, or None for NaN and inf: the one way a report writes a number, as strict JSON."""
@@ -382,10 +389,11 @@ def certify_convex(
                     *_checked(r_max, eval_tolerance, series_tol, predicted))
 
 
-def _ml_starlike_claim(params: MLParams, eta: float) -> _Claim:
+def _ml_starlike_claim(factor: FactorSpec) -> _Claim:
+    """The claim of the one factor (E/z)^1 with its eta: Q = z E'/E - 1."""
     return _Claim(
-        QUANTITY_STARLIKE_ML, eta, ml_starlike_hypothesis(params, eta), "ml-log-deriv",
-        _log_derivative_coefficients, (FactorSpec(params, 1.0),),  # Q = z E'/E - 1
+        QUANTITY_STARLIKE_ML, factor.eta, ml_starlike_hypothesis(factor.params, factor.eta),
+        "ml-log-deriv", _log_derivative_coefficients, (factor,),
     )
 
 
@@ -399,15 +407,15 @@ def certify_ml_starlike(
     predicted: float = None,
 ) -> Certificate:
     """Certify Re(z E'/E) > eta for one normalized function."""
-    return _certify(_ml_starlike_claim(params, eta),
+    return _certify(_ml_starlike_claim(FactorSpec(params, 1.0, eta)),
                     *_checked(r_max, eval_tolerance, series_tol, predicted))
 
 
-def _log_deriv_bound_claim(params: MLParams) -> _Claim:
-    bound = log_deriv_bound(params)  # raises DomainError for beta at/below golden
+def _log_deriv_bound_claim(factor: FactorSpec) -> _Claim:
+    bound = log_deriv_bound(factor.params)  # raises DomainError for beta at/below golden
     return _Claim(
         QUANTITY_LOG_DERIV_BOUND, bound, True, "ml-log-deriv",
-        _log_derivative_coefficients, (FactorSpec(params, 1.0),), largest=True,
+        _log_derivative_coefficients, (factor,), largest=True,
     )
 
 
@@ -425,5 +433,29 @@ def check_log_deriv_bound(
     bound; the margin is bound - max so the sign convention matches the
     other certificates.
     """
-    return _certify(_log_deriv_bound_claim(params),
+    return _certify(_log_deriv_bound_claim(FactorSpec(params, 1.0)),
                     *_checked(r_max, eval_tolerance, series_tol, predicted))
+
+
+def _claim(op) -> _Claim:
+    """What a job operator certifies: the one map from its kind and spec to a claim.
+
+    A convex spec is F at zeta = 1, and an ml-starlike spec the one factor
+    FactorSpec(params, 1, eta) at zeta = 1; a log-deriv-bound spec is that
+    with eta = 0. An unknown kind or any other spec raises DomainError.
+    """
+    kind, spec = op.kind, op.spec
+    if kind == KIND_STARLIKE:
+        return _starlike_claim(spec)
+    if kind not in _KINDS:
+        raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
+    factor = spec.factors[0]
+    one_factor = len(spec.factors) == 1 and factor.lam == 1.0 and (
+        kind == KIND_ML_STARLIKE or factor.eta == 0.0)
+    if spec.zeta != 1.0 or not (kind == KIND_CONVEX or one_factor):
+        raise DomainError(f"kind {kind!r} cannot have the spec {spec!r}")
+    if kind == KIND_CONVEX:
+        return _convex_claim(spec.factors)
+    if kind == KIND_ML_STARLIKE:
+        return _ml_starlike_claim(factor)
+    return _log_deriv_bound_claim(factor)

@@ -40,7 +40,7 @@ from .jobs import (
     run_job,
 )
 from .mittag_leffler import MLParams, _check_disk, _check_tol, _log_deriv_value, ml_norm, ml_raw
-from .operators import OperatorSpec, _operator_value
+from .operators import _operator_value
 
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
@@ -106,7 +106,6 @@ def cmd_eval(args) -> int:
 
         mlstar eval --job corpus.json --operator star-24 --z 0.25 --z 0.5j
     """
-    tol = args.tol or SERIES_TOL
     points = _parse_z(args.z)
 
     if args.operator is not None or args.job is not None:
@@ -115,21 +114,21 @@ def cmd_eval(args) -> int:
         for flag in ("alpha", "beta", "raw", "deriv"):
             if getattr(args, flag) is not None:
                 raise UsageError(f"--{flag} does not apply to operator evaluation")
-        op = _operator(load_job(args.job), args.operator)
-        if op.kind == KIND_STARLIKE:
-            spec, power = op.operator_spec(), False  # F, as f_value sums it
-        elif op.kind == KIND_CONVEX:
-            spec, power = OperatorSpec(op.factors, 1.0), True  # as f_conv_value
-        else:
+        job = load_job(args.job)
+        op = _operator(job, args.operator)
+        if op.kind not in (KIND_STARLIKE, KIND_CONVEX):
             raise UsageError(f"operator {op.name!r} has kind {op.kind!r}; only starlike "
                              f"and convex operators have values to evaluate")
-        evaluate = partial(_operator_value, spec, tol=tol, power=power)
+        # F, as f_value sums it, or F^zeta at zeta = 1, as f_conv_value; eval meets no
+        # margin, so --tol overrides the job's series tolerance unchecked against one
+        evaluate = partial(_operator_value, op.spec, tol=args.tol or job.series_tol,
+                           power=op.kind == KIND_CONVEX)
     else:
         if args.alpha is None or args.beta is None:
             raise UsageError("function evaluation needs --alpha and --beta")
         params = MLParams(args.alpha, args.beta)
         value = _log_deriv_value if args.deriv else ml_raw if args.raw else ml_norm
-        evaluate = partial(value, params, tol=tol)
+        evaluate = partial(value, params, tol=args.tol or SERIES_TOL)
 
     rows, failed = [], False
     for z in points:
@@ -281,8 +280,8 @@ def _parser() -> argparse.ArgumentParser:
                     "by the extremum on the circle |z| = r_max.")
     parser.add_argument("--version", action="version", version=f"mlstar, version {__version__}")
     parser.add_argument("--tol", type=_tolerance,
-                        help="Series truncation tolerance (default 1e-14); it also cuts the "
-                             "operators' series.")
+                        help="Series truncation tolerance (default: a job's "
+                             "tolerance.series, else 1e-14); it also cuts the operators' series.")
     parser.add_argument("--grid-angles", type=int,
                         help="Override the number of angles per circle that dump samples; "
                              "a certify report only echoes it.")

@@ -14,17 +14,9 @@ import numbers
 import time
 
 from . import __version__
-from .certify import (
-    VERDICT_FAIL,
-    VERDICT_HYPOTHESIS,
-    VERDICT_PASS,
-    _certify,
-    _check_tolerances,
-    _convex_claim,
-    _log_deriv_bound_claim,
-    _ml_starlike_claim,
-    _starlike_claim,
-)
+from .certify import (_KINDS, KIND_CONVEX, KIND_LOG_DERIV_BOUND, KIND_ML_STARLIKE, KIND_STARLIKE,
+                      VERDICT_FAIL, VERDICT_HYPOTHESIS, VERDICT_PASS, _certify, _check_tolerances,
+                      _claim)
 from .defaults import EVAL_TOLERANCE, GRID_ANGLES, GRID_POINTS_MAX, R_MAX, SERIES_TOL
 from .errors import DomainError, JobFileError
 from .mittag_leffler import MLParams, _check_radius
@@ -34,12 +26,6 @@ from .records import _Record
 __all__ = ["GridSpec", "Job", "JobOperator", "ReportDocument", "load_job", "job_to_dict", "run_job"]
 
 SCHEMA_VERSION = 1
-
-KIND_STARLIKE = "starlike"
-KIND_CONVEX = "convex"
-KIND_ML_STARLIKE = "ml-starlike"
-KIND_LOG_DERIV_BOUND = "log-deriv-bound"
-_KINDS = (KIND_STARLIKE, KIND_CONVEX, KIND_ML_STARLIKE, KIND_LOG_DERIV_BOUND)
 
 _TOP_KEYS = frozenset({"schema", "grid", "tolerance", "outputs", "operators"})
 _GRID_KEYS = frozenset({"radii", "angles", "r_max"})
@@ -109,28 +95,18 @@ class GridSpec(_Record):
 
 
 class JobOperator(_Record):
-    """One operator entry: factors for the starlike and convex kinds and zeta for
-    starlike only; alpha and beta for the ml kinds and eta for ml-starlike only."""
+    """One operator entry: its kind and, for every kind, an OperatorSpec (see
+    certify._claim). It builds its claim, so an unknown kind, a spec of another
+    form or a prediction outside its domain raises DomainError."""
 
-    __slots__ = ("name", "kind", "factors", "zeta", "alpha", "beta", "eta", "predicted")
+    __slots__ = ("name", "kind", "spec", "predicted")
 
-    def __init__(self, name: str, kind: str, factors: tuple = (), zeta: float = None,
-                 alpha: float = None, beta: float = None, eta: float = None,
-                 predicted: float = None):
+    def __init__(self, name: str, kind: str, spec: OperatorSpec, predicted: float = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "predicted", predicted)
-
-    def operator_spec(self) -> OperatorSpec:
-        return OperatorSpec(self.factors, self.zeta)
-
-    def ml_params(self) -> MLParams:
-        return MLParams(self.alpha, self.beta)
+        _claim(self)
 
 
 class _DataclassFields:
@@ -223,34 +199,32 @@ def _parse_operator(raw, index):
         predicted = _number(predicted, "predicted", context)
     _check_keys(raw, _OP_KEYS[kind], context)
 
-    if kind in (KIND_STARLIKE, KIND_CONVEX):
-        raw_factors = raw.get("factors")
-        _require(isinstance(raw_factors, list) and raw_factors,
-                 "%s: needs a nonempty 'factors' list", context)
-        factors = tuple(
-            _parse_factor(f, f"{context}.factors[{i}]") for i, f in enumerate(raw_factors)
-        )
-        zeta = None
-        if kind == KIND_STARLIKE:
-            _require("zeta" in raw, "%s: starlike operators need 'zeta'", context)
-            zeta = _number(raw["zeta"], "zeta", context)
-        op = JobOperator(name, kind, factors=factors, zeta=zeta, predicted=predicted)
-    else:
-        _require("alpha" in raw and "beta" in raw, "%s: needs 'alpha' and 'beta'", context)
-        alpha = _number(raw["alpha"], "alpha", context)
-        beta = _number(raw["beta"], "beta", context)
-        eta = None
-        if kind == KIND_ML_STARLIKE:
-            _require("eta" in raw, "%s: ml-starlike needs 'eta'", context)
-            eta = _number(raw["eta"], "eta", context)
+    zeta = 1.0
+    try:  # _parse_factor, _number and _require raise JobFileError with their own context
+        if kind in (KIND_STARLIKE, KIND_CONVEX):
+            raw_factors = raw.get("factors")
+            _require(isinstance(raw_factors, list) and raw_factors,
+                     "%s: needs a nonempty 'factors' list", context)
+            factors = tuple(
+                _parse_factor(f, f"{context}.factors[{i}]") for i, f in enumerate(raw_factors)
+            )
+            if kind == KIND_STARLIKE:
+                _require("zeta" in raw, "%s: starlike operators need 'zeta'", context)
+                zeta = _number(raw["zeta"], "zeta", context)
         else:
-            _require("eta" not in raw, "%s: log-deriv-bound entries take no 'eta'", context)
-        op = JobOperator(name, kind, alpha=alpha, beta=beta, eta=eta, predicted=predicted)
-    try:
-        _claim(op)  # checks the prediction's domain, e.g. beta above golden for convex and bound
+            _require("alpha" in raw and "beta" in raw, "%s: needs 'alpha' and 'beta'", context)
+            alpha = _number(raw["alpha"], "alpha", context)
+            beta = _number(raw["beta"], "beta", context)
+            eta = 0.0
+            if kind == KIND_ML_STARLIKE:
+                _require("eta" in raw, "%s: ml-starlike needs 'eta'", context)
+                eta = _number(raw["eta"], "eta", context)
+            else:
+                _require("eta" not in raw, "%s: log-deriv-bound entries take no 'eta'", context)
+            factors = (FactorSpec(MLParams(alpha, beta), 1.0, eta),)
+        return JobOperator(name, kind, OperatorSpec(factors, zeta), predicted)
     except DomainError as exc:
         raise JobFileError(f"{context}: {exc}") from exc
-    return op
 
 
 def parse_job(document: dict) -> Job:
@@ -333,14 +307,15 @@ def operator_to_dict(op: JobOperator) -> dict:
     """Canonical round-trippable form of one job operator."""
     entry = {"name": op.name, "kind": op.kind}
     if op.kind in (KIND_STARLIKE, KIND_CONVEX):
-        entry["factors"] = [_factor_dict(f) for f in op.factors]
+        entry["factors"] = [_factor_dict(f) for f in op.spec.factors]
         if op.kind == KIND_STARLIKE:
-            entry["zeta"] = op.zeta
+            entry["zeta"] = op.spec.zeta
     else:
-        entry["alpha"] = op.alpha
-        entry["beta"] = op.beta
+        factor, = op.spec.factors
+        entry["alpha"] = factor.params.alpha
+        entry["beta"] = factor.params.beta
         if op.kind == KIND_ML_STARLIKE:
-            entry["eta"] = op.eta
+            entry["eta"] = factor.eta
     if op.predicted is not None:
         entry["predicted"] = op.predicted
     return entry
@@ -369,17 +344,6 @@ def job_digest(op: JobOperator, grid: GridSpec) -> str:
 
     document = {"operator": operator_to_dict(op), "grid": grid.to_dict()}
     return hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()[:12]
-
-
-def _claim(op: JobOperator):
-    """What op certifies: the one map from a job kind to a certificate kind."""
-    if op.kind == KIND_STARLIKE:
-        return _starlike_claim(op.operator_spec())
-    if op.kind == KIND_CONVEX:
-        return _convex_claim(op.factors)
-    if op.kind == KIND_ML_STARLIKE:
-        return _ml_starlike_claim(op.ml_params(), op.eta)
-    return _log_deriv_bound_claim(op.ml_params())
 
 
 class ReportDocument(_Record):

@@ -118,6 +118,13 @@ def _check_tol(value, name: str) -> float:
     return tol
 
 
+def _check_params(params) -> MLParams:
+    """params, or DomainError unless an MLParams: the one params rule."""
+    if not isinstance(params, MLParams):
+        raise DomainError(f"params must be an MLParams, got {params!r}")
+    return params
+
+
 def _check_eta(eta) -> float:
     """eta as a float, or DomainError unless a number with 0 <= eta < 1: the one eta rule."""
     eta = eta if type(eta) is float else _real(eta, "eta")  # floats skip the call
@@ -213,7 +220,7 @@ def ml_raw(
     This is u(z) / Gamma(beta); past beta = 171.6 the factor 1/Gamma(beta)
     is below the double range and the value is 0.
     """
-    z, tol = _check_disk(z), _check_tol(tol, "tol")
+    params, z, tol = _check_params(params), _check_disk(z), _check_tol(tol, "tol")
     try:
         gamma_beta = math.gamma(params.beta)
     except OverflowError:
@@ -232,7 +239,7 @@ def ml_norm(
     Equals z + sum_{n>=2} [Gamma(beta)/Gamma(alpha*(n-1)+beta)] z^n, so the
     value at 0 is 0 and the derivative there is 1.
     """
-    z, tol = _check_disk(z), _check_tol(tol, "tol")
+    params, z, tol = _check_params(params), _check_disk(z), _check_tol(tol, "tol")
     coeffs, tail = _cut(params, abs(z), tol)
     return _point_result(z * _horner(coeffs, z), coeffs, abs(z) * tail, tol)
 
@@ -243,7 +250,7 @@ def ml_norm_deriv(
     tol: float = SERIES_TOL,
 ) -> SeriesResult:
     """Derivative of the normalization: 1 + sum_{n>=2} n c_n z^(n-1)."""
-    z, tol = _check_disk(z), _check_tol(tol, "tol")
+    params, z, tol = _check_params(params), _check_disk(z), _check_tol(tol, "tol")
     coeffs, tail = _cut(params, abs(z), tol)
     weighted = tuple(n * c for n, c in enumerate(coeffs, start=1))
     return _point_result(_horner(weighted, z), coeffs, tail, tol)
@@ -257,7 +264,7 @@ def _log_deriv_value(params: MLParams, z: complex, tol: float) -> SeriesResult:
     (dw - (w/u) du)/(u + du) is then at most t (1 + |w/u|)/(|u| - t), the
     bound returned, inf when |u| <= t; like every tail_bound, it leaves out rounding.
     """
-    z, tol = _check_disk(z), _check_tol(tol, "tol")
+    params, z, tol = _check_params(params), _check_disk(z), _check_tol(tol, "tol")
     coeffs, tail = _cut(params, abs(z), tol)
     if tail == math.inf:
         raise SeriesTruncationError(_unreachable(tol))

@@ -56,7 +56,7 @@ from itertools import accumulate
 from .defaults import SERIES_TERM_CAP, SERIES_TOL
 from .errors import DegenerateOperatorError, DomainError, SeriesTruncationError
 from .mittag_leffler import (EvalPoint, MLParams, SeriesResult, _check_disk, _check_eta,
-                             _check_tol, _coefficients, _horner)
+                             _check_params, _check_tol, _coefficients, _horner)
 from .numerics import principal_power, series_solve
 from .records import _Record
 
@@ -77,7 +77,7 @@ class FactorSpec(_Record):
     __slots__ = ("params", "lam", "eta")
 
     def __init__(self, params: MLParams, lam: float, eta: float = 0.0):
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", _check_params(params))
         object.__setattr__(self, "lam", _check_tol(lam, "lambda"))
         object.__setattr__(self, "eta", _check_eta(eta))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .mittag_leffler import MLParams, _check_eta, _real
+from .mittag_leffler import MLParams, _check_eta, _check_params, _real
 from .operators import OperatorSpec
 from .records import _Record
 
@@ -57,7 +57,7 @@ def ml_starlike_hypothesis(params: MLParams, eta: float) -> bool:
 
 def log_deriv_bound(params: MLParams) -> float:
     """Uniform disk bound on |z E'/E - 1| for the normalized function."""
-    return phi(params.beta)
+    return phi(_check_params(params).beta)
 
 
 class StarlikeOrderReport(_Record):

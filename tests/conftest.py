@@ -5,7 +5,7 @@ from mlstar import operators
 from mlstar.certify import _circle, _ml_starlike_claim
 from mlstar.errors import SeriesTruncationError
 from mlstar.jobs import GridSpec
-from mlstar.operators import _no_cut, _operator_cut
+from mlstar.operators import FactorSpec, _no_cut, _operator_cut
 
 from oracles import horner
 
@@ -59,5 +59,6 @@ def ml_table_deviation(params, z, tol=1e-14):
     """z E'/E - 1 at the points z as the Mittag-Leffler certificates sum it:
     from their table, sized for max |z|."""
     z = np.asarray(z, dtype=complex)
-    table, _ = _ml_starlike_claim(params, 0.0).table(float(np.max(np.abs(z))), tol)
+    claim = _ml_starlike_claim(FactorSpec(params, 1.0))
+    table, _ = claim.table(float(np.max(np.abs(z))), tol)
     return table_deviation(table, z, tol)

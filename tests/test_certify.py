@@ -423,8 +423,8 @@ def test_certificates_pass_or_fail_whole():
         lambda: certify_module._starlike_claim(OperatorSpec(factors(),
                                                             math.exp(rng.uniform(-5, 5)))),
         lambda: certify_module._convex_claim(factors()),
-        lambda: certify_module._ml_starlike_claim(params(), 0.0),
-        lambda: certify_module._log_deriv_bound_claim(params()),
+        lambda: certify_module._ml_starlike_claim(FactorSpec(params(), 1.0)),
+        lambda: certify_module._log_deriv_bound_claim(FactorSpec(params(), 1.0)),
     )
     counts = {"summed": 0, "unsummed": 0}
     for _ in range(400):
@@ -531,12 +531,14 @@ class TestHalfCircleScan:
         "starlike": (lambda: certify_module._starlike_claim(TestHalfCircleScan.PROBE), DEFAULT),
         "convex": (lambda: certify_module._convex_claim(TestHalfCircleScan.PROBE.factors),
                    DEFAULT),
-        "ml-starlike": (lambda: certify_module._ml_starlike_claim(MLParams(1.2, 1.7), 0.0),
-                        DEFAULT),
-        "log-deriv-bound": (lambda: certify_module._log_deriv_bound_claim(MLParams(1.2, 1.7)),
-                            DEFAULT),
+        "ml-starlike": (
+            lambda: certify_module._ml_starlike_claim(FactorSpec(MLParams(1.2, 1.7), 1.0)),
+            DEFAULT),
+        "log-deriv-bound": (
+            lambda: certify_module._log_deriv_bound_claim(FactorSpec(MLParams(1.2, 1.7), 1.0)),
+            DEFAULT),
         # E_{1,0.2} vanishes at -0.2448: no cut on the outermost circle
-        "ml-no-cut": (lambda: certify_module._ml_starlike_claim(MLParams(1, 0.2), 0.0),
+        "ml-no-cut": (lambda: certify_module._ml_starlike_claim(FactorSpec(MLParams(1, 0.2), 1.0)),
                       (0.2, 0.5, 0.999)),
     }
 
@@ -604,8 +606,9 @@ def series_claims():
         params = MLParams(rng.uniform(1.0, 5.0), math.exp(rng.uniform(math.log(1.7), math.log(160))))
         claims += [
             (f"convex-{i}", certify_module._convex_claim((FactorSpec(params, rng.uniform(1, 9)),))),
-            (f"ml-starlike-{i}", certify_module._ml_starlike_claim(params, 0.0)),
-            (f"log-deriv-bound-{i}", certify_module._log_deriv_bound_claim(params)),
+            (f"ml-starlike-{i}", certify_module._ml_starlike_claim(FactorSpec(params, 1.0))),
+            (f"log-deriv-bound-{i}",
+             certify_module._log_deriv_bound_claim(FactorSpec(params, 1.0))),
         ]
     return claims
 
@@ -645,7 +648,7 @@ class TestExtremum:
 
     def test_an_interior_maximum_is_bisected(self):
         # |z E'/E - 1| of (1.4, 2) is largest inside the half circle: the n^2 test fails
-        claim = certify_module._log_deriv_bound_claim(MLParams(1.4, 2.0))
+        claim = certify_module._log_deriv_bound_claim(FactorSpec(MLParams(1.4, 2.0), 1.0))
         cert = check_log_deriv_bound(MLParams(1.4, 2.0))
         assert cert.semantics == "bisected-max certificate on |z| = r_max"
         assert 1.7 < cert.argmin.angle < 1.8

@@ -148,6 +148,16 @@ class TestEval:
         assert result.exit_code == 0, result.output
         assert result.output == row + "\n"
 
+    @pytest.mark.parametrize("flags, row", [
+        ([], "0.9  0.9204795307480015  terms=2 tail=6.875e-05"),
+        (["--tol", "1e-14"], "0.9  0.9205420156051405  terms=7 tail=1.227e-15"),
+    ], ids=["job-series", "tol-overrides-it"])
+    def test_operator_rows_use_the_job_series_tolerance(self, tmp_path, flags, row):
+        path = write_job(tmp_path, dict(CORPUS, tolerance={"series": 1e-3, "margin": 1e-2}))
+        result = invoke([*flags, "eval", "--job", path, "--operator", "star-24", "--z", "0.9"])
+        assert result.exit_code == 0, result.output
+        assert result.output == row + "\n"
+
     def test_operator_evaluation_error_exits_3(self, tmp_path):
         job = {
             "schema": 1,
@@ -1089,17 +1099,22 @@ def test_numbers_the_parser_still_accepts():
 
     job = parse_job(op_doc(STAR, zeta=Real(2.0), predicted=0, name="s-t\u00e9"))
     op, = job.operators
-    assert type(op.zeta) is float and op.zeta == 2.0
+    assert type(op.spec.zeta) is float and op.spec.zeta == 2.0
     assert type(op.predicted) is float and op.predicted == 0.0
     assert op.name == "s-t\u00e9"
 
 class TestJobRoundTrip:
     def test_parse_serialize_parse(self, tmp_path):
-        path = write_job(tmp_path, CORPUS)
+        ml_eta = {"name": "ml-eta", "kind": "ml-starlike", "alpha": 2, "beta": 7, "eta": 0.25,
+                  "predicted": 0.2}
+        path = write_job(tmp_path, dict(CORPUS, operators=[*CORPUS["operators"], ml_eta]))
         job = load_job(path)
+        assert {op.kind for op in job.operators} == {
+            "starlike", "convex", "ml-starlike", "log-deriv-bound"}
         echoed = job_to_dict(job)
         again = parse_job(echoed)
         assert job_to_dict(again) == echoed
+        assert again == job  # as records: every operator's spec and prediction
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full, whose writes fail")

@@ -556,7 +556,7 @@ OPERATOR_GRID = parse_job({"schema": 1, "operators": [
 
 
 def grid_spec(name):
-    return next(op.operator_spec() for op in OPERATOR_GRID.operators if op.name == name)
+    return next(op.spec for op in OPERATOR_GRID.operators if op.name == name)
 
 
 class TestTableGrowth:

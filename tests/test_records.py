@@ -12,6 +12,7 @@ import inspect
 import math
 import pickle
 import pkgutil
+import re
 
 import pytest
 
@@ -35,7 +36,8 @@ F = FactorSpec(P, 1.0)
 POINT = EvalPoint(-0.5 + 0j, 0.5, math.pi)
 GRID = GridSpec(radii=(0.5,), angles=8)
 JOB = Job((), GRID)
-OP = JobOperator("ml", "ml-starlike", alpha=2.0, beta=4.0, eta=0.0)
+SPEC = OperatorSpec((F,), 1.0)
+OP = JobOperator("ml", "ml-starlike", SPEC)
 
 # (class, every field by keyword in positional order, one field changed, repr)
 RECORDS = [
@@ -67,15 +69,16 @@ RECORDS = [
      "series_tol=1e-14, semantics='bisected-min certificate on |z| = r_max')"),
     (GridSpec, dict(radii=(0.5, 0.9), r_max=0.9, angles=16), dict(angles=32),
      "GridSpec(radii=(0.5, 0.9), r_max=0.9, angles=16)"),
-    (JobOperator, dict(name="ml", kind="ml-starlike", factors=(), zeta=None, alpha=2.0,
-                       beta=4.0, eta=0.0, predicted=None), dict(predicted=0.5),
-     "JobOperator(name='ml', kind='ml-starlike', factors=(), zeta=None, alpha=2.0, "
-     "beta=4.0, eta=0.0, predicted=None)"),
+    (JobOperator, dict(name="ml", kind="ml-starlike", spec=SPEC, predicted=None),
+     dict(predicted=0.5),
+     "JobOperator(name='ml', kind='ml-starlike', spec=OperatorSpec(factors=(FactorSpec("
+     "params=MLParams(alpha=2.0, beta=4.0), lam=1.0, eta=0.0),), zeta=1.0), predicted=None)"),
     (Job, dict(operators=(OP,), grid=GRID, margin_tol=1e-6, series_tol=1e-14,
                outputs=("text",)), dict(outputs=("json",)),
-     "Job(operators=(JobOperator(name='ml', kind='ml-starlike', factors=(), zeta=None, "
-     "alpha=2.0, beta=4.0, eta=0.0, predicted=None),), grid=GridSpec(radii=(0.5,), "
-     "r_max=0.5, angles=8), margin_tol=1e-06, series_tol=1e-14, outputs=('text',))"),
+     "Job(operators=(JobOperator(name='ml', kind='ml-starlike', spec=OperatorSpec(factors=("
+     "FactorSpec(params=MLParams(alpha=2.0, beta=4.0), lam=1.0, eta=0.0),), zeta=1.0), "
+     "predicted=None),), grid=GridSpec(radii=(0.5,), r_max=0.5, angles=8), margin_tol=1e-06, "
+     "series_tol=1e-14, outputs=('text',))"),
     (ReportDocument, dict(job=JOB, names=["a"], certificates=[None], timings=[0.5]),
      dict(timings=[0.25]),
      "ReportDocument(job=Job(operators=(), grid=GridSpec(radii=(0.5,), r_max=0.5, angles=8), "
@@ -146,8 +149,7 @@ def test_records_of_different_classes_are_never_equal():
     (lambda: GridSpec(), dict(radii=(0.25, 0.5, 0.75, 0.9, 0.99, 0.999), r_max=0.999,
                               angles=720)),
     (lambda: GridSpec(r_max=0.8), dict(radii=(0.25, 0.5, 0.75, 0.8), r_max=0.8)),
-    (lambda: JobOperator("s", "starlike"), dict(factors=(), zeta=None, alpha=None, beta=None,
-                                                eta=None, predicted=None)),
+    (lambda: JobOperator("s", "starlike", SPEC), dict(predicted=None)),
     (lambda: Job((), GRID), dict(margin_tol=1e-6, series_tol=1e-14, outputs=("text",))),
     (lambda: ReportDocument(JOB), dict(names=[], certificates=[], timings=[])),
 ], ids=["FactorSpec", "Certificate", "GridSpec", "GridSpec-r_max", "JobOperator", "Job",
@@ -202,6 +204,35 @@ def test_records_match_by_position():
 def test_each_check_still_refuses(build):
     with pytest.raises(DomainError):
         build()
+
+
+@pytest.mark.parametrize("kind, spec, message", [
+    ("bogus", SPEC, "kind must be one of ('starlike', 'convex', 'ml-starlike', "
+                    "'log-deriv-bound'), got 'bogus'"),
+    ("ml-starlike", OperatorSpec((F, F), 1.0), "kind 'ml-starlike' cannot have the spec"),
+    ("log-deriv-bound", OperatorSpec((F, F), 1.0), "kind 'log-deriv-bound' cannot have the spec"),
+    ("ml-starlike", OperatorSpec((FactorSpec(P, 2.0),), 1.0), "kind 'ml-starlike' cannot"),
+    ("ml-starlike", OperatorSpec((F,), 2.0), "kind 'ml-starlike' cannot"),
+    ("log-deriv-bound", OperatorSpec((FactorSpec(P, 1.0, 0.25),), 1.0),
+     "kind 'log-deriv-bound' cannot"),
+    ("convex", OperatorSpec((F, F), 2.0), "kind 'convex' cannot"),
+    ("log-deriv-bound", OperatorSpec((FactorSpec(MLParams(2, 1.5), 1.0),), 1.0),
+     "beta must exceed (1 + sqrt 5)/2"),
+], ids=["unknown-kind", "ml-two-factors", "bound-two-factors", "ml-lambda", "ml-zeta",
+        "bound-eta", "convex-zeta", "bound-golden"])
+def test_a_job_operator_refuses_what_its_kind_cannot_certify(kind, spec, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        JobOperator("x", kind, spec)
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("starlike", OperatorSpec((F, F), 2.0)),
+    ("convex", OperatorSpec((F, F), 1.0)),
+    ("ml-starlike", OperatorSpec((FactorSpec(P, 1.0, 0.25),), 1.0)),
+    ("log-deriv-bound", SPEC),
+])
+def test_each_kind_accepts_its_own_spec(kind, spec):
+    assert JobOperator("x", kind, spec).spec is spec
 
 
 def test_operator_spec_keeps_its_factors_as_a_tuple():

@@ -5,6 +5,7 @@ parameter refuses the same values with the same message.
   zeta obey too, and certify._check_tolerances (and series <= margin);
 - factor lists: operators._check_factors (nonempty, every item a FactorSpec);
 - eta: mittag_leffler._check_eta (0 <= eta < 1);
+- params: mittag_leffler._check_params (an MLParams);
 - every number: mittag_leffler._real, which refuses a string or a bool
   by the parameter's name.
 """
@@ -30,6 +31,7 @@ from mlstar import (
     f_value,
     f_zeta_power,
     log_deriv,
+    log_deriv_bound,
     ml_norm,
     ml_norm_deriv,
     ml_raw,
@@ -199,6 +201,30 @@ def test_the_eta_rule_at_every_entry(entry, eta):
         entry(eta)
 
 
+PARAMS_ENTRIES = {
+    "FactorSpec": lambda params: FactorSpec(params, 1.0),
+    "certify_starlike": lambda params: certify_starlike(
+        OperatorSpec((FactorSpec(params, 1.0),), 1.0)),
+    "certify_ml_starlike": lambda params: certify_ml_starlike(params, 0.0),
+    "check_log_deriv_bound": check_log_deriv_bound,
+    "log_deriv_bound": log_deriv_bound,
+    "ml_raw": lambda params: ml_raw(params, 0.5),
+    "ml_norm": lambda params: ml_norm(params, 0.5),
+    "ml_norm_deriv": lambda params: ml_norm_deriv(params, 0.5),
+    "log_deriv": lambda params: log_deriv(params, 0.5),
+}
+
+
+@pytest.mark.parametrize("params", [(2, 4), None, "MLParams(2, 4)"],
+                         ids=["tuple", "None", "str"])
+@pytest.mark.parametrize("entry", PARAMS_ENTRIES.values(), ids=PARAMS_ENTRIES.keys())
+def test_the_params_rule_at_every_entry(entry, params):
+    entry(PARAMS)
+    with pytest.raises(DomainError,
+                       match=re.escape(f"params must be an MLParams, got {params!r}")):
+        entry(params)
+
+
 NUMBER_ENTRIES = {  # name -> (the parameter's name, run(value), an accepted value)
     "MLParams-alpha": ("alpha", lambda x: MLParams(x, 4), 2.0),
     "MLParams-beta": ("beta", lambda x: MLParams(2, x), 4.0),
@@ -227,6 +253,7 @@ def test_a_non_number_is_refused_by_name(entry, value):
     ("_check_factors", "an operator needs at least one factor"),
     ("_check_factors", "not a FactorSpec"),
     ("_check_eta", "eta must lie in [0, 1)"),
+    ("_check_params", "must be an MLParams"),
 ])
 def test_each_rule_is_written_once(rule, text):
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
