@@ -308,14 +308,19 @@ class _Claim(namedtuple("_Claim", "quantity predicted hypothesis_ok sampled coef
         return _sized_table(self.coefficients, self.subject, radius, series_tol)
 
 
-def _checked(r_max, eval_tolerance, series_tol, predicted) -> tuple:
-    """The public functions' numbers, checked as a job's are when it is parsed, so
-    run_job calls _certify directly; predicted is None or finite."""
-    r_max = _check_radius(r_max, "r_max")
-    series_tol, eval_tolerance = _check_tolerances(series_tol, eval_tolerance)
+def _check_predicted(predicted):
+    """predicted, None or a finite float, or DomainError: the one rule for a prediction."""
     if predicted is not None and not math.isfinite(predicted := _real(predicted, "predicted")):
         raise DomainError(f"predicted must be finite, got {predicted!r}")
-    return r_max, eval_tolerance, series_tol, predicted
+    return predicted
+
+
+def _checked(r_max, eval_tolerance, series_tol, predicted) -> tuple:
+    """The public functions' numbers, checked as a Job's and its JobOperators' are
+    when they are built, so run_job calls _certify directly."""
+    r_max = _check_radius(r_max, "r_max")
+    series_tol, eval_tolerance = _check_tolerances(series_tol, eval_tolerance)
+    return r_max, eval_tolerance, series_tol, _check_predicted(predicted)
 
 
 def _certify(claim: _Claim, r_max: float, eval_tolerance: float, series_tol: float,
@@ -325,7 +330,7 @@ def _certify(claim: _Claim, r_max: float, eval_tolerance: float, series_tol: flo
     The margin is the distance into the safe side: observed - target for an
     order, target - observed for the bound. Its callers check the numbers.
     """
-    target = claim.predicted if predicted is None else float(predicted)
+    target = claim.predicted if predicted is None else predicted
     table, (count, tail) = claim.table(r_max, series_tol)
     if count:
         observed, theta, rule = _extremum(_circle_terms(table, count, r_max), claim.largest)
@@ -445,6 +450,8 @@ def _claim(op) -> _Claim:
     with eta = 0. An unknown kind or any other spec raises DomainError.
     """
     kind, spec = op.kind, op.spec
+    if not isinstance(spec, OperatorSpec):
+        raise DomainError(f"spec must be an OperatorSpec, got {spec!r}")
     if kind == KIND_STARLIKE:
         return _starlike_claim(spec)
     if kind not in _KINDS:

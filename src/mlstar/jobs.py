@@ -15,8 +15,8 @@ import time
 
 from . import __version__
 from .certify import (_KINDS, KIND_CONVEX, KIND_LOG_DERIV_BOUND, KIND_ML_STARLIKE, KIND_STARLIKE,
-                      VERDICT_FAIL, VERDICT_HYPOTHESIS, VERDICT_PASS, _certify, _check_tolerances,
-                      _claim)
+                      VERDICT_FAIL, VERDICT_HYPOTHESIS, VERDICT_PASS, _certify, _check_predicted,
+                      _check_tolerances, _claim)
 from .defaults import EVAL_TOLERANCE, GRID_ANGLES, GRID_POINTS_MAX, R_MAX, SERIES_TOL
 from .errors import DomainError, JobFileError
 from .mittag_leffler import MLParams, _check_radius
@@ -28,8 +28,8 @@ __all__ = ["GridSpec", "Job", "JobOperator", "ReportDocument", "load_job", "job_
 SCHEMA_VERSION = 1
 
 _TOP_KEYS = frozenset({"schema", "grid", "tolerance", "outputs", "operators"})
-_GRID_KEYS = frozenset({"radii", "angles", "r_max"})
-_TOL_KEYS = frozenset({"margin", "quadrature", "series"})
+_GRID_KEYS = frozenset({"radii", "angles", "r_max"})  # GridSpec's parameters
+_TOL_KEYS = frozenset({"margin", "series"})
 _FACTOR_KEYS = frozenset({"alpha", "beta", "lambda", "eta"})
 _OP_KEYS_COMMON = frozenset({"name", "kind", "predicted"})
 _OP_KEYS = {  # a log-deriv-bound entry may name eta, only to be told it takes none
@@ -95,17 +95,26 @@ class GridSpec(_Record):
 
 
 class JobOperator(_Record):
-    """One operator entry: its kind and, for every kind, an OperatorSpec (see
-    certify._claim). It builds its claim, so an unknown kind, a spec of another
-    form or a prediction outside its domain raises DomainError."""
+    """One operator entry: its name, its kind and, for every kind, an OperatorSpec
+    (see certify._claim). The name is a nonempty printable string without a
+    space: a control character or a space would split a text report row or
+    dump's header line. It builds its claim, so a bad name or predicted, an
+    unknown kind, a spec of another form or a prediction outside its domain
+    raises DomainError."""
 
     __slots__ = ("name", "kind", "spec", "predicted")
 
     def __init__(self, name: str, kind: str, spec: OperatorSpec, predicted: float = None):
+        if not (isinstance(name, str) and name):
+            raise DomainError("needs a nonempty 'name'")
+        if not name.isprintable():  # the space is the one whitespace isprintable() lets through
+            raise DomainError(f"'name' must be printable, got {name!r}")
+        if " " in name:
+            raise DomainError(f"'name' must not contain a space, got {name!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "predicted", _check_predicted(predicted))
         _claim(self)
 
 
@@ -127,13 +136,25 @@ class _DataclassFields:
 
 
 class Job(_Record):
-    """A parsed job: its operators, grid, tolerances (checked, in copies too) and outputs."""
+    """A parsed job: its JobOperators, uniquely named, its grid, its tolerances and its
+    nonempty outputs, each "text" or "json"; checked when built, in copies too."""
 
     __slots__ = ("operators", "grid", "margin_tol", "series_tol", "outputs")
     __dataclass_fields__ = _DataclassFields()
 
     def __init__(self, operators: tuple, grid: GridSpec, margin_tol: float = EVAL_TOLERANCE,
                  series_tol: float = SERIES_TOL, outputs: tuple = ("text",)):
+        operators, outputs = tuple(operators), tuple(outputs)
+        for op in operators:
+            if not isinstance(op, JobOperator):
+                raise DomainError(f"not a JobOperator: {op!r}")
+        if len({op.name for op in operators}) != len(operators):
+            raise DomainError("operator names must be unique")
+        if not outputs:
+            raise DomainError("'outputs' must be a nonempty list")
+        for fmt in outputs:
+            if fmt not in ("text", "json"):
+                raise DomainError(f"unknown output format {fmt!r}")
         object.__setattr__(self, "operators", operators)
         object.__setattr__(self, "grid", grid)
         series_tol, margin_tol = _check_tolerances(series_tol, margin_tol)
@@ -148,20 +169,6 @@ def _require(condition, message, *args):
         raise JobFileError(message % args)
 
 
-def _number(raw, key, context):
-    if isinstance(raw, float):
-        value = float(raw)  # a float subclass's value, as a float
-    elif isinstance(raw, int) and not isinstance(raw, bool):
-        try:
-            value = float(raw)
-        except OverflowError:  # an integer literal beyond the double range
-            value = math.inf
-    else:
-        raise JobFileError(f"{context}: key '{key}' must be a number, got {raw!r}")
-    _require(math.isfinite(value), "%s: key '%s' must be finite", context, key)
-    return value
-
-
 def _check_keys(mapping, allowed, context):
     _require(isinstance(mapping, dict), "%s: expected an object", context)
     if not mapping.keys() <= allowed:
@@ -173,12 +180,7 @@ def _parse_factor(raw, context):
     _require("alpha" in raw and "beta" in raw and "lambda" in raw,
              "%s: factors need alpha, beta and lambda", context)
     try:
-        return FactorSpec(
-            MLParams(_number(raw["alpha"], "alpha", context),
-                     _number(raw["beta"], "beta", context)),
-            _number(raw["lambda"], "lambda", context),
-            _number(raw.get("eta", 0.0), "eta", context),
-        )
+        return FactorSpec(MLParams(raw["alpha"], raw["beta"]), raw["lambda"], raw.get("eta", 0.0))
     except DomainError as exc:
         raise JobFileError(f"{context}: {exc}") from exc
 
@@ -186,21 +188,12 @@ def _parse_factor(raw, context):
 def _parse_operator(raw, index):
     context = f"operators[{index}]"
     _require(isinstance(raw, dict), "%s: expected an object", context)
-    name = raw.get("name")
-    _require(isinstance(name, str) and name, "%s: needs a nonempty 'name'", context)
-    # a control character or a space would split a text report row or dump's header line;
-    # the space is the one whitespace character that isprintable() lets through
-    _require(name.isprintable(), "%s: 'name' must be printable, got %r", context, name)
-    _require(" " not in name, "%s: 'name' must not contain a space, got %r", context, name)
     kind = raw.get("kind")
     _require(kind in _KINDS, "%s: 'kind' must be one of %s, got %r", context, _KINDS, kind)
-    predicted = raw.get("predicted")
-    if predicted is not None:
-        predicted = _number(predicted, "predicted", context)
     _check_keys(raw, _OP_KEYS[kind], context)
 
     zeta = 1.0
-    try:  # _parse_factor, _number and _require raise JobFileError with their own context
+    try:  # _parse_factor and _require raise JobFileError with their own context
         if kind in (KIND_STARLIKE, KIND_CONVEX):
             raw_factors = raw.get("factors")
             _require(isinstance(raw_factors, list) and raw_factors,
@@ -210,25 +203,24 @@ def _parse_operator(raw, index):
             )
             if kind == KIND_STARLIKE:
                 _require("zeta" in raw, "%s: starlike operators need 'zeta'", context)
-                zeta = _number(raw["zeta"], "zeta", context)
+                zeta = raw["zeta"]
         else:
             _require("alpha" in raw and "beta" in raw, "%s: needs 'alpha' and 'beta'", context)
-            alpha = _number(raw["alpha"], "alpha", context)
-            beta = _number(raw["beta"], "beta", context)
             eta = 0.0
             if kind == KIND_ML_STARLIKE:
                 _require("eta" in raw, "%s: ml-starlike needs 'eta'", context)
-                eta = _number(raw["eta"], "eta", context)
+                eta = raw["eta"]
             else:
                 _require("eta" not in raw, "%s: log-deriv-bound entries take no 'eta'", context)
-            factors = (FactorSpec(MLParams(alpha, beta), 1.0, eta),)
-        return JobOperator(name, kind, OperatorSpec(factors, zeta), predicted)
+            factors = (FactorSpec(MLParams(raw["alpha"], raw["beta"]), 1.0, eta),)
+        return JobOperator(raw.get("name"), kind, OperatorSpec(factors, zeta), raw.get("predicted"))
     except DomainError as exc:
         raise JobFileError(f"{context}: {exc}") from exc
 
 
 def parse_job(document: dict) -> Job:
-    """Validate a decoded job document; JobFileError on any problem."""
+    """Check a decoded job document's structure and build its records, which check its
+    values; JobFileError, with the context of the entry, on any problem."""
     _check_keys(document, _TOP_KEYS, "job")
     schema = document.get("schema")  # True == 1, but a bool is no schema number
     _require(schema == SCHEMA_VERSION and not isinstance(schema, bool),
@@ -236,44 +228,32 @@ def parse_job(document: dict) -> Job:
 
     grid_raw = document.get("grid", {})
     _check_keys(grid_raw, _GRID_KEYS, "job.grid")
-    grid_kwargs = {}
     if "radii" in grid_raw:
         radii = grid_raw["radii"]
         _require(isinstance(radii, list) and radii, "job.grid: 'radii' must be a nonempty list")
-        grid_kwargs["radii"] = tuple(_number(r, "radii", "job.grid") for r in radii)
-    if "angles" in grid_raw:  # GridSpec refuses a non-integer
-        grid_kwargs["angles"] = grid_raw["angles"]
-    if "r_max" in grid_raw:
-        grid_kwargs["r_max"] = _number(grid_raw["r_max"], "r_max", "job.grid")
     try:
-        grid = GridSpec(**grid_kwargs)
+        grid = GridSpec(**grid_raw)
     except DomainError as exc:
         raise JobFileError(f"job.grid: {exc}") from exc
 
     tol_raw = document.get("tolerance", {})
     _check_keys(tol_raw, _TOL_KEYS, "job.tolerance")
-    margin_tol = _number(tol_raw.get("margin", EVAL_TOLERANCE), "margin", "job.tolerance")
-    series_tol = _number(tol_raw.get("series", SERIES_TOL), "series", "job.tolerance")
     try:
-        series_tol, margin_tol = _check_tolerances(series_tol, margin_tol, ("'series'", "'margin'"))
+        series_tol, margin_tol = _check_tolerances(
+            tol_raw.get("series", SERIES_TOL), tol_raw.get("margin", EVAL_TOLERANCE),
+            ("'series'", "'margin'"))
     except DomainError as exc:
         raise JobFileError(f"job.tolerance: {exc}") from exc
-    if "quadrature" in tol_raw:  # still accepted, so that older jobs run, but unused
-        _require(_number(tol_raw["quadrature"], "quadrature", "job.tolerance") > 0.0,
-                 "job.tolerance: 'quadrature' must be positive")
 
     outputs = document.get("outputs", ["text"])
-    _require(isinstance(outputs, list) and outputs, "job: 'outputs' must be a nonempty list")
-    for fmt in outputs:
-        _require(fmt in ("text", "json"), "job: unknown output format %r", fmt)
-
+    _require(isinstance(outputs, list), "job: 'outputs' must be a nonempty list")
     raw_ops = document.get("operators", [])
     _require(isinstance(raw_ops, list), "job: 'operators' must be a list")
-    operators = tuple(_parse_operator(op, i) for i, op in enumerate(raw_ops))
-    names = [op.name for op in operators]
-    _require(len(names) == len(set(names)), "job: operator names must be unique")
-
-    return Job(operators, grid, margin_tol, series_tol, tuple(outputs))
+    operators = [_parse_operator(op, i) for i, op in enumerate(raw_ops)]
+    try:
+        return Job(operators, grid, margin_tol, series_tol, outputs)
+    except DomainError as exc:
+        raise JobFileError(f"job: {exc}") from exc
 
 
 def load_job(path) -> Job:

@@ -52,6 +52,7 @@ def phi(beta: float) -> float:
 def ml_starlike_hypothesis(params: MLParams, eta: float) -> bool:
     """Whether the normalized function meets the hypotheses of starlikeness
     of order eta: alpha >= 1 and beta >= psi(eta)."""
+    params = _check_params(params)
     return params.alpha >= 1.0 and params.beta >= psi(eta)
 
 

@@ -27,7 +27,8 @@ from mlstar.certify import (
     VERDICT_PASS,
 )
 from mlstar.defaults import GRID_POINTS_MAX, R_MAX, SERIES_TOL
-from mlstar.jobs import GridSpec, _claim, default_radii, load_job, parse_job, run_job
+from mlstar.jobs import (GridSpec, JobOperator, _claim, default_radii, load_job, parse_job,
+                         run_job)
 
 from cli_runner import invoke
 from conftest import dump_circles
@@ -366,7 +367,9 @@ class TestRefusals:
         (False, "predicted must be a number"),
         pytest.param(-10**400, "predicted must be finite, got -inf", id="-10**400"),
     ])
-    @pytest.mark.parametrize("run", RUNS, ids=OPERATORS)
+    @pytest.mark.parametrize("run", [
+        *RUNS, lambda predicted: JobOperator("x", "convex", single(2, 4, lam=5.0), predicted),
+    ], ids=[*OPERATORS, "JobOperator"])
     def test_predicted_is_none_or_a_finite_number(self, run, predicted, message):
         with pytest.raises(DomainError, match=message):
             run(predicted=predicted)

@@ -28,7 +28,7 @@ from mlstar import cli as cli_module
 from mlstar.cli import main
 from mlstar.defaults import GRID_POINTS_MAX
 from mlstar.errors import DomainError, JobFileError
-from mlstar.jobs import GridSpec, _claim, job_to_dict, load_job, parse_job
+from mlstar.jobs import GridSpec, Job, JobOperator, _claim, job_to_dict, load_job, parse_job
 
 from cli_runner import invoke
 from conftest import dump_circles
@@ -453,18 +453,12 @@ class TestCertify:
         assert "Traceback" not in result.output
         assert "operators[1]: beta must exceed (1 + sqrt 5)/2" in result.output
 
-    def test_quadrature_tolerance_is_accepted_and_ignored(self, tmp_path):
-        def certificates(tolerance):
-            job = dict(CORPUS, tolerance=tolerance)
-            result = invoke(["--format", "json", "certify", write_job(tmp_path, job)])
-            assert result.exit_code == 0, result.output
-            doc = json.loads(result.output)
-            assert "quadrature" not in doc["job"]["tolerance"]
-            return doc["certificates"]
-
-        assert certificates({"quadrature": 1e-9}) == certificates({})
-        job = dict(CORPUS, tolerance={"quadrature": 0})
-        assert invoke(["certify", write_job(tmp_path, job)]).exit_code == 2
+    def test_quadrature_tolerance_is_refused(self, tmp_path):
+        # no certificate integrates, so the key is unknown like any other
+        job = dict(CORPUS, tolerance={"margin": 1e-6, "quadrature": 1e-9})
+        result = invoke(["certify", write_job(tmp_path, job)])
+        assert result.exit_code == 2, result.output
+        assert "job.tolerance: unknown keys ['quadrature']" in result.output
 
     def test_report_written_to_file(self, tmp_path):
         path = write_job(tmp_path, CORPUS)
@@ -939,7 +933,7 @@ def factor_doc(**changes):
 
 
 KINDS = "('starlike', 'convex', 'ml-starlike', 'log-deriv-bound')"
-# every rule of parse_job, with its exact message
+# every refusal of parse_job, its own and its records', with its exact message
 JOB_RULES = [
     ("top-not-object", [1], "job: expected an object"),
     ("top-unknown-key", job_doc(extra=1), "job: unknown keys ['extra']"),
@@ -950,11 +944,11 @@ JOB_RULES = [
     ("grid-radii-empty", job_doc(grid={"radii": []}),
      "job.grid: 'radii' must be a nonempty list"),
     ("grid-radius-string", job_doc(grid={"radii": ["0.5"]}),
-     "job.grid: key 'radii' must be a number, got '0.5'"),
+     "job.grid: a radius must be a number, got '0.5'"),
     ("grid-radius-huge", job_doc(grid={"radii": [10**400]}),
-     "job.grid: key 'radii' must be finite"),
+     "job.grid: a radius must lie in (0, 1], got inf"),
     ("grid-r_max-bool", job_doc(grid={"r_max": True}),
-     "job.grid: key 'r_max' must be a number, got True"),
+     "job.grid: r_max must be a number, got True"),
     ("grid-angles", job_doc(grid={"angles": 4}), "job.grid: angles must be at least 8, got 4"),
     ("grid-radii-descend", job_doc(grid={"radii": [0.9, 0.5]}),
      "job.grid: radii must ascend strictly, got (0.9, 0.5)"),
@@ -962,11 +956,11 @@ JOB_RULES = [
     ("tolerance-unknown-key", job_doc(tolerance={"series_tol": 1e-14}),
      "job.tolerance: unknown keys ['series_tol']"),
     ("tolerance-margin-null", job_doc(tolerance={"margin": None}),
-     "job.tolerance: key 'margin' must be a number, got None"),
+     "job.tolerance: 'margin' must be a number, got None"),
     ("tolerance-series-zero", job_doc(tolerance={"series": 0.0}),
      "job.tolerance: 'series' must be finite and > 0, got 0.0"),
     ("tolerance-quadrature-negative", job_doc(tolerance={"quadrature": -1.0}),
-     "job.tolerance: 'quadrature' must be positive"),
+     "job.tolerance: unknown keys ['quadrature']"),
     ("tolerance-series-above-margin", job_doc(tolerance={"margin": 1e-10, "series": 1e-8}),
      "job.tolerance: series tolerance 1e-08 exceeds the margin tolerance 1e-10: the truncation "
      "error could hide a failed margin"),
@@ -975,31 +969,34 @@ JOB_RULES = [
     ("operators-not-list", job_doc(operators={}), "job: 'operators' must be a list"),
     ("operator-not-object", job_doc(operators=[[]]), "operators[0]: expected an object"),
     ("operator-name-empty", op_doc(STAR, name=""), "operators[0]: needs a nonempty 'name'"),
+    ("operator-name-space", op_doc(STAR, name="a b"),
+     "operators[0]: 'name' must not contain a space, got 'a b'"),
     ("operator-kind", op_doc(STAR, kind="concave"),
      f"operators[0]: 'kind' must be one of {KINDS}, got 'concave'"),
     ("operator-predicted-string", op_doc(STAR, predicted="0.5"),
-     "operators[0]: key 'predicted' must be a number, got '0.5'"),
+     "operators[0]: predicted must be a number, got '0.5'"),
     ("starlike-unknown-key", op_doc(STAR, alpha=2), "operators[0]: unknown keys ['alpha']"),
     ("starlike-factors-empty", op_doc(STAR, factors=[]),
      "operators[0]: needs a nonempty 'factors' list"),
     ("starlike-zeta-missing", op_doc(STAR, zeta=DROP),
      "operators[0]: starlike operators need 'zeta'"),
     ("starlike-zeta-bool", op_doc(STAR, zeta=False),
-     "operators[0]: key 'zeta' must be a number, got False"),
+     "operators[0]: zeta must be a number, got False"),
     ("ml-unknown-key", op_doc(ML, factors=[]), "operators[0]: unknown keys ['factors']"),
     ("ml-beta-missing", op_doc(ML, beta=DROP), "operators[0]: needs 'alpha' and 'beta'"),
     ("ml-eta-missing", op_doc(ML, eta=DROP), "operators[0]: ml-starlike needs 'eta'"),
     ("bound-eta", op_doc(BOUND, eta=0), "operators[0]: log-deriv-bound entries take no 'eta'"),
     ("ml-alpha-string", op_doc(ML, alpha="2"),
-     "operators[0]: key 'alpha' must be a number, got '2'"),
-    ("ml-eta-huge", op_doc(ML, eta=10**400), "operators[0]: key 'eta' must be finite"),
+     "operators[0]: alpha must be a number, got '2'"),
+    ("ml-eta-huge", op_doc(ML, eta=10**400), "operators[0]: eta must lie in [0, 1), got inf"),
+    ("ml-beta-string", op_doc(ML, beta="4"), "operators[0]: beta must be a number, got '4'"),
     ("factor-not-object", op_doc(STAR, factors=[1]),
      "operators[0].factors[0]: expected an object"),
     ("factor-unknown-key", factor_doc(lam=1), "operators[0].factors[0]: unknown keys ['lam']"),
     ("factor-lambda-missing", factor_doc(**{"lambda": DROP}),
      "operators[0].factors[0]: factors need alpha, beta and lambda"),
     ("factor-lambda-string", factor_doc(**{"lambda": "1"}),
-     "operators[0].factors[0]: key 'lambda' must be a number, got '1'"),
+     "operators[0].factors[0]: lambda must be a number, got '1'"),
     ("factor-domain", factor_doc(alpha=0.5),
      "operators[0].factors[0]: alpha must be finite and >= 1, got 0.5"),
     ("names-duplicate", job_doc(operators=[STAR, STAR]), "job: operator names must be unique"),
@@ -1018,6 +1015,55 @@ def test_each_job_rule_raises_its_message(document, message):
     with pytest.raises(JobFileError) as info:
         parse_job(document)
     assert str(info.value) == message
+
+
+def test_a_null_r_max_or_predicted_is_the_key_left_out():
+    assert parse_job(job_doc(grid={"r_max": None}, operators=[dict(STAR, predicted=None)])) \
+        == parse_job(job_doc())
+
+
+STAR_SPEC = OperatorSpec((FactorSpec(MLParams(2, 4), 1.0),), 1.0)
+STAR_OP = JobOperator("s", "starlike", STAR_SPEC)
+# the JOB_RULES refusals that a record raises itself: the job file's message is the
+# record's, after the context of the entry
+RECORD_RULES = {
+    "operator-name-empty": lambda: JobOperator("", "starlike", STAR_SPEC),
+    "operator-name-space": lambda: JobOperator("a b", "starlike", STAR_SPEC),
+    "operator-predicted-string": lambda: JobOperator("s", "starlike", STAR_SPEC, "0.5"),
+    "ml-beta-string": lambda: MLParams(2, "4"),
+    "names-duplicate": lambda: Job((STAR_OP, STAR_OP), GridSpec()),
+    "outputs-unknown": lambda: Job((STAR_OP,), GridSpec(), outputs=("xml",)),
+}
+
+
+@pytest.mark.parametrize("rule", RECORD_RULES)
+def test_a_record_raises_its_job_rule_itself(rule):
+    message = {rule_id: text for rule_id, _, text in JOB_RULES}[rule]
+    with pytest.raises(DomainError) as info:
+        RECORD_RULES[rule]()
+    assert str(info.value) == message.partition(": ")[2]
+
+
+API_JOBS = {
+    "every-kind": Job(
+        (JobOperator("star", "starlike", OperatorSpec(
+            (FactorSpec(MLParams(2, 4), 1.0), FactorSpec(MLParams(3, 5), 2, 0.25)), 0.37),
+            predicted=0.125),
+         JobOperator("convex", "convex", OperatorSpec((FactorSpec(MLParams(2, 2), 5),), 1)),
+         JobOperator("ml", "ml-starlike",
+                     OperatorSpec((FactorSpec(MLParams(2, 20), 1.0, 0.5),), 1.0)),
+         JobOperator("bound", "log-deriv-bound", STAR_SPEC, predicted=2)),
+        GridSpec(radii=(0.25, 0.5, 1), angles=16), 1e-5, 1e-12, ("text", "json")),
+    "defaults": Job((STAR_OP,), GridSpec()),
+    "lists": Job([STAR_OP], GridSpec(r_max=0.9, angles=8), outputs=["json"]),
+    "no-operators": Job((), GridSpec(radii=[0.5])),
+}
+
+
+@pytest.mark.parametrize("job", API_JOBS.values(), ids=API_JOBS.keys())
+def test_a_job_the_api_accepts_parses_back_from_its_dict(job):
+    assert parse_job(job_to_dict(job)) == job
+    assert parse_job(json.loads(json.dumps(job_to_dict(job)))) == job
 
 
 

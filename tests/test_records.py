@@ -218,8 +218,10 @@ def test_each_check_still_refuses(build):
     ("convex", OperatorSpec((F, F), 2.0), "kind 'convex' cannot"),
     ("log-deriv-bound", OperatorSpec((FactorSpec(MLParams(2, 1.5), 1.0),), 1.0),
      "beta must exceed (1 + sqrt 5)/2"),
+    ("starlike", (F,), f"spec must be an OperatorSpec, got {(F,)!r}"),
+    ("convex", None, "spec must be an OperatorSpec, got None"),
 ], ids=["unknown-kind", "ml-two-factors", "bound-two-factors", "ml-lambda", "ml-zeta",
-        "bound-eta", "convex-zeta", "bound-golden"])
+        "bound-eta", "convex-zeta", "bound-golden", "spec-tuple", "spec-none"])
 def test_a_job_operator_refuses_what_its_kind_cannot_certify(kind, spec, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         JobOperator("x", kind, spec)
@@ -237,6 +239,40 @@ def test_each_kind_accepts_its_own_spec(kind, spec):
 
 def test_operator_spec_keeps_its_factors_as_a_tuple():
     assert OperatorSpec([F], 1.0).factors == (F,)
+
+
+@pytest.mark.parametrize("name, message", [
+    (None, "needs a nonempty 'name'"),
+    ("", "needs a nonempty 'name'"),
+    (1, "needs a nonempty 'name'"),
+    ("a\nb", "'name' must be printable, got 'a\\nb'"),
+    ("a b", "'name' must not contain a space, got 'a b'"),
+], ids=["None", "empty", "int", "newline", "space"])
+def test_a_job_operator_refuses_a_name_that_would_split_a_row(name, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        JobOperator(name, "starlike", SPEC)
+
+
+def test_a_job_operator_stores_its_prediction_as_a_float():
+    predicted = JobOperator("x", "convex", SPEC, 1).predicted
+    assert predicted == 1.0 and type(predicted) is float
+
+
+@pytest.mark.parametrize("operators, outputs, message", [
+    ((OP, SPEC), ("text",), f"not a JobOperator: {SPEC!r}"),
+    ((OP, JobOperator("ml", "convex", SPEC)), ("text",), "operator names must be unique"),
+    ((OP,), (), "'outputs' must be a nonempty list"),
+    ((OP,), "text", "unknown output format 't'"),
+], ids=["not-an-operator", "same-name", "no-outputs", "str"])
+def test_a_job_refuses_what_a_job_file_cannot_hold(operators, outputs, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        Job(operators, GRID, outputs=outputs)
+
+
+def test_a_job_keeps_its_operators_and_outputs_as_tuples():
+    job = Job([OP], GRID, outputs=["json", "text"])
+    assert job.operators == (OP,) and job.outputs == ("json", "text")
+    assert job == Job((OP,), GRID, outputs=("json", "text"))
 
 
 def test_job_alone_is_a_dataclass():

@@ -6,6 +6,7 @@ parameter refuses the same values with the same message.
 - factor lists: operators._check_factors (nonempty, every item a FactorSpec);
 - eta: mittag_leffler._check_eta (0 <= eta < 1);
 - params: mittag_leffler._check_params (an MLParams);
+- predictions: certify._check_predicted (None or finite);
 - every number: mittag_leffler._real, which refuses a string or a bool
   by the parameter's name.
 """
@@ -41,6 +42,7 @@ from mlstar import (
 )
 from mlstar.errors import DomainError, JobFileError
 from mlstar.jobs import parse_job
+from mlstar.orders import ml_starlike_hypothesis
 
 from cli_runner import invoke
 
@@ -128,10 +130,6 @@ def _refusal(name, slot, value):
             return "argument --tol: invalid _tolerance value: 'True'"
         return f"argument --tol: the series tolerance {BAD[value]}"
     if name == "job":
-        if value in ("1e-6", True):  # the parser's JSON type check, as for every number
-            return f"job.tolerance: key '{slot}' {BAD[value]}"
-        if not math.isfinite(value):  # its finiteness check
-            return f"job.tolerance: key '{slot}' must be finite"
         return f"job.tolerance: '{slot}' {BAD[value]}"
     if name in POINT_FUNCTIONS:
         return f"tol {BAD[value]}"
@@ -208,6 +206,7 @@ PARAMS_ENTRIES = {
     "certify_ml_starlike": lambda params: certify_ml_starlike(params, 0.0),
     "check_log_deriv_bound": check_log_deriv_bound,
     "log_deriv_bound": log_deriv_bound,
+    "ml_starlike_hypothesis": lambda params: ml_starlike_hypothesis(params, 0.0),
     "ml_raw": lambda params: ml_raw(params, 0.5),
     "ml_norm": lambda params: ml_norm(params, 0.5),
     "ml_norm_deriv": lambda params: ml_norm_deriv(params, 0.5),
@@ -254,6 +253,7 @@ def test_a_non_number_is_refused_by_name(entry, value):
     ("_check_factors", "not a FactorSpec"),
     ("_check_eta", "eta must lie in [0, 1)"),
     ("_check_params", "must be an MLParams"),
+    ("_check_predicted", "predicted must be finite"),
 ])
 def test_each_rule_is_written_once(rule, text):
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
