@@ -314,7 +314,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="Name of the job operator to evaluate (implies --job).")
     sub.add_argument("--z", action="append", required=True,
                      help="Evaluation point; may repeat. Accepts complex literals like "
-                          "0.3+0.4j.")
+                          "0.3+0.4j and -0.3+0.4j.")
     command("orders", cmd_orders).add_argument("job_path")
     sub = command("certify", cmd_certify)
     sub.add_argument("job_path")
@@ -326,9 +326,33 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_z(argv) -> list:
+    """argv with each '--z' and a complex literal after it joined as '--z=<literal>'.
+
+    argparse reads a token that starts with '-' as an option unless it is a plain
+    negative number, so '--z -0.3+0.4j' would leave --z without its point. A next
+    token that complex() cannot read stays apart, for argparse to refuse, and the
+    tokens after '--' are left as they are.
+    """
+    out = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + list(argv[i:])
+        if out and out[-1] == "--z":
+            try:
+                complex(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--z={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None):
     """Run the CLI on argv (default sys.argv[1:]); always ends in SystemExit."""
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_z(sys.argv[1:] if argv is None else argv))
     try:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit

@@ -5,7 +5,8 @@ normalization Gamma(beta) * z * E(z) (which fixes value 0 and derivative 1
 at the origin), the derivative of the normalization, and the logarithmic
 derivative z*E'/E, each at one point. The certificates do not call these:
 they sum z*E'/E - 1 from its own coefficient table, t u'/u, which
-operators solves from the table cached here.
+operators solves from the table cached here and keeps in the same cache
+entry, so each factor's t u'/u is solved once while its entry stays cached.
 """
 
 from __future__ import annotations
@@ -141,24 +142,33 @@ def _check_eta(eta) -> float:
 #     c_n = Gamma(beta) / Gamma(alpha (n-1) + beta),
 #
 # whose product z u(z) is the normalized function, from one cached table
-# of c_n per (alpha, beta, tol). Each evaluation cuts the table for |z| and
+# of c_n per (alpha, beta, tol); the entry also holds t u'/u as far as
+# operators has solved it. Each evaluation cuts the table for |z| and
 # sums its one point by Horner in Python complex numbers, which overflow to
 # inf or nan silently; _point_result and _log_deriv_value refuse those.
 
 
 @lru_cache(maxsize=256)
-def _coefficients(alpha: float, beta: float, tol: float) -> tuple:
-    """The table (c_1, c_2, ...) of normalized coefficients, c_1 = 1.
+def _factor_series(alpha: float, beta: float, tol: float) -> tuple:
+    """(table, solved): the factor's table of c_n and the terms of its t u'/u solved so far.
 
-    It stops one coefficient past the cut for the unit circle, so the cut
-    for every radius <= 1 lies inside it, or after SERIES_TERM_CAP terms.
+    The table (c_1, c_2, ...) of normalized coefficients, c_1 = 1, stops one
+    coefficient past the cut for the unit circle, so the cut for every
+    radius <= 1 lies inside it, or after SERIES_TERM_CAP terms. solved
+    starts empty; operators continues it in place with series_solve, which
+    only appends, so every certificate of the process shares one prefix.
     """
     coeffs = [1.0]
     for n in range(1, SERIES_TERM_CAP + 1):
         coeffs.append(gamma_ratio(beta, alpha * n))
         if _tail(coeffs, n, 1.0) <= tol:
             break
-    return tuple(coeffs)
+    return tuple(coeffs), []
+
+
+def _coefficients(alpha: float, beta: float, tol: float) -> tuple:
+    """The cached table (c_1, c_2, ...) of normalized coefficients, c_1 = 1."""
+    return _factor_series(alpha, beta, tol)[0]
 
 
 def _tail(coeffs, n: int, radius: float) -> float:

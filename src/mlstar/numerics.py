@@ -8,7 +8,9 @@ on Python floats, as does the whole package: the tables are 16 to 200
 terms long, and most that certificates build 16 or 24, where a numpy
 call costs more than the arithmetic it saves, and importing numpy costs
 a cold process more than all its work on the corpus. A table that grows
-is solved on from the terms it has, never again from the first.
+is solved on from the terms it has, never again from the first, and so
+is a factor's logarithmic derivative, which mittag_leffler's cache keeps
+for every later certificate of the process.
 """
 
 from __future__ import annotations

@@ -37,7 +37,10 @@ A table is cut once, on one circle |z| = r, a point's or a grid's
 outermost, which also cuts every smaller circle: _sized_table builds it
 16 terms long and grows it by half until _operator_cut finds a cut, and
 hands that cut on. Growing solves only the new terms: each builder keeps
-its solved series between lengths, and series_solve continues them.
+its solved series between lengths, and series_solve continues them. A
+factor's t A'/A is kept longer, beside its table in mittag_leffler's
+cache, so a factor that recurs, in one job or in any later one of the
+process, is solved on from the terms the last certificate left.
 Where a factor's zero lies within reach of the circle, Q has a pole
 there, and where G has one, so does 1/H; the coefficients stop
 decaying. Then, or when the terms |c_n| r^n sum past 1e300 or overflow,
@@ -51,12 +54,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from itertools import accumulate
 
 from .defaults import SERIES_TERM_CAP, SERIES_TOL
 from .errors import DegenerateOperatorError, DomainError, SeriesTruncationError
 from .mittag_leffler import (EvalPoint, MLParams, SeriesResult, _check_disk, _check_eta,
-                             _check_params, _check_tol, _coefficients, _horner)
+                             _check_params, _check_tol, _factor_series, _horner)
 from .numerics import principal_power, series_solve
 from .records import _Record
 
@@ -114,24 +118,32 @@ def _as_point(z) -> complex:
 # that keeps the builder's solved series between calls on one subject and
 # tol, each a list that series_solve continues: a longer table extends a
 # shorter one exactly and solves only its new terms. Without solved, the
-# call solves from the first term.
+# call solves H and V from the first term. A factor's t A'/A depends on
+# its (alpha, beta) and tol alone, so it lives in mittag_leffler's cache,
+# beside the factor's table, and no certificate of the process solves
+# one of its terms twice. Its terms, once appended, never change, so any
+# thread may read them; appending waits for _EXTENDING.
+
+_EXTENDING = threading.Lock()
 
 
 def _log_derivative_coefficients(factors, tol: float, length: int, solved: dict = None) -> list:
     """(q_0, ..., q_{length-1}) of Q = t P'/P; q_0 = 0.
 
     Each factor's table A is mittag_leffler's cached one, exact to tol on
-    the unit circle, and contributes t A'/A / lambda, kept in solved under
-    the factor's index. Q is also (1 + zF''/F') - 1 of the zeta-free
-    operator, and for the one factor E/z with lambda = 1 it is z E'/E - 1.
+    the unit circle, and contributes t A'/A / lambda. Its t A'/A is kept
+    beside A in that cache, for every certificate of the process, and
+    solved on only past the terms it has; solved keeps nothing here. Q is
+    also (1 + zF''/F') - 1 of the zeta-free operator, and for the one
+    factor E/z with lambda = 1 it is z E'/E - 1.
     """
-    solved = {} if solved is None else solved
     q = [0.0] * length
-    for j, factor in enumerate(factors):
-        table = _coefficients(factor.params.alpha, factor.params.beta, tol)
-        part = series_solve(table, [n * c for n, c in enumerate(table)], length,
-                            x=solved.setdefault(j, []))
-        q = [total + x / factor.lam for total, x in zip(q, part)]
+    for factor in factors:
+        table, part = _factor_series(factor.params.alpha, factor.params.beta, tol)
+        with _EXTENDING:  # every thread shares part; one at a time appends to it
+            if len(part) < length:
+                series_solve(table, [n * c for n, c in enumerate(table)], length, x=part)
+        q = [total + x / factor.lam for total, x in zip(q, part)]  # part's first length terms
     return q
 
 
@@ -139,10 +151,11 @@ def _star_coefficients(spec: OperatorSpec, tol: float, length: int, solved: dict
     """(v_0, ..., v_{length-1}) of zF'/F - 1 = 1/H - 1; v_0 = 0.
 
     H = G/P solves (zeta + Q) H + z H' = zeta, and V = 1/H solves H V = 1;
-    solved keeps them under "h" and "v", beside Q's factors.
+    solved keeps them under "h" and "v". They depend on zeta and every
+    lambda, so they are the certificate's own; Q's factors are shared.
     """
     solved = {} if solved is None else solved
-    q = _log_derivative_coefficients(spec.factors, tol, length, solved)
+    q = _log_derivative_coefficients(spec.factors, tol, length)
     h = series_solve([spec.zeta] + q[1:], [spec.zeta], length, derivative=True,
                      x=solved.setdefault("h", []))
     v = series_solve(h, [1.0], length, x=solved.setdefault("v", []))
@@ -207,7 +220,8 @@ def _sized_table(coefficients, subject, radius: float, tol: float) -> tuple:
     its outermost radius, and its other circles sum the same terms. The
     length starts at _FIRST_LENGTH and grows by half, 16, 24, 36, ..., 181;
     each length solves only the terms past the last, as coefficients
-    continues the series it keeps in one solved dict, and is cut once. At
+    continues the series it keeps in one solved dict or, for a factor's
+    t A'/A, in mittag_leffler's cache, and is cut once. At
     SERIES_TERM_CAP the table is returned with or without a cut, and
     without one the count is 0.
     """

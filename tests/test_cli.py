@@ -188,6 +188,30 @@ class TestEval:
         result = invoke(["eval", *argv, "--z", "0.5"])
         assert result.exit_code == 2 and message in result.output, result.output
 
+    @pytest.mark.parametrize("z, shown", [("-0.3+0.4j", "-0.3+0.4j"), ("-5e-1", "-0.5"),
+                                          ("-1j", "0-1j"), ("-0.3-0.4j", "-0.3-0.4j")])
+    @pytest.mark.parametrize("source", [["--alpha", "2", "--beta", "4"],
+                                        ["--job", CORPUS_PATH, "--operator", "star-24"]],
+                             ids=["function", "operator"])
+    def test_a_negative_point_follows_z_as_its_own_token(self, source, z, shown):
+        # argparse alone reads '-0.3+0.4j' as an unknown option; the point is the one
+        # that '--z=-0.3+0.4j' passes
+        result = invoke(["eval", *source, "--z", z, "--z", "0.5"])
+        assert result.exit_code == 0, result.output
+        assert result == invoke(["eval", *source, f"--z={z}", "--z=0.5"])
+        assert result.output.split()[0] == shown
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--z", "-abc"], "argument --z: expected one argument"),
+        (["--z", "abc"], "cannot parse 'abc' as a complex number"),
+        (["--z", "--z", "-1j"], "argument --z: expected one argument"),
+        (["--z", "--", "-1j"], "argument --z: expected one argument"),
+        (["--z", "-1.5j"], "|z| must be <= 1"),
+    ], ids=["dash-word", "word", "z-twice", "double-dash", "outside-the-disk"])
+    def test_a_point_that_is_not_a_number_is_still_usage_error(self, argv, message):
+        result = invoke(["eval", "--alpha", "2", "--beta", "4", *argv])
+        assert result.exit_code == 2 and message in result.output, result.output
+
 
 class TestOrders:
     def test_corpus_orders(self, tmp_path):

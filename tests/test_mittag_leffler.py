@@ -82,12 +82,12 @@ class TestRawSeries:
 
     def test_truncation_error_carries_partial(self, monkeypatch):
         monkeypatch.setattr(mittag_leffler, "SERIES_TERM_CAP", 5)
-        mittag_leffler._coefficients.cache_clear()
+        mittag_leffler._factor_series.cache_clear()
         try:
             with pytest.raises(SeriesTruncationError) as err:
                 ml_raw(MLParams(1, 1), 0.9, tol=1e-14)
         finally:
-            mittag_leffler._coefficients.cache_clear()  # drop the 5-term tables
+            mittag_leffler._factor_series.cache_clear()  # drop the 5-term tables
         assert isinstance(err.value.partial, SeriesResult)
         assert err.value.partial.terms_used == 5
 

@@ -1,6 +1,10 @@
 import cmath
+import dataclasses
 import functools
+import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import mpmath
@@ -22,10 +26,10 @@ from mlstar import (
     f_zeta_power,
     star_log_deriv,
 )
-from mlstar import operators
+from mlstar import mittag_leffler, operators
 from mlstar.certify import VERDICT_FAIL, _circle_half, _circle_terms
 from mlstar.defaults import SERIES_TERM_CAP
-from mlstar.jobs import load_job, parse_job, run_job
+from mlstar.jobs import GridSpec, load_job, parse_job, run_job
 from mlstar.numerics import series_solve
 from mlstar.operators import (
     _log_derivative_coefficients,
@@ -559,9 +563,19 @@ def grid_spec(name):
     return next(op.spec for op in OPERATOR_GRID.operators if op.name == name)
 
 
+@pytest.fixture
+def cold_factor_cache():
+    """An empty factor cache, so that every factor's t A'/A is solved from its first
+    term; emptied again after the test, so none of its series outlives it."""
+    mittag_leffler._factor_series.cache_clear()
+    yield
+    mittag_leffler._factor_series.cache_clear()
+
+
 class TestTableGrowth:
     """_sized_table grows a table by half, 16, 24, 36, ..., 200, and every length
-    solves only the terms past the last: no term of any series is solved twice."""
+    solves only the terms past the last: no term of any series is solved twice,
+    in one certificate or, for a factor's t A'/A, in one process."""
 
     TOL = 1e-14
     TABLES = {  # name -> (coefficients, subject, series per length, final length)
@@ -572,10 +586,17 @@ class TestTableGrowth:
                             (FactorSpec(MLParams(1, 0.2), 1.0),), 1, SERIES_TERM_CAP),
     }
 
+    @pytest.fixture(autouse=True)
+    def _cold(self, cold_factor_cache):
+        pass
+
     @pytest.mark.parametrize("kind", TABLES)
     def test_no_term_is_solved_twice(self, monkeypatch, kind):
         coefficients, subject, series, length = self.TABLES[kind]
+        # the reference is a fresh solve from the empty cache, which is then emptied
+        # again: the reference must not come from the cache the growth below fills
         full = coefficients(subject, self.TOL, SERIES_TERM_CAP)
+        mittag_leffler._factor_series.cache_clear()
         solves = spy_on_solves(monkeypatch)
         table, (count, _) = _sized_table(coefficients, subject, 0.999, self.TOL)
         assert len(table) == length and (count == 0) == (length == SERIES_TERM_CAP)
@@ -589,13 +610,120 @@ class TestTableGrowth:
 
     def test_run_job_solves_each_term_once(self, monkeypatch):
         # a count, not a time, so solving any table again from its first term fails here
-        # whatever the host's speed; every table of these jobs stops at 16 or 24 terms
+        # whatever the host's speed; every table of these jobs stops at 16 or 24 terms.
+        # The corpus certifies E_{2,4} three times and E_{2,2} twice: each factor's
+        # t A'/A is solved once, for all of them, and 120 terms in all, not 176
         solves = spy_on_solves(monkeypatch)
         run_job(load_job(CORPUS_PATH))
-        assert terms_solved(solves) == 176
+        assert terms_solved(solves) == 120
+        mittag_leffler._factor_series.cache_clear()  # the corpus holds star-24's factor too
         solves.clear()
         run_job(OPERATOR_GRID)
         assert terms_solved(solves) == 344
+
+    @pytest.mark.parametrize("job, warm", [("corpus", 32), ("operator-grid", 192)])
+    def test_a_second_run_solves_only_h_and_v(self, monkeypatch, job, warm):
+        # every factor's t A'/A is cached by the first run; a certificate's own H and V
+        # depend on its zeta and lambdas, and a starlike certificate solves them anew
+        job = load_job(CORPUS_PATH) if job == "corpus" else OPERATOR_GRID
+        run_job(job)
+        solves = spy_on_solves(monkeypatch)
+        run_job(job)
+        assert terms_solved(solves) == warm
+        starlike = sum(op.kind == "starlike" for op in job.operators)
+        assert len(solves) == 2 * starlike  # one H and one V each, no factor's series
+
+
+@pytest.mark.usefixtures("cold_factor_cache")
+class TestSharedFactorSeries:
+    """A factor's t A'/A, solved once per process in mittag_leffler's cache, gives
+    every certificate the table a fresh solve would: sharing it changes nothing."""
+
+    TOL = 1e-14
+    JOBS = {"corpus": lambda: load_job(CORPUS_PATH), "operator-grid": lambda: OPERATOR_GRID}
+
+    @staticmethod
+    def reports(job):
+        return [json.dumps(c.to_dict()) for c in run_job(job).certificates]  # -0.0 != 0.0
+
+    @pytest.mark.parametrize("r_max", [None, 1.0])
+    @pytest.mark.parametrize("name", JOBS)
+    def test_every_certificate_is_the_same_warm_and_cold(self, name, r_max):
+        job = self.JOBS[name]()
+        if r_max is not None:
+            job = dataclasses.replace(job, grid=GridSpec(r_max=r_max, angles=job.grid.angles))
+        cold = []
+        for op in job.operators:  # each certificate alone, from an empty cache
+            mittag_leffler._factor_series.cache_clear()
+            cold += self.reports(dataclasses.replace(job, operators=(op,)))
+        self.reports(job)
+        assert self.reports(job) == cold  # every factor's series cached by the run before
+
+    @pytest.mark.parametrize("name", ["probe-zeta-2.5", "star-24"])
+    def test_a_mutated_table_leaves_the_next_certificate_unchanged(self, name):
+        # a builder hands out a new list, never the cached one, so no caller reaches it;
+        # star-24's one factor at lambda = 1 makes Q that factor's t A'/A itself
+        spec = grid_spec(name)
+        runs = (lambda: certify_starlike(spec).to_dict(),
+                lambda: certify_convex(spec.factors).to_dict())
+        before = [run() for run in runs]
+        for table in (_log_derivative_coefficients(spec.factors, self.TOL, 36),
+                      _star_coefficients(spec, self.TOL, 36),
+                      _sized_table(_log_derivative_coefficients, spec.factors, 0.999, self.TOL)[0]):
+            table[:] = [math.nan] * len(table)
+        assert [run() for run in runs] == before
+
+    def test_one_factor_shares_one_list_across_lambda_eta_and_zeta(self, monkeypatch):
+        params = MLParams(2.0, 4.0)
+        lists = []
+
+        def spy(alpha, beta, tol):
+            entry = mittag_leffler._factor_series(alpha, beta, tol)
+            lists.append(entry[1])
+            return entry
+
+        monkeypatch.setattr(operators, "_factor_series", spy)
+        certify_starlike(OperatorSpec((FactorSpec(params, 1.0),), 1.0), r_max=0.999)
+        certify_starlike(OperatorSpec((FactorSpec(params, 2.5, 0.3),), 0.5), r_max=1.0)
+        certify_convex((FactorSpec(params, 0.7, 0.1),), r_max=0.9)
+        assert len(lists) >= 3 and all(part is lists[0] for part in lists)
+        assert_fresh_solve(2.0, 4.0, self.TOL, lists[0])
+
+    def test_threads_extend_one_list_without_losing_a_term(self):
+        # more threads than cores, switching every microsecond: two threads appending to
+        # one factor's list at once would solve a term from the wrong prefix
+        factors = grid_spec("probe-zeta-0.37").factors
+        lengths = [16, 24, 36, 54, 81, 121, 181, 200]
+
+        def grow():
+            for length in lengths:
+                _log_derivative_coefficients(factors, self.TOL, length)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                mittag_leffler._factor_series.cache_clear()
+                threads = [threading.Thread(target=grow) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for f in factors:
+                    _, part = mittag_leffler._factor_series(f.params.alpha, f.params.beta,
+                                                            self.TOL)
+                    assert len(part) == SERIES_TERM_CAP
+                    assert_fresh_solve(f.params.alpha, f.params.beta, self.TOL, part)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def assert_fresh_solve(alpha, beta, tol, part):
+    """part is bit for bit a fresh solve of t A'/A, as long as part, for the factor."""
+    table = mittag_leffler._coefficients(alpha, beta, tol)
+    fresh = series_solve(table, [n * c for n, c in enumerate(table)], len(part))
+    assert [x.hex() for x in part] == [x.hex() for x in fresh]
 
 
 class TestCircleSums:
