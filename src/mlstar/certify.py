@@ -79,7 +79,7 @@ RULE_ENDPOINT = "endpoint"   # the n^2 test put the extremum at theta = 0 or pi
 RULE_BISECTED = "bisected"   # the branch and bound bracketed it
 RULE_UNSUMMED = "unsummed"   # the table has no cut, so nothing was summed
 
-# the kinds of a job's operators, each certified by one claim (_claim)
+# the kinds of claim: _claim maps each, with its spec, to one claim
 KIND_STARLIKE = "starlike"
 KIND_CONVEX = "convex"
 KIND_ML_STARLIKE = "ml-starlike"
@@ -347,12 +347,39 @@ def _certify(claim: _Claim, r_max: float, eval_tolerance: float, series_tol: flo
     )
 
 
-def _starlike_claim(spec: OperatorSpec) -> _Claim:
-    report = starlike_delta(spec)
-    return _Claim(
-        QUANTITY_STARLIKE_OPERATOR, report.delta, report.hypothesis_ok, "star-log-deriv",
-        _star_coefficients, spec,
-    )
+def _claim(kind: str, spec: OperatorSpec) -> _Claim:
+    """What a kind certifies of a spec: the one map from the two to a claim.
+
+    Job operators and the four public functions below build their claims
+    here. A convex spec is the zeta-free operator, F at zeta = 1; an
+    ml-starlike spec is the one factor FactorSpec(params, 1, eta) at zeta =
+    1, and a log-deriv-bound spec is that with eta = 0. A spec that is not
+    an OperatorSpec, an unknown kind, a spec of another form or a
+    log-deriv-bound beta at or below the golden ratio raises DomainError.
+    """
+    spec = OperatorSpec._check_spec(spec)
+    if kind == KIND_STARLIKE:
+        report = starlike_delta(spec)
+        return _Claim(QUANTITY_STARLIKE_OPERATOR, report.delta, report.hypothesis_ok,
+                      "star-log-deriv", _star_coefficients, spec)
+    if kind not in _KINDS:
+        raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
+    factors = spec.factors
+    factor = factors[0]
+    one_factor = len(factors) == 1 and factor.lam == 1.0 and (
+        kind == KIND_ML_STARLIKE or factor.eta == 0.0)
+    if spec.zeta != 1.0 or not (kind == KIND_CONVEX or one_factor):
+        raise DomainError(f"kind {kind!r} cannot have the spec {spec!r}")
+    if kind == KIND_CONVEX:
+        report = convex_delta(factors)
+        return _Claim(QUANTITY_CONVEX_OPERATOR, report.delta, report.hypothesis_ok,
+                      "convex-log-deriv", _log_derivative_coefficients, factors)
+    if kind == KIND_ML_STARLIKE:
+        return _Claim(QUANTITY_STARLIKE_ML, factor.eta,
+                      ml_starlike_hypothesis(factor.params, factor.eta), "ml-log-deriv",
+                      _log_derivative_coefficients, factors)
+    return _Claim(QUANTITY_LOG_DERIV_BOUND, log_deriv_bound(factor.params), True,
+                  "ml-log-deriv", _log_derivative_coefficients, factors, largest=True)
 
 
 def certify_starlike(
@@ -368,17 +395,8 @@ def certify_starlike(
     ``predicted`` overrides the closed-form order; negative-control jobs
     use that to verify the certifier can fail.
     """
-    return _certify(_starlike_claim(spec),
+    return _certify(_claim(KIND_STARLIKE, spec),
                     *_checked(r_max, eval_tolerance, series_tol, predicted))
-
-
-def _convex_claim(factors) -> _Claim:
-    factors = tuple(factors)
-    report = convex_delta(factors)
-    return _Claim(
-        QUANTITY_CONVEX_OPERATOR, report.delta, report.hypothesis_ok, "convex-log-deriv",
-        _log_derivative_coefficients, factors,
-    )
 
 
 def certify_convex(
@@ -390,16 +408,8 @@ def certify_convex(
     predicted: float = None,
 ) -> Certificate:
     """Certify Re(1 + z F''/F') > delta for the zeta-free operator."""
-    return _certify(_convex_claim(factors),
+    return _certify(_claim(KIND_CONVEX, OperatorSpec(factors, 1.0)),
                     *_checked(r_max, eval_tolerance, series_tol, predicted))
-
-
-def _ml_starlike_claim(factor: FactorSpec) -> _Claim:
-    """The claim of the one factor (E/z)^1 with its eta: Q = z E'/E - 1."""
-    return _Claim(
-        QUANTITY_STARLIKE_ML, factor.eta, ml_starlike_hypothesis(factor.params, factor.eta),
-        "ml-log-deriv", _log_derivative_coefficients, (factor,),
-    )
 
 
 def certify_ml_starlike(
@@ -412,16 +422,9 @@ def certify_ml_starlike(
     predicted: float = None,
 ) -> Certificate:
     """Certify Re(z E'/E) > eta for one normalized function."""
-    return _certify(_ml_starlike_claim(FactorSpec(params, 1.0, eta)),
+    spec = OperatorSpec((FactorSpec(params, 1.0, eta),), 1.0)
+    return _certify(_claim(KIND_ML_STARLIKE, spec),
                     *_checked(r_max, eval_tolerance, series_tol, predicted))
-
-
-def _log_deriv_bound_claim(factor: FactorSpec) -> _Claim:
-    bound = log_deriv_bound(factor.params)  # raises DomainError for beta at/below golden
-    return _Claim(
-        QUANTITY_LOG_DERIV_BOUND, bound, True, "ml-log-deriv",
-        _log_derivative_coefficients, (factor,), largest=True,
-    )
 
 
 def check_log_deriv_bound(
@@ -438,31 +441,6 @@ def check_log_deriv_bound(
     bound; the margin is bound - max so the sign convention matches the
     other certificates.
     """
-    return _certify(_log_deriv_bound_claim(FactorSpec(params, 1.0)),
+    spec = OperatorSpec((FactorSpec(params, 1.0),), 1.0)
+    return _certify(_claim(KIND_LOG_DERIV_BOUND, spec),
                     *_checked(r_max, eval_tolerance, series_tol, predicted))
-
-
-def _claim(op) -> _Claim:
-    """What a job operator certifies: the one map from its kind and spec to a claim.
-
-    A convex spec is F at zeta = 1, and an ml-starlike spec the one factor
-    FactorSpec(params, 1, eta) at zeta = 1; a log-deriv-bound spec is that
-    with eta = 0. An unknown kind or any other spec raises DomainError.
-    """
-    kind, spec = op.kind, op.spec
-    if not isinstance(spec, OperatorSpec):
-        raise DomainError(f"spec must be an OperatorSpec, got {spec!r}")
-    if kind == KIND_STARLIKE:
-        return _starlike_claim(spec)
-    if kind not in _KINDS:
-        raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
-    factor = spec.factors[0]
-    one_factor = len(spec.factors) == 1 and factor.lam == 1.0 and (
-        kind == KIND_ML_STARLIKE or factor.eta == 0.0)
-    if spec.zeta != 1.0 or not (kind == KIND_CONVEX or one_factor):
-        raise DomainError(f"kind {kind!r} cannot have the spec {spec!r}")
-    if kind == KIND_CONVEX:
-        return _convex_claim(spec.factors)
-    if kind == KIND_ML_STARLIKE:
-        return _ml_starlike_claim(factor)
-    return _log_deriv_bound_claim(factor)

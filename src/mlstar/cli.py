@@ -167,7 +167,7 @@ def cmd_orders(args) -> int:
     job = load_job(args.job_path)
     rows = []
     for op in job.operators:
-        claim = _claim(op)
+        claim = _claim(op.kind, op.spec)
         rows.append((op.name, op.kind, claim.predicted, claim.hypothesis_ok))
     if not rows:
         raise UsageError("job lists no operators")
@@ -246,7 +246,7 @@ def cmd_dump(args) -> int:
     """
     job = _apply_overrides(load_job(args.job), args)
     op = _operator(job, args.operator)
-    claim = _claim(op)
+    claim = _claim(op.kind, op.spec)
     with _open(args.output) as output:
         table, (count, _) = claim.table(job.grid.r_max, job.series_tol)
         out = output or sys.stdout
@@ -326,25 +326,29 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_z(argv) -> list:
-    """argv with each '--z' and a complex literal after it joined as '--z=<literal>'.
+# the options whose value is a number, which may start with '-'
+_NUMBER_OPTIONS = ("--z", "--alpha", "--beta", "--tol", "--r-max", "--grid-angles")
+
+
+def _attach_numbers(argv) -> list:
+    """argv with each number option and a number after it joined as '<option>=<number>'.
 
     argparse reads a token that starts with '-' as an option unless it is a plain
-    negative number, so '--z -0.3+0.4j' would leave --z without its point. A next
-    token that complex() cannot read stays apart, for argparse to refuse, and the
-    tokens after '--' are left as they are.
+    negative number, so '--z -0.3+0.4j' or '--beta -4e0' would leave the option
+    without its value. A next token that complex() cannot read stays apart, for
+    argparse to refuse, and the tokens after '--' are left as they are.
     """
     out = []
     for i, token in enumerate(argv):
         if token == "--":
             return out + list(argv[i:])
-        if out and out[-1] == "--z":
+        if out and out[-1] in _NUMBER_OPTIONS:
             try:
                 complex(token)
             except ValueError:
                 pass
             else:
-                out[-1] = f"--z={token}"
+                out[-1] = f"{out[-1]}={token}"
                 continue
         out.append(token)
     return out
@@ -352,7 +356,7 @@ def _attach_z(argv) -> list:
 
 def main(argv=None):
     """Run the CLI on argv (default sys.argv[1:]); always ends in SystemExit."""
-    args = _parser().parse_args(_attach_z(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
     try:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit

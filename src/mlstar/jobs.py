@@ -95,12 +95,13 @@ class GridSpec(_Record):
 
 
 class JobOperator(_Record):
-    """One operator entry: its name, its kind and, for every kind, an OperatorSpec
-    (see certify._claim). The name is a nonempty printable string without a
-    space: a control character or a space would split a text report row or
-    dump's header line. It builds its claim, so a bad name or predicted, an
-    unknown kind, a spec of another form or a prediction outside its domain
-    raises DomainError."""
+    """One operator entry: its name, its kind and, for every kind, an OperatorSpec.
+    The name is a nonempty printable string without a space: a control
+    character or a space would split a text report row or dump's header line.
+    It builds its claim by certify._claim(kind, spec), as the public
+    certificate function of its kind does, so a bad name or predicted, a spec
+    that is not an OperatorSpec, an unknown kind, a spec of another form or a
+    prediction outside its domain raises DomainError."""
 
     __slots__ = ("name", "kind", "spec", "predicted")
 
@@ -115,7 +116,7 @@ class JobOperator(_Record):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "predicted", _check_predicted(predicted))
-        _claim(self)
+        _claim(kind, spec)
 
 
 class _DataclassFields:
@@ -383,8 +384,8 @@ def run_job(job: Job) -> ReportDocument:
     report = ReportDocument(job)
     for op in job.operators:
         start = time.perf_counter()
-        certificate = _certify(_claim(op), job.grid.r_max, job.margin_tol, job.series_tol,
-                               op.predicted)
+        certificate = _certify(_claim(op.kind, op.spec), job.grid.r_max, job.margin_tol,
+                               job.series_tol, op.predicted)
         report.names.append(op.name)
         report.certificates.append(certificate)
         report.timings.append(time.perf_counter() - start)

@@ -88,7 +88,10 @@ class FactorSpec(_Record):
 
 def _check_factors(factors) -> tuple:
     """factors as a tuple, or DomainError unless a nonempty list of FactorSpec: the one rule."""
-    factors = tuple(factors)
+    try:
+        factors = tuple(factors)
+    except TypeError:
+        raise DomainError(f"factors must be a list of FactorSpec, got {factors!r}") from None
     if not factors:
         raise DomainError("an operator needs at least one factor")
     for f in factors:
@@ -105,6 +108,14 @@ class OperatorSpec(_Record):
     def __init__(self, factors: tuple, zeta: float):
         object.__setattr__(self, "factors", _check_factors(factors))
         object.__setattr__(self, "zeta", _check_tol(zeta, "zeta"))
+
+    @staticmethod
+    def _check_spec(spec) -> OperatorSpec:
+        """spec, or DomainError unless an OperatorSpec: the one spec rule. It is the
+        class's, so every module that imports OperatorSpec reaches it."""
+        if not isinstance(spec, OperatorSpec):
+            raise DomainError(f"spec must be an OperatorSpec, got {spec!r}")
+        return spec
 
 
 def _as_point(z) -> complex:
@@ -256,7 +267,7 @@ def _operator_value(spec: OperatorSpec, z, tol: float, power: bool) -> SeriesRes
     so it is the relative error of F. The series of log(F/z) has no cut
     past a zero of G or of a factor.
     """
-    zc = _as_point(z)
+    spec, zc = OperatorSpec._check_spec(spec), _as_point(z)
     e = spec.zeta if power else 1.0
     log_ratio = _table_value(_log_ratio_coefficients, spec, zc, tol)
     try:
@@ -278,7 +289,7 @@ def star_log_deriv(spec: OperatorSpec, z, tol: float = SERIES_TOL) -> complex:
     Past a zero of G the table has no cut, and it raises
     SeriesTruncationError, as f_value does.
     """
-    zc = _as_point(z)
+    spec, zc = OperatorSpec._check_spec(spec), _as_point(z)
     return 1.0 + _table_value(_star_coefficients, spec, zc, tol).value
 
 

@@ -95,6 +95,7 @@ def starlike_delta(spec: OperatorSpec) -> StarlikeOrderReport:
     whether sum (1 - eta_j)/lambda_j <= zeta and beta_j >= psi(eta_j) with
     alpha_j >= 1 for every factor.
     """
+    spec = OperatorSpec._check_spec(spec)
     zeta = spec.zeta
     hyp_sum = sum((1.0 - f.eta) / f.lam for f in spec.factors)
     # the equation times k: past 2^1020, 8 zeta or 2 hyp_sum would overflow at k = 1, and

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mlstar import operators
-from mlstar.certify import _circle, _ml_starlike_claim
+from mlstar.certify import _circle, _claim
 from mlstar.errors import SeriesTruncationError
 from mlstar.jobs import GridSpec
-from mlstar.operators import FactorSpec, _no_cut, _operator_cut
+from mlstar.operators import FactorSpec, OperatorSpec, _no_cut, _operator_cut
 
 from oracles import horner
 
@@ -59,6 +59,6 @@ def ml_table_deviation(params, z, tol=1e-14):
     """z E'/E - 1 at the points z as the Mittag-Leffler certificates sum it:
     from their table, sized for max |z|."""
     z = np.asarray(z, dtype=complex)
-    claim = _ml_starlike_claim(FactorSpec(params, 1.0))
+    claim = _claim("ml-starlike", OperatorSpec((FactorSpec(params, 1.0),), 1.0))
     table, _ = claim.table(float(np.max(np.abs(z))), tol)
     return table_deviation(table, z, tol)

@@ -423,11 +423,10 @@ def test_certificates_pass_or_fail_whole():
                      for _ in range(rng.integers(1, 3)))
 
     claims = (
-        lambda: certify_module._starlike_claim(OperatorSpec(factors(),
-                                                            math.exp(rng.uniform(-5, 5)))),
-        lambda: certify_module._convex_claim(factors()),
-        lambda: certify_module._ml_starlike_claim(FactorSpec(params(), 1.0)),
-        lambda: certify_module._log_deriv_bound_claim(FactorSpec(params(), 1.0)),
+        lambda: _claim("starlike", OperatorSpec(factors(), math.exp(rng.uniform(-5, 5)))),
+        lambda: _claim("convex", OperatorSpec(factors(), 1.0)),
+        lambda: _claim("ml-starlike", OperatorSpec((FactorSpec(params(), 1.0),), 1.0)),
+        lambda: _claim("log-deriv-bound", OperatorSpec((FactorSpec(params(), 1.0),), 1.0)),
     )
     counts = {"summed": 0, "unsummed": 0}
     for _ in range(400):
@@ -484,11 +483,45 @@ def assert_rows_on_the_safe_side(cert, grid, table, cut, largest):
     return at
 
 
+PUBLIC_CERTIFICATES = {  # kind -> the public function, called on a job operator's spec
+    "starlike": certify_starlike,
+    "convex": lambda spec, *args, **kw: certify_convex(spec.factors, *args, **kw),
+    "ml-starlike": lambda spec, *args, **kw: certify_ml_starlike(
+        spec.factors[0].params, spec.factors[0].eta, *args, **kw),
+    "log-deriv-bound": lambda spec, *args, **kw: check_log_deriv_bound(
+        spec.factors[0].params, *args, **kw),
+}
+
+
+@pytest.mark.parametrize("r_max", [R_MAX, 1.0])
+@pytest.mark.parametrize("predict", [False, True], ids=["closed-form", "predicted"])
+def test_each_public_function_certifies_as_a_job_operator_of_its_kind(r_max, predict):
+    # one route from (kind, spec) to a claim: the public function of each corpus
+    # operator's kind returns run_job's certificate, field for field; beside the corpus,
+    # an eta above 0 and a rooted operator of two factors
+    job = load_job(CORPUS_PATH)
+    extra = (JobOperator("ml-eta", "ml-starlike",
+                         OperatorSpec((FactorSpec(MLParams(2, 20), 1.0, 0.3),), 1.0)),
+             JobOperator("star-two", "starlike", TestHalfCircleScan.PROBE))
+    job = dataclasses.replace(job, grid=GridSpec(r_max=r_max, angles=job.grid.angles),
+                              operators=job.operators + extra)
+    if predict:  # 0.99 lies above every observed order, so each order certificate fails
+        job = dataclasses.replace(job, operators=tuple(
+            JobOperator(op.name, op.kind, op.spec, 0.99) for op in job.operators))
+    certificates = run_job(job).certificates
+    assert sorted({op.kind for op in job.operators}) == sorted(PUBLIC_CERTIFICATES)
+    for op, expected in zip(job.operators, certificates):
+        cert = PUBLIC_CERTIFICATES[op.kind](op.spec, r_max, eval_tolerance=job.margin_tol,
+                                            series_tol=job.series_tol, predicted=op.predicted)
+        assert cert == expected, op.name
+        assert json.dumps(cert.to_dict()) == json.dumps(expected.to_dict()), op.name
+
+
 def test_dump_row_on_r_max_lies_on_the_safe_side_of_each_corpus_certificate():
     # every corpus extremum lies at theta = 0 or pi, both grid angles at 720
     job = load_job(CORPUS_PATH)
     for op, cert in zip(job.operators, run_job(job).certificates):
-        claim = _claim(op)
+        claim = _claim(op.kind, op.spec)
         table, cut = claim.table(job.grid.r_max, job.series_tol)
         assert cert.semantics.startswith("endpoint-"), op.name
         assert assert_rows_on_the_safe_side(cert, job.grid, table, cut, claim.largest), op.name
@@ -500,7 +533,7 @@ def test_each_dump_circle_is_summed_alone_bit_for_bit():
     job = load_job(CORPUS_PATH)
     m = job.grid.angles
     for op in job.operators:
-        table, cut = _claim(op).table(job.grid.r_max, job.series_tol)
+        table, cut = _claim(op.kind, op.spec).table(job.grid.r_max, job.series_tol)
         result = invoke(["dump", "--job", str(CORPUS_PATH), "--operator", op.name])
         assert result.exit_code == 0, result.output
         rows = [row.split(",") for row in result.output.splitlines()[2:]]
@@ -531,18 +564,21 @@ class TestHalfCircleScan:
                          0.37)
     DEFAULT = default_radii()
     CLAIMS = {  # (claim, radii); the cuts on r = 0.999 exceed 9 terms, so m = 8 and 9 fold
-        "starlike": (lambda: certify_module._starlike_claim(TestHalfCircleScan.PROBE), DEFAULT),
-        "convex": (lambda: certify_module._convex_claim(TestHalfCircleScan.PROBE.factors),
+        "starlike": (lambda: _claim("starlike", TestHalfCircleScan.PROBE), DEFAULT),
+        "convex": (lambda: _claim("convex", OperatorSpec(TestHalfCircleScan.PROBE.factors, 1.0)),
                    DEFAULT),
         "ml-starlike": (
-            lambda: certify_module._ml_starlike_claim(FactorSpec(MLParams(1.2, 1.7), 1.0)),
+            lambda: _claim("ml-starlike",
+                           OperatorSpec((FactorSpec(MLParams(1.2, 1.7), 1.0),), 1.0)),
             DEFAULT),
         "log-deriv-bound": (
-            lambda: certify_module._log_deriv_bound_claim(FactorSpec(MLParams(1.2, 1.7), 1.0)),
+            lambda: _claim("log-deriv-bound",
+                           OperatorSpec((FactorSpec(MLParams(1.2, 1.7), 1.0),), 1.0)),
             DEFAULT),
         # E_{1,0.2} vanishes at -0.2448: no cut on the outermost circle
-        "ml-no-cut": (lambda: certify_module._ml_starlike_claim(FactorSpec(MLParams(1, 0.2), 1.0)),
-                      (0.2, 0.5, 0.999)),
+        "ml-no-cut": (
+            lambda: _claim("ml-starlike", OperatorSpec((FactorSpec(MLParams(1, 0.2), 1.0),), 1.0)),
+            (0.2, 0.5, 0.999)),
     }
 
     @staticmethod
@@ -603,15 +639,17 @@ def terms_on_r_max(claim, r=0.999):
 def series_claims():
     """(label, claim): the corpus's, and seeded draws of the three series kinds."""
     job = load_job(CORPUS_PATH)
-    claims = [(op.name, _claim(op)) for op in job.operators]
+    claims = [(op.name, _claim(op.kind, op.spec)) for op in job.operators]
     rng = np.random.default_rng(20)
     for i in range(40):
         params = MLParams(rng.uniform(1.0, 5.0), math.exp(rng.uniform(math.log(1.7), math.log(160))))
         claims += [
-            (f"convex-{i}", certify_module._convex_claim((FactorSpec(params, rng.uniform(1, 9)),))),
-            (f"ml-starlike-{i}", certify_module._ml_starlike_claim(FactorSpec(params, 1.0))),
+            (f"convex-{i}",
+             _claim("convex", OperatorSpec((FactorSpec(params, rng.uniform(1, 9)),), 1.0))),
+            (f"ml-starlike-{i}",
+             _claim("ml-starlike", OperatorSpec((FactorSpec(params, 1.0),), 1.0))),
             (f"log-deriv-bound-{i}",
-             certify_module._log_deriv_bound_claim(FactorSpec(params, 1.0))),
+             _claim("log-deriv-bound", OperatorSpec((FactorSpec(params, 1.0),), 1.0))),
         ]
     return claims
 
@@ -651,7 +689,8 @@ class TestExtremum:
 
     def test_an_interior_maximum_is_bisected(self):
         # |z E'/E - 1| of (1.4, 2) is largest inside the half circle: the n^2 test fails
-        claim = certify_module._log_deriv_bound_claim(FactorSpec(MLParams(1.4, 2.0), 1.0))
+        claim = _claim("log-deriv-bound",
+                       OperatorSpec((FactorSpec(MLParams(1.4, 2.0), 1.0),), 1.0))
         cert = check_log_deriv_bound(MLParams(1.4, 2.0))
         assert cert.semantics == "bisected-max certificate on |z| = r_max"
         assert 1.7 < cert.argmin.angle < 1.8

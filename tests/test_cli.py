@@ -212,6 +212,27 @@ class TestEval:
         result = invoke(["eval", "--alpha", "2", "--beta", "4", *argv])
         assert result.exit_code == 2 and message in result.output, result.output
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--alpha", "2", "--beta", "-4e0", "--z", "0.5"],
+         "beta must be finite and > 0 with 1/beta finite, got -4.0"),
+        (["--tol", "-1e-3", "eval", "--alpha", "2", "--beta", "4", "--z", "0.5"],
+         "argument --tol: the series tolerance must be finite and > 0, got -0.001"),
+        (["--r-max", "-1e-1", "certify", CORPUS_PATH], "r_max must lie in (0, 1], got -0.1"),
+        (["eval", "--alpha", "-1e0", "--beta", "4", "--z", "0.5"],
+         "alpha must be finite and >= 1, got -1.0"),
+        (["--grid-angles", "-8e0", "dump", "--job", CORPUS_PATH, "--operator", "star-24"],
+         "argument --grid-angles: invalid int value: '-8e0'"),
+        (["eval", "--alpha", "2", "--beta", "-abc", "--z", "0.5"],
+         "argument --beta: expected one argument"),
+        (["eval", "--alpha", "2", "--beta", "--", "-4e0", "--z", "0.5"],
+         "argument --beta: expected one argument"),
+    ], ids=["beta", "tol", "r-max", "alpha", "grid-angles", "beta-word", "beta-double-dash"])
+    def test_a_negative_number_follows_every_number_option(self, argv, message):
+        # as for --z: a number in exponent form is the option's value, and its domain
+        # message, not argparse's 'expected one argument', is the refusal
+        result = invoke(argv)
+        assert result.exit_code == 2 and message in result.output, result.output
+
 
 class TestOrders:
     def test_corpus_orders(self, tmp_path):
@@ -607,7 +628,7 @@ class TestDump:
     def test_rows_print_one_plus_each_sum(self, name):
         job = load_job(CORPUS_PATH)
         op = next(op for op in job.operators if op.name == name)
-        table, cut = _claim(op).table(job.grid.r_max, job.series_tol)
+        table, cut = _claim(op.kind, op.spec).table(job.grid.r_max, job.series_tol)
         thetas = [2.0 * math.pi * k / 16 for k in range(16)]
         expected = [f"{r!r},{theta!r},{(1.0 + v).real!r},{(1.0 + v).imag!r}"
                     for r, circle in zip(job.grid.radii,

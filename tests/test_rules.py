@@ -3,7 +3,8 @@ parameter refuses the same values with the same message.
 
 - tolerances: mittag_leffler._check_tol (finite and > 0), which lambda and
   zeta obey too, and certify._check_tolerances (and series <= margin);
-- factor lists: operators._check_factors (nonempty, every item a FactorSpec);
+- factor lists: operators._check_factors (a nonempty list, every item a FactorSpec);
+- specs: OperatorSpec._check_spec (an OperatorSpec);
 - eta: mittag_leffler._check_eta (0 <= eta < 1);
 - params: mittag_leffler._check_params (an MLParams);
 - predictions: certify._check_predicted (None or finite);
@@ -39,9 +40,10 @@ from mlstar import (
     phi,
     psi,
     star_log_deriv,
+    starlike_delta,
 )
 from mlstar.errors import DomainError, JobFileError
-from mlstar.jobs import parse_job
+from mlstar.jobs import JobOperator, parse_job
 from mlstar.orders import ml_starlike_hypothesis
 
 from cli_runner import invoke
@@ -176,12 +178,34 @@ FACTOR_ENTRIES = {
     ([], "an operator needs at least one factor"),
     ([1], "not a FactorSpec: 1"),
     ([CONVEX_FACTORS[0], "f"], "not a FactorSpec: 'f'"),
-], ids=["empty", "int", "str"])
+    (CONVEX_FACTORS[0], f"factors must be a list of FactorSpec, got {CONVEX_FACTORS[0]!r}"),
+    (None, "factors must be a list of FactorSpec, got None"),
+], ids=["empty", "int", "str", "bare-FactorSpec", "None"])
 @pytest.mark.parametrize("entry", FACTOR_ENTRIES.values(), ids=FACTOR_ENTRIES.keys())
 def test_the_factor_list_rule_at_every_entry(entry, factors, message):
     entry(list(CONVEX_FACTORS))
     with pytest.raises(DomainError, match=re.escape(message)):
         entry(factors)
+
+
+SPEC_ENTRIES = {
+    "certify_starlike": certify_starlike,
+    "starlike_delta": starlike_delta,
+    "star_log_deriv": lambda spec: star_log_deriv(spec, 0.5),
+    "f_value": lambda spec: f_value(spec, 0.5),
+    "f_zeta_power": lambda spec: f_zeta_power(spec, 0.5),
+    "JobOperator": lambda spec: JobOperator("star-24", "starlike", spec),
+}
+
+
+@pytest.mark.parametrize("spec", [FACTORS, FACTORS[0], None, "spec"],
+                         ids=["factor-tuple", "FactorSpec", "None", "str"])
+@pytest.mark.parametrize("entry", SPEC_ENTRIES.values(), ids=SPEC_ENTRIES.keys())
+def test_the_spec_rule_at_every_entry(entry, spec):
+    entry(SPEC)
+    with pytest.raises(DomainError,
+                       match=re.escape(f"spec must be an OperatorSpec, got {spec!r}")):
+        entry(spec)
 
 
 ETA_ENTRIES = {
@@ -251,6 +275,8 @@ def test_a_non_number_is_refused_by_name(entry, value):
     ("_check_tolerances", "exceeds the margin tolerance"),
     ("_check_factors", "an operator needs at least one factor"),
     ("_check_factors", "not a FactorSpec"),
+    ("_check_factors", "factors must be a list of FactorSpec"),
+    ("_check_spec", "spec must be an OperatorSpec"),
     ("_check_eta", "eta must lie in [0, 1)"),
     ("_check_params", "must be an MLParams"),
     ("_check_predicted", "predicted must be finite"),
