@@ -11,7 +11,7 @@ on r_max. A cut bounds every circle sum by the finite sum of |c_n| r_max^n,
 so no point fails alone: a certificate passes or fails whole. A
 singularity within reach of r_max, such as a zero of E, leaves the table
 without a cut; then nothing is summed, and the certificate fails with
-_no_cut's reason.
+the reason operators._sized_table gives.
 
 On |z| = r_max, with t_n = c_n r_max^n for the cut, each certified
 quantity is a cosine polynomial S(theta) = sum a_n cos n theta, even in
@@ -26,7 +26,7 @@ allowance; elsewhere a branch and bound on arcs brackets it to rounding.
 The extremum is proven for the summed cut, and r_max may be 1, the
 boundary itself; but the tables' tails past the cut are extrapolated
 (operators._operator_cut), so a certificate is still evidence about the
-disk, not a proof, and says so in its serialized form.
+disk, not a proof; no key of its serialized form says so yet.
 
 A circle sum is Horner in Python complex numbers: the terms t_n of the
 circle at e^(i theta). The CLI's dump takes each circle from _circle,
@@ -47,7 +47,6 @@ from .operators import (
     FactorSpec,
     OperatorSpec,
     _log_derivative_coefficients,
-    _no_cut,
     _sized_table,
     _star_coefficients,
 )
@@ -101,9 +100,9 @@ def _check_tolerances(series_tol, margin_tol, names=("series_tol", "eval_toleran
     return series_tol, margin_tol
 
 
-def _circle_terms(table, count: int, r: float) -> list:
-    """The terms t_n = c_n r^n of the cut table[:count] on the circle |z| = r."""
-    return [c * r ** n for n, c in enumerate(table[:count])]
+def _circle_terms(terms, r: float) -> list:
+    """The terms t_n = c_n r^n of the summed terms c_n on the circle |z| = r."""
+    return [c * r ** n for n, c in enumerate(terms)]
 
 
 def _end_sum(terms, end: float) -> float:
@@ -118,17 +117,13 @@ def _circle_sum(terms, theta: float) -> complex:
     return _horner(terms, complex(math.cos(theta), math.sin(theta)))
 
 
-def _circle_half(terms, m: int) -> list:
-    """The sums at e^(2 pi i k/m), k = 0 ... m/2: m/2 + 1 complex values."""
-    half = [_circle_sum(terms, 2.0 * math.pi * k / m) for k in range((m + 1) // 2)]
+def _circle(terms, r: float, m: int) -> list:
+    """dump's m sums of the summed terms on |z| = r: the half at e^(2 pi i k/m),
+    k = 0 ... m/2, and its conjugate mirror."""
+    circle = _circle_terms(terms, r)
+    half = [_circle_sum(circle, 2.0 * math.pi * k / m) for k in range((m + 1) // 2)]
     if m % 2 == 0:
-        half.append(_circle_sum(terms, math.pi))
-    return half
-
-
-def _circle(table, count: int, r: float, m: int) -> list:
-    """dump's m sums of the cut table[:count] on |z| = r: the half, and its conjugate mirror."""
-    half = _circle_half(_circle_terms(table, count, r), m)
+        half.append(_circle_sum(circle, math.pi))
     return half + [v.conjugate() for v in reversed(half[1 : (m + 1) // 2])]
 
 
@@ -298,7 +293,8 @@ class _Claim(namedtuple("_Claim", "quantity predicted hypothesis_ok sampled coef
 
     The quantity minus 1 is the table coefficients(subject, tol, length, solved);
     ``table(radius, series_tol)`` sizes it for the radius and returns
-    it with its cut there, so predicting evaluates no series.
+    operators._sized_table's (terms, tail, reason) there, so predicting
+    evaluates no series.
     ``largest`` marks the bound, which certifies a maximum.
     """
 
@@ -331,13 +327,11 @@ def _certify(claim: _Claim, r_max: float, eval_tolerance: float, series_tol: flo
     order, target - observed for the bound. Its callers check the numbers.
     """
     target = claim.predicted if predicted is None else predicted
-    table, (count, tail) = claim.table(r_max, series_tol)
-    if count:
-        observed, theta, rule = _extremum(_circle_terms(table, count, r_max), claim.largest)
-        reason = None
+    terms, _, reason = claim.table(r_max, series_tol)
+    if reason is None:
+        observed, theta, rule = _extremum(_circle_terms(terms, r_max), claim.largest)
     else:
         observed, theta, rule = math.nan, 0.0, RULE_UNSUMMED
-        reason = _no_cut(table, r_max, tail)
     margin = target - observed if claim.largest else observed - target
     verdict = _verdict(margin, eval_tolerance, claim.hypothesis_ok, reason is None)
     return Certificate(

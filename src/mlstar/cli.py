@@ -248,21 +248,20 @@ def cmd_dump(args) -> int:
     op = _operator(job, args.operator)
     claim = _claim(op.kind, op.spec)
     with _open(args.output) as output:
-        table, (count, _) = claim.table(job.grid.r_max, job.series_tol)
+        terms, _, reason = claim.table(job.grid.r_max, job.series_tol)
         out = output or sys.stdout
         out.write(f"# spec={op.name} quantity={claim.sampled} digest={job_digest(op, job.grid)}\n"
                   "radius,angle,re,im\n")
         m, angles = job.grid.angles, [repr(theta) for theta in job.grid.circle_angles()]
         for r in job.grid.radii:  # each circle is summed as it is written
             radius = repr(r)
-            if not count:
+            if reason is not None:
                 rows = (f"{radius},{theta},error,error" for theta in angles)
             else:
-                circle = _circle(table, count, r, m)
                 rows = (f"{radius},{theta},{value.real!r},{value.imag!r}"
-                        for theta, value in zip(angles, (1.0 + v for v in circle)))
+                        for theta, value in zip(angles, (1.0 + v for v in _circle(terms, r, m))))
             out.write("\n".join(rows) + "\n")
-    return 0 if count else _EXIT_EVAL
+    return 0 if reason is None else _EXIT_EVAL
 
 
 def _tolerance(text: str) -> float:

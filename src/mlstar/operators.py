@@ -35,19 +35,19 @@ Q, H and 1/H all come from the one triangular solve numerics.series_solve.
 
 A table is cut once, on one circle |z| = r, a point's or a grid's
 outermost, which also cuts every smaller circle: _sized_table builds it
-16 terms long and grows it by half until _operator_cut finds a cut, and
-hands that cut on. Growing solves only the new terms: each builder keeps
-its solved series between lengths, and series_solve continues them. A
-factor's t A'/A is kept longer, beside its table in mittag_leffler's
-cache, so a factor that recurs, in one job or in any later one of the
-process, is solved on from the terms the last certificate left.
-Where a factor's zero lies within reach of the circle, Q has a pole
-there, and where G has one, so does 1/H; the coefficients stop
-decaying. Then, or when the terms |c_n| r^n sum past 1e300 or overflow,
-no cut exists and the evaluation raises SeriesTruncationError; with a
-cut, every sum on the circle and inside it is finite. The tables are
-lists of Python floats: a point is summed by Horner in Python complex
-numbers, and so is a circle in certify.
+16 terms long, grows it by half until _operator_cut finds a cut, and
+hands on the terms to sum, their tail, or the reason none are summed.
+Growing solves only the new terms: each builder keeps its solved series
+between lengths, and series_solve continues them. A factor's t A'/A is
+kept longer, beside its table in mittag_leffler's cache, so a factor
+that recurs, in one job or in any later one of the process, is solved on
+from the terms the last certificate left. Where a factor's zero lies
+within reach of the circle, Q has a pole there, and where G has one, so
+does 1/H; the coefficients stop decaying. Then, or when the terms |c_n|
+r^n sum past 1e300 or overflow, no cut exists and the evaluation raises
+SeriesTruncationError; with a cut, every sum on the circle and inside it
+is finite. The tables are lists of Python floats: a point is summed by
+Horner in Python complex numbers, and so is a circle in certify.
 """
 
 from __future__ import annotations
@@ -218,44 +218,39 @@ def _operator_cut(coeffs, radius: float, tol: float) -> tuple:
     return 0, dropped[-1]
 
 
-def _no_cut(table, radius: float, tail: float) -> str:
-    return (f"series at |z| = {radius:g} keeps a tail of {tail:.3g} "
-            f"after {len(table) - _MEASURED_TAIL} terms")
-
-
 def _sized_table(coefficients, subject, radius: float, tol: float) -> tuple:
-    """(table, cut): coefficients(subject, tol, length) at the first length
-    with a cut on the circle |z| = radius, and _operator_cut's (count, tail).
+    """(terms, tail, reason) of coefficients(subject, tol, length) cut on |z| = radius.
 
-    Every caller sums from that cut and cuts nothing again; a grid passes
-    its outermost radius, and its other circles sum the same terms. The
-    length starts at _FIRST_LENGTH and grows by half, 16, 24, 36, ..., 181;
-    each length solves only the terms past the last, as coefficients
-    continues the series it keeps in one solved dict or, for a factor's
-    t A'/A, in mittag_leffler's cache, and is cut once. At
-    SERIES_TERM_CAP the table is returned with or without a cut, and
-    without one the count is 0.
+    The length starts at _FIRST_LENGTH and grows by half, 16, 24, 36, ..., 181,
+    until _operator_cut finds a cut: terms is the table up to its count, tail
+    its tail and reason None. Each length solves only the terms past the last,
+    as coefficients continues the series it keeps in one solved dict or, for a
+    factor's t A'/A, in mittag_leffler's cache. Every caller sums terms and
+    cuts nothing again; a grid passes its outermost radius. Without a cut at
+    SERIES_TERM_CAP, terms is empty and reason, written here alone, says why.
     """
     solved = {}
     length = _FIRST_LENGTH
     while True:
         table = coefficients(subject, tol, length, solved)
-        cut = _operator_cut(table, radius, tol)
-        if length >= SERIES_TERM_CAP or cut[0]:
-            return table, cut
+        count, tail = _operator_cut(table, radius, tol)
+        if count:
+            return table[:count], tail, None
+        if length >= SERIES_TERM_CAP:
+            return [], tail, (f"series at |z| = {radius:g} keeps a tail of {tail:.3g} "
+                              f"after {len(table) - _MEASURED_TAIL} terms")
         length = min(length + length // 2, SERIES_TERM_CAP)
 
 
 def _table_value(coefficients, subject, z: complex, tol: float) -> SeriesResult:
-    """The table's sum at one point, from a table sized for |z|, with its cut.
+    """The table's sum at one point, from its terms summed for |z|, with their tail.
 
     Raises SeriesTruncationError when the table has no cut at |z|.
     """
-    tol = _check_tol(tol, "tol")
-    table, (n, tail) = _sized_table(coefficients, subject, abs(z), tol)
-    if not n:
-        raise SeriesTruncationError(_no_cut(table, abs(z), tail))
-    return SeriesResult(_horner(table[:n], z), n, tail)
+    terms, tail, reason = _sized_table(coefficients, subject, abs(z), _check_tol(tol, "tol"))
+    if reason is not None:
+        raise SeriesTruncationError(reason)
+    return SeriesResult(_horner(terms, z), len(terms), tail)
 
 
 def _operator_value(spec: OperatorSpec, z, tol: float, power: bool) -> SeriesResult:

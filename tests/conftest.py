@@ -5,7 +5,7 @@ from mlstar import operators
 from mlstar.certify import _circle, _claim
 from mlstar.errors import SeriesTruncationError
 from mlstar.jobs import GridSpec
-from mlstar.operators import FactorSpec, OperatorSpec, _no_cut, _operator_cut
+from mlstar.operators import FactorSpec, OperatorSpec, _operator_cut
 
 from oracles import horner
 
@@ -30,11 +30,10 @@ def identity_product(monkeypatch):
     monkeypatch.setattr(operators, "_log_derivative_coefficients", constant)
 
 
-def dump_circles(radii, m, table, cut):
-    """The circles of m points that dump sums from a table with a cut on the outermost
+def dump_circles(radii, m, terms):
+    """The circles of m points that dump sums from the terms of a cut on the outermost
     radius: each circle's half by Horner from its own terms, mirrored."""
-    count, _ = cut
-    return [_circle(table, count, r, m) for r in radii]
+    return [_circle(terms, r, m) for r in radii]
 
 
 def random_disk_points(rng, count, r_max=0.999, r_min=0.0):
@@ -49,16 +48,19 @@ def table_deviation(table, z, tol=1e-14):
     single-point sum does, when the table has no cut there."""
     z = np.asarray(z, dtype=complex)
     radius = float(np.max(np.abs(z)))
-    n, tail = _operator_cut(table, radius, tol)
+    n, _ = _operator_cut(table, radius, tol)
     if not n:
-        raise SeriesTruncationError(_no_cut(table, radius, tail))
+        raise SeriesTruncationError(f"no cut at |z| = {radius:g}")
     return horner(table[:n], z)
 
 
 def ml_table_deviation(params, z, tol=1e-14):
     """z E'/E - 1 at the points z as the Mittag-Leffler certificates sum it:
-    from their table, sized for max |z|."""
+    from the terms of their table, sized for max |z|, or SeriesTruncationError with
+    the reason that it has no cut there."""
     z = np.asarray(z, dtype=complex)
     claim = _claim("ml-starlike", OperatorSpec((FactorSpec(params, 1.0),), 1.0))
-    table, _ = claim.table(float(np.max(np.abs(z))), tol)
-    return table_deviation(table, z, tol)
+    terms, _, reason = claim.table(float(np.max(np.abs(z))), tol)
+    if reason is not None:
+        raise SeriesTruncationError(reason)
+    return horner(terms, z)

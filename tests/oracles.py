@@ -133,13 +133,14 @@ def horner(coeffs, z):
     return acc
 
 
-def half_circle_sums(radii, m, table, count):
-    """The sums of table[:count] at r e^(2 pi i k/m), k = 0 ... m/2, for each r of radii.
+def half_circle_sums(radii, m, terms):
+    """The sums of the terms at r e^(2 pi i k/m), k = 0 ... m/2, for each r of radii.
 
     Returns a (radii x (m/2 + 1)) complex array, one row per circle, from
     one product of every circle's terms c_n r^n with the basis.
     """
-    terms = table[:count] * np.asarray(radii)[:, None] ** np.arange(count)
+    count = len(terms)
+    terms = np.asarray(terms) * np.asarray(radii)[:, None] ** np.arange(count)
     rows = max(16, 1 << (count - 1).bit_length())
     return (terms @ _circle_basis(rows, m)[:count]).view(complex)
 

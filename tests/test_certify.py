@@ -19,6 +19,7 @@ from mlstar import (
     log_deriv,
 )
 from mlstar import certify as certify_module
+from mlstar import operators
 from mlstar.certify import (
     QUANTITY_LOG_DERIV_BOUND,
     QUANTITY_STARLIKE_ML,
@@ -403,10 +404,10 @@ class TestFailurePolicy:
     @pytest.mark.parametrize("run", RUNS, ids=OPERATORS)
     def test_truncation_fails_its_circle_for_every_kind(self, monkeypatch, run):
         # the table's one circle is r_max; without a cut there, the certificate fails whole
-        monkeypatch.setattr(certify_module, "_sized_table", no_cut_table)
+        monkeypatch.setattr(operators, "_operator_cut", no_cut)
         cert = run(r_max=0.999)
         assert cert.verdict == VERDICT_FAIL
-        assert cert.reason == "series at |z| = 0.999 keeps a tail of 1 after 8 terms"
+        assert cert.reason == "series at |z| = 0.999 keeps a tail of 1 after 192 terms"
         assert math.isnan(cert.observed)
 
 
@@ -437,7 +438,7 @@ def test_certificates_pass_or_fail_whole():
         cert = certify_module._certify(claim, R_MAX, 1e-6, SERIES_TOL, None)
         counts["summed" if cert.reason is None else "unsummed"] += 1
         if cert.reason is None:
-            circles = dump_circles(default_radii(), 64, *claim.table(R_MAX, SERIES_TOL))
+            circles = dump_circles(default_radii(), 64, claim.table(R_MAX, SERIES_TOL)[0])
             assert all(np.all(np.isfinite(c)) for c in circles) and math.isfinite(cert.observed)
         else:
             assert math.isnan(cert.observed) and cert.verdict == VERDICT_FAIL
@@ -445,9 +446,9 @@ def test_certificates_pass_or_fail_whole():
     assert min(counts.values()) > 50, counts  # both outcomes are drawn
 
 
-def no_cut_table(coefficients, subject, radius, tol):
-    """_sized_table's table at 16 terms, with no cut on the circle |z| = radius."""
-    return coefficients(subject, tol, 16), (0, 1.0)
+def no_cut(coeffs, radius, tol):
+    """_operator_cut's answer for a table with no cut on the circle |z| = radius."""
+    return 0, 1.0
 
 
 def test_the_outermost_circle_alone_gives_each_corpus_certificate():
@@ -467,13 +468,13 @@ def rounding(terms):
     return 8 * len(terms) * 2.0**-52 * (1.0 + sum(map(abs, terms)))
 
 
-def assert_rows_on_the_safe_side(cert, grid, table, cut, largest):
+def assert_rows_on_the_safe_side(cert, grid, terms, largest):
     """Every row of r_max lies on the safe side of observed, up to rounding; where the
     argmin is a grid angle, the row there equals observed within 2 ulps."""
-    [outer] = np.array(dump_circles((grid.r_max,), grid.angles, table, cut))
+    [outer] = np.array(dump_circles((grid.r_max,), grid.angles, terms))
     values = np.abs(outer) if largest else 1.0 + outer.real
     beyond = values - cert.observed if largest else cert.observed - values
-    assert np.max(beyond) <= rounding(certify_module._circle_terms(table, cut[0], grid.r_max))
+    assert np.max(beyond) <= rounding(certify_module._circle_terms(terms, grid.r_max))
     angles = grid.circle_angles()
     at = [k for k, theta in enumerate(angles) if theta == cert.argmin.angle]
     if cert.argmin.angle == math.pi and grid.angles % 2 == 0:
@@ -522,9 +523,9 @@ def test_dump_row_on_r_max_lies_on_the_safe_side_of_each_corpus_certificate():
     job = load_job(CORPUS_PATH)
     for op, cert in zip(job.operators, run_job(job).certificates):
         claim = _claim(op.kind, op.spec)
-        table, cut = claim.table(job.grid.r_max, job.series_tol)
+        terms, _, _ = claim.table(job.grid.r_max, job.series_tol)
         assert cert.semantics.startswith("endpoint-"), op.name
-        assert assert_rows_on_the_safe_side(cert, job.grid, table, cut, claim.largest), op.name
+        assert assert_rows_on_the_safe_side(cert, job.grid, terms, claim.largest), op.name
 
 
 def test_each_dump_circle_is_summed_alone_bit_for_bit():
@@ -533,13 +534,13 @@ def test_each_dump_circle_is_summed_alone_bit_for_bit():
     job = load_job(CORPUS_PATH)
     m = job.grid.angles
     for op in job.operators:
-        table, cut = _claim(op.kind, op.spec).table(job.grid.r_max, job.series_tol)
+        terms, _, _ = _claim(op.kind, op.spec).table(job.grid.r_max, job.series_tol)
         result = invoke(["dump", "--job", str(CORPUS_PATH), "--operator", op.name])
         assert result.exit_code == 0, result.output
         rows = [row.split(",") for row in result.output.splitlines()[2:]]
         assert len(rows) == len(job.grid.radii) * m == 6 * 720
         for k, r in enumerate(job.grid.radii):
-            [alone] = dump_circles((r,), m, table, cut)
+            [alone] = dump_circles((r,), m, terms)
             assert [complex(float(re), float(im)) for _, _, re, im in rows[k * m:(k + 1) * m]] \
                 == [1.0 + v for v in alone], (op.name, r)
 
@@ -583,26 +584,28 @@ class TestHalfCircleScan:
 
     @staticmethod
     def assert_scans_agree(claim, grid):
-        """The certificate against dump's outer row on one claim; returns (cut, reason)."""
-        table, cut = claim.table(grid.r_max, SERIES_TOL)
+        """The certificate against dump's outer row on one claim; returns the claim's
+        (terms, tail, reason) on r_max."""
+        terms, tail, reason = claim.table(grid.r_max, SERIES_TOL)
         cert = certify_module._certify(claim, grid.r_max, 1e-6, SERIES_TOL, None)
         assert cert.argmin.radius == grid.r_max
         assert cert.argmin == EvalPoint.from_polar(grid.r_max, cert.argmin.angle)
-        assert (cert.reason is None) == (cut[0] > 0) == (not math.isnan(cert.observed))
-        if cert.reason is None:
+        assert cert.reason == reason
+        assert (reason is None) == (len(terms) > 0) == (not math.isnan(cert.observed))
+        if reason is None:
             assert 0.0 <= cert.argmin.angle <= math.pi
-            assert_rows_on_the_safe_side(cert, grid, table, cut, claim.largest)
+            assert_rows_on_the_safe_side(cert, grid, terms, claim.largest)
         else:
-            assert cut[0] == 0 and cert.argmin.angle == 0.0
+            assert cert.argmin.angle == 0.0
             assert cert.semantics.startswith("unsummed-")
-        return cut, cert.reason
+        return terms, tail, reason
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     @pytest.mark.parametrize("kind", CLAIMS)
     def test_matches_a_full_grid_scan(self, kind, m):
         make, radii = self.CLAIMS[kind]
-        cut, _ = self.assert_scans_agree(make(), GridSpec(radii=radii, angles=m))
-        assert cut[0] == 0 if kind == "ml-no-cut" else cut[0] > 9
+        terms, _, _ = self.assert_scans_agree(make(), GridSpec(radii=radii, angles=m))
+        assert not terms if kind == "ml-no-cut" else len(terms) > 9
 
     @pytest.mark.parametrize("m", [8, 9, 720])
     @pytest.mark.parametrize("kind", ["starlike", "log-deriv-bound", "ml-no-cut"])
@@ -617,13 +620,13 @@ class TestHalfCircleScan:
             table[1] = 1e301
             return table
 
-        cut, reason = self.assert_scans_agree(claim._replace(coefficients=huge),
-                                              GridSpec(radii=radii, angles=m))
-        assert cut == (0, math.inf)
+        terms, tail, reason = self.assert_scans_agree(claim._replace(coefficients=huge),
+                                                      GridSpec(radii=radii, angles=m))
+        assert terms == [] and tail == math.inf
         assert reason == "series at |z| = 0.999 keeps a tail of inf after 192 terms"
 
     def test_every_point_failed(self, monkeypatch):
-        monkeypatch.setattr(certify_module, "_sized_table", no_cut_table)
+        monkeypatch.setattr(operators, "_operator_cut", no_cut)
         cert = certify_ml_starlike(MLParams(2, 4), 0.0, 0.999)
         assert math.isnan(cert.observed) and cert.reason is not None
         assert cert.verdict == VERDICT_FAIL and cert.argmin.angle == 0.0
@@ -632,8 +635,8 @@ class TestHalfCircleScan:
 
 def terms_on_r_max(claim, r=0.999):
     """The terms t_n = c_n r^n of the claim's cut on |z| = r."""
-    table, (count, _) = claim.table(r, SERIES_TOL)
-    return certify_module._circle_terms(table, count, r)
+    terms, _, _ = claim.table(r, SERIES_TOL)
+    return certify_module._circle_terms(terms, r)
 
 
 def series_claims():

@@ -628,11 +628,11 @@ class TestDump:
     def test_rows_print_one_plus_each_sum(self, name):
         job = load_job(CORPUS_PATH)
         op = next(op for op in job.operators if op.name == name)
-        table, cut = _claim(op.kind, op.spec).table(job.grid.r_max, job.series_tol)
+        terms, _, _ = _claim(op.kind, op.spec).table(job.grid.r_max, job.series_tol)
         thetas = [2.0 * math.pi * k / 16 for k in range(16)]
         expected = [f"{r!r},{theta!r},{(1.0 + v).real!r},{(1.0 + v).imag!r}"
                     for r, circle in zip(job.grid.radii,
-                                         dump_circles(job.grid.radii, 16, table, cut))
+                                         dump_circles(job.grid.radii, 16, terms))
                     for theta, v in zip(thetas, circle)]
         result = invoke(["--grid-angles", "16", "dump", "--job", CORPUS_PATH, "--operator", name])
         assert result.exit_code == 0
@@ -641,7 +641,7 @@ class TestDump:
     def test_a_negative_zero_imaginary_part_prints_as_zero(self, monkeypatch):
         # 1 + v is a complex sum, and 1.0 + complex(x, -0.0) has imaginary part +0.0
         monkeypatch.setattr(cli_module, "_circle",
-                            lambda table, count, r, m: [complex(0.5, -0.0)] * m)
+                            lambda terms, r, m: [complex(0.5, -0.0)] * m)
         result = invoke(["--grid-angles", "8", "dump", "--job", CORPUS_PATH,
                          "--operator", "ml-24"])
         assert result.exit_code == 0

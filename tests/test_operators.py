@@ -27,7 +27,7 @@ from mlstar import (
     star_log_deriv,
 )
 from mlstar import mittag_leffler, operators
-from mlstar.certify import VERDICT_FAIL, _circle_half, _circle_terms
+from mlstar.certify import VERDICT_FAIL
 from mlstar.defaults import SERIES_TERM_CAP
 from mlstar.jobs import GridSpec, load_job, parse_job, run_job
 from mlstar.numerics import series_solve
@@ -480,21 +480,23 @@ class TestCoefficientEngine:
 
     def test_sized_table_is_a_prefix_of_the_full_solve(self):
         spec = single(2, 4)
-        table, cut = _sized_table(_star_coefficients, spec, 0.9, 1e-14)
-        assert len(table) < SERIES_TERM_CAP
+        terms, tail, reason = _sized_table(_star_coefficients, spec, 0.9, 1e-14)
+        assert reason is None and 0 < len(terms) < SERIES_TERM_CAP
         full = _star_coefficients(spec, 1e-14, SERIES_TERM_CAP)
-        assert np.array_equal(table, full[: len(table)])
-        # the cut it returns is the table's cut on the circle
-        assert cut == _operator_cut(table, 0.9, 1e-14) and cut[0] > 0
+        assert np.array_equal(terms, full[: len(terms)])
+        # the terms and tail are the cut on the circle of the builder's first table
+        assert _operator_cut(_star_coefficients(spec, 1e-14, 16), 0.9, 1e-14) \
+            == (len(terms), tail)
 
     def test_ml_table_cut_past_the_first_length_grows_it_by_half(self):
         # z E'/E - 1 of alpha = 1, beta = 4 needs 15 terms on r = 0.999, more than
         # a 16-term table can cut with 8 measured terms left, so it grows once, to 24
         factors = (FactorSpec(MLParams(1, 4), 1.0),)
-        table, (count, _) = _sized_table(_log_derivative_coefficients, factors, 0.999, 1e-14)
-        assert len(table) == 24 and count == 15
+        terms, tail, _ = _sized_table(_log_derivative_coefficients, factors, 0.999, 1e-14)
         full = _log_derivative_coefficients(factors, 1e-14, SERIES_TERM_CAP)
-        assert np.array_equal(table, full[:24])
+        assert _operator_cut(full[:16], 0.999, 1e-14)[0] == 0
+        assert _operator_cut(full[:24], 0.999, 1e-14) == (15, tail)
+        assert np.array_equal(terms, full[:15])
 
     def test_growing_product_without_cancellation(self):
         # P = e^(25 t): summed as a series, P(-0.999) = e^-25 would cancel
@@ -598,15 +600,15 @@ class TestTableGrowth:
         full = coefficients(subject, self.TOL, SERIES_TERM_CAP)
         mittag_leffler._factor_series.cache_clear()
         solves = spy_on_solves(monkeypatch)
-        table, (count, _) = _sized_table(coefficients, subject, 0.999, self.TOL)
-        assert len(table) == length and (count == 0) == (length == SERIES_TERM_CAP)
+        terms, _, reason = _sized_table(coefficients, subject, 0.999, self.TOL)
+        assert (reason is None) == (length < SERIES_TERM_CAP)
         assert len(solves) == series  # one list per series, continued at every length
         lengths = [16, 24, 36, 54, 81, 121, 181, 200]
         for solved, ranges in solves.values():
             assert len(solved) == length
             assert [r.stop for r in ranges] == lengths[: lengths.index(length) + 1]
             assert [i for r in ranges for i in r] == list(range(length))  # each index once
-        assert np.array_equal(table, full[:length])  # bit for bit
+        assert np.array_equal(terms, full[: len(terms)])  # bit for bit
 
     def test_run_job_solves_each_term_once(self, monkeypatch):
         # a count, not a time, so solving any table again from its first term fails here
@@ -746,41 +748,41 @@ class TestCircleSums:
         # off by about 4e-16, which moves Horner's sum as much as the basis product's error
         return np.array([complex(mpmath.expjpi(mpmath.mpf(2 * k) / m)) for k in range(m)])
 
-    def assert_matches_horner(self, table, sums, radii):
-        count, _ = _operator_cut(table, radii[-1], self.TOL)
+    def assert_matches_horner(self, terms, sums, radii):
         for row, r in enumerate(radii):
-            pointwise = horner(table[:count], r * self.phases(sums.shape[1]))
-            scale = np.sum(np.abs(table[:count]) * r ** np.arange(count))
+            pointwise = horner(terms, r * self.phases(sums.shape[1]))
+            scale = np.sum(np.abs(terms) * r ** np.arange(len(terms)))
             assert np.max(np.abs(sums[row] - pointwise)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     @pytest.mark.parametrize("kind", TABLES)
     def test_matches_horner_on_every_circle(self, m, kind):
         radii = (0.25, 0.9, 0.999)
-        table, cut = _sized_table(*self.TABLES[kind], radii[-1], self.TOL)
-        sums = np.array(dump_circles(radii, m, table, cut))
+        terms, _, _ = _sized_table(*self.TABLES[kind], radii[-1], self.TOL)
+        sums = np.array(dump_circles(radii, m, terms))
         assert sums.shape == (3, m)
-        assert cut[0] > 9  # m = 8 and 9 fold
-        self.assert_matches_horner(table, sums, radii)
+        assert len(terms) > 9  # m = 8 and 9 fold
+        self.assert_matches_horner(terms, sums, radii)
 
     @pytest.mark.parametrize("kind", TABLES)
     def test_inner_circles_sum_the_outer_cut(self, kind):
         # every circle sums the terms of the outermost circle's cut, which are more than
         # an inner circle's own cut keeps; the extra terms add up to at most the tolerance
         radii, m = (0.25, 0.5, 0.999), 720
-        table, cut = _sized_table(*self.TABLES[kind], radii[-1], self.TOL)
-        sums = np.array(dump_circles(radii, m, table, cut))
-        count = cut[0]
+        coefficients, subject = self.TABLES[kind]
+        terms, _, _ = _sized_table(coefficients, subject, radii[-1], self.TOL)
+        sums = np.array(dump_circles(radii, m, terms))
+        table = coefficients(subject, self.TOL, SERIES_TERM_CAP)  # for the inner cuts
         for row, r in enumerate(radii[:-1]):
             z = r * self.phases(m)
-            assert _operator_cut(table, r, self.TOL)[0] < count
-            assert np.max(np.abs(sums[row] - horner(table[:count], z))) <= 1e-15
+            assert _operator_cut(table, r, self.TOL)[0] < len(terms)
+            assert np.max(np.abs(sums[row] - horner(terms, z))) <= 1e-15
             assert np.max(np.abs(sums[row] - table_deviation(table, z, self.TOL))) <= self.TOL
 
     @pytest.mark.parametrize("m", [8, 9, 720, 4096])
     def test_mirror_points_are_exact_conjugates(self, m):
-        table, cut = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
-        sums = np.array(dump_circles((0.5, 0.999), m, table, cut))
+        terms, _, _ = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
+        sums = np.array(dump_circles((0.5, 0.999), m, terms))
         assert np.array_equal(sums[:, :0:-1], sums[:, 1:].conj())  # g[m-k] == conj(g[k])
         assert np.all(sums[:, 0].imag == 0.0)
 
@@ -789,16 +791,14 @@ class TestCircleSums:
         # every circle is its own Horner sum; the basis product that once summed
         # several circles at once differs from it in rounding alone
         radii = (0.25, 0.5, 0.999)
-        table, cut = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
-        count = cut[0]
-        together = half_circle_sums(radii, m, table, count)
-        for r, circle, row in zip(radii, dump_circles(radii, m, table, cut), together,
+        terms, _, _ = _sized_table(_star_coefficients, self.PROBE, 0.999, self.TOL)
+        together = half_circle_sums(radii, m, terms)
+        for r, circle, row in zip(radii, dump_circles(radii, m, terms), together,
                                   strict=True):
-            half = _circle_half(_circle_terms(table, count, r), m)
-            assert len(half) == row.shape[0] == m // 2 + 1 and len(circle) == m
-            assert circle[: m // 2 + 1] == half
-            scale = np.sum(np.abs(table[:count]) * r ** np.arange(count))
-            assert np.max(np.abs(np.array(half) - row)) <= 1e-15 * scale
+            half = np.array(circle[: m // 2 + 1])
+            assert len(circle) == m and half.shape == row.shape == (m // 2 + 1,)
+            scale = np.sum(np.abs(terms) * r ** np.arange(len(terms)))
+            assert np.max(np.abs(half - row)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("rows, m", [(16, 8), (32, 9), (16, 720), (256, 4096)])
     def test_basis_is_exact_where_the_angle_is_0_or_pi(self, rows, m):
