@@ -98,6 +98,11 @@ def _open(path):
 def cmd_eval(args) -> int:
     """Evaluate function or operator values at a list of points.
 
+    Each row prints the value, terms=N, the terms summed, and tail=T, which
+    bounds the truncation, the terms dropped, and not the rounding of the
+    terms summed. An operator's tail sums the terms its table drops and
+    takes the terms past the table to keep decaying: it is not yet proven.
+
     Examples:
 
         mlstar eval --alpha 2 --beta 3 --z 0.49
@@ -329,18 +334,35 @@ def _parser() -> argparse.ArgumentParser:
 _NUMBER_OPTIONS = ("--z", "--alpha", "--beta", "--tol", "--r-max", "--grid-angles")
 
 
-def _attach_numbers(argv) -> list:
-    """argv with each number option and a number after it joined as '<option>=<number>'.
+def _option_strings(parser) -> set:
+    """Every option string that the parser or one of its commands defines."""
+    strings = set()
+    for action in parser._actions:  # argparse lists a parser's actions nowhere public
+        strings.update(action.option_strings)
+        if isinstance(action.choices, dict):  # the commands' own parsers
+            for command in action.choices.values():
+                strings |= _option_strings(command)
+    return strings
+
+
+def _attach_numbers(argv, options) -> list:
+    """argv with each number option and a number after it joined as '<option>=<number>',
+    and --operator and the name after it as '--operator=<name>'.
 
     argparse reads a token that starts with '-' as an option unless it is a plain
-    negative number, so '--z -0.3+0.4j' or '--beta -4e0' would leave the option
-    without its value. A next token that complex() cannot read stays apart, for
-    argparse to refuse, and the tokens after '--' are left as they are.
+    negative number, so '--z -0.3+0.4j', '--beta -4e0' or '--operator -m' would
+    leave the option without its value. A next token that complex() cannot read,
+    or after --operator one of the parser's options, with or without '=<value>',
+    stays apart, for argparse to refuse, and the tokens after '--' are left as
+    they are.
     """
     out = []
     for i, token in enumerate(argv):
         if token == "--":
             return out + list(argv[i:])
+        if out and out[-1] == "--operator" and token.split("=", 1)[0] not in options:
+            out[-1] = f"--operator={token}"
+            continue
         if out and out[-1] in _NUMBER_OPTIONS:
             try:
                 complex(token)
@@ -355,7 +377,9 @@ def _attach_numbers(argv) -> list:
 
 def main(argv=None):
     """Run the CLI on argv (default sys.argv[1:]); always ends in SystemExit."""
-    args = _parser().parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_numbers(argv, _option_strings(parser)))
     try:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit

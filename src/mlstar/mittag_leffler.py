@@ -84,8 +84,15 @@ class EvalPoint(_Record):
 
 
 def _check_disk(z) -> complex:
-    """z as a complex number, or DomainError unless |z| <= 1: the package's one point rule."""
-    z = complex(z)
+    """z as a complex number, or DomainError unless a number, not a bool, with |z| <= 1:
+    the package's one point rule."""
+    if type(z) is not complex:  # most points, without the slower numbers.Complex test below
+        if isinstance(z, bool) or not isinstance(z, numbers.Complex):
+            raise DomainError(f"z must be a number, got {z!r}")
+        try:
+            z = complex(z)
+        except OverflowError:  # an integer beyond the double range
+            z = complex(math.inf)
     size = math.hypot(z.real, z.imag)  # NaN or inf, never OverflowError, for a bad z
     if not size <= 1.0:
         raise DomainError(f"|z| must be <= 1, got |z| = {size!r}")

@@ -233,6 +233,28 @@ class TestEval:
         result = invoke(argv)
         assert result.exit_code == 2 and message in result.output, result.output
 
+    @pytest.mark.parametrize("command, rest", [("dump", []), ("eval", ["--z", "0.5"])],
+                             ids=["dump", "eval"])
+    def test_an_operator_name_that_starts_with_a_dash_follows_operator(self, tmp_path,
+                                                                        command, rest):
+        # the job parser accepts any name; '--operator -m' passes it as '--operator=-m' does
+        path = write_job(tmp_path, dict(CORPUS, operators=[dict(CORPUS["operators"][0],
+                                                                name="-m")]))
+        result = invoke([command, "--job", path, "--operator", "-m", *rest])
+        assert result.exit_code == 0, result.output
+        assert result == invoke([command, "--job", path, "--operator=-m", *rest])
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--job", CORPUS_PATH, "--operator", "--z", "0.5"],
+        ["eval", "--job", CORPUS_PATH, "--operator", "--z=0.5"],
+        ["dump", "--job", CORPUS_PATH, "--operator", "-o", "out.csv"],
+        ["dump", "--job", CORPUS_PATH, "--operator", "--", "-m"],
+    ], ids=["z", "z-joined", "output", "double-dash"])
+    def test_an_option_after_operator_is_not_its_name(self, argv):
+        result = invoke(argv)
+        assert result.exit_code == 2, result.output
+        assert "argument --operator: expected one argument" in result.output
+
 
 class TestOrders:
     def test_corpus_orders(self, tmp_path):

@@ -1,11 +1,13 @@
 """One closed-disk rule for every entry point that takes a point or a radius.
 
-A point z is accepted when |z| <= 1 and a radius r when 0 < r <= 1, the
-boundary included; everything else is refused with DomainError, with
-JobFileError from a job document, or with exit 2 from the CLI.
+A point z is accepted when it is a number, not a bool, with |z| <= 1, and a
+radius r when 0 < r <= 1, the boundary included; everything else is refused
+with DomainError, with JobFileError from a job document, or with exit 2 from
+the CLI.
 """
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,21 @@ def test_a_point_on_the_unit_circle_is_accepted(entry, z):
 def test_a_point_outside_the_closed_disk_is_refused(entry, z):
     with pytest.raises(REFUSALS, match=r"\|z\| must be <= 1"):
         POINT_ENTRIES[entry](z)
+
+
+@pytest.mark.parametrize("z", [None, "0.5", "abc", True], ids=["None", "str", "word", "bool"])
+@pytest.mark.parametrize("entry", list(POINT_ENTRIES)[:9])
+def test_a_point_that_is_not_a_number_is_refused_by_the_nine_point_functions(entry, z):
+    # complex() reads "0.5" and True as numbers, and fails on None and "abc" with
+    # TypeError or a bare ValueError; the point rule refuses all four alike
+    with pytest.raises(DomainError, match=re.escape(f"z must be a number, got {z!r}")):
+        POINT_ENTRIES[entry](z)
+
+
+@pytest.mark.parametrize("entry", list(POINT_ENTRIES)[:9])
+def test_an_integer_beyond_the_double_range_is_an_infinite_point(entry):
+    with pytest.raises(DomainError, match=re.escape("|z| must be <= 1, got |z| = inf")):
+        POINT_ENTRIES[entry](10 ** 400)
 
 
 @pytest.mark.parametrize("entry", RADIUS_ENTRIES)

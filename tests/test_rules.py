@@ -280,6 +280,8 @@ def test_a_non_number_is_refused_by_name(entry, value):
     ("_check_eta", "eta must lie in [0, 1)"),
     ("_check_params", "must be an MLParams"),
     ("_check_predicted", "predicted must be finite"),
+    ("_check_disk", "z must be a number"),
+    ("_check_disk", "|z| must be <= 1"),
 ])
 def test_each_rule_is_written_once(rule, text):
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
