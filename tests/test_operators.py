@@ -608,6 +608,7 @@ class TestTableGrowth:
             assert len(solved) == length
             assert [r.stop for r in ranges] == lengths[: lengths.index(length) + 1]
             assert [i for r in ranges for i in r] == list(range(length))  # each index once
+        assert len(terms) == _operator_cut(full[:length], 0.999, self.TOL)[0]
         assert np.array_equal(terms, full[: len(terms)])  # bit for bit
 
     def test_run_job_solves_each_term_once(self, monkeypatch):
